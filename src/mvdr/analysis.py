@@ -298,8 +298,8 @@ def sweep_views(
     """Evaluate truncated query sets at each k.
 
     ``retrieval_eval``, when given, receives the truncated sets and
-    returns an aggregate retrieval metric (it typically rebuilds an index
-    and runs evaluation). Raises if any k exceeds the available views.
+    returns an aggregate retrieval metric (the CLI searches the first k
+    views of one index). Raises if any k exceeds the available views.
     """
     if not generated:
         raise ValueError("no generated query sets to sweep")

@@ -2,69 +2,91 @@
 
 Subcommands cover each pipeline stage (gen-queries, train, index, search,
 eval, analyze), an end-to-end ``pipeline`` driven by a key=value config
-file, and ``selftest`` for the built-in reference checks. Every stage is
-deterministic for a fixed seed: rerunning a command with the same inputs
-writes byte-identical outputs regardless of ``--threads``.
+file, and ``selftest`` for the built-in reference checks. Each stage is one
+function that its subcommand and ``pipeline`` both call, so for one seed
+the staged commands and ``pipeline`` write the same bytes, regardless of
+``--threads``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__, analysis, evaluation
-from .corpus import (
-    load_corpus,
-    load_generated_queries,
-    load_qrels,
-    load_queries,
-    load_triples,
-    write_generated_queries,
-)
-from .encoder import EncoderConfig, init_params, load_params, save_params
+from .corpus import Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
+from .corpus import load_corpus, load_generated_queries, load_qrels, load_queries, load_triples
+from .corpus import write_generated_queries
+from .encoder import EncoderConfig, EncoderParams, encode_queries
+from .encoder import init_params, load_params, save_params
 from .hashing import derive_seed
-from .index import build_index, load_index, save_index, search_corpus
+from .index import FlatIndex, batch_search, build_index, first_views, load_index, save_index
 from .querygen import SamplingConfig, fit_qg, generate_corpus
 from .selftest import run_selftest
-from .trainer import TrainConfig, train, write_loss_trace
+from .trainer import TraceEntry, TrainConfig, train, write_loss_trace
 
 log = logging.getLogger(__name__)
 
-_CONFIG_KEYS = {
-    "corpus",
-    "corpus_format",
-    "queries",
-    "qrels",
-    "triples",
-    "gen_queries",
-    "out_dir",
-    "mode",
-    "seed",
-    "threads",
-    "views",
-    "sampling_top_k",
-    "embed_dim",
-    "hash_buckets",
-    "ngram_orders",
-    "tie_params",
-    "max_query_tokens",
-    "max_doc_tokens",
-    "batch_size",
-    "pretrain_batch_size",
-    "negatives_per_positive",
-    "learning_rate",
-    "warmup_fraction",
-    "epochs_pretrain",
-    "epochs_finetune",
-    "search_topk",
-    "metrics",
-    "rel_threshold",
-    "run_tag",
-    "analyze",
+# Flag and config-key values by setting name; a missing name is unset.
+Settings = Mapping[str, object]
+QueryEmbeddings = Sequence[tuple[str, np.ndarray]]
+
+
+def _parse_orders(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"bad n-gram orders {text!r}: expected e.g. '1,2'") from None
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "1", "yes", "on"):
+        return True
+    if value in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean")
+
+
+# config key -> parser of its value. Staged-command flags store into the
+# same names, so one settings mapping serves both.
+_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
+    **dict.fromkeys(
+        ("corpus", "corpus_format", "queries", "qrels", "triples", "gen_queries", "out_dir",
+         "mode", "metrics", "run_tag"),
+        str,
+    ),
+    **dict.fromkeys(
+        ("seed", "threads", "views", "sampling_top_k", "embed_dim", "hash_buckets",
+         "max_query_tokens", "max_doc_tokens", "batch_size", "pretrain_batch_size",
+         "negatives_per_positive", "epochs_pretrain", "epochs_finetune", "search_topk",
+         "rel_threshold"),
+        int,
+    ),
+    "learning_rate": float,
+    "warmup_fraction": float,
+    "ngram_orders": _parse_orders,
+    "tie_params": _parse_bool,
+    "analyze": _parse_bool,
+}
+
+# Defaults of the settings that no config dataclass owns; EncoderConfig,
+# TrainConfig and SamplingConfig hold the defaults of their own fields.
+_DEFAULTS = {
+    "corpus_format": "tsv",
+    "out_dir": "out",
+    "seed": 0,
+    "threads": 1,
+    "search_topk": 10,
+    "metrics": "mrr@10,recall@1000,ndcg@10",
+    "rel_threshold": 1,
+    "run_tag": evaluation.DEFAULT_RUN_TAG,
+    "analyze": False,
 }
 
 
@@ -93,67 +115,139 @@ def parse_config(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _cfg_int(cfg: dict[str, str], key: str, default: int) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r}: {cfg[key]!r} is not an integer") from None
+def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None) -> dict:
+    """Flags over config-file values over the defaults; a None flag is unset."""
+    merged: dict[str, object] = dict(_DEFAULTS)
+    for key, text in (config or {}).items():
+        try:
+            merged[key] = _CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    merged.update((key, value) for key, value in vars(flags).items() if value is not None)
+    return merged
 
 
-def _cfg_float(cfg: dict[str, str], key: str, default: float) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r}: {cfg[key]!r} is not a number") from None
+def _given(settings: Settings, *keys: str, **renamed: str) -> dict[str, object]:
+    """Config dataclass keyword arguments from the settings that are set."""
+    names = dict(zip(keys, keys)) | renamed
+    return {field: settings[key] for field, key in names.items() if key in settings}
 
 
-def _cfg_bool(cfg: dict[str, str], key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"config key {key!r}: {cfg[key]!r} is not a boolean")
-
-
-def _parse_orders(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"bad n-gram orders {text!r}: expected e.g. '1,2'") from None
-
-
-def _add_encoder_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("encoder")
-    group.add_argument("--embed-dim", type=int, default=128)
-    group.add_argument("--hash-buckets", type=int, default=2**18)
-    group.add_argument("--ngram-orders", default="1,2", help="comma-separated, e.g. 1,2")
-    group.add_argument(
-        "--untie", action="store_true", help="give query and document towers separate weights"
-    )
-    group.add_argument("--max-query-tokens", type=int, default=16)
-    group.add_argument("--max-doc-tokens", type=int, default=128)
-
-
-def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    return EncoderConfig(
-        embed_dim=args.embed_dim,
-        hash_buckets=args.hash_buckets,
-        ngram_orders=_parse_orders(args.ngram_orders),
-        tie_params=not args.untie,
-        max_query_tokens=args.max_query_tokens,
-        max_doc_tokens=args.max_doc_tokens,
+def _train_config(settings: Settings) -> TrainConfig:
+    return TrainConfig(
+        seed=derive_seed(settings["seed"], "train"),
+        **_given(
+            settings, "mode", "batch_size", "pretrain_batch_size", "negatives_per_positive",
+            "learning_rate", "warmup_fraction", "epochs_pretrain", "epochs_finetune",
+        ),
     )
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+# ---------------------------------------------------------------------------
+# Stages: one function each, shared by the staged commands and the pipeline
+
+
+def gen_queries_stage(corpus: Sequence[Document], settings: Settings) -> list[GeneratedQuerySet]:
+    """Pseudo-queries for every document, drawn from stage seed ``querygen``."""
+    sampling = SamplingConfig(
+        **_given(settings, "max_query_tokens", k_views="views", top_k="sampling_top_k")
+    )
+    model = fit_qg(corpus, seed=settings["seed"])
+    seed = derive_seed(settings["seed"], "querygen")
+    return generate_corpus(model, corpus, sampling, seed=seed, threads=settings["threads"])
+
+
+def train_stage(
+    settings: Settings, train_cfg: TrainConfig, triples: Sequence[TrainingTriple],
+    corpus: Sequence[Document], generated: Sequence[GeneratedQuerySet] | None,
+) -> tuple[EncoderParams, list[TraceEntry]]:
+    """Initialise an encoder from stage seed ``init`` and train it."""
+    encoder_cfg = EncoderConfig(
+        **_given(settings, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
+                 "max_query_tokens", "max_doc_tokens")
+    )
+    params = init_params(encoder_cfg, derive_seed(settings["seed"], "init"))
+    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
+    return params, trace
+
+
+def _embed_queries(params: EncoderParams, queries: Sequence[Query]) -> QueryEmbeddings:
+    embs = encode_queries(params, [q.text for q in queries])
+    return [(q.query_id, emb) for q, emb in zip(queries, embs)]
+
+
+def search_stage(
+    index: FlatIndex, query_embs: QueryEmbeddings, settings: Settings
+) -> evaluation.Run:
+    ranked = batch_search(index, query_embs, settings["search_topk"], threads=settings["threads"])
+    return evaluation.run_from_ranked_lists(ranked, tag=settings["run_tag"])
+
+
+def eval_stage(
+    run: evaluation.Run, qrels: Qrels, settings: Settings
+) -> list[evaluation.MetricReport]:
+    specs = [s.strip() for s in settings["metrics"].split(",") if s.strip()]
+    if not specs:
+        raise ValueError("no metrics requested")
+    rel = settings["rel_threshold"]
+    reports = [evaluation.compute_metric(spec, run, qrels, rel_threshold=rel) for spec in specs]
+    for report in reports:
+        print(f"{report.name}\t{report.aggregate:.6f}\t({report.n_queries} queries)")
+    return reports
+
+
+def analyze_stage(
+    out_dir: Path, generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
+    settings: Settings, metric: str, run: evaluation.Run | None = None,
+    index: FlatIndex | None = None, query_embs: QueryEmbeddings = (),
+) -> None:
+    """Write quality.csv, diversity.csv, levels.csv and sweep.csv.
+
+    ``run`` gives the per-level ``metric``. ``index``, built with every
+    view, fills the sweep's retrieval column: each k searches the index's
+    first k views with ``query_embs``.
+    """
+    rel_threshold = settings["rel_threshold"]
+    query_text = {q.query_id: q.text for q in queries}
+    gold_by_doc: dict[str, list[str]] = {}
+    for query_id in qrels.query_ids():
+        if query_id not in query_text:
+            continue
+        for doc_id in qrels.relevant_docs(query_id, threshold=rel_threshold):
+            gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    quality = analysis.quality_records(generated, gold_by_doc)
+    analysis.write_quality_csv(quality, out_dir / "quality.csv")
+
+    k_views = min(len(qset.queries) for qset in generated)
+    if k_views >= 2:
+        records = analysis.diversity_records(generated)
+        analysis.write_diversity_csv(records, out_dir / "diversity.csv")
+        metric_by_doc = None
+        if run is not None:
+            report = evaluation.compute_metric(metric, run, qrels, rel_threshold=rel_threshold)
+            positives = {
+                query_id: qrels.relevant_docs(query_id, threshold=rel_threshold)
+                for query_id in qrels.query_ids()
+            }
+            metric_by_doc = analysis.doc_metric_from_queries(report.per_query, positives)
+        quality_by_doc = {r.doc_id: r.max_rouge_l for r in quality}
+        summaries = analysis.level_summaries(records, metric_by_doc, quality_by_doc)
+        analysis.write_level_csv(summaries, out_dir / "levels.csv")
+
+    retrieval_eval = None
+    if index is not None:
+
+        def retrieval_eval(truncated: Sequence[GeneratedQuerySet]) -> float:
+            prefix = first_views(index, len(truncated[0].queries))
+            prefix_run = search_stage(prefix, query_embs, settings)
+            return evaluation.compute_metric(
+                metric, prefix_run, qrels, rel_threshold=rel_threshold
+            ).aggregate
+
+    points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, retrieval_eval)
+    analysis.write_sweep_csv(points, out_dir / "sweep.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -161,151 +255,84 @@ def _default_threads() -> int:
 
 
 def cmd_gen_queries(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus, fmt=args.corpus_format)
-    model = fit_qg(corpus, seed=args.seed)
-    cfg = SamplingConfig(
-        k_views=args.views, top_k=args.top_k, max_query_tokens=args.max_query_tokens
-    )
-    sets = generate_corpus(model, corpus, cfg, seed=args.seed, threads=args.threads)
-    write_generated_queries(sets, args.out)
-    print(f"wrote {len(sets)} query sets ({cfg.k_views} views each) to {args.out}")
+    settings = _settings(args)
+    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    sets = gen_queries_stage(corpus, settings)
+    write_generated_queries(sets, settings["out"])
+    print(f"wrote {len(sets)} query sets ({len(sets[0].queries)} views each) to {settings['out']}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus, fmt=args.corpus_format)
-    triples = load_triples(args.triples)
-    generated = None
-    if args.gen_queries:
-        generated = load_generated_queries(args.gen_queries, corpus=corpus)
-    if args.pretrain_epochs > 0 and generated is None:
-        raise ValueError("--pretrain-epochs requires --gen-queries")
-    encoder_cfg = _encoder_config(args)
-    train_cfg = TrainConfig(
-        mode=args.mode,
-        batch_size=args.batch_size,
-        pretrain_batch_size=args.pretrain_batch_size,
-        negatives_per_positive=args.negatives,
-        learning_rate=args.lr,
-        warmup_fraction=args.warmup,
-        epochs_pretrain=args.pretrain_epochs,
-        epochs_finetune=args.finetune_epochs,
-        seed=derive_seed(args.seed, "train"),
-    )
-    params = init_params(encoder_cfg, derive_seed(args.seed, "init"))
-    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
-    save_params(params, args.out)
-    if args.loss_trace:
-        write_loss_trace(trace, args.loss_trace)
+    settings = _settings(args)
+    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    triples = load_triples(settings["triples"])
+    gen_path = settings.get("gen_queries")
+    generated = load_generated_queries(gen_path, corpus=corpus) if gen_path else None
+    params, trace = train_stage(settings, _train_config(settings), triples, corpus, generated)
+    save_params(params, settings["out"])
+    if "loss_trace" in settings:
+        write_loss_trace(trace, settings["loss_trace"])
     final = trace[-1].loss if trace else float("nan")
-    print(f"trained {len(trace)} steps (final loss {final:.4f}); checkpoint at {args.out}")
+    print(f"trained {len(trace)} steps (final loss {final:.4f}); checkpoint at {settings['out']}")
     return 0
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    params = load_params(args.checkpoint)
-    corpus = load_corpus(args.corpus, fmt=args.corpus_format)
+    settings = _settings(args)
+    params = load_params(settings["checkpoint"])
+    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
     generated = None
-    if args.mode == "dce":
-        if not args.gen_queries:
+    if settings["mode"] == "dce":
+        if "gen_queries" not in settings:
             raise ValueError("--mode dce requires --gen-queries")
-        generated = load_generated_queries(args.gen_queries, corpus=corpus)
-    index = build_index(params, corpus, mode=args.mode, generated=generated, threads=args.threads)
-    save_index(index, args.out)
-    print(f"indexed {index.n_docs} docs ({index.n_rows} rows) to {args.out}")
+        generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
+    index = build_index(
+        params, corpus, mode=settings["mode"], generated=generated, threads=settings["threads"]
+    )
+    save_index(index, settings["out"])
+    print(f"indexed {index.n_docs} docs ({index.n_rows} rows) to {settings['out']}")
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    params = load_params(args.checkpoint)
-    index = load_index(args.index)
-    queries = load_queries(args.queries)
-    ranked = search_corpus(params, index, queries, args.topk, threads=args.threads)
-    run = evaluation.run_from_ranked_lists(ranked, tag=args.tag)
-    evaluation.write_run(run, args.out)
-    print(f"searched {len(queries)} queries (top {args.topk}) into {args.out}")
+    settings = _settings(args)
+    params = load_params(settings["checkpoint"])
+    index = load_index(settings["index"])
+    queries = load_queries(settings["queries"])
+    run = search_stage(index, _embed_queries(params, queries), settings)
+    evaluation.write_run(run, settings["out"])
+    print(f"searched {len(queries)} queries (top {settings['search_topk']}) into {settings['out']}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run = evaluation.load_run(args.run)
-    qrels = load_qrels(args.qrels)
-    specs = [s.strip() for s in args.metrics.split(",") if s.strip()]
-    if not specs:
-        raise ValueError("no metrics requested")
-    reports = [
-        evaluation.compute_metric(spec, run, qrels, rel_threshold=args.rel_threshold)
-        for spec in specs
-    ]
-    for report in reports:
-        print(f"{report.name}\t{report.aggregate:.6f}\t({report.n_queries} queries)")
-    if args.out:
-        evaluation.write_metrics_csv(reports, args.out)
+    settings = _settings(args)
+    run = evaluation.load_run(settings["run"])
+    reports = eval_stage(run, load_qrels(settings["qrels"]), settings)
+    if "out" in settings:
+        evaluation.write_metrics_csv(reports, settings["out"])
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    generated = load_generated_queries(args.gen_queries)
-    queries = load_queries(args.queries)
-    qrels = load_qrels(args.qrels)
-    query_text = {q.query_id: q.text for q in queries}
-    gold_by_doc: dict[str, list[str]] = {}
-    for query_id in qrels.query_ids():
-        if query_id not in query_text:
-            continue
-        for doc_id in qrels.relevant_docs(query_id, threshold=args.rel_threshold):
-            gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    quality = analysis.quality_records(generated, gold_by_doc)
-    analysis.write_quality_csv(quality, out_dir / "quality.csv")
-    quality_by_doc = {r.doc_id: r.max_rouge_l for r in quality}
-
-    k_views = min(len(qset.queries) for qset in generated)
-    records = []
-    if k_views >= 2:
-        records = analysis.diversity_records(generated)
-        analysis.write_diversity_csv(records, out_dir / "diversity.csv")
-
-    metric_by_doc = None
-    if args.run:
-        run = evaluation.load_run(args.run)
-        report = evaluation.compute_metric(
-            args.metric, run, qrels, rel_threshold=args.rel_threshold
-        )
-        positives = {
-            query_id: qrels.relevant_docs(query_id, threshold=args.rel_threshold)
-            for query_id in qrels.query_ids()
-        }
-        metric_by_doc = analysis.doc_metric_from_queries(report.per_query, positives)
-    if records:
-        summaries = analysis.level_summaries(records, metric_by_doc, quality_by_doc)
-        analysis.write_level_csv(summaries, out_dir / "levels.csv")
-
-    retrieval_eval = None
-    if args.checkpoint:
-        if not args.corpus:
+    settings = _settings(args)
+    generated = load_generated_queries(settings["gen_queries"])
+    queries = load_queries(settings["queries"])
+    qrels = load_qrels(settings["qrels"])
+    run = evaluation.load_run(settings["run"]) if "run" in settings else None
+    index, query_embs = None, ()
+    if "checkpoint" in settings:
+        if "corpus" not in settings:
             raise ValueError("--checkpoint requires --corpus for the view sweep")
-        params = load_params(args.checkpoint)
-        corpus = load_corpus(args.corpus, fmt=args.corpus_format)
-
-        def retrieval_eval(truncated):
-            index = build_index(
-                params, corpus, mode="dce", generated=truncated, threads=args.threads
-            )
-            ranked = search_corpus(params, index, queries, args.topk, threads=args.threads)
-            run = evaluation.run_from_ranked_lists(ranked)
-            report = evaluation.compute_metric(
-                args.metric, run, qrels, rel_threshold=args.rel_threshold
-            )
-            return report.aggregate
-
-    points = analysis.sweep_views(
-        range(1, k_views + 1), generated, gold_by_doc, retrieval_eval
+        params = load_params(settings["checkpoint"])
+        corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+        index = build_index(params, corpus, "dce", generated, threads=settings["threads"])
+        query_embs = _embed_queries(params, queries)
+    out_dir = Path(settings["out_dir"])
+    analyze_stage(
+        out_dir, generated, queries, qrels, settings, settings["metric"], run, index, query_embs
     )
-    analysis.write_sweep_csv(points, out_dir / "sweep.csv")
     print(f"analysis written to {out_dir}")
     return 0
 
@@ -326,109 +353,51 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    for key in ("corpus", "queries", "qrels", "triples"):
-        if key not in cfg:
-            raise ValueError(f"config is missing required key {key!r}")
-
-    mode = args.mode or cfg.get("mode", "dce")
-    if mode not in ("de", "dce"):
-        raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
-    seed = args.seed if args.seed is not None else _cfg_int(cfg, "seed", 0)
-    threads = args.threads if args.threads is not None else _cfg_int(cfg, "threads", _default_threads())
-    out_dir = Path(args.out_dir or cfg.get("out_dir", "out"))
+    missing = [key for key in ("corpus", "queries", "qrels", "triples") if key not in cfg]
+    if missing:
+        raise ValueError(f"config is missing required key {missing[0]!r}")
+    # command-line --mode, --seed, --out-dir and --threads override the file
+    settings = _settings(args, cfg)
+    train_cfg = _train_config(settings)
+    mode = train_cfg.mode
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    corpus = load_corpus(cfg["corpus"], fmt=cfg.get("corpus_format", "tsv"))
-    queries = load_queries(cfg["queries"])
-    qrels = load_qrels(cfg["qrels"])
-    triples = load_triples(cfg["triples"])
-
-    encoder_cfg = EncoderConfig(
-        embed_dim=_cfg_int(cfg, "embed_dim", 128),
-        hash_buckets=_cfg_int(cfg, "hash_buckets", 2**18),
-        ngram_orders=_parse_orders(cfg.get("ngram_orders", "1,2")),
-        tie_params=_cfg_bool(cfg, "tie_params", True),
-        max_query_tokens=_cfg_int(cfg, "max_query_tokens", 16),
-        max_doc_tokens=_cfg_int(cfg, "max_doc_tokens", 128),
-    )
-    train_cfg = TrainConfig(
-        mode=mode,
-        batch_size=_cfg_int(cfg, "batch_size", 32),
-        pretrain_batch_size=_cfg_int(cfg, "pretrain_batch_size", 256),
-        negatives_per_positive=_cfg_int(cfg, "negatives_per_positive", 7),
-        learning_rate=_cfg_float(cfg, "learning_rate", 1e-3),
-        warmup_fraction=_cfg_float(cfg, "warmup_fraction", 0.1),
-        epochs_pretrain=_cfg_int(cfg, "epochs_pretrain", 0),
-        epochs_finetune=_cfg_int(cfg, "epochs_finetune", 10),
-        seed=derive_seed(seed, "train"),
-    )
+    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    queries = load_queries(settings["queries"])
+    qrels = load_qrels(settings["qrels"])
+    triples = load_triples(settings["triples"])
 
     generated = None
-    needs_generated = mode == "dce" or train_cfg.epochs_pretrain > 0
-    if needs_generated:
-        if "gen_queries" in cfg:
-            generated = load_generated_queries(cfg["gen_queries"], corpus=corpus)
+    if mode == "dce" or train_cfg.epochs_pretrain > 0:
+        if "gen_queries" in settings:
+            generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
         else:
-            model = fit_qg(corpus, seed=seed)
-            sampling = SamplingConfig(
-                k_views=_cfg_int(cfg, "views", 10),
-                top_k=_cfg_int(cfg, "sampling_top_k", 10),
-                max_query_tokens=encoder_cfg.max_query_tokens,
-            )
-            generated = generate_corpus(
-                model, corpus, sampling, seed=derive_seed(seed, "querygen"), threads=threads
-            )
+            generated = gen_queries_stage(corpus, settings)
             write_generated_queries(generated, out_dir / "gen_queries.jsonl")
         log.info("pipeline: %d generated query sets ready", len(generated))
 
-    params = init_params(encoder_cfg, derive_seed(seed, "init"))
-    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
+    params, trace = train_stage(settings, train_cfg, triples, corpus, generated)
     save_params(params, out_dir / "model.ckpt")
     write_loss_trace(trace, out_dir / "loss_trace.csv")
 
-    index = build_index(params, corpus, mode=mode, generated=generated, threads=threads)
+    index = build_index(params, corpus, mode=mode, generated=generated, threads=settings["threads"])
     save_index(index, out_dir / "index.mvix")
 
-    topk = _cfg_int(cfg, "search_topk", 10)
-    ranked = search_corpus(params, index, queries, topk, threads=threads)
-    run = evaluation.run_from_ranked_lists(ranked, tag=cfg.get("run_tag", "mvdr"))
+    query_embs = _embed_queries(params, queries)
+    run = search_stage(index, query_embs, settings)
     evaluation.write_run(run, out_dir / "run.trec")
 
-    rel_threshold = _cfg_int(cfg, "rel_threshold", 1)
-    specs = [s.strip() for s in cfg.get("metrics", "mrr@10,recall@1000,ndcg@10").split(",") if s.strip()]
-    reports = [
-        evaluation.compute_metric(spec, run, qrels, rel_threshold=rel_threshold)
-        for spec in specs
-    ]
+    reports = eval_stage(run, qrels, settings)
     evaluation.write_metrics_csv(reports, out_dir / "metrics.csv")
-    for report in reports:
-        print(f"{report.name}\t{report.aggregate:.6f}")
 
-    if _cfg_bool(cfg, "analyze", False) and generated is not None:
-        k_views = min(len(qset.queries) for qset in generated)
-        query_text = {q.query_id: q.text for q in queries}
-        gold_by_doc: dict[str, list[str]] = {}
-        for query_id in qrels.query_ids():
-            if query_id not in query_text:
-                continue
-            for doc_id in qrels.relevant_docs(query_id, threshold=rel_threshold):
-                gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
-        quality = analysis.quality_records(generated, gold_by_doc)
-        analysis.write_quality_csv(quality, out_dir / "quality.csv")
-        if k_views >= 2:
-            records = analysis.diversity_records(generated)
-            analysis.write_diversity_csv(records, out_dir / "diversity.csv")
-            positives = {
-                query_id: qrels.relevant_docs(query_id, threshold=rel_threshold)
-                for query_id in qrels.query_ids()
-            }
-            metric_by_doc = analysis.doc_metric_from_queries(reports[0].per_query, positives)
-            quality_by_doc = {r.doc_id: r.max_rouge_l for r in quality}
-            summaries = analysis.level_summaries(records, metric_by_doc, quality_by_doc)
-            analysis.write_level_csv(summaries, out_dir / "levels.csv")
-        if gold_by_doc:
-            points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, None)
-            analysis.write_sweep_csv(points, out_dir / "sweep.csv")
+    if settings["analyze"] and generated is not None:
+        # a single-view index has no views to slice for the sweep
+        dce_index = index if mode == "dce" else None
+        metric = reports[0].name
+        analyze_stage(
+            out_dir, generated, queries, qrels, settings, metric, run, dce_index, query_embs
+        )
 
     print(f"pipeline outputs in {out_dir}")
     return 0
@@ -436,6 +405,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# Flags store into the setting names of ``_CONFIG_KEYS`` and default to
+# None, so unset flags fall back to ``_DEFAULTS`` or the config dataclasses.
+
+
+def _add_encoder_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("encoder")
+    group.add_argument("--embed-dim", type=int)
+    group.add_argument("--hash-buckets", type=int)
+    group.add_argument("--ngram-orders", type=_parse_orders, help="comma-separated, e.g. 1,2")
+    group.add_argument(
+        "--untie", dest="tie_params", action="store_false", default=None,
+        help="give query and document towers separate weights",
+    )
+    group.add_argument("--max-query-tokens", type=int)
+    group.add_argument("--max-doc-tokens", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,38 +434,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default: CPU count); never changes outputs",
+            "--threads", type=int, help="worker threads (default: 1); never changes outputs"
         )
+
+    def add_corpus_format(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--corpus-format", choices=("tsv", "jsonl"))
 
     p = sub.add_parser("gen-queries", help="generate pseudo-queries for a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=("tsv", "jsonl"), default="tsv")
+    add_corpus_format(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--views", type=int, default=10, help="queries per document")
-    p.add_argument("--top-k", type=int, default=10, help="sampling pool size")
-    p.add_argument("--max-query-tokens", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--views", type=int, help="queries per document")
+    p.add_argument("--top-k", dest="sampling_top_k", type=int, help="sampling pool size")
+    p.add_argument("--max-query-tokens", type=int)
+    p.add_argument("--seed", type=int)
     add_threads(p)
     p.set_defaults(func=cmd_gen_queries)
 
     p = sub.add_parser("train", help="train an encoder on triples")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=("tsv", "jsonl"), default="tsv")
+    add_corpus_format(p)
     p.add_argument("--triples", required=True)
     p.add_argument("--gen-queries", help="generated queries (needed for pretraining)")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--mode", choices=("de", "dce"), default="dce")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--pretrain-batch-size", type=int, default=256)
-    p.add_argument("--negatives", type=int, default=7, help="hard negatives per positive")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--warmup", type=float, default=0.1)
-    p.add_argument("--pretrain-epochs", type=int, default=0)
-    p.add_argument("--finetune-epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=("de", "dce"))
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--pretrain-batch-size", type=int)
+    p.add_argument(
+        "--negatives", dest="negatives_per_positive", type=int, help="hard negatives per positive"
+    )
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--warmup", dest="warmup_fraction", type=float)
+    p.add_argument("--pretrain-epochs", dest="epochs_pretrain", type=int)
+    p.add_argument("--finetune-epochs", dest="epochs_finetune", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--loss-trace", help="write per-step loss CSV here")
     _add_encoder_args(p)
     p.set_defaults(func=cmd_train)
@@ -488,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="encode a corpus into a flat index")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=("tsv", "jsonl"), default="tsv")
+    add_corpus_format(p)
     p.add_argument("--mode", choices=("de", "dce"), default="dce")
     p.add_argument("--gen-queries")
     p.add_argument("--out", required=True)
@@ -500,16 +487,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True, help="run file path")
-    p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--tag", default="mvdr")
+    p.add_argument("--topk", dest="search_topk", type=int)
+    p.add_argument("--tag", dest="run_tag")
     add_threads(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="score a run file against judgments")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--metrics", default="mrr@10,recall@1000,ndcg@10")
-    p.add_argument("--rel-threshold", type=int, default=1)
+    p.add_argument("--metrics")
+    p.add_argument("--rel-threshold", type=int)
     p.add_argument("--out", help="also write metric,value CSV here")
     p.set_defaults(func=cmd_eval)
 
@@ -519,12 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--run", help="run file for per-level retrieval averages")
     p.add_argument("--metric", default="mrr@10")
-    p.add_argument("--rel-threshold", type=int, default=1)
+    p.add_argument("--rel-threshold", type=int)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--checkpoint", help="rebuild truncated indexes for the view sweep")
+    p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")
     p.add_argument("--corpus")
-    p.add_argument("--corpus-format", choices=("tsv", "jsonl"), default="tsv")
-    p.add_argument("--topk", type=int, default=10)
+    add_corpus_format(p)
+    p.add_argument("--topk", dest="search_topk", type=int)
     add_threads(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -183,6 +183,15 @@ def build_index(
     return index
 
 
+def first_views(index: FlatIndex, k: int) -> FlatIndex:
+    """The first ``k`` views of every document: :func:`build_index` over the
+    query sets truncated to ``k`` views, without encoding again."""
+    if not 1 <= k <= index.k_views:
+        raise ValueError(f"k must lie in [1, {index.k_views}], got {k}")
+    keep = index.row_view < k
+    return FlatIndex(index.matrix[keep], index.doc_ids, index.row_doc[keep], index.row_view[keep], k)
+
+
 def search(
     index: FlatIndex, query_emb: np.ndarray, top_k_docs: int, query_id: str = ""
 ) -> RankedList:

@@ -229,3 +229,83 @@ class TestPipeline:
         cfg.write_text(f"corpus = {paths['corpus']}\n")
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert "missing required key" in capsys.readouterr().err
+
+
+class TestStagedMatchesPipeline:
+    def test_same_bytes_for_one_seed(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "pipeline"
+        assert main(["pipeline", "--config", str(pipeline_config(tmp_path, paths, out_dir))]) == 0
+
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        gen = staged / "gen_queries.jsonl"
+        ckpt = staged / "model.ckpt"
+        index = staged / "index.mvix"
+        run = staged / "run.trec"
+        assert main([
+            "gen-queries", "--corpus", str(paths["corpus"]), "--out", str(gen),
+            "--views", "3", "--max-query-tokens", "8", "--seed", "11",
+        ]) == 0
+        assert main([
+            "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
+            "--gen-queries", str(gen), "--out", str(ckpt),
+            "--loss-trace", str(staged / "loss_trace.csv"),
+            "--mode", "dce", "--batch-size", "4", "--pretrain-batch-size", "4",
+            "--negatives", "2", "--lr", "0.02",
+            "--pretrain-epochs", "1", "--finetune-epochs", "2", "--seed", "11",
+            *ENCODER_FLAGS,
+        ]) == 0
+        assert main([
+            "index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
+            "--mode", "dce", "--gen-queries", str(gen), "--out", str(index),
+        ]) == 0
+        assert main([
+            "search", "--checkpoint", str(ckpt), "--index", str(index),
+            "--queries", str(paths["queries"]), "--out", str(run), "--topk", "4",
+        ]) == 0
+        assert main([
+            "eval", "--run", str(run), "--qrels", str(paths["qrels"]),
+            "--out", str(staged / "metrics.csv"),
+        ]) == 0
+        for name in (
+            "gen_queries.jsonl", "model.ckpt", "loss_trace.csv", "index.mvix", "run.trec",
+            "metrics.csv",
+        ):
+            assert (staged / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
+def _sweep_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,mean_max_rouge_l,retrieval_metric"
+    return [line.split(",") for line in lines[1:]]
+
+
+class TestPipelineSweep:
+    def test_retrieval_column_matches_analyze(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir, extra="analyze = true\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        rows = _sweep_rows(out_dir / "sweep.csv")
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(row[2] for row in rows), rows
+
+        reports = tmp_path / "reports"
+        assert main([
+            "analyze", "--gen-queries", str(out_dir / "gen_queries.jsonl"),
+            "--queries", str(paths["queries"]), "--qrels", str(paths["qrels"]),
+            "--checkpoint", str(out_dir / "model.ckpt"), "--corpus", str(paths["corpus"]),
+            "--topk", "4", "--out-dir", str(reports),
+        ]) == 0
+        assert (reports / "sweep.csv").read_bytes() == (out_dir / "sweep.csv").read_bytes()
+        assert (reports / "quality.csv").read_bytes() == (out_dir / "quality.csv").read_bytes()
+
+    def test_single_view_mode_leaves_retrieval_empty(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir, extra="analyze = true\n")
+        assert main(["pipeline", "--config", str(cfg), "--mode", "de"]) == 0
+        rows = _sweep_rows(out_dir / "sweep.csv")
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(row[2] == "" for row in rows), rows

@@ -7,6 +7,7 @@ from mvdr.index import (
     FlatIndex,
     batch_search,
     build_index,
+    first_views,
     load_index,
     save_index,
     search,
@@ -114,6 +115,35 @@ class TestBuild:
         index = build_index(params, [], mode="de")
         assert index.n_docs == 0
         assert search(index, np.zeros(CFG.embed_dim), top_k_docs=5).results == ()
+
+
+class TestFirstViews:
+    def test_prefix_equals_truncated_build(self, tiny_docs):
+        params = init_params(CFG, seed=0)
+        generated = tiny_generated(tiny_docs, k=4)
+        full = build_index(params, tiny_docs, mode="dce", generated=generated)
+        queries = [Query("q1", "solar panels"), Query("q2", "court appeal"), Query("q3", "view 2")]
+        for k in range(1, 5):
+            truncated = [GeneratedQuerySet(g.doc_id, g.queries[:k]) for g in generated]
+            rebuilt = build_index(params, tiny_docs, mode="dce", generated=truncated)
+            prefix = first_views(full, k)
+            assert prefix.doc_ids == rebuilt.doc_ids
+            assert prefix.k_views == rebuilt.k_views == k
+            np.testing.assert_array_equal(prefix.row_doc, rebuilt.row_doc)
+            np.testing.assert_array_equal(prefix.row_view, rebuilt.row_view)
+            np.testing.assert_allclose(prefix.matrix, rebuilt.matrix, rtol=0, atol=1e-6)
+            got = search_corpus(params, prefix, queries, top_k_docs=len(tiny_docs))
+            want = search_corpus(params, rebuilt, queries, top_k_docs=len(tiny_docs))
+            assert [[r.doc_id for r in rl.results] for rl in got] == [
+                [r.doc_id for r in rl.results] for rl in want
+            ]
+
+    def test_k_out_of_range(self, tiny_docs):
+        params = init_params(CFG, seed=0)
+        full = build_index(params, tiny_docs, mode="dce", generated=tiny_generated(tiny_docs))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="k must lie"):
+                first_views(full, k)
 
 
 class TestSearch:
