@@ -2,7 +2,8 @@
 
 Everything here must be deterministic across processes, platforms, and
 Python versions: feature bucketing, seed derivation, and file checksums
-all feed reproducibility contracts.
+all feed reproducibility contracts. Checkpoint and index files both end
+in a CRC-32 footer (:func:`crc32`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import zlib
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# CRC-64/XZ (reflected ECMA-182 polynomial), used for index file footers.
+# CRC-64/XZ (reflected ECMA-182 polynomial). No file format uses it any more;
+# it stays only because the benchmark tracer wraps ``crc64`` by name, until
+# the tracer's layer list drops it (ROADMAP item 6).
 _CRC64_POLY = 0xC96C5795D7870F42
 
 
@@ -52,8 +55,8 @@ _CRC64_TABLES = _build_crc64_tables()
 def crc64(data: bytes, crc: int = 0) -> int:
     """CRC-64/XZ checksum; pass a previous value to checksum incrementally.
 
-    Slicing-by-8: the hot loop consumes 8 bytes per iteration, which keeps
-    checksumming megabyte-scale index files well under a second.
+    Slicing-by-8 in pure Python, a few MiB/s: unused by the package's file
+    formats, which use :func:`crc32`.
     """
     t0, t1, t2, t3, t4, t5, t6, t7 = _CRC64_TABLES
     crc = ~crc & _MASK64
@@ -78,5 +81,5 @@ def crc64(data: bytes, crc: int = 0) -> int:
 
 
 def crc32(data: bytes, crc: int = 0) -> int:
-    """CRC-32 via zlib, used for checkpoint file footers."""
+    """CRC-32 via zlib, used for checkpoint and index file footers."""
     return zlib.crc32(data, crc) & 0xFFFFFFFF

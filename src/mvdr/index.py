@@ -1,20 +1,17 @@
 """Flat vector index with exact search and max-pooling over document views.
 
-The index stores one embedding row per (document, view). Search scores a
-query against every row, keeps the top ``k_views * top_k_docs`` rows (so
-no document can be squeezed out even if all its views score well), pools
-row scores per document by maximum, and ranks documents by pooled score.
-Rows tied with the score at the cutoff are all kept, which makes the
-result identical to pooling over the full score vector.
+The index stores every document's views doc-major: document ``i`` owns
+rows ``i * k_views`` to ``i * k_views + k_views - 1``, in view order.
+Search scores a query against every row, max-pools each document's
+``k_views`` scores, and ranks documents by pooled score.
 
 The on-disk format is little-endian and checksummed:
 
-    magic 'MVIXT1'
-    u64 n_rows, u32 embed_dim, u32 k_views, u32 n_docs
+    magic 'MVIXT2'
+    u32 n_docs, u32 k_views, u32 embed_dim
     n_docs * (u32 length, utf-8 doc_id)
-    n_rows * (u32 doc_index, u32 view_id)
-    n_rows * embed_dim float32 (row-major)
-    u64 CRC-64 of everything before the footer
+    n_docs * k_views * embed_dim float32 (doc-major, row-major)
+    u32 CRC-32 of everything before the footer
 """
 
 from __future__ import annotations
@@ -30,11 +27,11 @@ import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
 from .encoder import EncoderParams, encode_candidates, encode_queries
-from .hashing import crc64
+from .hashing import crc32
 
 log = logging.getLogger(__name__)
 
-_MAGIC = b"MVIXT1"
+_MAGIC = b"MVIXT2"
 
 
 @dataclass(frozen=True)
@@ -55,16 +52,10 @@ class RankedList:
 
 @dataclass
 class FlatIndex:
-    """In-memory flat index over per-view embeddings.
+    """In-memory flat index over per-view embeddings, stored doc-major."""
 
-    ``row_doc`` maps each row to an index into ``doc_ids``; ``row_view``
-    is the row's view number within its document.
-    """
-
-    matrix: np.ndarray  # (n_rows, embed_dim) float32
+    matrix: np.ndarray  # (n_docs * k_views, embed_dim) float32
     doc_ids: list[str]
-    row_doc: np.ndarray  # (n_rows,) int64
-    row_view: np.ndarray  # (n_rows,) int64
     k_views: int
     _matrix64: np.ndarray | None = field(default=None, repr=False)
 
@@ -72,8 +63,6 @@ class FlatIndex:
         if self.matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {self.matrix.shape}")
         n_rows = self.matrix.shape[0]
-        if len(self.row_doc) != n_rows or len(self.row_view) != n_rows:
-            raise ValueError("row tables must match the matrix row count")
         if self.k_views < 1:
             raise ValueError("k_views must be >= 1")
         if len(set(self.doc_ids)) != len(self.doc_ids):
@@ -82,9 +71,6 @@ class FlatIndex:
             raise ValueError(
                 f"{n_rows} rows != {self.k_views} views * {len(self.doc_ids)} docs"
             )
-        pairs = set(zip(self.row_doc.tolist(), self.row_view.tolist()))
-        if len(pairs) != n_rows:
-            raise ValueError("(doc, view) row assignments must be unique")
         if not np.isfinite(self.matrix).all():
             raise ValueError("index embeddings must be finite")
 
@@ -99,6 +85,11 @@ class FlatIndex:
     @property
     def embed_dim(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def row_doc(self) -> np.ndarray:
+        """Each row's index into ``doc_ids``."""
+        return np.repeat(np.arange(self.n_docs), self.k_views)
 
     def scores_matrix(self) -> np.ndarray:
         """Float64 copy of the row matrix, cached for repeated searches."""
@@ -122,28 +113,23 @@ def build_index(
 
     Single-view mode embeds each document alone (one row per document).
     Query-informed mode needs ``generated`` to cover every document and
-    produces one row per (document, generated query). Row order is
-    document order then view order, so identical inputs give identical
-    index bytes regardless of ``threads``.
+    produces one row per (document, generated query). Rows are doc-major,
+    so identical inputs give identical index bytes regardless of
+    ``threads``.
     """
     if mode not in ("de", "dce"):
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
-    pairs: list[tuple[str | None, str]] = []
-    row_doc: list[int] = []
-    row_view: list[int] = []
     doc_ids = [doc.doc_id for doc in corpus]
     if mode == "de":
         k_views = 1
-        for i, doc in enumerate(corpus):
-            pairs.append((None, doc.text))
-            row_doc.append(i)
-            row_view.append(0)
+        pairs: list[tuple[str | None, str]] = [(None, doc.text) for doc in corpus]
     else:
         if generated is None:
             raise ValueError("query-informed indexing requires generated queries")
         by_id = {qset.doc_id: qset for qset in generated}
         k_views = None
-        for i, doc in enumerate(corpus):
+        pairs = []
+        for doc in corpus:
             qset = by_id.get(doc.doc_id)
             if qset is None:
                 raise ValueError(f"no generated queries for doc_id {doc.doc_id!r}")
@@ -153,10 +139,7 @@ def build_index(
                 raise ValueError(
                     f"doc {doc.doc_id!r} has {len(qset.queries)} views, expected {k_views}"
                 )
-            for view_id, query_text in enumerate(qset.queries):
-                pairs.append((query_text, doc.text))
-                row_doc.append(i)
-                row_view.append(view_id)
+            pairs.extend((query_text, doc.text) for query_text in qset.queries)
         if k_views is None:
             k_views = 1  # empty corpus
 
@@ -170,13 +153,7 @@ def build_index(
         else:
             parts = [encode_candidates(params, c) for c in chunks]
         matrix = np.concatenate(parts, axis=0).astype(np.float32)
-    index = FlatIndex(
-        matrix=matrix,
-        doc_ids=doc_ids,
-        row_doc=np.asarray(row_doc, dtype=np.int64),
-        row_view=np.asarray(row_view, dtype=np.int64),
-        k_views=int(k_views),
-    )
+    index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
     log.info(
         "built index: %d docs, %d views/doc, dim %d", index.n_docs, index.k_views, index.embed_dim
     )
@@ -188,8 +165,8 @@ def first_views(index: FlatIndex, k: int) -> FlatIndex:
     query sets truncated to ``k`` views, without encoding again."""
     if not 1 <= k <= index.k_views:
         raise ValueError(f"k must lie in [1, {index.k_views}], got {k}")
-    keep = index.row_view < k
-    return FlatIndex(index.matrix[keep], index.doc_ids, index.row_doc[keep], index.row_view[keep], k)
+    views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
+    return FlatIndex(views[:, :k].reshape(-1, index.embed_dim), index.doc_ids, k)
 
 
 def search(
@@ -207,23 +184,17 @@ def search(
         raise ValueError(
             f"query embedding shape {query_emb.shape} != ({index.embed_dim},)"
         )
-    if index.n_rows == 0:
+    if index.n_docs == 0:
         return RankedList(query_id=query_id, results=())
     scores = index.scores_matrix() @ query_emb
-    rows_needed = min(index.n_rows, index.k_views * top_k_docs)
-    if rows_needed >= index.n_rows:
-        cand = np.arange(index.n_rows)
-    else:
-        part = np.argpartition(-scores, rows_needed - 1)[:rows_needed]
-        boundary = scores[part].min()
-        # keep every row tied with the boundary score: pooling then matches
-        # pooling over the full score vector exactly
-        cand = np.flatnonzero(scores >= boundary)
-    doc_best = np.full(index.n_docs, -np.inf)
-    np.maximum.at(doc_best, index.row_doc[cand], scores[cand])
-    found = np.flatnonzero(doc_best > -np.inf)
+    doc_best = scores.reshape(index.n_docs, index.k_views).max(axis=1)
+    # every document tied with the k-th best score is a candidate, so the
+    # doc_id tie-break below sees all of them
+    cut = index.n_docs - min(top_k_docs, index.n_docs)
+    boundary = np.partition(doc_best, cut)[cut]
     ranked = sorted(
-        ((index.doc_ids[i], doc_best[i]) for i in found), key=lambda t: (-t[1], t[0])
+        ((index.doc_ids[i], doc_best[i]) for i in np.flatnonzero(doc_best >= boundary)),
+        key=lambda t: (-t[1], t[0]),
     )
     top = ranked[:top_k_docs]
     return RankedList(
@@ -263,41 +234,34 @@ def search_corpus(
 
 
 def save_index(index: FlatIndex, path: str | Path) -> None:
-    """Serialize the index with a CRC-64 footer."""
-    parts = [_MAGIC]
-    parts.append(
-        struct.pack("<QIII", index.n_rows, index.embed_dim, index.k_views, index.n_docs)
-    )
+    """Serialize the index with a CRC-32 footer."""
+    parts = [_MAGIC, struct.pack("<III", index.n_docs, index.k_views, index.embed_dim)]
     for doc_id in index.doc_ids:
         raw = doc_id.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-    rows = np.empty((index.n_rows, 2), dtype="<u4")
-    rows[:, 0] = index.row_doc
-    rows[:, 1] = index.row_view
-    parts.append(rows.tobytes())
     parts.append(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
     payload = b"".join(parts)
     with open(path, "wb") as handle:
         handle.write(payload)
-        handle.write(struct.pack("<Q", crc64(payload)))
-    log.info("saved index to %s (%d bytes)", path, len(payload) + 8)
+        handle.write(struct.pack("<I", crc32(payload)))
+    log.info("saved index to %s (%d bytes)", path, len(payload) + 4)
 
 
 def load_index(path: str | Path) -> FlatIndex:
     """Load an index written by :func:`save_index`, verifying the checksum."""
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < len(_MAGIC) + 8:
+    if len(data) < len(_MAGIC) + 4:
         raise ValueError(f"{path}: truncated index file")
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: bad magic {data[:len(_MAGIC)]!r}, expected {_MAGIC!r}")
-    payload, footer = data[:-8], data[-8:]
-    (expect_crc,) = struct.unpack("<Q", footer)
-    actual_crc = crc64(payload)
+    payload, footer = data[:-4], data[-4:]
+    (expect_crc,) = struct.unpack("<I", footer)
+    actual_crc = crc32(payload)
     if actual_crc != expect_crc:
         raise ValueError(
-            f"{path}: checksum mismatch (stored {expect_crc:#018x}, computed {actual_crc:#018x})"
+            f"{path}: checksum mismatch (stored {expect_crc:#010x}, computed {actual_crc:#010x})"
         )
     offset = len(_MAGIC)
 
@@ -309,12 +273,12 @@ def load_index(path: str | Path) -> FlatIndex:
         offset += n
         return chunk
 
-    n_rows, embed_dim, k_views, n_docs = struct.unpack("<QIII", take(20, "header"))
+    n_docs, k_views, embed_dim = struct.unpack("<III", take(12, "header"))
     doc_ids = []
     for _ in range(n_docs):
         (length,) = struct.unpack("<I", take(4, "doc_id length"))
         doc_ids.append(take(length, "doc_id").decode("utf-8"))
-    rows = np.frombuffer(take(8 * n_rows, "row table"), dtype="<u4").reshape(n_rows, 2)
+    n_rows = n_docs * k_views
     matrix = (
         np.frombuffer(take(4 * n_rows * embed_dim, "embeddings"), dtype="<f4")
         .reshape(n_rows, embed_dim)
@@ -322,10 +286,4 @@ def load_index(path: str | Path) -> FlatIndex:
     )
     if offset != len(payload):
         raise ValueError(f"{path}: trailing bytes after index data")
-    return FlatIndex(
-        matrix=matrix,
-        doc_ids=doc_ids,
-        row_doc=rows[:, 0].astype(np.int64),
-        row_view=rows[:, 1].astype(np.int64),
-        k_views=int(k_views),
-    )
+    return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))

@@ -298,15 +298,7 @@ def random_index(
 ) -> FlatIndex:
     doc_ids = [f"d{i:05d}" for i in range(n_docs)]
     matrix = rng.normal(size=(n_docs * k_views, dim)).astype(np.float32)
-    row_doc = np.repeat(np.arange(n_docs), k_views)
-    row_view = np.tile(np.arange(k_views), n_docs)
-    return FlatIndex(
-        matrix=matrix,
-        doc_ids=doc_ids,
-        row_doc=row_doc,
-        row_view=row_view,
-        k_views=k_views,
-    )
+    return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=k_views)
 
 
 def random_token_list(rng: np.random.Generator, max_len: int = 8) -> list[str]:

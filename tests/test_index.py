@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,6 @@ class TestFlatIndexValidation:
             FlatIndex(
                 matrix=rng.normal(size=(3, 4)).astype(np.float32),
                 doc_ids=["a", "b"],
-                row_doc=np.array([0, 0, 1]),
-                row_view=np.array([0, 1, 0]),
                 k_views=2,
             )
 
@@ -41,19 +42,7 @@ class TestFlatIndexValidation:
             FlatIndex(
                 matrix=rng.normal(size=(2, 4)).astype(np.float32),
                 doc_ids=["a", "a"],
-                row_doc=np.array([0, 1]),
-                row_view=np.array([0, 0]),
                 k_views=1,
-            )
-
-    def test_duplicate_view_pair_rejected(self, rng):
-        with pytest.raises(ValueError, match="view"):
-            FlatIndex(
-                matrix=rng.normal(size=(2, 4)).astype(np.float32),
-                doc_ids=["a"],
-                row_doc=np.array([0, 0]),
-                row_view=np.array([1, 1]),
-                k_views=2,
             )
 
     def test_nonfinite_rejected(self):
@@ -63,8 +52,6 @@ class TestFlatIndexValidation:
             FlatIndex(
                 matrix=matrix,
                 doc_ids=["a"],
-                row_doc=np.array([0]),
-                row_view=np.array([0]),
                 k_views=1,
             )
 
@@ -84,7 +71,15 @@ class TestBuild:
         assert index.n_rows == 3 * len(tiny_docs)
         # rows follow document order, then view order within a document
         np.testing.assert_array_equal(index.row_doc[:6], [0, 0, 0, 1, 1, 1])
-        np.testing.assert_array_equal(index.row_view[:6], [0, 1, 2, 0, 1, 2])
+        generated = tiny_generated(tiny_docs)
+        second_view = build_index(
+            params,
+            tiny_docs[:1],
+            mode="dce",
+            generated=[GeneratedQuerySet(generated[0].doc_id, generated[0].queries[1:2])],
+        )
+        # batched encoding may round float32 differently than one row alone
+        np.testing.assert_allclose(index.matrix[1], second_view.matrix[0], rtol=0, atol=1e-6)
 
     def test_views_required_for_query_informed(self, tiny_docs):
         params = init_params(CFG, seed=0)
@@ -130,7 +125,6 @@ class TestFirstViews:
             assert prefix.doc_ids == rebuilt.doc_ids
             assert prefix.k_views == rebuilt.k_views == k
             np.testing.assert_array_equal(prefix.row_doc, rebuilt.row_doc)
-            np.testing.assert_array_equal(prefix.row_view, rebuilt.row_view)
             np.testing.assert_allclose(prefix.matrix, rebuilt.matrix, rtol=0, atol=1e-6)
             got = search_corpus(params, prefix, queries, top_k_docs=len(tiny_docs))
             want = search_corpus(params, rebuilt, queries, top_k_docs=len(tiny_docs))
@@ -170,16 +164,13 @@ class TestSearch:
         matrix[3, 0] = 1.0  # doc b, view 1
         matrix[4, 0] = 1.0  # doc c, view 0
         matrix[5, 0] = 0.5  # doc c, view 1
-        index = FlatIndex(
-            matrix=matrix,
-            doc_ids=["a", "b", "c"],
-            row_doc=np.array([0, 0, 1, 1, 2, 2]),
-            row_view=np.array([0, 1, 0, 1, 0, 1]),
-            k_views=2,
-        )
+        index = FlatIndex(matrix=matrix, doc_ids=["a", "b", "c"], k_views=2)
         q = np.array([1.0, 0.0, 0.0, 0.0])
         got = search(index, q, top_k_docs=1)
         assert got.results[0].doc_id == "a"
+        # the cut falls inside the b/c tie: the smaller doc_id wins
+        got = search(index, q, top_k_docs=2)
+        assert [r.doc_id for r in got.results] == ["a", "b"]
         got = search(index, q, top_k_docs=3)
         # b and c tie at 1.0 and must break by doc_id
         assert [r.doc_id for r in got.results] == ["a", "b", "c"]
@@ -223,15 +214,17 @@ class TestSearch:
 class TestIndexIO:
     def test_roundtrip(self, tmp_path, tiny_docs):
         params = init_params(CFG, seed=0)
-        index = build_index(params, tiny_docs, mode="dce", generated=tiny_generated(tiny_docs))
-        path = tmp_path / "index.bin"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.doc_ids == index.doc_ids
-        assert loaded.k_views == index.k_views
-        np.testing.assert_array_equal(loaded.matrix, index.matrix)
-        np.testing.assert_array_equal(loaded.row_doc, index.row_doc)
-        np.testing.assert_array_equal(loaded.row_view, index.row_view)
+        dce = build_index(params, tiny_docs, mode="dce", generated=tiny_generated(tiny_docs))
+        empty = build_index(params, [], mode="de")
+        for index in (dce, empty):
+            path = tmp_path / "index.bin"
+            save_index(index, path)
+            loaded = load_index(path)
+            assert loaded.doc_ids == index.doc_ids
+            assert loaded.k_views == index.k_views
+            assert loaded.matrix.dtype == np.float32
+            np.testing.assert_array_equal(loaded.matrix, index.matrix)
+            np.testing.assert_array_equal(loaded.row_doc, index.row_doc)
 
     def test_save_is_deterministic(self, tmp_path, tiny_docs):
         params = init_params(CFG, seed=0)
@@ -243,9 +236,11 @@ class TestIndexIO:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"
-        path.write_bytes(b"WRONG" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="bad magic"):
-            load_index(path)
+        # the earlier row-table format has no second reader
+        for magic in (b"WRONG", b"MVIXT1"):
+            path.write_bytes(magic + b"\x00" * 32)
+            with pytest.raises(ValueError, match="bad magic"):
+                load_index(path)
 
     def test_corruption_detected(self, tmp_path, rng):
         index = random_index(rng, n_docs=4, k_views=2, dim=4)
@@ -255,6 +250,18 @@ class TestIndexIO:
         data[len(data) // 2] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="checksum mismatch"):
+            load_index(path)
+
+    def test_header_claiming_extra_doc_is_truncated(self, tmp_path, rng):
+        # a checksum-valid file whose header promises one more document than
+        # the payload holds must fail as truncated, not load as another index
+        index = random_index(rng, n_docs=4, k_views=2, dim=4)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        payload = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<I", payload, 6, index.n_docs + 1)
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ValueError, match="truncated"):
             load_index(path)
 
     def test_truncation_detected(self, tmp_path, rng):
