@@ -207,6 +207,8 @@ def analyze_stage(
     view, fills the sweep's retrieval column: each k searches the index's
     first k views with ``query_embs``.
     """
+    if not generated:
+        raise ValueError("no generated queries to analyze")
     rel_threshold = settings["rel_threshold"]
     query_text = {q.query_id: q.text for q in queries}
     gold_by_doc: dict[str, list[str]] = {}

@@ -18,10 +18,10 @@ forward/backward path also works in float64 for verification.
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -87,6 +87,11 @@ class Tower:
     def copy(self) -> "Tower":
         return Tower(**{name: arr.copy() for name, arr in self.tensors().items()})
 
+    @classmethod
+    def zeros_like(cls, tower: "Tower") -> "Tower":
+        """Zeros shaped like ``tower``: a gradient or optimizer-moment holder."""
+        return cls(**{name: np.zeros_like(arr) for name, arr in tower.tensors().items()})
+
 
 @dataclass
 class EncoderParams:
@@ -113,18 +118,6 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         query_tower = self.query_tower.copy()
         doc_tower = query_tower if self.tied else self.doc_tower.copy()
-        return EncoderParams(self.config, query_tower, doc_tower)
-
-    def astype(self, dtype: np.dtype | type) -> "EncoderParams":
-        query_tower = Tower(
-            **{n: a.astype(dtype) for n, a in self.query_tower.tensors().items()}
-        )
-        if self.tied:
-            doc_tower = query_tower
-        else:
-            doc_tower = Tower(
-                **{n: a.astype(dtype) for n, a in self.doc_tower.tensors().items()}
-            )
         return EncoderParams(self.config, query_tower, doc_tower)
 
 
@@ -159,71 +152,71 @@ def init_params(cfg: EncoderConfig, seed: int, dtype: np.dtype | type = np.float
 # Feature extraction
 
 
-_cache_lock = threading.Lock()
-_bucket_cache: dict[tuple, np.ndarray] = {}
-_BUCKET_CACHE_LIMIT = 200_000
+# Distinct (text, cap, orders, buckets) entries kept by the feature memo.
+_FEATURE_MEMO_SIZE = 200_000
 
 
 def _hash_gram(gram: tuple[str, ...], space: int) -> int:
     return stable_hash64(_GRAM_JOIN.join(gram)) % space
 
 
-def _segment_buckets(
-    tokens: tuple[str, ...], orders: tuple[int, ...], hash_buckets: int
-) -> np.ndarray:
-    """Feature buckets for one separator-free token segment, cached.
+@functools.lru_cache(maxsize=_FEATURE_MEMO_SIZE)
+def _text_features(
+    text: str, cap: int, orders: tuple[int, ...], hash_buckets: int
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The first ``cap`` tokens of ``text`` and their hashed n-grams.
 
     Ordinary features hash into [0, hash_buckets - 1); the last bucket is
-    reserved for the separator token.
+    reserved for the separator token. Every caller shares the memoized
+    bucket array, so it is read-only.
     """
-    key = (tokens, orders, hash_buckets)
-    cached = _bucket_cache.get(key)
-    if cached is not None:
-        return cached
+    tokens = tuple(tokenize(text)[:cap])
     space = hash_buckets - 1
-    buckets = [
-        _hash_gram(tokens[i : i + n], space)
-        for n in orders
-        for i in range(len(tokens) - n + 1)
-    ]
-    arr = np.asarray(buckets, dtype=np.int64)
-    with _cache_lock:
-        if len(_bucket_cache) >= _BUCKET_CACHE_LIMIT:
-            _bucket_cache.clear()
-        _bucket_cache[key] = arr
-    return arr
+    buckets = np.asarray(
+        [_hash_gram(tokens[i : i + n], space) for n in orders for i in range(len(tokens) - n + 1)],
+        dtype=np.int64,
+    )
+    buckets.flags.writeable = False
+    return tokens, buckets
 
 
-def _truncated_tokens(text: str, cap: int, what: str) -> tuple[str, ...]:
-    tokens = tokenize(text)
+def _segment(
+    cfg: EncoderConfig, text: str, cap: int, what: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    tokens, buckets = _text_features(text, cap, cfg.ngram_orders, cfg.hash_buckets)
     if not tokens:
         raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
-    return tuple(tokens[:cap])
+    return tokens, buckets
+
+
+def _require_features(cfg: EncoderConfig, buckets: np.ndarray, what: str) -> np.ndarray:
+    # An all-empty feature set would mean-pool to a NaN embedding.
+    if buckets.size == 0:
+        raise ValueError(f"{what} is shorter than every n-gram order {cfg.ngram_orders}")
+    return buckets
 
 
 def query_feature_buckets(cfg: EncoderConfig, text: str) -> np.ndarray:
-    """Hashed n-gram features of a query encoded alone."""
-    tokens = _truncated_tokens(text, cfg.max_query_tokens, "query")
-    return _segment_buckets(tokens, cfg.ngram_orders, cfg.hash_buckets)
+    """Hashed n-gram features of a query encoded alone (read-only)."""
+    _, buckets = _segment(cfg, text, cfg.max_query_tokens, "query")
+    return _require_features(cfg, buckets, f"query {text!r}")
 
 
 def doc_feature_buckets(cfg: EncoderConfig, text: str) -> np.ndarray:
-    """Hashed n-gram features of a document encoded alone."""
-    tokens = _truncated_tokens(text, cfg.max_doc_tokens, "document")
-    return _segment_buckets(tokens, cfg.ngram_orders, cfg.hash_buckets)
+    """Hashed n-gram features of a document encoded alone (read-only)."""
+    _, buckets = _segment(cfg, text, cfg.max_doc_tokens, "document")
+    return _require_features(cfg, buckets, f"document {text!r}")
 
 
 def joint_feature_buckets(cfg: EncoderConfig, query_text: str, doc_text: str) -> np.ndarray:
     """Features of ``query <SEP> document`` as one sequence.
 
     Equal to the features of the concatenated token sequence: segment
-    features are reused from the per-segment cache and only the n-grams
-    that overlap the separator are hashed here.
+    features come from the per-text memo and only the n-grams that
+    overlap the separator are hashed here.
     """
-    q_tokens = _truncated_tokens(query_text, cfg.max_query_tokens, "query")
-    d_tokens = _truncated_tokens(doc_text, cfg.max_doc_tokens, "document")
-    q_part = _segment_buckets(q_tokens, cfg.ngram_orders, cfg.hash_buckets)
-    d_part = _segment_buckets(d_tokens, cfg.ngram_orders, cfg.hash_buckets)
+    q_tokens, q_part = _segment(cfg, query_text, cfg.max_query_tokens, "query")
+    d_tokens, d_part = _segment(cfg, doc_text, cfg.max_doc_tokens, "document")
     seq = q_tokens + (SEP_TOKEN,) + d_tokens
     sep_pos = len(q_tokens)
     space = cfg.hash_buckets - 1
@@ -237,8 +230,8 @@ def joint_feature_buckets(cfg: EncoderConfig, query_text: str, doc_text: str) ->
                 boundary.append(cfg.hash_buckets - 1)
             else:
                 boundary.append(_hash_gram(gram, space))
-    mid = np.asarray(boundary, dtype=np.int64)
-    return np.concatenate([q_part, mid, d_part])
+    buckets = np.concatenate([q_part, np.asarray(boundary, dtype=np.int64), d_part])
+    return _require_features(cfg, buckets, f"query {query_text!r} with document {doc_text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +258,8 @@ def forward_tower(
     return out, cache
 
 
-@dataclass
-class TowerGrads:
-    """Gradient accumulator shaped like one tower."""
-
-    token_table: np.ndarray
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, tower: Tower) -> "TowerGrads":
-        return cls(**{n: np.zeros_like(a) for n, a in tower.tensors().items()})
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_NAMES}
-
-
 def backprop_tower(
-    tower: Tower, cache: ForwardCache, d_out: np.ndarray, grads: TowerGrads
+    tower: Tower, cache: ForwardCache, d_out: np.ndarray, grads: Tower
 ) -> None:
     """Accumulate parameter gradients for a batch embedded by ``tower``.
 

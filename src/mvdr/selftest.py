@@ -217,8 +217,7 @@ def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
     losses = []
     for i in range(batch.size):
         target = batch.positive_column(i)
-        cols = range(scores.shape[1]) if batch.use_all else batch.own_columns(i)
-        negs = [scores[i, j] for j in cols if j != target]
+        negs = [scores[i, j] for j in range(scores.shape[1]) if j != target]
         losses.append(contrastive_loss(scores[i, target], negs))
     return sum(losses) / len(losses)
 
@@ -342,7 +341,7 @@ def _gradcheck_batch() -> tuple[EncoderParams, TrainBatch]:
             negatives=tuple(("what did the court decide", d) for d in docs[8:15]),
         ),
     ]
-    return params, build_batch(triples, in_batch_negatives=True)
+    return params, build_batch(triples)
 
 
 # ---------------------------------------------------------------------------

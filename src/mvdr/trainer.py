@@ -7,10 +7,10 @@ query before encoding, so the model learns to score the joint inputs it
 will see at search time.
 
 The loss over one example is softmax cross-entropy with the positive as
-the target class. A batch optionally shares candidates: with in-batch
-negatives enabled, every example scores against all B * (1 + m)
-candidates in the batch, which is where most of the supervision comes
-from at small batch sizes.
+the target class. A batch always shares candidates: every example scores
+against all B * (1 + m) candidates in the batch (in-batch negatives plus
+each triple's m hard negatives), which is where most of the supervision
+comes from at small batch sizes.
 
 Optimization is plain Adam over the tower tensors with a linear
 warmup-then-decay schedule per stage. Two stages are supported: an
@@ -31,7 +31,6 @@ from .corpus import Document, GeneratedQuerySet, TrainingTriple
 from .encoder import (
     EncoderParams,
     Tower,
-    TowerGrads,
     backprop_tower,
     candidate_feature_buckets,
     forward_tower,
@@ -59,7 +58,6 @@ class TrainConfig:
     warmup_fraction: float = 0.1
     epochs_pretrain: int = 0
     epochs_finetune: int = 10
-    in_batch_negatives: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -67,10 +65,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
-        if self.in_batch_negatives and self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 when in-batch negatives are enabled")
-        if self.batch_size < 1 or self.pretrain_batch_size < 2:
-            raise ValueError("batch sizes must be positive (pretrain >= 2)")
+        if self.batch_size < 2 or self.pretrain_batch_size < 2:
+            raise ValueError("batch sizes must be >= 2: examples share in-batch negatives")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
         if not self.learning_rate >= 0.0:
@@ -109,15 +105,13 @@ class TrainBatch:
     """A batch laid out for one loss/gradient evaluation.
 
     ``candidates`` is triple-major: example i's positive sits at column
-    ``i * block`` and its hard negatives follow. ``use_all`` selects
-    whether each example scores against every candidate in the batch or
-    only its own block.
+    ``i * block`` and its hard negatives follow. Every example scores
+    against every candidate in the batch.
     """
 
     query_texts: list[str]
     candidates: list[tuple[str | None, str]]
     block: int
-    use_all: bool
 
     @property
     def size(self) -> int:
@@ -126,20 +120,16 @@ class TrainBatch:
     def positive_column(self, i: int) -> int:
         return i * self.block
 
-    def own_columns(self, i: int) -> range:
-        return range(i * self.block, (i + 1) * self.block)
 
-
-def build_batch(mapped: Sequence[MappedTriple], in_batch_negatives: bool = True) -> TrainBatch:
+def build_batch(mapped: Sequence[MappedTriple]) -> TrainBatch:
     """Assemble mapped triples into a batch.
 
-    All triples must carry the same number of negatives; with in-batch
-    negatives enabled at least two triples are required, otherwise there
-    is nothing to share.
+    All triples must carry the same number of negatives, and at least two
+    triples are required, otherwise there are no candidates to share.
     """
     if not mapped:
         raise ValueError("cannot build an empty batch")
-    if in_batch_negatives and len(mapped) < 2:
+    if len(mapped) < 2:
         raise ValueError("in-batch negatives require at least 2 triples per batch")
     n_neg = len(mapped[0].negatives)
     candidates: list[tuple[str | None, str]] = []
@@ -154,7 +144,6 @@ def build_batch(mapped: Sequence[MappedTriple], in_batch_negatives: bool = True)
         query_texts=[t.query_text for t in mapped],
         candidates=candidates,
         block=1 + n_neg,
-        use_all=in_batch_negatives,
     )
 
 
@@ -176,17 +165,18 @@ def contrastive_loss(score_pos: float, scores_neg: Sequence[float]) -> float:
 @dataclass
 class BatchResult:
     loss: float
-    grads: dict[str, TowerGrads]
-    per_example_loss: np.ndarray
+    grads: dict[str, Tower]
 
 
-def zero_grads(params: EncoderParams) -> dict[str, TowerGrads]:
-    return {role: TowerGrads.zeros_like(t) for role, t in params.towers().items()}
+def zero_grads(params: EncoderParams) -> dict[str, Tower]:
+    return {role: Tower.zeros_like(t) for role, t in params.towers().items()}
 
 
 def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
     """Mean batch loss and parameter gradients, by hand-rolled backprop.
 
+    Each row of the ``(B, B * block)`` score matrix is one softmax over
+    every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
     which always runs in float64 for stability.
     """
@@ -199,19 +189,14 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
     scores = q_emb @ c_emb.T  # (B, n_candidates)
     scores64 = scores.astype(np.float64)
     b = batch.size
-    d_scores = np.zeros_like(scores64)
-    losses = np.empty(b, dtype=np.float64)
-    for i in range(b):
-        cols = np.arange(scores64.shape[1]) if batch.use_all else np.asarray(batch.own_columns(i))
-        row = scores64[i, cols]
-        target = batch.positive_column(i) if batch.use_all else 0
-        m = row.max()
-        exp_row = np.exp(row - m)
-        z = exp_row.sum()
-        losses[i] = m + math.log(z) - scores64[i, batch.positive_column(i)]
-        probs = exp_row / z
-        d_scores[i, cols] = probs
-        d_scores[i, batch.positive_column(i)] -= 1.0
+    rows = np.arange(b)
+    targets = rows * batch.block
+    m = scores64.max(axis=1, keepdims=True)
+    exp_scores = np.exp(scores64 - m)
+    z = exp_scores.sum(axis=1, keepdims=True)
+    losses = (m + np.log(z))[:, 0] - scores64[rows, targets]
+    d_scores = exp_scores / z
+    d_scores[rows, targets] -= 1.0
     d_scores /= b
     loss = float(losses.mean())
     if not math.isfinite(loss):
@@ -227,7 +212,7 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
     c_grads = grads["query"] if params.tied else grads["doc"]
     backprop_tower(params.query_tower, q_cache, d_q, q_grads)
     backprop_tower(params.doc_tower, c_cache, d_c, c_grads)
-    return BatchResult(loss=loss, grads=grads, per_example_loss=losses)
+    return BatchResult(loss=loss, grads=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +221,20 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per distinct tower tensor."""
+    """First/second moment accumulators per distinct tower, keyed by role."""
 
-    m: dict[str, dict[str, np.ndarray]]
-    v: dict[str, dict[str, np.ndarray]]
+    m: dict[str, Tower]
+    v: dict[str, Tower]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        m = {
-            role: {n: np.zeros_like(a) for n, a in tower.tensors().items()}
-            for role, tower in params.towers().items()
-        }
-        v = {
-            role: {n: np.zeros_like(a) for n, a in tower.tensors().items()}
-            for role, tower in params.towers().items()
-        }
-        return cls(m=m, v=v)
+        return cls(m=zero_grads(params), v=zero_grads(params))
 
 
 def adam_step(
     params: EncoderParams,
-    grads: dict[str, TowerGrads],
+    grads: dict[str, Tower],
     state: AdamState,
     lr: float,
 ) -> None:
@@ -268,9 +245,9 @@ def adam_step(
     bias2 = 1.0 - ADAM_BETA2**t
     for role, tower in params.towers().items():
         for name, param in tower.tensors().items():
-            g = grads[role].tensors()[name]
-            m = state.m[role][name]
-            v = state.v[role][name]
+            g = getattr(grads[role], name)
+            m = getattr(state.m[role], name)
+            v = getattr(state.v[role], name)
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -315,11 +292,12 @@ def write_loss_trace(trace: Sequence[TraceEntry], path) -> None:
             handle.write(f"{entry.step},{entry.stage},{entry.loss:.6f}\n")
 
 
-def _batch_starts(n: int, batch_size: int, min_size: int) -> list[tuple[int, int]]:
+def _batch_starts(n: int, batch_size: int) -> list[tuple[int, int]]:
+    """Batch spans; a last batch of one example has nothing to share and is dropped."""
     spans = []
     for start in range(0, n, batch_size):
         end = min(start + batch_size, n)
-        if end - start >= min_size:
+        if end - start >= 2:
             spans.append((start, end))
     return spans
 
@@ -329,7 +307,6 @@ def _run_stage(
     stage: str,
     examples: Sequence[MappedTriple],
     batch_size: int,
-    in_batch: bool,
     epochs: int,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -338,8 +315,7 @@ def _run_stage(
     progress: Callable[[str], None] | None = None,
 ) -> int:
     """Run one optimization stage; returns the global step counter."""
-    min_size = 2 if in_batch else 1
-    spans = _batch_starts(len(examples), batch_size, min_size)
+    spans = _batch_starts(len(examples), batch_size)
     total_steps = epochs * len(spans)
     if total_steps == 0:
         return step_offset
@@ -350,7 +326,7 @@ def _run_stage(
         order = rng.permutation(len(examples))
         for start, end in spans:
             batch_examples = [examples[j] for j in order[start:end]]
-            batch = build_batch(batch_examples, in_batch_negatives=in_batch)
+            batch = build_batch(batch_examples)
             result = loss_and_grads(params, batch)
             lr = lr_at(stage_step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
             adam_step(params, result.grads, state, lr)
@@ -429,7 +405,6 @@ def train(
             "pretrain",
             examples,
             cfg.pretrain_batch_size,
-            True,
             cfg.epochs_pretrain,
             cfg,
             rng,
@@ -447,7 +422,6 @@ def train(
             "finetune",
             examples,
             cfg.batch_size,
-            cfg.in_batch_negatives,
             cfg.epochs_finetune,
             cfg,
             rng,

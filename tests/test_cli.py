@@ -156,6 +156,19 @@ class TestStagedCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_analyze_rejects_empty_generated_queries(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("")
+        out_dir = tmp_path / "analysis"
+        code = main([
+            "analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
+            "--qrels", str(paths["qrels"]), "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "error: no generated queries to analyze" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_file_reports_error(self, tmp_path, capsys):
         code = main([
             "gen-queries", "--corpus", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g"),

@@ -23,6 +23,7 @@ from mvdr.encoder import (
 from mvdr.hashing import stable_hash64
 
 CFG = EncoderConfig(embed_dim=8, hash_buckets=256, ngram_orders=(1, 2), max_query_tokens=4, max_doc_tokens=6)
+BIGRAM_CFG = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(2,))
 
 token_strategy = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
 text_strategy = st.lists(token_strategy, min_size=1, max_size=8).map(" ".join)
@@ -94,8 +95,42 @@ class TestFeatureHashing:
         assert len(doc_feature_buckets(cfg, "one two three")) == 3
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="no tokens"):
-            query_feature_buckets(CFG, "  ... ")
+        # the memo must not turn a rejected text into a cached result
+        for featurize in (query_feature_buckets, doc_feature_buckets):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="no tokens"):
+                    featurize(CFG, "  ... ")
+
+    @pytest.mark.parametrize("featurize", [query_feature_buckets, doc_feature_buckets])
+    def test_memoized_arrays_are_read_only(self, featurize):
+        first = featurize(CFG, "alpha beta gamma")
+        before = first.tolist()
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0
+        assert featurize(CFG, "alpha beta gamma").tolist() == before
+
+    def test_short_query_rejected(self):
+        message = r"query 'who' is shorter than every n-gram order \(2,\)"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                query_feature_buckets(BIGRAM_CFG, "who")
+        with pytest.raises(ValueError, match=message):
+            encode_queries(init_params(BIGRAM_CFG, seed=0), ["who"])
+
+    def test_short_document_rejected(self):
+        message = r"document 'who' is shorter than every n-gram order \(2,\)"
+        with pytest.raises(ValueError, match=message):
+            doc_feature_buckets(BIGRAM_CFG, "who")
+        with pytest.raises(ValueError, match=message):
+            encode_document(init_params(BIGRAM_CFG, seed=0), "who")
+
+    def test_short_joint_input_rejected(self):
+        # one token on each side: bigrams still cross the separator, 4-grams never fit
+        assert len(joint_feature_buckets(BIGRAM_CFG, "who", "what")) == 2
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(4,))
+        with pytest.raises(ValueError, match=r"query 'who' with document 'what' .*\(4,\)"):
+            joint_feature_buckets(cfg, "who", "what")
 
 
 class TestInit:

@@ -82,15 +82,9 @@ class TestBatchLayout:
         batch = build_batch(mapped)
         assert batch.size == 2
         assert batch.block == 3
-        assert batch.use_all
         assert batch.positive_column(0) == 0
         assert batch.positive_column(1) == 3
-        assert list(batch.own_columns(1)) == [3, 4, 5]
         assert len(batch.candidates) == 6
-
-    def test_without_in_batch_negatives(self, tiny_triples):
-        batch = build_batch([map_triple(t, "de") for t in tiny_triples], in_batch_negatives=False)
-        assert not batch.use_all
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -110,27 +104,49 @@ class TestBatchLayout:
             build_batch(mapped)
 
 
+def _shaped_batch(shape, mode, docs, triples):
+    """A finetuning batch (two triples, block 3) or a pretraining one
+    (four generated-query pairs, no hard negatives, block 1)."""
+    if shape == "pretrain":
+        generated = [
+            GeneratedQuerySet("d1", ("sunlight electricity",)),
+            GeneratedQuerySet("d2", ("appeal ruling",)),
+            GeneratedQuerySet("d3", ("river sediment",)),
+            GeneratedQuerySet("d4", ("immune vaccine",)),
+        ]
+        return build_batch(pretrain_examples(docs, generated, mode))
+    return build_batch([map_triple(t, mode) for t in triples])
+
+
 class TestGradients:
-    def _batch(self, tiny_triples, mode):
-        return build_batch([map_triple(t, mode) for t in tiny_triples])
-
-    def test_loss_matches_forward_only_evaluation(self, tiny_triples):
+    def test_loss_matches_forward_only_evaluation(self, tiny_docs, tiny_triples):
         params = init_params(SMALL_CFG, seed=9, dtype=np.float64)
-        batch = self._batch(tiny_triples, "dce")
-        result = loss_and_grads(params, batch)
-        assert result.loss == pytest.approx(batch_loss(params, batch), abs=1e-12)
+        for mode in ("dce", "de"):
+            for shape in ("finetune", "pretrain"):
+                batch = _shaped_batch(shape, mode, tiny_docs, tiny_triples)
+                result = loss_and_grads(params, batch)
+                assert result.loss == pytest.approx(batch_loss(params, batch), abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["dce", "de"])
-    def test_analytic_matches_finite_differences(self, tiny_triples, mode):
+    @pytest.mark.parametrize(
+        "mode, shape",
+        [
+            pytest.param("dce", "finetune", id="dce"),
+            pytest.param("de", "finetune", id="de"),
+            ("dce", "pretrain"),
+            ("de", "pretrain"),
+        ],
+    )
+    def test_analytic_matches_finite_differences(self, tiny_docs, tiny_triples, mode, shape):
         params = init_params(SMALL_CFG, seed=9, dtype=np.float64)
-        batch = self._batch(tiny_triples, mode)
+        batch = _shaped_batch(shape, mode, tiny_docs, tiny_triples)
+        assert batch.block == (1 if shape == "pretrain" else 3)
         errors = gradient_relative_errors(params, batch)
         assert max(errors.values()) <= 1e-6
 
-    def test_untied_towers_get_separate_grads(self, tiny_triples):
+    def test_untied_towers_get_separate_grads(self, tiny_docs, tiny_triples):
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=False)
         params = init_params(cfg, seed=9, dtype=np.float64)
-        batch = self._batch(tiny_triples, "de")
+        batch = _shaped_batch("finetune", "de", tiny_docs, tiny_triples)
         grads = loss_and_grads(params, batch).grads
         assert set(grads) == {"query", "doc"}
         assert np.abs(grads["query"].w_out).sum() > 0
