@@ -105,8 +105,16 @@ class TestBatchLayout:
 
 
 def _shaped_batch(shape, mode, docs, triples):
-    """A finetuning batch (two triples, block 3) or a pretraining one
-    (four generated-query pairs, no hard negatives, block 1)."""
+    """A finetuning batch (two triples, block 3), one whose four candidates
+    are all distinct (two triples, block 2), or a pretraining one (four
+    generated-query pairs, no hard negatives, block 1)."""
+    if shape == "distinct":
+        by_id = {d.doc_id: d for d in docs}
+        distinct = [
+            TrainingTriple(Query("q1", "solar power"), by_id["d1"], (by_id["d3"],)),
+            TrainingTriple(Query("q2", "appeal ruling"), by_id["d2"], (by_id["d4"],)),
+        ]
+        return build_batch([map_triple(t, mode) for t in distinct])
     if shape == "pretrain":
         generated = [
             GeneratedQuerySet("d1", ("sunlight electricity",)),
@@ -132,6 +140,8 @@ class TestGradients:
         [
             pytest.param("dce", "finetune", id="dce"),
             pytest.param("de", "finetune", id="de"),
+            # tiny_triples holds d2 at two columns, which hides a wrong target column in `de`
+            pytest.param("de", "distinct", id="de-distinct"),
             ("dce", "pretrain"),
             ("de", "pretrain"),
         ],
@@ -139,7 +149,7 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self, tiny_docs, tiny_triples, mode, shape):
         params = init_params(SMALL_CFG, seed=9, dtype=np.float64)
         batch = _shaped_batch(shape, mode, tiny_docs, tiny_triples)
-        assert batch.block == (1 if shape == "pretrain" else 3)
+        assert batch.block == {"finetune": 3, "distinct": 2, "pretrain": 1}[shape]
         errors = gradient_relative_errors(params, batch)
         assert max(errors.values()) <= 1e-6
 
