@@ -73,7 +73,11 @@ class EncoderConfig:
 
 @dataclass
 class Tower:
-    """Parameters of one encoding tower."""
+    """Parameters of one encoding tower.
+
+    Gradients use the same holder, with the token table's gradient kept
+    as a :class:`RowGrad` over the rows a batch touched.
+    """
 
     token_table: np.ndarray  # (hash_buckets, embed_dim)
     w_hidden: np.ndarray  # (embed_dim, embed_dim)
@@ -91,6 +95,41 @@ class Tower:
     def zeros_like(cls, tower: "Tower") -> "Tower":
         """Zeros shaped like ``tower``: a gradient or optimizer-moment holder."""
         return cls(**{name: np.zeros_like(arr) for name, arr in tower.tensors().items()})
+
+
+@dataclass
+class RowGrad:
+    """Gradient of a table at the rows a batch touched; zero elsewhere.
+
+    ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
+    table row ``rows[i]``.
+    """
+
+    rows: np.ndarray  # (n,) int64
+    values: np.ndarray  # (n, embed_dim), the table's dtype
+
+    @classmethod
+    def empty(cls, table: np.ndarray) -> "RowGrad":
+        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, table.shape[1]), dtype=table.dtype))
+
+    def accumulate(self, flat: np.ndarray, contributions: np.ndarray) -> None:
+        """Add ``contributions[j]`` to row ``flat[j]`` for every j.
+
+        Each row sums from zero in the order ``np.add.at`` would use on
+        the dense table: earlier calls first, then ``flat`` order, so the
+        result is bit-identical to the dense scatter.
+        """
+        rows, inverse = np.unique(np.concatenate([self.rows, flat]), return_inverse=True)
+        values = np.zeros((len(rows), self.values.shape[1]), dtype=self.values.dtype)
+        n_old = len(self.rows)
+        values[inverse[:n_old]] = self.values
+        np.add.at(values, inverse[n_old:], contributions)
+        self.rows, self.values = rows, values
+
+    def to_dense(self, n_rows: int) -> np.ndarray:
+        dense = np.zeros((n_rows, self.values.shape[1]), dtype=self.values.dtype)
+        dense[self.rows] = self.values
+        return dense
 
 
 @dataclass
@@ -265,7 +304,8 @@ def backprop_tower(
 
     ``d_out`` is the loss gradient w.r.t. the tower outputs, one row per
     batch element. Mean pooling spreads each row gradient uniformly over
-    the row's feature buckets (repeated buckets accumulate).
+    the row's feature buckets (repeated buckets accumulate) into the
+    :class:`RowGrad` ``grads.token_table``.
     """
     d_out = d_out.astype(tower.w_out.dtype, copy=False)
     grads.w_out += d_out.T @ cache.hidden
@@ -277,7 +317,7 @@ def backprop_tower(
     lengths = np.array([len(b) for b in cache.buckets])
     scaled = d_pooled / lengths[:, None]
     flat = np.concatenate(cache.buckets)
-    np.add.at(grads.token_table, flat, np.repeat(scaled, lengths, axis=0))
+    grads.token_table.accumulate(flat, np.repeat(scaled, lengths, axis=0))
 
 
 # ---------------------------------------------------------------------------

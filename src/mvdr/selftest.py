@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, evaluation, trainer
 from .corpus import Qrels
-from .encoder import EncoderConfig, EncoderParams, forward_tower, init_params
+from .encoder import EncoderConfig, EncoderParams, RowGrad, forward_tower, init_params
 from .index import FlatIndex, search
 from .trainer import TrainBatch, build_batch, contrastive_loss, loss_and_grads
 
@@ -252,7 +252,8 @@ def gradient_relative_errors(
     """Per-tensor relative error between backprop and finite differences.
 
     Error is ``||analytic - numeric|| / max(||analytic||, ||numeric||)``
-    (0 when both are exactly zero).
+    (0 when both are exactly zero). The token table's row gradient is
+    compared as the dense table it stands for.
     """
     analytic = loss_and_grads(params, batch).grads
     numeric = finite_difference_grads(params, batch, step=step)
@@ -260,6 +261,8 @@ def gradient_relative_errors(
     for role, tower_grads in numeric.items():
         for name, fd in tower_grads.items():
             bp = analytic[role].tensors()[name]
+            if isinstance(bp, RowGrad):
+                bp = bp.to_dense(len(fd))
             denom = max(np.linalg.norm(bp), np.linalg.norm(fd))
             diff = np.linalg.norm(bp - fd)
             errors[f"{role}.{name}"] = float(diff / denom) if denom > 0 else 0.0

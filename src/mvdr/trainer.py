@@ -30,6 +30,7 @@ import numpy as np
 from .corpus import Document, GeneratedQuerySet, TrainingTriple
 from .encoder import (
     EncoderParams,
+    RowGrad,
     Tower,
     backprop_tower,
     candidate_feature_buckets,
@@ -169,7 +170,17 @@ class BatchResult:
 
 
 def zero_grads(params: EncoderParams) -> dict[str, Tower]:
-    return {role: Tower.zeros_like(t) for role, t in params.towers().items()}
+    """Zero gradients per distinct tower; the token table's touches no row yet."""
+    return {
+        role: Tower(
+            token_table=RowGrad.empty(t.token_table),
+            w_hidden=np.zeros_like(t.w_hidden),
+            b_hidden=np.zeros_like(t.b_hidden),
+            w_out=np.zeros_like(t.w_out),
+            b_out=np.zeros_like(t.b_out),
+        )
+        for role, t in params.towers().items()
+    }
 
 
 def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
@@ -221,15 +232,25 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per distinct tower, keyed by role."""
+    """Adam state per distinct tower, keyed by role.
+
+    ``m`` and ``v`` are the moment accumulators. ``m_hat`` and ``v_hat``
+    are scratch buffers that each step overwrites, so a step allocates no
+    parameter-sized temporaries.
+    """
 
     m: dict[str, Tower]
     v: dict[str, Tower]
+    m_hat: dict[str, Tower]
+    v_hat: dict[str, Tower]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        return cls(m=zero_grads(params), v=zero_grads(params))
+        def zeros() -> dict[str, Tower]:
+            return {role: Tower.zeros_like(t) for role, t in params.towers().items()}
+
+        return cls(m=zeros(), v=zeros(), m_hat=zeros(), v_hat=zeros())
 
 
 def adam_step(
@@ -238,7 +259,13 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place Adam update over every distinct tensor."""
+    """One in-place Adam update over every distinct tensor.
+
+    Dense Adam: both moments decay and every parameter row moves each
+    step. Gradient terms are added only at the token-table rows the
+    batch touched; elsewhere the gradient is zero and adding it would
+    change nothing.
+    """
     state.t += 1
     t = state.t
     bias1 = 1.0 - ADAM_BETA1**t
@@ -246,15 +273,25 @@ def adam_step(
     for role, tower in params.towers().items():
         for name, param in tower.tensors().items():
             g = getattr(grads[role], name)
+            rows = ...
+            if isinstance(g, RowGrad):
+                rows, g = g.rows, g.values
             m = getattr(state.m[role], name)
             v = getattr(state.v[role], name)
+            m_hat = getattr(state.m_hat[role], name)
+            v_hat = getattr(state.v_hat[role], name)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m[rows] += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(param.dtype)
+            v[rows] += (1.0 - ADAM_BETA2) * g**2
+            # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place
+            np.divide(m, bias1, out=m_hat)
+            np.divide(v, bias2, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += ADAM_EPS
+            np.multiply(lr, m_hat, out=m_hat)
+            m_hat /= v_hat
+            param -= m_hat
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:

@@ -6,9 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdr.corpus import Document, GeneratedQuerySet, Query, TrainingTriple
-from mvdr.encoder import EncoderConfig, init_params
+from mvdr.encoder import (
+    EncoderConfig,
+    RowGrad,
+    backprop_tower,
+    candidate_feature_buckets,
+    forward_tower,
+    init_params,
+    query_feature_buckets,
+)
 from mvdr.selftest import batch_loss, gradient_relative_errors
 from mvdr.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TraceEntry,
     TrainConfig,
@@ -163,6 +174,83 @@ class TestGradients:
         assert np.abs(grads["doc"].w_out).sum() > 0
 
 
+def _dense_token_grad_reference(tower, cache, d_out):
+    """The token-table gradient as a dense float64 table, scattered with np.add.at."""
+    d_out = d_out.astype(np.float64)
+    hidden = cache.hidden.astype(np.float64)
+    d_hidden = (d_out @ tower.w_out.astype(np.float64)) * (1.0 - hidden**2)
+    d_pooled = d_hidden @ tower.w_hidden.astype(np.float64)
+    table = np.zeros(tower.token_table.shape, dtype=np.float64)
+    for row, buckets in zip(d_pooled, cache.buckets):
+        np.add.at(table, buckets, np.tile(row / len(buckets), (len(buckets), 1)))
+    return table
+
+
+class TestTokenTableGradient:
+    """The token-table gradient is a RowGrad over the rows a batch touched."""
+
+    def _tied_sides(self, dtype, tiny_triples):
+        params = init_params(SMALL_CFG, seed=9, dtype=dtype)
+        tower = params.query_tower
+        batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
+        q_buckets = [query_feature_buckets(SMALL_CFG, t) for t in batch.query_texts]
+        c_buckets = [candidate_feature_buckets(SMALL_CFG, p) for p in batch.candidates]
+        _, q_cache = forward_tower(tower, q_buckets, want_cache=True)
+        _, c_cache = forward_tower(tower, c_buckets, want_cache=True)
+        rng = np.random.default_rng(3)
+        d_q = rng.normal(size=(len(q_buckets), SMALL_CFG.embed_dim)).astype(dtype)
+        d_c = rng.normal(size=(len(c_buckets), SMALL_CFG.embed_dim)).astype(dtype)
+        return params, (q_cache, d_q), (c_cache, d_c)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_sorted_unique_in_param_dtype(self, dtype, tiny_triples):
+        params = init_params(SMALL_CFG, seed=9, dtype=dtype)
+        batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
+        grad = loss_and_grads(params, batch).grads["query"].token_table
+        assert isinstance(grad, RowGrad)
+        touched = np.concatenate(
+            [query_feature_buckets(SMALL_CFG, t) for t in batch.query_texts]
+            + [candidate_feature_buckets(SMALL_CFG, p) for p in batch.candidates]
+        )
+        np.testing.assert_array_equal(grad.rows, np.unique(touched))
+        assert np.all(np.diff(grad.rows) > 0)
+        assert grad.values.shape == (len(grad.rows), SMALL_CFG.embed_dim)
+        assert grad.values.dtype == np.dtype(dtype)
+
+    def test_tied_shared_bucket_sums_both_sides(self, tiny_triples):
+        params, (q_cache, d_q), (c_cache, d_c) = self._tied_sides(np.float32, tiny_triples)
+        tower = params.query_tower
+        n = SMALL_CFG.hash_buckets
+        sides = []
+        for cache, d_out in ((q_cache, d_q), (c_cache, d_c)):
+            alone = zero_grads(params)["query"]
+            backprop_tower(tower, cache, d_out, alone)
+            sides.append(alone.token_table)
+        merged = zero_grads(params)["query"]
+        backprop_tower(tower, q_cache, d_q, merged)
+        backprop_tower(tower, c_cache, d_c, merged)
+        shared = np.intersect1d(sides[0].rows, sides[1].rows)
+        assert shared.size > 0  # dce candidates repeat their query's unigrams
+        np.testing.assert_array_equal(merged.token_table.rows, np.union1d(*[g.rows for g in sides]))
+        q_dense, c_dense = (g.to_dense(n) for g in sides)
+        assert np.all(np.abs(q_dense[shared]) > 0) and np.all(np.abs(c_dense[shared]) > 0)
+        np.testing.assert_allclose(
+            merged.token_table.to_dense(n)[shared], q_dense[shared] + c_dense[shared], rtol=1e-6
+        )
+
+    def test_matches_dense_float64_scatter(self, tiny_triples):
+        params, (q_cache, d_q), (c_cache, d_c) = self._tied_sides(np.float32, tiny_triples)
+        tower = params.query_tower
+        merged = zero_grads(params)["query"]
+        backprop_tower(tower, q_cache, d_q, merged)
+        backprop_tower(tower, c_cache, d_c, merged)
+        reference = _dense_token_grad_reference(tower, q_cache, d_q)
+        reference += _dense_token_grad_reference(tower, c_cache, d_c)
+        np.testing.assert_allclose(
+            merged.token_table.to_dense(SMALL_CFG.hash_buckets), reference, rtol=1e-6, atol=1e-6
+        )
+
+
 class TestAdam:
     def test_first_step_moves_by_sign(self):
         params = init_params(SMALL_CFG, seed=0)
@@ -185,6 +273,56 @@ class TestAdam:
     def test_tied_params_have_single_role(self):
         params = init_params(SMALL_CFG, seed=0)
         assert set(AdamState.for_params(params).m) == {"query"}
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_row_sparse_step_equals_dense_adam(self, tied):
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=tied)
+        params = init_params(cfg, seed=5)
+        assert params.query_tower.token_table.dtype == np.float32
+        roles = params.towers()
+        ref = {r: {n: a.copy() for n, a in t.tensors().items()} for r, t in roles.items()}
+        ref_m = {r: {n: np.zeros_like(a) for n, a in p.items()} for r, p in ref.items()}
+        ref_v = {r: {n: np.zeros_like(a) for n, a in p.items()} for r, p in ref.items()}
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(17)
+        touched = np.zeros(cfg.hash_buckets, dtype=int)
+        steps = 24
+        for step in range(steps):
+            grads = zero_grads(params)
+            for grad in grads.values():
+                # a few rows out of eight, with repeats; some steps touch none
+                flat = rng.integers(0, 8, size=int(rng.integers(0, 6)))
+                contrib = rng.normal(size=(len(flat), cfg.embed_dim)).astype(np.float32)
+                grad.token_table.accumulate(flat, contrib)
+                touched[grad.token_table.rows] += 1
+                for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+                    arr = getattr(grad, name)
+                    arr[...] = rng.normal(size=arr.shape)
+            lr = 0.05 * (steps - step) / steps
+            adam_step(params, grads, state, lr)
+
+            # the textbook update over dense gradients
+            bias1 = 1.0 - ADAM_BETA1 ** (step + 1)
+            bias2 = 1.0 - ADAM_BETA2 ** (step + 1)
+            for role, grad in grads.items():
+                for name, p in ref[role].items():
+                    g = getattr(grad, name)
+                    if isinstance(g, RowGrad):
+                        g = g.to_dense(cfg.hash_buckets)
+                    m, v = ref_m[role][name], ref_v[role][name]
+                    m *= ADAM_BETA1
+                    m += (1.0 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1.0 - ADAM_BETA2) * g**2
+                    m_hat = m / bias1
+                    v_hat = v / bias2
+                    p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        assert np.any((touched > 0) & (touched < steps))
+        for role, tower in roles.items():
+            for name, arr in tower.tensors().items():
+                assert np.array_equal(arr, ref[role][name]), (role, name)
+                assert np.array_equal(getattr(state.m[role], name), ref_m[role][name])
+                assert np.array_equal(getattr(state.v[role], name), ref_v[role][name])
 
 
 class TestSchedule:
