@@ -315,7 +315,8 @@ def backprop_tower(
     grads.b_hidden += d_hidden.sum(axis=0)
     d_pooled = d_hidden @ tower.w_hidden
     lengths = np.array([len(b) for b in cache.buckets])
-    scaled = d_pooled / lengths[:, None]
+    # divide in the parameter dtype: int64 lengths would promote float32 to float64
+    scaled = d_pooled / lengths[:, None].astype(d_pooled.dtype)
     flat = np.concatenate(cache.buckets)
     grads.token_table.accumulate(flat, np.repeat(scaled, lengths, axis=0))
 

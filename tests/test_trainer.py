@@ -235,7 +235,10 @@ class TestTokenTableGradient:
         q_dense, c_dense = (g.to_dense(n) for g in sides)
         assert np.all(np.abs(q_dense[shared]) > 0) and np.all(np.abs(c_dense[shared]) > 0)
         np.testing.assert_allclose(
-            merged.token_table.to_dense(n)[shared], q_dense[shared] + c_dense[shared], rtol=1e-6
+            merged.token_table.to_dense(n)[shared],
+            q_dense[shared] + c_dense[shared],
+            rtol=1e-6,
+            atol=1e-6,
         )
 
     def test_matches_dense_float64_scatter(self, tiny_triples):
