@@ -161,13 +161,16 @@ def train_stage(
     settings: Settings, train_cfg: TrainConfig, triples: Sequence[TrainingTriple],
     corpus: Sequence[Document], generated: Sequence[GeneratedQuerySet] | None,
 ) -> tuple[EncoderParams, list[TraceEntry]]:
-    """Initialise an encoder from stage seed ``init`` and train it."""
+    """Initialise an encoder from stage seed ``init`` and train it.
+
+    Each epoch's loss is logged at INFO level, which ``-v`` shows.
+    """
     encoder_cfg = EncoderConfig(
         **_given(settings, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
                  "max_query_tokens", "max_doc_tokens")
     )
     params = init_params(encoder_cfg, derive_seed(settings["seed"], "init"))
-    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
+    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated, progress=log.info)
     return params, trace
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from mvdr.cli import main, parse_config
@@ -135,6 +137,23 @@ class TestStagedCommands:
         out = capsys.readouterr().out
         assert "mrr@10" in out and "ndcg@10" in out
         assert metrics.read_text().startswith("metric,value\n")
+
+    def test_verbose_train_logs_each_epoch(self, tmp_path, caplog):
+        paths = _write_world(tmp_path)
+        args = [
+            "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
+            "--mode", "de", "--batch-size", "4", "--negatives", "2", "--finetune-epochs", "3",
+            *ENCODER_FLAGS,
+        ]
+        quiet, verbose = tmp_path / "quiet.ckpt", tmp_path / "verbose.ckpt"
+        assert main([*args, "--out", str(quiet)]) == 0
+        with caplog.at_level(logging.INFO, logger="mvdr.cli"):
+            assert main(["-v", *args, "--out", str(verbose)]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "mvdr.cli"]
+        assert [line.split(" loss ")[0] for line in lines] == [
+            f"finetune epoch {e}/3" for e in (1, 2, 3)
+        ]
+        assert verbose.read_bytes() == quiet.read_bytes()
 
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0
