@@ -170,7 +170,7 @@ class BatchResult:
 
 
 def zero_grads(params: EncoderParams) -> dict[str, Tower]:
-    """Zero gradients per distinct tower; the token table's touches no row yet."""
+    """Zero gradients per distinct tower; the token-table gradient starts with no rows."""
     return {
         role: Tower(
             token_table=RowGrad.empty(t.token_table),
@@ -273,7 +273,7 @@ def adam_step(
     for role, tower in params.towers().items():
         for name, param in tower.tensors().items():
             g = getattr(grads[role], name)
-            rows = ...
+            rows = ...  # every row of a dense gradient
             if isinstance(g, RowGrad):
                 rows, g = g.rows, g.values
             m = getattr(state.m[role], name)

@@ -212,8 +212,7 @@ class TestTokenTableGradient:
             [query_feature_buckets(SMALL_CFG, t) for t in batch.query_texts]
             + [candidate_feature_buckets(SMALL_CFG, p) for p in batch.candidates]
         )
-        np.testing.assert_array_equal(grad.rows, np.unique(touched))
-        assert np.all(np.diff(grad.rows) > 0)
+        np.testing.assert_array_equal(grad.rows, np.unique(touched))  # sorted and unique
         assert grad.values.shape == (len(grad.rows), SMALL_CFG.embed_dim)
         assert grad.values.dtype == np.dtype(dtype)
 
