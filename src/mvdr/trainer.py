@@ -371,7 +371,8 @@ def _run_stage(
             step += 1
             stage_step += 1
         if progress is not None:
-            progress(f"{stage} epoch {epoch + 1}/{epochs} loss {result.loss:.4f}")
+            epoch_loss = np.mean([entry.loss for entry in trace[-len(spans) :]])
+            progress(f"{stage} epoch {epoch + 1}/{epochs} loss {epoch_loss:.4f}")
     return step
 
 

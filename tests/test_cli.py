@@ -142,17 +142,24 @@ class TestStagedCommands:
         paths = _write_world(tmp_path)
         args = [
             "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
-            "--mode", "de", "--batch-size", "4", "--negatives", "2", "--finetune-epochs", "3",
+            "--mode", "de", "--batch-size", "2", "--negatives", "2", "--finetune-epochs", "3",
             *ENCODER_FLAGS,
         ]
         quiet, verbose = tmp_path / "quiet.ckpt", tmp_path / "verbose.ckpt"
+        loss_trace = tmp_path / "loss_trace.csv"
         assert main([*args, "--out", str(quiet)]) == 0
         with caplog.at_level(logging.INFO, logger="mvdr.cli"):
-            assert main(["-v", *args, "--out", str(verbose)]) == 0
+            assert main(["-v", *args, "--out", str(verbose), "--loss-trace", str(loss_trace)]) == 0
         lines = [r.getMessage() for r in caplog.records if r.name == "mvdr.cli"]
         assert [line.split(" loss ")[0] for line in lines] == [
             f"finetune epoch {e}/3" for e in (1, 2, 3)
         ]
+        # each line reports the mean of its epoch's step losses, not the last batch's
+        losses = [float(row.split(",")[2]) for row in loss_trace.read_text().splitlines()[1:]]
+        per_epoch = len(losses) // 3
+        assert per_epoch > 1 and len(losses) == 3 * per_epoch
+        means = [sum(losses[e * per_epoch : (e + 1) * per_epoch]) / per_epoch for e in range(3)]
+        assert [line.split(" loss ")[1] for line in lines] == [f"{m:.4f}" for m in means]
         assert verbose.read_bytes() == quiet.read_bytes()
 
     def test_selftest_command(self, capsys):
