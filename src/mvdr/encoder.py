@@ -19,17 +19,16 @@ forward/backward path also works in float64 for verification.
 from __future__ import annotations
 
 import functools
-import io
 import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import tokenize
-from .hashing import crc32, stable_hash64
+from .hashing import FramedReader, stable_hash64, write_framed
 
 log = logging.getLogger(__name__)
 
@@ -397,97 +396,55 @@ def score(query_emb: np.ndarray, doc_emb: np.ndarray) -> float:
 #   u32 CRC-32 of everything before the footer
 
 
-def _pack_header(cfg: EncoderConfig) -> bytes:
-    parts = [
-        _MAGIC,
-        struct.pack("<IQ", cfg.embed_dim, cfg.hash_buckets),
-        struct.pack("<B", len(cfg.ngram_orders)),
-        struct.pack(f"<{len(cfg.ngram_orders)}B", *cfg.ngram_orders),
-        struct.pack("<BII", int(cfg.tie_params), cfg.max_query_tokens, cfg.max_doc_tokens),
-    ]
-    return b"".join(parts)
-
-
 def save_params(params: EncoderParams, path: str | Path) -> None:
     """Serialize parameters as float32 with a checksum footer."""
-    buf = io.BytesIO()
     cfg = params.config
-    header_cfg = EncoderConfig(
-        embed_dim=cfg.embed_dim,
-        hash_buckets=cfg.hash_buckets,
-        ngram_orders=cfg.ngram_orders,
-        tie_params=params.tied,
-        max_query_tokens=cfg.max_query_tokens,
-        max_doc_tokens=cfg.max_doc_tokens,
-    )
-    buf.write(_pack_header(header_cfg))
-    for tower in params.towers().values():
-        for arr in tower.tensors().values():
-            buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    payload = buf.getvalue()
-    with open(path, "wb") as handle:
-        handle.write(payload)
-        handle.write(struct.pack("<I", crc32(payload)))
-    log.info("saved checkpoint to %s (%d bytes)", path, len(payload) + 4)
-
-
-def _read_exact(handle: io.BytesIO, n: int, path: str | Path, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated checkpoint while reading {what}")
-    return data
+    orders = cfg.ngram_orders
+    header = [
+        struct.pack("<IQB", cfg.embed_dim, cfg.hash_buckets, len(orders)),
+        struct.pack(f"<{len(orders)}B", *orders),
+        struct.pack("<BII", int(params.tied), cfg.max_query_tokens, cfg.max_doc_tokens),
+    ]
+    tensors = [
+        np.ascontiguousarray(arr, dtype="<f4")
+        for tower in params.towers().values()
+        for arr in tower.tensors().values()
+    ]
+    size = write_framed(path, _MAGIC, header + tensors)
+    log.info("saved checkpoint to %s (%d bytes)", path, size)
 
 
 def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
-    Rejects unknown magic, truncation, and checksum mismatches.
+    Rejects unknown magic, truncation, trailing bytes and checksum
+    mismatches. Each tensor is copied out of the file once, so the
+    returned parameters are writable.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < len(_MAGIC) + 4:
-        raise ValueError(f"{path}: truncated checkpoint")
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:len(_MAGIC)]!r}, expected {_MAGIC!r}")
-    payload, footer = data[:-4], data[-4:]
-    (expect_crc,) = struct.unpack("<I", footer)
-    actual_crc = crc32(payload)
-    if actual_crc != expect_crc:
-        raise ValueError(
-            f"{path}: checksum mismatch (stored {expect_crc:#010x}, computed {actual_crc:#010x})"
-        )
-    stream = io.BytesIO(payload)
-    stream.seek(len(_MAGIC))
-    embed_dim, hash_buckets = struct.unpack("<IQ", _read_exact(stream, 12, path, "header"))
-    (n_orders,) = struct.unpack("<B", _read_exact(stream, 1, path, "header"))
-    orders = struct.unpack(f"<{n_orders}B", _read_exact(stream, n_orders, path, "header"))
-    tied_flag, max_q, max_d = struct.unpack("<BII", _read_exact(stream, 9, path, "header"))
+    reader = FramedReader(path, _MAGIC, "checkpoint")
+    embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
+    orders = reader.unpack(f"<{n_orders}B", "header")
+    tied_flag, max_q, max_d = reader.unpack("<BII", "header")
     cfg = EncoderConfig(
         embed_dim=embed_dim,
         hash_buckets=hash_buckets,
-        ngram_orders=tuple(int(n) for n in orders),
+        ngram_orders=orders,
         tie_params=bool(tied_flag),
         max_query_tokens=max_q,
         max_doc_tokens=max_d,
     )
+    shapes = {
+        "token_table": (hash_buckets, embed_dim),
+        "w_hidden": (embed_dim, embed_dim),
+        "b_hidden": (embed_dim,),
+        "w_out": (embed_dim, embed_dim),
+        "b_out": (embed_dim,),
+    }
 
     def read_tower() -> Tower:
-        shapes = {
-            "token_table": (cfg.hash_buckets, cfg.embed_dim),
-            "w_hidden": (cfg.embed_dim, cfg.embed_dim),
-            "b_hidden": (cfg.embed_dim,),
-            "w_out": (cfg.embed_dim, cfg.embed_dim),
-            "b_out": (cfg.embed_dim,),
-        }
-        arrays = {}
-        for name, shape in shapes.items():
-            count = int(np.prod(shape))
-            raw = _read_exact(stream, 4 * count, path, name)
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        return Tower(**arrays)
+        return Tower(**{name: reader.floats(shape, name).copy() for name, shape in shapes.items()})
 
     query_tower = read_tower()
     doc_tower = query_tower if cfg.tie_params else read_tower()
-    if stream.read(1):
-        raise ValueError(f"{path}: trailing bytes after checkpoint tensors")
+    reader.finish()
     return EncoderParams(cfg, query_tower, doc_tower)

@@ -2,20 +2,27 @@
 
 Everything here must be deterministic across processes, platforms, and
 Python versions: feature bucketing, seed derivation, and file checksums
-all feed reproducibility contracts. Checkpoint and index files both end
-in a CRC-32 footer (:func:`crc32`).
+all feed reproducibility contracts. Checkpoint and index files share one
+frame: magic bytes, a payload, then a CRC-32 footer (:func:`crc32`),
+written by :func:`write_framed` and read back by :class:`FramedReader`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 import zlib
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # CRC-64/XZ (reflected ECMA-182 polynomial). No file format uses it any more;
 # it stays only because the benchmark tracer wraps ``crc64`` by name, until
-# the tracer's layer list drops it (ROADMAP item 6).
+# the tracer's layer list drops it (ROADMAP item 5).
 _CRC64_POLY = 0xC96C5795D7870F42
 
 
@@ -83,3 +90,63 @@ def crc64(data: bytes, crc: int = 0) -> int:
 def crc32(data: bytes, crc: int = 0) -> int:
     """CRC-32 via zlib, used for checkpoint and index file footers."""
     return zlib.crc32(data, crc) & 0xFFFFFFFF
+
+
+def write_framed(path: str | Path, magic: bytes, parts: Iterable) -> int:
+    """Write ``magic``, then each bytes-like part, then a CRC-32 footer over
+    all of them; returns the file's size in bytes."""
+    crc = 0
+    with open(path, "wb") as handle:
+        for part in (magic, *parts):
+            handle.write(part)
+            crc = crc32(part, crc)
+        handle.write(struct.pack("<I", crc))
+        return handle.tell()
+
+
+class FramedReader:
+    """A file written by :func:`write_framed`, read once and checked whole.
+
+    Length, magic and checksum are verified on construction. Fields are
+    then taken in file order from one ``memoryview`` of the bytes: a field
+    that runs past the payload raises ``truncated``, and :meth:`finish`
+    rejects trailing bytes. ``kind`` names the file in error messages.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if len(data) < len(magic) + 4:
+            raise ValueError(f"{path}: truncated {kind}")
+        if data[: len(magic)] != magic:
+            raise ValueError(f"{path}: bad magic {data[:len(magic)]!r}, expected {magic!r}")
+        self._payload = memoryview(data)[:-4]
+        (stored,) = struct.unpack_from("<I", data, len(self._payload))
+        computed = crc32(self._payload)
+        if computed != stored:
+            raise ValueError(
+                f"{path}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )
+        self.path = path
+        self.kind = kind
+        self.offset = len(magic)
+
+    def take(self, n: int, what: str) -> memoryview:
+        """The next ``n`` bytes, without copying."""
+        start = self.offset
+        if start + n > len(self._payload):
+            raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
+        self.offset = start + n
+        return self._payload[start : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next little-endian float32 array: a read-only view of the file."""
+        raw = self.take(4 * math.prod(shape), what)
+        return np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+    def finish(self) -> None:
+        if self.offset != len(self._payload):
+            raise ValueError(f"{self.path}: trailing bytes after {self.kind} data")

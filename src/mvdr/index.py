@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
 from .encoder import EncoderParams, encode_candidates, encode_queries
-from .hashing import crc32
+from .hashing import FramedReader, write_framed
 
 log = logging.getLogger(__name__)
 
@@ -235,55 +235,27 @@ def search_corpus(
 
 def save_index(index: FlatIndex, path: str | Path) -> None:
     """Serialize the index with a CRC-32 footer."""
-    parts = [_MAGIC, struct.pack("<III", index.n_docs, index.k_views, index.embed_dim)]
+    parts = [struct.pack("<III", index.n_docs, index.k_views, index.embed_dim)]
     for doc_id in index.doc_ids:
         raw = doc_id.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-    parts.append(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as handle:
-        handle.write(payload)
-        handle.write(struct.pack("<I", crc32(payload)))
-    log.info("saved index to %s (%d bytes)", path, len(payload) + 4)
+    parts.append(np.ascontiguousarray(index.matrix, dtype="<f4"))
+    size = write_framed(path, _MAGIC, parts)
+    log.info("saved index to %s (%d bytes)", path, size)
 
 
 def load_index(path: str | Path) -> FlatIndex:
-    """Load an index written by :func:`save_index`, verifying the checksum."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < len(_MAGIC) + 4:
-        raise ValueError(f"{path}: truncated index file")
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:len(_MAGIC)]!r}, expected {_MAGIC!r}")
-    payload, footer = data[:-4], data[-4:]
-    (expect_crc,) = struct.unpack("<I", footer)
-    actual_crc = crc32(payload)
-    if actual_crc != expect_crc:
-        raise ValueError(
-            f"{path}: checksum mismatch (stored {expect_crc:#010x}, computed {actual_crc:#010x})"
-        )
-    offset = len(_MAGIC)
+    """Load an index written by :func:`save_index`, verifying the checksum.
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(payload):
-            raise ValueError(f"{path}: truncated index while reading {what}")
-        chunk = payload[offset : offset + n]
-        offset += n
-        return chunk
-
-    n_docs, k_views, embed_dim = struct.unpack("<III", take(12, "header"))
+    The matrix is a read-only view of the file's bytes.
+    """
+    reader = FramedReader(path, _MAGIC, "index")
+    n_docs, k_views, embed_dim = reader.unpack("<III", "header")
     doc_ids = []
     for _ in range(n_docs):
-        (length,) = struct.unpack("<I", take(4, "doc_id length"))
-        doc_ids.append(take(length, "doc_id").decode("utf-8"))
-    n_rows = n_docs * k_views
-    matrix = (
-        np.frombuffer(take(4 * n_rows * embed_dim, "embeddings"), dtype="<f4")
-        .reshape(n_rows, embed_dim)
-        .copy()
-    )
-    if offset != len(payload):
-        raise ValueError(f"{path}: trailing bytes after index data")
+        (length,) = reader.unpack("<I", "doc_id length")
+        doc_ids.append(str(reader.take(length, "doc_id"), "utf-8"))
+    matrix = reader.floats((n_docs * k_views, embed_dim), "embeddings")
+    reader.finish()
     return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from mvdr.encoder import (
     score,
 )
 from mvdr.hashing import stable_hash64
+from mvdr.trainer import AdamState, adam_step, zero_grads
 
 CFG = EncoderConfig(embed_dim=8, hash_buckets=256, ngram_orders=(1, 2), max_query_tokens=4, max_doc_tokens=6)
 BIGRAM_CFG = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(2,))
@@ -275,3 +279,49 @@ class TestCheckpointIO:
         path.write_bytes(b"MVdr")
         with pytest.raises(ValueError, match="truncated"):
             load_params(path)
+
+    @staticmethod
+    def _rewrite_payload(path, edit):
+        # damage that keeps a valid checksum: edit the payload, recompute the footer
+        payload = bytearray(path.read_bytes()[:-4])
+        edit(payload)
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+    def test_header_claiming_more_rows_is_truncated(self, tmp_path):
+        params = init_params(CFG, seed=3)
+        path = tmp_path / "model.bin"
+        save_params(params, path)
+        # hash_buckets (u64 after the magic and embed_dim) promises one more table row
+        self._rewrite_payload(
+            path, lambda p: struct.pack_into("<Q", p, 9, CFG.hash_buckets + 1)
+        )
+        with pytest.raises(ValueError, match=r"truncated checkpoint while reading \w+"):
+            load_params(path)
+
+    def test_appended_bytes_are_rejected(self, tmp_path):
+        params = init_params(CFG, seed=3)
+        path = tmp_path / "model.bin"
+        save_params(params, path)
+        self._rewrite_payload(path, lambda p: p.extend(b"\x00" * 4))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_params(path)
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_loaded_tensors_are_writable_and_train(self, tmp_path, tied):
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=tied)
+        path = tmp_path / "model.bin"
+        save_params(init_params(cfg, seed=3), path)
+        loaded = load_params(path)
+        for tower in loaded.towers().values():
+            for arr in tower.tensors().values():
+                assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        grads = zero_grads(loaded)
+        for grad in grads.values():
+            grad.token_table.accumulate(np.array([2, 7]), np.ones((2, 4), dtype=np.float32))
+            grad.b_out[:] = 1.0
+        before = loaded.copy()
+        adam_step(loaded, grads, AdamState.for_params(loaded), lr=0.1)
+        for role, tower in loaded.towers().items():
+            old = before.towers()[role]
+            assert not np.array_equal(tower.token_table[[2, 7]], old.token_table[[2, 7]])
+            assert not np.array_equal(tower.b_out, old.b_out)

@@ -1,10 +1,12 @@
+import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvdr.hashing import crc32, crc64, derive_seed, stable_hash64
+from mvdr.hashing import FramedReader, crc32, crc64, derive_seed, stable_hash64, write_framed
 
 
 class TestStableHash64:
@@ -73,6 +75,34 @@ class TestCrc32:
     def test_incremental(self):
         data = b"model checkpoint bytes"
         assert crc32(data[8:], crc32(data[:8])) == crc32(data)
+
+
+class TestFramedFile:
+    def test_layout_and_fields(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        floats = np.arange(6, dtype=np.float32).reshape(2, 3)
+        size = write_framed(path, b"MAG", [struct.pack("<I", 7), b"id", floats])
+        payload = b"MAG" + struct.pack("<I", 7) + b"id" + floats.tobytes()
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+        assert size == len(payload) + 4
+        reader = FramedReader(path, b"MAG", "test file")
+        assert reader.unpack("<I", "count") == (7,)
+        assert bytes(reader.take(2, "id")) == b"id"
+        view = reader.floats((2, 3), "floats")
+        np.testing.assert_array_equal(view, floats)
+        assert not view.flags.writeable
+        reader.finish()
+
+    def test_short_and_long_payloads(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd"])
+        reader = FramedReader(path, b"MAG", "test file")
+        with pytest.raises(ValueError, match="truncated test file while reading tail"):
+            reader.take(5, "tail")
+        with pytest.raises(ValueError, match="trailing bytes after test file"):
+            reader.finish()
+        reader.take(4, "tail")
+        reader.finish()
 
 
 @pytest.mark.parametrize("bad", [b"12345678", b"1234567890"])

@@ -271,3 +271,32 @@ class TestIndexIO:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="checksum mismatch|truncated"):
             load_index(path)
+
+    def test_appended_bytes_are_rejected(self, tmp_path, rng):
+        # a checksum-valid file with bytes after the matrix is not an index
+        index = random_index(rng, n_docs=4, k_views=2, dim=4)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        payload = path.read_bytes()[:-4] + b"\x00" * 4
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_index(path)
+
+    def test_loaded_matrix_is_read_only_view(self, tmp_path, rng):
+        index = random_index(rng, n_docs=6, k_views=3, dim=4)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert not loaded.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.matrix[0, 0] = 1.0
+        query = rng.normal(size=4)
+        assert search(loaded, query, 3) == search(index, query, 3)
+        for k in (1, 3):
+            np.testing.assert_array_equal(
+                first_views(loaded, k).matrix, first_views(index, k).matrix
+            )
+            assert search(first_views(loaded, k), query, 3) == search(first_views(index, k), query, 3)
+        resaved = tmp_path / "resaved.bin"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
