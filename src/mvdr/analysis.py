@@ -293,29 +293,33 @@ def sweep_views(
     k_values: Sequence[int],
     generated: Sequence[GeneratedQuerySet],
     gold_by_doc: Mapping[str, Sequence[str]],
-    retrieval_eval: Callable[[Sequence[GeneratedQuerySet]], float] | None = None,
+    retrieval_eval: Callable[[int], float] | None = None,
 ) -> list[SweepPoint]:
-    """Evaluate truncated query sets at each k.
+    """Evaluate the first k views of every query set at each k.
 
-    ``retrieval_eval``, when given, receives the truncated sets and
-    returns an aggregate retrieval metric (the CLI searches the first k
-    views of one index). Raises if any k exceeds the available views.
+    A point's quality is :func:`quality_records` over the sets truncated
+    to k views, averaged; each view is scored against gold once, and a
+    document's value at k is its best view among the first k.
+    ``retrieval_eval``, when given, receives k and returns an aggregate
+    retrieval metric (the CLI searches the first k views of one index).
+    Raises if any k exceeds the available views.
     """
     if not generated:
         raise ValueError("no generated query sets to sweep")
     available = min(len(qset.queries) for qset in generated)
+    view_scores = [
+        [max_rouge_l([query], gold) for query in qset.queries]
+        for qset in generated
+        if (gold := gold_by_doc.get(qset.doc_id))
+    ]
     points = []
     for k in k_values:
         if k < 1 or k > available:
             raise ValueError(f"cannot sweep k={k}: only {available} views available")
-        truncated = [
-            GeneratedQuerySet(qset.doc_id, qset.queries[:k]) for qset in generated
-        ]
-        quality = quality_records(truncated, gold_by_doc)
-        if not quality:
+        if not view_scores:
             raise ValueError("no documents with gold queries to score")
-        mean_quality = float(np.mean([r.max_rouge_l for r in quality]))
-        metric = retrieval_eval(truncated) if retrieval_eval is not None else None
+        mean_quality = float(np.mean([max(scores[:k]) for scores in view_scores]))
+        metric = retrieval_eval(k) if retrieval_eval is not None else None
         points.append(SweepPoint(k, mean_quality, metric))
     return points
 

@@ -4,8 +4,8 @@ Subcommands cover each pipeline stage (gen-queries, train, index, search,
 eval, analyze), an end-to-end ``pipeline`` driven by a key=value config
 file, and ``selftest`` for the built-in reference checks. Each stage is one
 function that its subcommand and ``pipeline`` both call, so for one seed
-the staged commands and ``pipeline`` write the same bytes, regardless of
-``--threads``.
+the staged commands and ``pipeline`` write the same bytes. Every stage
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
         str,
     ),
     **dict.fromkeys(
-        ("seed", "threads", "views", "sampling_top_k", "embed_dim", "hash_buckets",
+        ("seed", "views", "sampling_top_k", "embed_dim", "hash_buckets",
          "max_query_tokens", "max_doc_tokens", "batch_size", "pretrain_batch_size",
          "negatives_per_positive", "epochs_pretrain", "epochs_finetune", "search_topk",
          "rel_threshold"),
@@ -81,7 +81,6 @@ _DEFAULTS = {
     "corpus_format": "tsv",
     "out_dir": "out",
     "seed": 0,
-    "threads": 1,
     "search_topk": 10,
     "metrics": "mrr@10,recall@1000,ndcg@10",
     "rel_threshold": 1,
@@ -154,7 +153,7 @@ def gen_queries_stage(corpus: Sequence[Document], settings: Settings) -> list[Ge
     )
     model = fit_qg(corpus, seed=settings["seed"])
     seed = derive_seed(settings["seed"], "querygen")
-    return generate_corpus(model, corpus, sampling, seed=seed, threads=settings["threads"])
+    return generate_corpus(model, corpus, sampling, seed=seed)
 
 
 def train_stage(
@@ -182,7 +181,7 @@ def _embed_queries(params: EncoderParams, queries: Sequence[Query]) -> QueryEmbe
 def search_stage(
     index: FlatIndex, query_embs: QueryEmbeddings, settings: Settings
 ) -> evaluation.Run:
-    ranked = batch_search(index, query_embs, settings["search_topk"], threads=settings["threads"])
+    ranked = batch_search(index, query_embs, settings["search_topk"])
     return evaluation.run_from_ranked_lists(ranked, tag=settings["run_tag"])
 
 
@@ -244,9 +243,8 @@ def analyze_stage(
     retrieval_eval = None
     if index is not None:
 
-        def retrieval_eval(truncated: Sequence[GeneratedQuerySet]) -> float:
-            prefix = first_views(index, len(truncated[0].queries))
-            prefix_run = search_stage(prefix, query_embs, settings)
+        def retrieval_eval(k: int) -> float:
+            prefix_run = search_stage(first_views(index, k), query_embs, settings)
             return evaluation.compute_metric(
                 metric, prefix_run, qrels, rel_threshold=rel_threshold
             ).aggregate
@@ -292,9 +290,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         if "gen_queries" not in settings:
             raise ValueError("--mode dce requires --gen-queries")
         generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
-    index = build_index(
-        params, corpus, mode=settings["mode"], generated=generated, threads=settings["threads"]
-    )
+    index = build_index(params, corpus, mode=settings["mode"], generated=generated)
     save_index(index, settings["out"])
     print(f"indexed {index.n_docs} docs ({index.n_rows} rows) to {settings['out']}")
     return 0
@@ -332,7 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ValueError("--checkpoint requires --corpus for the view sweep")
         params = load_params(settings["checkpoint"])
         corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
-        index = build_index(params, corpus, "dce", generated, threads=settings["threads"])
+        index = build_index(params, corpus, "dce", generated)
         query_embs = _embed_queries(params, queries)
     out_dir = Path(settings["out_dir"])
     analyze_stage(
@@ -361,7 +357,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     missing = [key for key in ("corpus", "queries", "qrels", "triples") if key not in cfg]
     if missing:
         raise ValueError(f"config is missing required key {missing[0]!r}")
-    # command-line --mode, --seed, --out-dir and --threads override the file
+    # command-line --mode, --seed and --out-dir override the file
     settings = _settings(args, cfg)
     train_cfg = _train_config(settings)
     mode = train_cfg.mode
@@ -374,7 +370,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     triples = load_triples(settings["triples"])
 
     generated = None
-    if mode == "dce" or train_cfg.epochs_pretrain > 0:
+    if mode == "dce" or train_cfg.epochs_pretrain > 0 or settings["analyze"]:
         if "gen_queries" in settings:
             generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
         else:
@@ -386,7 +382,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     save_params(params, out_dir / "model.ckpt")
     write_loss_trace(trace, out_dir / "loss_trace.csv")
 
-    index = build_index(params, corpus, mode=mode, generated=generated, threads=settings["threads"])
+    index = build_index(params, corpus, mode=mode, generated=generated)
     save_index(index, out_dir / "index.mvix")
 
     query_embs = _embed_queries(params, queries)
@@ -396,7 +392,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     reports = eval_stage(run, qrels, settings)
     evaluation.write_metrics_csv(reports, out_dir / "metrics.csv")
 
-    if settings["analyze"] and generated is not None:
+    if settings["analyze"]:
         # a single-view index has no views to slice for the sweep
         dce_index = index if mode == "dce" else None
         metric = reports[0].name
@@ -437,11 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads", type=int, help="worker threads (default: 1); never changes outputs"
-        )
-
     def add_corpus_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--corpus-format", choices=("tsv", "jsonl"))
 
@@ -453,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", dest="sampling_top_k", type=int, help="sampling pool size")
     p.add_argument("--max-query-tokens", type=int)
     p.add_argument("--seed", type=int)
-    add_threads(p)
     p.set_defaults(func=cmd_gen_queries)
 
     p = sub.add_parser("train", help="train an encoder on triples")
@@ -484,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("de", "dce"), default="dce")
     p.add_argument("--gen-queries")
     p.add_argument("--out", required=True)
-    add_threads(p)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="run queries against an index")
@@ -494,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run file path")
     p.add_argument("--topk", dest="search_topk", type=int)
     p.add_argument("--tag", dest="run_tag")
-    add_threads(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="score a run file against judgments")
@@ -517,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     add_corpus_format(p)
     p.add_argument("--topk", dest="search_topk", type=int)
-    add_threads(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
@@ -525,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("de", "dce"))
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
-    add_threads(p)
+    p.add_argument("--threads", type=int, help="ignored: every stage runs on one thread")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("selftest", help="run built-in reference checks")

@@ -110,11 +110,23 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line.rstrip("\n").rstrip("\r")
 
 
+def _checked_id(value: str, kind: str, path: str | Path, line_no: int) -> str:
+    """An ID with surrounding whitespace stripped. Run and qrels files split
+    on whitespace, so an empty ID or one with inner whitespace is an error."""
+    value = value.strip()
+    if not value:
+        raise ValueError(f"{path}:{line_no}: empty {kind}")
+    if len(value.split()) > 1:
+        raise ValueError(f"{path}:{line_no}: {kind} {value!r} contains whitespace")
+    return value
+
+
 def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
     """Read a document collection from TSV (``doc_id<TAB>text``) or JSONL.
 
-    Raises ValueError naming the offending line for malformed rows,
-    duplicate ids, or text that is empty after canonicalization.
+    Raises ValueError naming the offending line for malformed rows, empty
+    or whitespace-containing ids, duplicate ids, or text that is empty
+    after canonicalization.
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r} (expected 'tsv' or 'jsonl')")
@@ -133,9 +145,7 @@ def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
             if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
                 raise ValueError(f"{path}:{line_no}: expected object with 'doc_id' and 'text'")
             doc_id, text = str(record["doc_id"]), str(record["text"])
-        doc_id = doc_id.strip()
-        if not doc_id:
-            raise ValueError(f"{path}:{line_no}: empty doc_id")
+        doc_id = _checked_id(doc_id, "doc_id", path, line_no)
         if doc_id in seen:
             raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
         text = normalize_text(text)
@@ -162,9 +172,7 @@ def load_queries(path: str | Path) -> list[Query]:
         if "\t" not in line:
             raise ValueError(f"{path}:{line_no}: expected 'query_id<TAB>text'")
         query_id, text = line.split("\t", 1)
-        query_id = query_id.strip()
-        if not query_id:
-            raise ValueError(f"{path}:{line_no}: empty query_id")
+        query_id = _checked_id(query_id, "query_id", path, line_no)
         if query_id in seen:
             raise ValueError(f"{path}:{line_no}: duplicate query_id {query_id!r}")
         text = normalize_text(text)
@@ -236,7 +244,7 @@ def load_generated_queries(
             raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from None
         if not isinstance(record, dict) or "doc_id" not in record or "queries" not in record:
             raise ValueError(f"{path}:{line_no}: expected object with 'doc_id' and 'queries'")
-        doc_id = str(record["doc_id"])
+        doc_id = _checked_id(str(record["doc_id"]), "doc_id", path, line_no)
         raw_queries = record["queries"]
         if not isinstance(raw_queries, list) or not raw_queries:
             raise ValueError(f"{path}:{line_no}: 'queries' must be a non-empty list")

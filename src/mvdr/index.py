@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -98,10 +97,6 @@ class FlatIndex:
         return self._matrix64
 
 
-def _chunked(seq: Sequence, size: int) -> list[Sequence]:
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
 def build_index(
     params: EncoderParams,
     corpus: Sequence[Document],
@@ -113,9 +108,8 @@ def build_index(
 
     Single-view mode embeds each document alone (one row per document).
     Query-informed mode needs ``generated`` to cover every document and
-    produces one row per (document, generated query). Rows are doc-major,
-    so identical inputs give identical index bytes regardless of
-    ``threads``.
+    produces one row per (document, generated query). Rows are doc-major.
+    ``threads`` is ignored: encoding runs on the calling thread.
     """
     if mode not in ("de", "dce"):
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
@@ -146,12 +140,7 @@ def build_index(
     if not pairs:
         matrix = np.zeros((0, params.config.embed_dim), dtype=np.float32)
     else:
-        chunks = _chunked(pairs, 512)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda c: encode_candidates(params, c), chunks))
-        else:
-            parts = [encode_candidates(params, c) for c in chunks]
+        parts = [encode_candidates(params, pairs[i : i + 512]) for i in range(0, len(pairs), 512)]
         matrix = np.concatenate(parts, axis=0).astype(np.float32)
     index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
     log.info(
@@ -184,6 +173,8 @@ def search(
         raise ValueError(
             f"query embedding shape {query_emb.shape} != ({index.embed_dim},)"
         )
+    if not np.isfinite(query_emb).all():
+        raise ValueError("query embedding must be finite")
     if index.n_docs == 0:
         return RankedList(query_id=query_id, results=())
     scores = index.scores_matrix() @ query_emb
@@ -204,19 +195,9 @@ def search(
 
 
 def batch_search(
-    index: FlatIndex,
-    queries: Sequence[tuple[str, np.ndarray]],
-    top_k_docs: int,
-    threads: int | None = None,
+    index: FlatIndex, queries: Sequence[tuple[str, np.ndarray]], top_k_docs: int
 ) -> list[RankedList]:
-    """Search many (query_id, embedding) pairs; order and results match
-    running :func:`search` one query at a time."""
-    index.scores_matrix()  # materialize once, not per worker
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda q: search(index, q[1], top_k_docs, query_id=q[0]), queries)
-            )
+    """Search many (query_id, embedding) pairs, one :func:`search` each, in order."""
     return [search(index, emb, top_k_docs, query_id=qid) for qid, emb in queries]
 
 
@@ -227,10 +208,11 @@ def search_corpus(
     top_k_docs: int,
     threads: int | None = None,
 ) -> list[RankedList]:
-    """Encode query objects and search the index with them."""
+    """Encode query objects and search the index with them; ``threads`` is
+    ignored."""
     embs = encode_queries(params, [q.text for q in queries])
     pairs = [(q.query_id, embs[i]) for i, q in enumerate(queries)]
-    return batch_search(index, pairs, top_k_docs, threads=threads)
+    return batch_search(index, pairs, top_k_docs)
 
 
 def save_index(index: FlatIndex, path: str | Path) -> None:

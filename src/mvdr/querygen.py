@@ -9,15 +9,13 @@ document's ``top_k`` most salient terms. With ``top_k`` of 1 every draw
 collapses to the argmax, so all k queries of a document are identical.
 
 Every document is generated with its own RNG stream derived from the base
-seed and the doc_id, so outputs do not depend on corpus order or on how
-the work is sharded across threads.
+seed and the doc_id, so outputs do not depend on corpus order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -161,18 +159,11 @@ def generate_corpus(
     """Generate query sets for every document.
 
     Each document's RNG stream is derived from (seed, doc_id), so results
-    are invariant to corpus order and thread count.
+    are invariant to corpus order. ``threads`` is ignored: generation runs
+    on the calling thread.
     """
     if seed is None:
         seed = model.rng_seed
-
-    def one(doc: Document) -> GeneratedQuerySet:
-        return generate(model, doc, cfg, seed=derive_seed(seed, doc.doc_id))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sets = list(pool.map(one, corpus))
-    else:
-        sets = [one(doc) for doc in corpus]
+    sets = [generate(model, doc, cfg, seed=derive_seed(seed, doc.doc_id)) for doc in corpus]
     log.info("generated %d queries for %d documents", cfg.k_views, len(sets))
     return sets

@@ -202,11 +202,19 @@ class TestSweep:
         assert points[2].mean_max_rouge_l == 1.0
 
     def test_retrieval_callback_sees_truncation(self):
-        seen = []
-        points = sweep_views(
-            [1, 2], self.GENERATED, self.GOLD, retrieval_eval=lambda t: float(len(t[0].queries))
-        )
-        assert [p.retrieval_metric for p in points] == [1.0, 2.0]
+        points = sweep_views([1, 3], self.GENERATED, self.GOLD, retrieval_eval=lambda k: k / 4)
+        assert [p.retrieval_metric for p in points] == [0.25, 0.75]
+
+    def test_points_equal_quality_of_truncated_sets(self):
+        generated = self.GENERATED + [
+            GeneratedQuerySet("d3", ("no gold here", "at all", "none")),
+            GeneratedQuerySet("d4", ("gold", "query gold two", "two gold query words")),
+        ]
+        gold = {**self.GOLD, "d4": ["gold query", "two words"]}
+        for point in sweep_views([1, 2, 3], generated, gold):
+            truncated = [GeneratedQuerySet(q.doc_id, q.queries[: point.k]) for q in generated]
+            records = quality_records(truncated, gold)
+            assert point.mean_max_rouge_l == float(np.mean([r.max_rouge_l for r in records]))
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="only 3 views"):

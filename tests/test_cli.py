@@ -348,3 +348,24 @@ class TestPipelineSweep:
         rows = _sweep_rows(out_dir / "sweep.csv")
         assert [row[0] for row in rows] == ["1", "2", "3"]
         assert all(row[2] == "" for row in rows), rows
+
+    def test_single_view_mode_without_pretraining_still_analyzes(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        outs = {}
+        for analyze in ("true", "false"):
+            out_dir = outs[analyze] = tmp_path / f"analyze-{analyze}"
+            cfg = pipeline_config(
+                tmp_path, paths, out_dir, extra=f"analyze = {analyze}\n", name=f"{analyze}.cfg"
+            )
+            text = cfg.read_text().replace("mode = dce", "mode = de")
+            cfg.write_text(text.replace("epochs_pretrain = 1", "epochs_pretrain = 0"))
+            assert main(["pipeline", "--config", str(cfg)]) == 0
+        analyzed = outs["true"]
+        for name in ("gen_queries.jsonl", "quality.csv", "diversity.csv", "levels.csv"):
+            assert (analyzed / name).exists(), name
+        rows = _sweep_rows(analyzed / "sweep.csv")
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(row[2] == "" for row in rows), rows
+        assert not (outs["false"] / "gen_queries.jsonl").exists()
+        for name in ("model.ckpt", "run.trec"):
+            assert (analyzed / name).read_bytes() == (outs["false"] / name).read_bytes(), name

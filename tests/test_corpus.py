@@ -85,6 +85,18 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="empty text"):
             load_corpus(path)
 
+    def test_whitespace_in_tsv_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "ws.tsv"
+        path.write_text("d1\tone\nd 2\ttwo\n")
+        with pytest.raises(ValueError, match=r"ws\.tsv:2: doc_id 'd 2' contains whitespace"):
+            load_corpus(path)
+
+    def test_whitespace_in_jsonl_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "ws.jsonl"
+        path.write_text('{"doc_id": "a", "text": "x"}\n{"doc_id": "b\\tc", "text": "y"}\n')
+        with pytest.raises(ValueError, match=r"ws\.jsonl:2: doc_id 'b\\tc' contains whitespace"):
+            load_corpus(path, fmt="jsonl")
+
 
 class TestQueryIO:
     def test_roundtrip(self, tmp_path, tiny_queries):
@@ -96,6 +108,12 @@ class TestQueryIO:
         path = tmp_path / "q.tsv"
         path.write_text("q1\tfoo\nq1\tbar\n")
         with pytest.raises(ValueError, match="duplicate query_id"):
+            load_queries(path)
+
+    def test_whitespace_in_query_id_rejected(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q 1\tfoo\n")
+        with pytest.raises(ValueError, match=r"q\.tsv:1: query_id 'q 1' contains whitespace"):
             load_queries(path)
 
 
@@ -175,6 +193,17 @@ class TestGeneratedQueryIO:
         path = tmp_path / "gen.jsonl"
         path.write_text('{"doc_id": "a", "queries": ["ok", "  "]}\n')
         with pytest.raises(ValueError, match="empty query"):
+            load_generated_queries(path)
+
+    @pytest.mark.parametrize(
+        "doc_id, error",
+        [("", "empty doc_id"), ("d 1", "doc_id 'd 1' contains whitespace")],
+        ids=["empty", "whitespace"],
+    )
+    def test_empty_or_whitespace_doc_id_rejected(self, tmp_path, doc_id, error):
+        path = tmp_path / "gen.jsonl"
+        path.write_text(json.dumps({"doc_id": doc_id, "queries": ["ok"]}) + "\n")
+        with pytest.raises(ValueError, match=rf"gen\.jsonl:1: {error}"):
             load_generated_queries(path)
 
 
