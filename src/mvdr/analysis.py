@@ -14,12 +14,13 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GeneratedQuerySet, tokenize
+from .corpus import GeneratedQuerySet, tokenize, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -329,31 +330,28 @@ def sweep_views(
 
 
 def write_quality_csv(records: Sequence[QualityRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doc_id,max_rouge_l\n")
-        for r in records:
-            handle.write(f"{r.doc_id},{r.max_rouge_l:.6f}\n")
+    rows = (f"{r.doc_id},{r.max_rouge_l:.6f}" for r in records)
+    write_lines(path, chain(["doc_id,max_rouge_l"], rows))
 
 
 def write_diversity_csv(records: Sequence[DiversityRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doc_id,self_bleu_4,level\n")
-        for r in records:
-            handle.write(f"{r.doc_id},{r.self_bleu:.6f},{r.level}\n")
+    rows = (f"{r.doc_id},{r.self_bleu:.6f},{r.level}" for r in records)
+    write_lines(path, chain(["doc_id,self_bleu_4,level"], rows))
+
+
+def _optional(value: float | None) -> str:
+    return f"{value:.6f}" if value is not None else ""
 
 
 def write_level_csv(summaries: Sequence[LevelSummary], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("level,lo,hi,n_docs,mean_metric,mean_quality\n")
-        for s in summaries:
-            metric = f"{s.mean_metric:.6f}" if s.mean_metric is not None else ""
-            quality = f"{s.mean_quality:.6f}" if s.mean_quality is not None else ""
-            handle.write(f"{s.level},{s.lo:.6f},{s.hi:.6f},{s.n_docs},{metric},{quality}\n")
+    rows = (
+        f"{s.level},{s.lo:.6f},{s.hi:.6f},{s.n_docs},"
+        f"{_optional(s.mean_metric)},{_optional(s.mean_quality)}"
+        for s in summaries
+    )
+    write_lines(path, chain(["level,lo,hi,n_docs,mean_metric,mean_quality"], rows))
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("k,mean_max_rouge_l,retrieval_metric\n")
-        for p in points:
-            metric = f"{p.retrieval_metric:.6f}" if p.retrieval_metric is not None else ""
-            handle.write(f"{p.k},{p.mean_max_rouge_l:.6f},{metric}\n")
+    rows = (f"{p.k},{p.mean_max_rouge_l:.6f},{_optional(p.retrieval_metric)}" for p in points)
+    write_lines(path, chain(["k,mean_max_rouge_l,retrieval_metric"], rows))

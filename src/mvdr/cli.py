@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, analysis, evaluation
 from .corpus import Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
 from .corpus import load_corpus, load_generated_queries, load_qrels, load_queries, load_triples
-from .corpus import write_generated_queries
+from .corpus import _check_new, _read_lines, write_generated_queries
 from .encoder import EncoderConfig, EncoderParams, encode_queries
 from .encoder import init_params, load_params, save_params
 from .hashing import derive_seed
@@ -96,21 +96,18 @@ def parse_config(path: str | Path) -> dict[str, str]:
     are errors.
     """
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{line_no}: duplicate config key {key!r}")
-            values[key] = value
+    for where, raw in _read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise ValueError(f"{where}: expected 'key = value'")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        _check_new(key, values, "config key", where)
+        values[key] = value.strip()
     return values
 
 

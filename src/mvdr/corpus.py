@@ -4,7 +4,7 @@ All text is canonicalized on the way in: Unicode NFC, lowercased, with
 whitespace runs collapsed to single spaces. Tokenization splits on word
 characters, so punctuation separates tokens and never survives into them.
 Parsers are strict: any malformed line fails fast with its line number
-rather than being silently skipped.
+rather than being silently skipped. Outputs replace their file whole.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
+
+from .hashing import open_output
 
 log = logging.getLogger(__name__)
 
@@ -104,21 +106,90 @@ class Qrels:
         return [d for d, g in grades.items() if g >= threshold]
 
 
-def _read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as handle:
+# ---------------------------------------------------------------------------
+# Text file I/O. Every text input is read by ``_read_lines`` and every text
+# output written by ``write_lines``; the checks below are shared by all
+# loaders, and ``where`` is the ``path:line`` an error names.
+
+
+def _read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Each LF- or CRLF-terminated line of a UTF-8 text file without its
+    ending, after the ``path:line`` that names it. A lone CR is kept: it is
+    whitespace inside a text field, not a line break."""
+    with open(path, encoding="utf-8", newline="\n") as handle:
         for line_no, line in enumerate(handle, 1):
-            yield line_no, line.rstrip("\n").rstrip("\r")
+            yield f"{path}:{line_no}", line.rstrip("\n").rstrip("\r")
 
 
-def _checked_id(value: str, kind: str, path: str | Path, line_no: int) -> str:
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Stream lines to ``path`` as UTF-8, each ending in LF. The file is
+    replaced whole, or left as it was if ``lines`` raises."""
+    with open_output(path) as handle:
+        handle.writelines(f"{line}\n".encode("utf-8") for line in lines)
+
+
+def _fields(line: str, n: int, where: str) -> list[str]:
+    """The line's whitespace-separated fields, of which there must be ``n``."""
+    parts = line.split()
+    if len(parts) != n:
+        raise ValueError(f"{where}: expected {n} whitespace-separated fields, got {len(parts)}")
+    return parts
+
+
+def _json_record(line: str, fields: Sequence[str], where: str) -> dict:
+    """The line as a JSON object that holds every one of ``fields``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object with fields {list(fields)}")
+    missing = [key for key in fields if key not in record]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    return record
+
+
+def _checked_id(value: object, kind: str, where: str) -> str:
     """An ID with surrounding whitespace stripped. Run and qrels files split
     on whitespace, so an empty ID or one with inner whitespace is an error."""
-    value = value.strip()
+    value = str(value).strip()
     if not value:
-        raise ValueError(f"{path}:{line_no}: empty {kind}")
+        raise ValueError(f"{where}: empty {kind}")
     if len(value.split()) > 1:
-        raise ValueError(f"{path}:{line_no}: {kind} {value!r} contains whitespace")
+        raise ValueError(f"{where}: {kind} {value!r} contains whitespace")
     return value
+
+
+def _checked_text(value: object, what: str, where: str) -> str:
+    """``value`` in canonical form, which must not be empty."""
+    text = normalize_text(str(value))
+    if not text:
+        raise ValueError(f"{where}: empty {what}")
+    return text
+
+
+def _check_new(key: Hashable, seen: Container, what: str, where: str) -> None:
+    if key in seen:
+        raise ValueError(f"{where}: duplicate {what} {key!r}")
+
+
+def _load_texts(path: str | Path, kind: str, fmt: str) -> dict[str, str]:
+    """ID -> canonical text in file order, from TSV (``id<TAB>text``) or
+    JSONL (objects with ``kind`` and ``"text"``)."""
+    texts: dict[str, str] = {}
+    for where, line in _read_lines(path):
+        if fmt == "tsv":
+            raw_id, tab, text = line.partition("\t")
+            if not tab:
+                raise ValueError(f"{where}: expected '{kind}<TAB>text'")
+        else:
+            record = _json_record(line, (kind, "text"), where)
+            raw_id, text = record[kind], record["text"]
+        item_id = _checked_id(raw_id, kind, where)
+        _check_new(item_id, texts, kind, where)
+        texts[item_id] = _checked_text(text, f"text for {kind} {item_id!r}", where)
+    return texts
 
 
 def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
@@ -130,64 +201,25 @@ def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r} (expected 'tsv' or 'jsonl')")
-    docs: list[Document] = []
-    seen: set[str] = set()
-    for line_no, line in _read_lines(path):
-        if fmt == "tsv":
-            if "\t" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'doc_id<TAB>text'")
-            doc_id, text = line.split("\t", 1)
-        else:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
-                raise ValueError(f"{path}:{line_no}: expected object with 'doc_id' and 'text'")
-            doc_id, text = str(record["doc_id"]), str(record["text"])
-        doc_id = _checked_id(doc_id, "doc_id", path, line_no)
-        if doc_id in seen:
-            raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
-        text = normalize_text(text)
-        if not text:
-            raise ValueError(f"{path}:{line_no}: document {doc_id!r} has empty text")
-        seen.add(doc_id)
-        docs.append(Document(doc_id, text))
+    docs = [Document(*item) for item in _load_texts(path, "doc_id", fmt).items()]
     log.info("loaded %d documents from %s", len(docs), path)
     return docs
 
 
 def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
     """Write documents as canonical TSV (UTF-8, LF line endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for doc in docs:
-            handle.write(f"{doc.doc_id}\t{doc.text}\n")
+    write_lines(path, (f"{doc.doc_id}\t{doc.text}" for doc in docs))
 
 
 def load_queries(path: str | Path) -> list[Query]:
     """Read queries from TSV (``query_id<TAB>text``)."""
-    queries: list[Query] = []
-    seen: set[str] = set()
-    for line_no, line in _read_lines(path):
-        if "\t" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'query_id<TAB>text'")
-        query_id, text = line.split("\t", 1)
-        query_id = _checked_id(query_id, "query_id", path, line_no)
-        if query_id in seen:
-            raise ValueError(f"{path}:{line_no}: duplicate query_id {query_id!r}")
-        text = normalize_text(text)
-        if not text:
-            raise ValueError(f"{path}:{line_no}: query {query_id!r} has empty text")
-        seen.add(query_id)
-        queries.append(Query(query_id, text))
+    queries = [Query(*item) for item in _load_texts(path, "query_id", "tsv").items()]
     log.info("loaded %d queries from %s", len(queries), path)
     return queries
 
 
 def write_queries(queries: Iterable[Query], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for query in queries:
-            handle.write(f"{query.query_id}\t{query.text}\n")
+    write_lines(path, (f"{query.query_id}\t{query.text}" for query in queries))
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -196,32 +228,23 @@ def load_qrels(path: str | Path) -> Qrels:
     The second column is a conventional placeholder and is not interpreted.
     """
     entries: dict[tuple[str, str], int] = {}
-    for line_no, line in _read_lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(
-                f"{path}:{line_no}: expected 4 whitespace-separated fields, got {len(parts)}"
-            )
-        query_id, _, doc_id, grade_text = parts
+    for where, line in _read_lines(path):
+        query_id, _, doc_id, grade_text = _fields(line, 4, where)
         try:
             grade = int(grade_text)
         except ValueError:
-            raise ValueError(f"{path}:{line_no}: grade {grade_text!r} is not an integer") from None
+            raise ValueError(f"{where}: grade {grade_text!r} is not an integer") from None
         if grade < 0:
-            raise ValueError(f"{path}:{line_no}: negative grade {grade}")
-        key = (query_id, doc_id)
-        if key in entries:
-            raise ValueError(f"{path}:{line_no}: duplicate judgment for {key!r}")
-        entries[key] = grade
+            raise ValueError(f"{where}: negative grade {grade}")
+        _check_new((query_id, doc_id), entries, "judgment for", where)
+        entries[query_id, doc_id] = grade
     log.info("loaded %d judgments from %s", len(entries), path)
     return Qrels(entries)
 
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for query_id in qrels.query_ids():
-            for doc_id, grade in qrels.grades_for(query_id).items():
-                handle.write(f"{query_id} 0 {doc_id} {grade}\n")
+    rows = ((q, d, g) for q in qrels.query_ids() for d, g in qrels.grades_for(q).items())
+    write_lines(path, (f"{q} 0 {d} {g}" for q, d, g in rows))
 
 
 def load_generated_queries(
@@ -234,47 +257,38 @@ def load_generated_queries(
     known documents.
     """
     known = {doc.doc_id for doc in corpus} if corpus is not None else None
-    sets: list[GeneratedQuerySet] = []
-    seen: set[str] = set()
+    sets: dict[str, GeneratedQuerySet] = {}
     k_views: int | None = None
-    for line_no, line in _read_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from None
-        if not isinstance(record, dict) or "doc_id" not in record or "queries" not in record:
-            raise ValueError(f"{path}:{line_no}: expected object with 'doc_id' and 'queries'")
-        doc_id = _checked_id(str(record["doc_id"]), "doc_id", path, line_no)
+    for where, line in _read_lines(path):
+        record = _json_record(line, ("doc_id", "queries"), where)
+        doc_id = _checked_id(record["doc_id"], "doc_id", where)
+        _check_new(doc_id, sets, "doc_id", where)
+        if known is not None and doc_id not in known:
+            raise ValueError(f"{where}: unknown doc_id {doc_id!r}")
         raw_queries = record["queries"]
         if not isinstance(raw_queries, list) or not raw_queries:
-            raise ValueError(f"{path}:{line_no}: 'queries' must be a non-empty list")
-        queries = []
-        for query in raw_queries:
-            text = normalize_text(str(query))
-            if not text:
-                raise ValueError(f"{path}:{line_no}: empty query for doc {doc_id!r}")
-            queries.append(text)
-        if doc_id in seen:
-            raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
-        if known is not None and doc_id not in known:
-            raise ValueError(f"{path}:{line_no}: unknown doc_id {doc_id!r}")
+            raise ValueError(f"{where}: 'queries' must be a non-empty list")
+        what = f"query for doc {doc_id!r}"
+        queries = tuple(_checked_text(query, what, where) for query in raw_queries)
         if k_views is None:
             k_views = len(queries)
         elif len(queries) != k_views:
             raise ValueError(
-                f"{path}:{line_no}: doc {doc_id!r} has {len(queries)} queries, expected {k_views}"
+                f"{where}: doc {doc_id!r} has {len(queries)} queries, expected {k_views}"
             )
-        seen.add(doc_id)
-        sets.append(GeneratedQuerySet(doc_id, tuple(queries)))
+        sets[doc_id] = GeneratedQuerySet(doc_id, queries)
     log.info("loaded generated queries for %d documents from %s", len(sets), path)
-    return sets
+    return list(sets.values())
 
 
 def write_generated_queries(sets: Iterable[GeneratedQuerySet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for qset in sets:
-            record = {"doc_id": qset.doc_id, "queries": list(qset.queries)}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"doc_id": qset.doc_id, "queries": list(qset.queries)} for qset in sets)
+    write_lines(path, (json.dumps(record, ensure_ascii=False) for record in records))
+
+
+_TRIPLE_FIELDS = (
+    "query_id", "query", "positive_doc_id", "positive", "negative_doc_ids", "negatives"
+)
 
 
 def load_triples(path: str | Path) -> list[TrainingTriple]:
@@ -283,73 +297,50 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
     Each record embeds the query and document texts directly so a triples
     file is self-contained:
     ``{"query_id", "query", "positive_doc_id", "positive",
-    "negative_doc_ids", "negatives"}``.
+    "negative_doc_ids", "negatives"}``. IDs follow the same rules as in
+    every other input file.
     """
     triples: list[TrainingTriple] = []
-    for line_no, line in _read_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from None
-        required = (
-            "query_id",
-            "query",
-            "positive_doc_id",
-            "positive",
-            "negative_doc_ids",
-            "negatives",
-        )
-        if not isinstance(record, dict) or any(key not in record for key in required):
-            missing = [key for key in required if key not in record]
-            raise ValueError(f"{path}:{line_no}: missing fields {missing}")
+    for where, line in _read_lines(path):
+        record = _json_record(line, _TRIPLE_FIELDS, where)
         neg_ids = record["negative_doc_ids"]
         neg_texts = record["negatives"]
         if not isinstance(neg_ids, list) or not isinstance(neg_texts, list):
-            raise ValueError(f"{path}:{line_no}: negative fields must be lists")
+            raise ValueError(f"{where}: negative fields must be lists")
         if len(neg_ids) != len(neg_texts):
-            raise ValueError(
-                f"{path}:{line_no}: {len(neg_ids)} negative ids vs {len(neg_texts)} texts"
-            )
+            raise ValueError(f"{where}: {len(neg_ids)} negative ids vs {len(neg_texts)} texts")
         if not neg_ids:
-            raise ValueError(f"{path}:{line_no}: triple has no negatives")
-        query_text = normalize_text(str(record["query"]))
-        pos_text = normalize_text(str(record["positive"]))
-        if not query_text:
-            raise ValueError(f"{path}:{line_no}: empty query text")
-        if not pos_text:
-            raise ValueError(f"{path}:{line_no}: empty positive text")
-        pos_id = str(record["positive_doc_id"])
+            raise ValueError(f"{where}: triple has no negatives")
+        query = Query(
+            _checked_id(record["query_id"], "query_id", where),
+            _checked_text(record["query"], "query text", where),
+        )
+        positive = Document(
+            _checked_id(record["positive_doc_id"], "positive_doc_id", where),
+            _checked_text(record["positive"], "positive text", where),
+        )
         negatives = []
         for neg_id, neg_text in zip(neg_ids, neg_texts):
-            neg_id = str(neg_id)
-            if neg_id == pos_id:
-                raise ValueError(
-                    f"{path}:{line_no}: negative {neg_id!r} duplicates the positive"
-                )
-            text = normalize_text(str(neg_text))
-            if not text:
-                raise ValueError(f"{path}:{line_no}: empty negative text for {neg_id!r}")
+            neg_id = _checked_id(neg_id, "negative doc_id", where)
+            if neg_id == positive.doc_id:
+                raise ValueError(f"{where}: negative {neg_id!r} duplicates the positive")
+            text = _checked_text(neg_text, f"negative text for {neg_id!r}", where)
             negatives.append(Document(neg_id, text))
-        triples.append(
-            TrainingTriple(
-                query=Query(str(record["query_id"]), query_text),
-                positive=Document(pos_id, pos_text),
-                negatives=tuple(negatives),
-            )
-        )
+        triples.append(TrainingTriple(query, positive, tuple(negatives)))
     log.info("loaded %d training triples from %s", len(triples), path)
     return triples
 
 
 def write_triples(triples: Iterable[TrainingTriple], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for triple in triples:
-            record = {
-                "query_id": triple.query.query_id,
-                "query": triple.query.text,
-                "positive_doc_id": triple.positive.doc_id,
-                "positive": triple.positive.text,
-                "negative_doc_ids": [d.doc_id for d in triple.negatives],
-                "negatives": [d.text for d in triple.negatives],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {
+            "query_id": triple.query.query_id,
+            "query": triple.query.text,
+            "positive_doc_id": triple.positive.doc_id,
+            "positive": triple.positive.text,
+            "negative_doc_ids": [d.doc_id for d in triple.negatives],
+            "negatives": [d.text for d in triple.negatives],
+        }
+        for triple in triples
+    )
+    write_lines(path, (json.dumps(record, ensure_ascii=False) for record in records))

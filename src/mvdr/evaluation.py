@@ -16,10 +16,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Qrels
+from .corpus import Qrels, _fields, _read_lines, write_lines
 from .index import RankedList
 
 log = logging.getLogger(__name__)
@@ -82,34 +83,24 @@ def run_from_ranked_lists(ranked: Iterable[RankedList], tag: str = DEFAULT_RUN_T
 
 def write_run(run: Run, path: str | Path) -> None:
     """Write the 6-column format with %.6f scores (byte-stable)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for query_id in run.query_ids():
-            for entry in run.entries(query_id):
-                handle.write(
-                    f"{query_id} Q0 {entry.doc_id} {entry.rank} {entry.score:.6f} {run.tag}\n"
-                )
+    entries = ((q, e) for q in run.query_ids() for e in run.entries(q))
+    write_lines(path, (f"{q} Q0 {e.doc_id} {e.rank} {e.score:.6f} {run.tag}" for q, e in entries))
 
 
 def load_run(path: str | Path) -> Run:
     """Parse and validate a 6-column run file."""
     by_query: dict[str, list[RunEntry]] = {}
     tag = DEFAULT_RUN_TAG
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 6 whitespace-separated fields, got {len(parts)}"
-                )
-            query_id, _, doc_id, rank_text, score_text, tag = parts
-            try:
-                rank = int(rank_text)
-                score_val = float(score_text)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: bad rank or score") from None
-            if not math.isfinite(score_val):
-                raise ValueError(f"{path}:{line_no}: non-finite score")
-            by_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score_val))
+    for where, line in _read_lines(path):
+        query_id, _, doc_id, rank_text, score_text, tag = _fields(line, 6, where)
+        try:
+            rank = int(rank_text)
+            score_val = float(score_text)
+        except ValueError:
+            raise ValueError(f"{where}: bad rank or score") from None
+        if not math.isfinite(score_val):
+            raise ValueError(f"{where}: non-finite score")
+        by_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score_val))
     run = Run(by_query, tag=tag)
     log.info("loaded run with %d queries from %s", len(run.query_ids()), path)
     return run
@@ -233,7 +224,5 @@ def compute_metric(
 
 def write_metrics_csv(reports: Sequence[MetricReport], path: str | Path) -> None:
     """Write aggregate metric values as ``metric,value`` CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("metric,value\n")
-        for report in reports:
-            handle.write(f"{report.name},{report.aggregate:.6f}\n")
+    rows = (f"{report.name},{report.aggregate:.6f}" for report in reports)
+    write_lines(path, chain(["metric,value"], rows))

@@ -5,16 +5,19 @@ Python versions: feature bucketing, seed derivation, and file checksums
 all feed reproducibility contracts. Checkpoint and index files share one
 frame: magic bytes, a payload, then a CRC-32 footer (:func:`crc32`),
 written by :func:`write_framed` and read back by :class:`FramedReader`.
+Every output file of the package is opened by :func:`open_output`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -92,11 +95,27 @@ def crc32(data: bytes, crc: int = 0) -> int:
     return zlib.crc32(data, crc) & 0xFFFFFFFF
 
 
+@contextlib.contextmanager
+def open_output(path: str | Path) -> Iterator[BinaryIO]:
+    """Open ``<path>.tmp`` for binary writing and replace ``path`` with it
+    when the block succeeds; on any exception the temp file is deleted, so
+    ``path`` keeps its old bytes or gets all the new ones, never a part."""
+    tmp = f"{os.fspath(path)}.tmp"
+    handle = open(tmp, "wb")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_framed(path: str | Path, magic: bytes, parts: Iterable) -> int:
     """Write ``magic``, then each bytes-like part, then a CRC-32 footer over
     all of them; returns the file's size in bytes."""
     crc = 0
-    with open(path, "wb") as handle:
+    with open_output(path) as handle:
         for part in (magic, *parts):
             handle.write(part)
             crc = crc32(part, crc)

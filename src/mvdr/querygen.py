@@ -165,5 +165,6 @@ def generate_corpus(
     if seed is None:
         seed = model.rng_seed
     sets = [generate(model, doc, cfg, seed=derive_seed(seed, doc.doc_id)) for doc in corpus]
-    log.info("generated %d queries for %d documents", cfg.k_views, len(sets))
+    total = sum(len(qset.queries) for qset in sets)
+    log.info("generated %d queries for %d documents (%d each)", total, len(sets), cfg.k_views)
     return sets

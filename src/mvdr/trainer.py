@@ -23,11 +23,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, GeneratedQuerySet, TrainingTriple
+from .corpus import Document, GeneratedQuerySet, TrainingTriple, write_lines
 from .encoder import (
     EncoderParams,
     RowGrad,
@@ -323,10 +324,8 @@ class TraceEntry:
 
 def write_loss_trace(trace: Sequence[TraceEntry], path) -> None:
     """Write the per-step loss record as ``step,stage,loss`` CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("step,stage,loss\n")
-        for entry in trace:
-            handle.write(f"{entry.step},{entry.stage},{entry.loss:.6f}\n")
+    rows = (f"{entry.step},{entry.stage},{entry.loss:.6f}" for entry in trace)
+    write_lines(path, chain(["step,stage,loss"], rows))
 
 
 def _batch_starts(n: int, batch_size: int) -> list[tuple[int, int]]:
@@ -348,16 +347,15 @@ def _run_stage(
     cfg: TrainConfig,
     rng: np.random.Generator,
     trace: list[TraceEntry],
-    step_offset: int,
-    progress: Callable[[str], None] | None = None,
-) -> int:
-    """Run one optimization stage; returns the global step counter."""
+    progress: Callable[[str], None] | None,
+) -> None:
+    """Run one optimization stage, appending a trace entry per step; the
+    trace's length is the step counter across stages."""
     spans = _batch_starts(len(examples), batch_size)
     total_steps = epochs * len(spans)
     if total_steps == 0:
-        return step_offset
+        return
     state = AdamState.for_params(params)
-    step = step_offset
     stage_step = 0
     for epoch in range(epochs):
         order = rng.permutation(len(examples))
@@ -367,13 +365,11 @@ def _run_stage(
             result = loss_and_grads(params, batch)
             lr = lr_at(stage_step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
             adam_step(params, result.grads, state, lr)
-            trace.append(TraceEntry(step=step, stage=stage, loss=result.loss))
-            step += 1
+            trace.append(TraceEntry(step=len(trace), stage=stage, loss=result.loss))
             stage_step += 1
         if progress is not None:
             epoch_loss = np.mean([entry.loss for entry in trace[-len(spans) :]])
             progress(f"{stage} epoch {epoch + 1}/{epochs} loss {epoch_loss:.4f}")
-    return step
 
 
 def pretrain_examples(
@@ -424,47 +420,26 @@ def train(
     """Train ``params`` in place; returns the per-step loss trace.
 
     Pretraining (when ``epochs_pretrain > 0``) requires ``corpus`` and
-    ``generated``. Optimizer state is fresh per stage, and the step
-    counter in the trace runs across both stages. Deterministic for a
-    fixed (params, data, cfg).
+    ``generated``. Both stages' inputs are checked before either runs.
+    Optimizer state is fresh per stage, and the step counter in the trace
+    runs across both stages. Deterministic for a fixed (params, data, cfg).
     """
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    trace: list[TraceEntry] = []
-    step = 0
+    stages = []
     if cfg.epochs_pretrain > 0:
         if corpus is None or generated is None:
             raise ValueError("pretraining requires a corpus and generated queries")
         examples = pretrain_examples(corpus, generated, cfg.mode)
         if len(examples) < 2:
             raise ValueError("pretraining requires at least 2 (query, document) pairs")
-        log.info("pretraining on %d pairs for %d epochs", len(examples), cfg.epochs_pretrain)
-        step = _run_stage(
-            params,
-            "pretrain",
-            examples,
-            cfg.pretrain_batch_size,
-            cfg.epochs_pretrain,
-            cfg,
-            rng,
-            trace,
-            step,
-            progress,
-        )
+        stages.append(("pretrain", examples, cfg.pretrain_batch_size, cfg.epochs_pretrain))
     if cfg.epochs_finetune > 0:
         if not triples:
             raise ValueError("finetuning requires training triples")
         examples = finetune_examples(triples, cfg)
-        log.info("finetuning on %d triples for %d epochs", len(examples), cfg.epochs_finetune)
-        step = _run_stage(
-            params,
-            "finetune",
-            examples,
-            cfg.batch_size,
-            cfg.epochs_finetune,
-            cfg,
-            rng,
-            trace,
-            step,
-            progress,
-        )
+        stages.append(("finetune", examples, cfg.batch_size, cfg.epochs_finetune))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    trace: list[TraceEntry] = []
+    for stage, examples, batch_size, epochs in stages:
+        log.info("%s on %d examples for %d epochs", stage, len(examples), epochs)
+        _run_stage(params, stage, examples, batch_size, epochs, cfg, rng, trace, progress)
     return trace

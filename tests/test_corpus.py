@@ -19,6 +19,7 @@ from mvdr.corpus import (
     tokenize,
     write_corpus,
     write_generated_queries,
+    write_lines,
     write_qrels,
     write_queries,
     write_triples,
@@ -90,6 +91,11 @@ class TestCorpusIO:
         path.write_text("d1\tone\nd 2\ttwo\n")
         with pytest.raises(ValueError, match=r"ws\.tsv:2: doc_id 'd 2' contains whitespace"):
             load_corpus(path)
+
+    def test_crlf_ends_a_line_and_a_lone_cr_is_whitespace(self, tmp_path):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"d1\tsolar\rpanels\r\nd2\tcourt\n")
+        assert load_corpus(path) == [Document("d1", "solar panels"), Document("d2", "court")]
 
     def test_whitespace_in_jsonl_doc_id_rejected(self, tmp_path):
         path = tmp_path / "ws.jsonl"
@@ -208,6 +214,15 @@ class TestGeneratedQueryIO:
 
 
 class TestTripleIO:
+    RECORD = {
+        "query_id": "q1",
+        "query": "text",
+        "positive_doc_id": "d1",
+        "positive": "pos",
+        "negative_doc_ids": ["d2"],
+        "negatives": ["neg"],
+    }
+
     def test_roundtrip(self, tmp_path, tiny_triples):
         path = tmp_path / "triples.jsonl"
         write_triples(tiny_triples, path)
@@ -246,6 +261,46 @@ class TestTripleIO:
         path.write_text('{"query_id": "q"}\n')
         with pytest.raises(ValueError, match="missing fields"):
             load_triples(path)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"query_id": ""}, "empty query_id"),
+            ({"query_id": "q 1"}, "query_id 'q 1' contains whitespace"),
+            ({"negative_doc_ids": [""]}, "empty negative doc_id"),
+            ({"positive_doc_id": "d 1"}, "positive_doc_id 'd 1' contains whitespace"),
+            ({"positive_doc_id": "", "negative_doc_ids": [""]}, "empty positive_doc_id"),
+        ],
+        ids=["empty-query", "space-query", "empty-negative", "space-positive", "empty-both"],
+    )
+    def test_bad_ids_rejected(self, tmp_path, fields, error):
+        path = tmp_path / "triples.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps({**self.RECORD, **fields}))
+        with pytest.raises(ValueError, match=rf"triples\.jsonl:2: {error}$"):
+            load_triples(path)
+
+    @pytest.mark.parametrize("line", ["5", "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "triples.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"triples\.jsonl:2: expected a JSON object"):
+            load_triples(path)
+
+
+class TestWriteLines:
+    def test_interrupted_source_leaves_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["old"])
+
+        def lines():
+            # enough to outgrow the write buffer before the failure
+            yield from (f"line {i}" for i in range(10_000))
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # loader and writer must agree for any text surviving canonicalization

@@ -104,6 +104,17 @@ class TestFramedFile:
         reader.take(4, "tail")
         reader.finish()
 
+    def test_failed_part_leaves_old_file(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"old"])
+        before = path.read_bytes()
+        # the first part outgrows the write buffer, so a direct write would
+        # already have put bytes on disk when the second part fails
+        with pytest.raises(TypeError):
+            write_framed(path, b"MAG", [b"x" * 100_000, "not bytes"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["framed.bin"]
+
 
 @pytest.mark.parametrize("bad", [b"12345678", b"1234567890"])
 def test_catalog_value_is_input_specific(bad):
