@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,46 +79,19 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _bleu4(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
-    """BLEU-4 of one hypothesis against multiple references.
-
-    Modified n-gram precision clips counts by the max reference count.
-    Orders with no overlap (or no n-grams) fall back to a tiny epsilon so
-    the geometric mean stays defined. Brevity penalty uses the reference
-    whose length is closest to the hypothesis, ties to the shorter.
-    """
-    h_len = len(hypothesis)
-    log_precisions = []
-    for n in range(1, _BLEU_MAX_ORDER + 1):
-        h_counts = _ngram_counts(hypothesis, n)
-        total = sum(h_counts.values())
-        if total == 0:
-            log_precisions.append(math.log(_BLEU_EPS))
-            continue
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in h_counts.items())
-        precision = clipped / total if clipped > 0 else _BLEU_EPS
-        log_precisions.append(math.log(precision))
-    geo_mean = math.exp(sum(log_precisions) / _BLEU_MAX_ORDER)
-    closest_ref_len = min((abs(len(r) - h_len), len(r)) for r in references)[1]
-    if h_len >= closest_ref_len:
-        bp = 1.0
-    elif h_len == 0:
-        bp = 0.0
-    else:
-        bp = math.exp(1.0 - closest_ref_len / h_len)
-    return bp * geo_mean
-
-
 def self_bleu_4(queries: Sequence[str]) -> float:
     """Mean BLEU-4 of each query against its siblings as references.
 
     High values mean the queries restate each other; identical queries
     score 1. Needs at least two queries.
+
+    Per query, modified n-gram precision clips counts by the largest count
+    among the other queries. Orders with no overlap (or no n-grams) fall
+    back to a tiny epsilon so the geometric mean stays defined. The brevity
+    penalty uses the sibling whose length is closest, ties to the shorter.
+    Each query's n-grams are counted once; for each gram the largest count,
+    the query holding it and the second-largest count give every query's
+    clip.
     """
     if len(queries) < 2:
         raise ValueError(f"self-BLEU needs at least 2 queries, got {len(queries)}")
@@ -126,10 +99,38 @@ def self_bleu_4(queries: Sequence[str]) -> float:
     for i, tokens in enumerate(token_lists):
         if not tokens:
             raise ValueError(f"query {i} has no tokens: {queries[i]!r}")
+    log_precisions: list[list[float]] = [[] for _ in token_lists]
+    for n in range(1, _BLEU_MAX_ORDER + 1):
+        counts = [_ngram_counts(tokens, n) for tokens in token_lists]
+        # gram -> (largest count, query holding it, second-largest count)
+        best: dict[tuple[str, ...], tuple[int, int, int]] = {}
+        for i, grams in enumerate(counts):
+            for gram, count in grams.items():
+                top, owner, second = best.get(gram, (0, -1, 0))
+                if count > top:
+                    best[gram] = (count, i, top)
+                elif count > second:
+                    best[gram] = (top, owner, count)
+        for i, grams in enumerate(counts):
+            total = sum(grams.values())
+            if total == 0:
+                log_precisions[i].append(math.log(_BLEU_EPS))
+                continue
+            clipped = 0
+            for gram, count in grams.items():
+                top, owner, second = best[gram]
+                clipped += min(count, second if owner == i else top)
+            precision = clipped / total if clipped > 0 else _BLEU_EPS
+            log_precisions[i].append(math.log(precision))
+    lengths = [len(tokens) for tokens in token_lists]
     scores = []
-    for i, hyp in enumerate(token_lists):
-        refs = token_lists[:i] + token_lists[i + 1 :]
-        scores.append(_bleu4(hyp, refs))
+    for i, h_len in enumerate(lengths):
+        geo_mean = math.exp(sum(log_precisions[i]) / _BLEU_MAX_ORDER)
+        closest_ref_len = min(
+            (abs(r_len - h_len), r_len) for j, r_len in enumerate(lengths) if j != i
+        )[1]
+        bp = 1.0 if h_len >= closest_ref_len else math.exp(1.0 - closest_ref_len / h_len)
+        scores.append(bp * geo_mean)
     return float(sum(scores) / len(scores))
 
 
@@ -152,10 +153,15 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class QualityRecord:
-    """Generated-query quality for one document."""
+    """Generated-query quality for one document: each view's best ROUGE-L
+    against the document's gold queries."""
 
     doc_id: str
-    max_rouge_l: float
+    view_rouge_l: tuple[float, ...]
+
+    @property
+    def max_rouge_l(self) -> float:
+        return max(self.view_rouge_l)
 
 
 @dataclass(frozen=True)
@@ -182,14 +188,12 @@ class LevelSummary:
 def quality_records(
     generated: Sequence[GeneratedQuerySet], gold_by_doc: Mapping[str, Sequence[str]]
 ) -> list[QualityRecord]:
-    """Max-ROUGE-L per document, for documents that have gold queries."""
-    records = []
-    for qset in generated:
-        gold = gold_by_doc.get(qset.doc_id)
-        if not gold:
-            continue
-        records.append(QualityRecord(qset.doc_id, max_rouge_l(qset.queries, gold)))
-    return records
+    """Each view's best ROUGE-L, for documents that have gold queries."""
+    return [
+        QualityRecord(qset.doc_id, tuple(max_rouge_l([query], gold) for query in qset.queries))
+        for qset in generated
+        if (gold := gold_by_doc.get(qset.doc_id))
+    ]
 
 
 def assign_levels(values: Sequence[float]) -> list[int]:
@@ -288,40 +292,41 @@ class SweepPoint:
     k: int
     mean_max_rouge_l: float
     retrieval_metric: float | None
+    quality: tuple[QualityRecord, ...]  # each document's first k views
 
 
 def sweep_views(
     k_values: Sequence[int],
     generated: Sequence[GeneratedQuerySet],
     gold_by_doc: Mapping[str, Sequence[str]],
-    retrieval_eval: Callable[[int], float] | None = None,
+    retrieval: Sequence[float] | None = None,
 ) -> list[SweepPoint]:
     """Evaluate the first k views of every query set at each k.
 
-    A point's quality is :func:`quality_records` over the sets truncated
-    to k views, averaged; each view is scored against gold once, and a
-    document's value at k is its best view among the first k.
-    ``retrieval_eval``, when given, receives k and returns an aggregate
-    retrieval metric (the CLI searches the first k views of one index).
-    Raises if any k exceeds the available views.
+    A point's ``quality`` is :func:`quality_records` over the sets
+    truncated to k views, and ``mean_max_rouge_l`` the mean of their best
+    views. Each view is scored against gold once. ``retrieval``, when
+    given, holds one aggregate retrieval metric per k, in ``k_values``
+    order (the CLI ranks every view prefix of one index). Raises if any k
+    exceeds the available views.
     """
     if not generated:
         raise ValueError("no generated query sets to sweep")
     available = min(len(qset.queries) for qset in generated)
-    view_scores = [
-        [max_rouge_l([query], gold) for query in qset.queries]
-        for qset in generated
-        if (gold := gold_by_doc.get(qset.doc_id))
-    ]
-    points = []
     for k in k_values:
         if k < 1 or k > available:
             raise ValueError(f"cannot sweep k={k}: only {available} views available")
-        if not view_scores:
-            raise ValueError("no documents with gold queries to score")
-        mean_quality = float(np.mean([max(scores[:k]) for scores in view_scores]))
-        metric = retrieval_eval(k) if retrieval_eval is not None else None
-        points.append(SweepPoint(k, mean_quality, metric))
+    if retrieval is not None and len(retrieval) != len(k_values):
+        raise ValueError(f"{len(retrieval)} retrieval values for {len(k_values)} values of k")
+    quality = quality_records(generated, gold_by_doc)
+    if not quality:
+        raise ValueError("no documents with gold queries to score")
+    points = []
+    for i, k in enumerate(k_values):
+        prefix = tuple(QualityRecord(r.doc_id, r.view_rouge_l[:k]) for r in quality)
+        mean_quality = float(np.mean([r.max_rouge_l for r in prefix]))
+        metric = retrieval[i] if retrieval is not None else None
+        points.append(SweepPoint(k, mean_quality, metric, prefix))
     return points
 
 

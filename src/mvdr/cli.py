@@ -25,7 +25,7 @@ from .corpus import _check_new, _read_lines, write_generated_queries
 from .encoder import EncoderConfig, EncoderParams, encode_queries
 from .encoder import init_params, load_params, save_params
 from .hashing import derive_seed
-from .index import FlatIndex, batch_search, build_index, first_views, load_index, save_index
+from .index import FlatIndex, batch_search, build_index, load_index, save_index, search_prefixes
 from .querygen import SamplingConfig, fit_qg, generate_corpus
 from .selftest import run_selftest
 from .trainer import TraceEntry, TrainConfig, train, write_loss_trace
@@ -195,6 +195,36 @@ def eval_stage(
     return reports
 
 
+def _prefix_metrics(
+    index: FlatIndex, query_embs: QueryEmbeddings, qrels: Qrels, settings: Settings, metric: str
+) -> list[float]:
+    """``metric`` of the run that ranks each view prefix k = 1..k_views of
+    ``index``; one prefix's run is alive at a time."""
+    embs = np.array([emb for _, emb in query_embs], dtype=np.float64)
+    embs = embs.reshape(len(query_embs), index.embed_dim)
+    docs, scores = search_prefixes(index, embs, settings["search_topk"])
+    doc_ids = np.array(index.doc_ids, dtype=object)
+    ranks = range(1, docs.shape[2] + 1)
+
+    def prefix_run(prefix_docs: np.ndarray, prefix_scores: np.ndarray) -> evaluation.Run:
+        by_query = {
+            query_id: [
+                evaluation.RunEntry(doc_id, rank, score)
+                for rank, doc_id, score in zip(ranks, id_row.tolist(), score_row.tolist())
+            ]
+            for (query_id, _), id_row, score_row in zip(
+                query_embs, doc_ids[prefix_docs], prefix_scores
+            )
+        }
+        return evaluation.Run(by_query, tag=settings["run_tag"])
+
+    rel_threshold = settings["rel_threshold"]
+    return [
+        evaluation.compute_metric(metric, prefix_run(d, s), qrels, rel_threshold).aggregate
+        for d, s in zip(docs, scores)
+    ]
+
+
 def analyze_stage(
     out_dir: Path, generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
     settings: Settings, metric: str, run: evaluation.Run | None = None,
@@ -203,8 +233,10 @@ def analyze_stage(
     """Write quality.csv, diversity.csv, levels.csv and sweep.csv.
 
     ``run`` gives the per-level ``metric``. ``index``, built with every
-    view, fills the sweep's retrieval column: each k searches the index's
-    first k views with ``query_embs``.
+    view, fills the sweep's retrieval column: one pass ranks its view
+    prefixes k = 1..k_views for ``query_embs``. Each generated view is
+    scored against gold once; quality.csv is the sweep's point with every
+    view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
@@ -217,11 +249,16 @@ def analyze_stage(
         for doc_id in qrels.relevant_docs(query_id, threshold=rel_threshold):
             gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    quality = analysis.quality_records(generated, gold_by_doc)
-    analysis.write_quality_csv(quality, out_dir / "quality.csv")
-
+    # every query set carries k_views views, so the last point holds them all
     k_views = min(len(qset.queries) for qset in generated)
+    retrieval = None
+    if index is not None:
+        retrieval = _prefix_metrics(index, query_embs, qrels, settings, metric)
+    points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, retrieval)
+    quality = points[-1].quality
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    analysis.write_quality_csv(quality, out_dir / "quality.csv")
     if k_views >= 2:
         records = analysis.diversity_records(generated)
         analysis.write_diversity_csv(records, out_dir / "diversity.csv")
@@ -236,17 +273,6 @@ def analyze_stage(
         quality_by_doc = {r.doc_id: r.max_rouge_l for r in quality}
         summaries = analysis.level_summaries(records, metric_by_doc, quality_by_doc)
         analysis.write_level_csv(summaries, out_dir / "levels.csv")
-
-    retrieval_eval = None
-    if index is not None:
-
-        def retrieval_eval(k: int) -> float:
-            prefix_run = search_stage(first_views(index, k), query_embs, settings)
-            return evaluation.compute_metric(
-                metric, prefix_run, qrels, rel_threshold=rel_threshold
-            ).aggregate
-
-    points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, retrieval_eval)
     analysis.write_sweep_csv(points, out_dir / "sweep.csv")
 
 

@@ -32,6 +32,10 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"MVIXT2"
 
+# Bytes that one query block of search_prefixes holds: its float64 scores,
+# their partitioned copy and the candidate mask, 17 bytes per score.
+_PREFIX_BLOCK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -149,15 +153,6 @@ def build_index(
     return index
 
 
-def first_views(index: FlatIndex, k: int) -> FlatIndex:
-    """The first ``k`` views of every document: :func:`build_index` over the
-    query sets truncated to ``k`` views, without encoding again."""
-    if not 1 <= k <= index.k_views:
-        raise ValueError(f"k must lie in [1, {index.k_views}], got {k}")
-    views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
-    return FlatIndex(views[:, :k].reshape(-1, index.embed_dim), index.doc_ids, k)
-
-
 def search(
     index: FlatIndex, query_emb: np.ndarray, top_k_docs: int, query_id: str = ""
 ) -> RankedList:
@@ -192,6 +187,64 @@ def search(
         query_id=query_id,
         results=tuple(SearchResult(doc_id, float(s)) for doc_id, s in top),
     )
+
+
+def search_prefixes(
+    index: FlatIndex, query_embs: np.ndarray, top_k_docs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`search` over the first k views of every document, for every k.
+
+    Returns ``(docs, scores)``, both shaped ``(k_views, n_queries,
+    min(top_k_docs, n_docs))``: ``docs[k - 1, q]`` holds the indices into
+    ``doc_ids`` of query ``q``'s ranked documents when each document keeps
+    only its first k views, and ``scores[k - 1, q]`` their pooled scores.
+    Ranking and ties follow :func:`search`.
+
+    Each block of queries is scored once against every view with one
+    matrix product, and a running maximum along the view axis pools every
+    prefix together. Scores may differ from :func:`search`'s in the last
+    bits, because the product sums in a different order.
+    """
+    if top_k_docs < 1:
+        raise ValueError(f"top_k_docs must be >= 1, got {top_k_docs}")
+    query_embs = np.asarray(query_embs, dtype=np.float64)
+    if query_embs.ndim != 2 or query_embs.shape[1] != index.embed_dim:
+        raise ValueError(
+            f"query embeddings shape {query_embs.shape} != (n, {index.embed_dim})"
+        )
+    if not np.isfinite(query_embs).all():
+        raise ValueError("query embeddings must be finite")
+    n_docs, k_views = index.n_docs, index.k_views
+    top = min(top_k_docs, n_docs)
+    docs = np.empty((k_views, len(query_embs), top), dtype=np.int32)
+    scores = np.empty((k_views, len(query_embs), top))
+    if top == 0:
+        return docs, scores
+    # position of each document in doc_id order, the tie-break of search
+    rank = np.empty(n_docs, dtype=np.int64)
+    rank[sorted(range(n_docs), key=index.doc_ids.__getitem__)] = np.arange(n_docs)
+    cut = n_docs - top
+    # a float64 copy for this call only: the index keeps none after it
+    rows_t = index.matrix.astype(np.float64).T
+    block = max(1, _PREFIX_BLOCK_BYTES // (17 * index.n_rows))
+    for start in range(0, len(query_embs), block):
+        pooled = (query_embs[start : start + block] @ rows_t).reshape(-1, n_docs, k_views)
+        n_block = len(pooled)
+        np.maximum.accumulate(pooled, axis=2, out=pooled)
+        # (view prefix, query, doc); every document tied with a row's k-th
+        # best score is a candidate, so the doc_id tie-break sees all of them
+        pooled = pooled.transpose(2, 0, 1)
+        boundary = np.partition(pooled, cut, axis=2)[:, :, cut, np.newaxis]
+        prefix, query, doc = np.nonzero(pooled >= boundary)
+        cand = pooled[prefix, query, doc]
+        row = prefix * n_block + query
+        order = np.lexsort((rank[doc], -cand, row))
+        counts = np.bincount(row, minlength=k_views * n_block)
+        firsts = np.cumsum(counts) - counts
+        keep = order[(firsts[:, np.newaxis] + np.arange(top)).ravel()]
+        docs[:, start : start + n_block] = doc[keep].reshape(k_views, n_block, top)
+        scores[:, start : start + n_block] = cand[keep].reshape(k_views, n_block, top)
+    return docs, scores
 
 
 def batch_search(

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvdr.analysis import (
@@ -87,7 +88,63 @@ class TestMaxRougeL:
             max_rouge_l(["x"], [])
 
 
+def pairwise_bleu4(hypothesis, references):
+    """BLEU-4 of one hypothesis against its references, recounting every
+    reference's n-grams: the formula self_bleu_4 must reproduce exactly."""
+    h_len = len(hypothesis)
+    log_precisions = []
+    for n in range(1, 5):
+        h_counts = Counter(tuple(hypothesis[i : i + n]) for i in range(h_len - n + 1))
+        total = sum(h_counts.values())
+        if total == 0:
+            log_precisions.append(math.log(1e-9))
+            continue
+        max_ref = Counter()
+        for ref in references:
+            for gram, count in Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        clipped = sum(min(count, max_ref[gram]) for gram, count in h_counts.items())
+        precision = clipped / total if clipped > 0 else 1e-9
+        log_precisions.append(math.log(precision))
+    geo_mean = math.exp(sum(log_precisions) / 4)
+    closest_ref_len = min((abs(len(r) - h_len), len(r)) for r in references)[1]
+    if h_len >= closest_ref_len:
+        bp = 1.0
+    elif h_len == 0:
+        bp = 0.0
+    else:
+        bp = math.exp(1.0 - closest_ref_len / h_len)
+    return bp * geo_mean
+
+
+def pairwise_self_bleu(queries):
+    token_lists = [tokenize(q) for q in queries]
+    scores = [
+        pairwise_bleu4(hyp, token_lists[:i] + token_lists[i + 1 :])
+        for i, hyp in enumerate(token_lists)
+    ]
+    return float(sum(scores) / len(scores))
+
+
+# few distinct tokens, so queries share, repeat and tie on n-grams
+bleu_query = st.lists(st.sampled_from("abc"), min_size=1, max_size=7).map(" ".join)
+
+
 class TestSelfBleu:
+    @given(
+        st.lists(bleu_query, min_size=1, max_size=4).flatmap(
+            # repeat some queries so that two queries tie for a gram's top count
+            lambda qs: st.lists(st.sampled_from(qs), min_size=2, max_size=6)
+        )
+    )
+    @settings(max_examples=300)
+    @example(["a b a", "a b a", "b"])  # duplicates tie for the top count
+    @example(["a b c", "a b", "a"])  # grams only the first query has
+    @example(["a", "b", "a"])  # one-token queries have no higher orders
+    def test_equals_pairwise_formula(self, queries):
+        assert self_bleu_4(queries) == pairwise_self_bleu(queries)
+
     def test_frozen_value(self):
         queries = ["a b c d e", "a b c d f", "a b c g h"]
         assert self_bleu_4(queries) == pytest.approx(0.4468809625376708, abs=1e-12)
@@ -162,6 +219,7 @@ class TestRecords:
     def test_quality_skips_docs_without_gold(self):
         records = quality_records(self.GENERATED, {"d1": ["alpha beta gamma delta"]})
         assert [r.doc_id for r in records] == ["d1"]
+        assert records[0].view_rouge_l == (1.0, 1.0)
         assert records[0].max_rouge_l == 1.0
 
     def test_diversity_levels_follow_self_bleu(self):
@@ -201,9 +259,11 @@ class TestSweep:
         assert values == sorted(values)
         assert points[2].mean_max_rouge_l == 1.0
 
-    def test_retrieval_callback_sees_truncation(self):
-        points = sweep_views([1, 3], self.GENERATED, self.GOLD, retrieval_eval=lambda k: k / 4)
+    def test_retrieval_values_follow_k(self):
+        points = sweep_views([1, 3], self.GENERATED, self.GOLD, retrieval=[0.25, 0.75])
         assert [p.retrieval_metric for p in points] == [0.25, 0.75]
+        with pytest.raises(ValueError, match="1 retrieval values for 2"):
+            sweep_views([1, 3], self.GENERATED, self.GOLD, retrieval=[0.25])
 
     def test_points_equal_quality_of_truncated_sets(self):
         generated = self.GENERATED + [
@@ -214,6 +274,7 @@ class TestSweep:
         for point in sweep_views([1, 2, 3], generated, gold):
             truncated = [GeneratedQuerySet(q.doc_id, q.queries[: point.k]) for q in generated]
             records = quality_records(truncated, gold)
+            assert point.quality == tuple(records)
             assert point.mean_max_rouge_l == float(np.mean([r.max_rouge_l for r in records]))
 
     def test_k_out_of_range(self):
@@ -253,7 +314,7 @@ class TestCsvWriters:
 
     def test_sweep(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_sweep_csv([SweepPoint(1, 0.5, None), SweepPoint(2, 0.75, 0.3)], path)
+        write_sweep_csv([SweepPoint(1, 0.5, None, ()), SweepPoint(2, 0.75, 0.3, ())], path)
         assert path.read_text() == (
             "k,mean_max_rouge_l,retrieval_metric\n1,0.500000,\n2,0.750000,0.300000\n"
         )

@@ -10,11 +10,11 @@ from mvdr.index import (
     FlatIndex,
     batch_search,
     build_index,
-    first_views,
     load_index,
     save_index,
     search,
     search_corpus,
+    search_prefixes,
 )
 from mvdr.selftest import exhaustive_maxpool, random_index
 
@@ -105,32 +105,109 @@ class TestBuild:
         assert search(index, np.zeros(CFG.embed_dim), top_k_docs=5).results == ()
 
 
-class TestFirstViews:
+def truncated(index, k):
+    """The first ``k`` views of every document of ``index``."""
+    views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
+    return FlatIndex(views[:, :k].reshape(-1, index.embed_dim), index.doc_ids, k)
+
+
+def assert_prefixes_match_search(index, queries, top_k_docs):
+    """search_prefixes equals search over each view prefix, exactly."""
+    docs, scores = search_prefixes(index, queries, top_k_docs)
+    top = min(top_k_docs, index.n_docs)
+    assert docs.shape == scores.shape == (index.k_views, len(queries), top)
+    for k in range(1, index.k_views + 1):
+        prefix = truncated(index, k)
+        for q, query in enumerate(queries):
+            want = search(prefix, query, top_k_docs).results
+            assert [index.doc_ids[d] for d in docs[k - 1, q]] == [r.doc_id for r in want]
+            assert scores[k - 1, q].tolist() == [r.score for r in want]
+
+
+class TestSearchPrefixes:
     def test_prefix_equals_truncated_build(self, tiny_docs):
         params = init_params(CFG, seed=0)
         generated = tiny_generated(tiny_docs, k=4)
         full = build_index(params, tiny_docs, mode="dce", generated=generated)
-        queries = [Query("q1", "solar panels"), Query("q2", "court appeal"), Query("q3", "view 2")]
+        texts = ["solar panels", "court appeal", "view 2", "view 3 of d4"]
+        embs = np.stack([encode_query(params, text) for text in texts])
+        top_k_docs = len(tiny_docs) + 2
+        docs, scores = search_prefixes(full, embs, top_k_docs)
         for k in range(1, 5):
-            truncated = [GeneratedQuerySet(g.doc_id, g.queries[:k]) for g in generated]
-            rebuilt = build_index(params, tiny_docs, mode="dce", generated=truncated)
-            prefix = first_views(full, k)
-            assert prefix.doc_ids == rebuilt.doc_ids
-            assert prefix.k_views == rebuilt.k_views == k
-            np.testing.assert_array_equal(prefix.row_doc, rebuilt.row_doc)
-            np.testing.assert_allclose(prefix.matrix, rebuilt.matrix, rtol=0, atol=1e-6)
-            got = search_corpus(params, prefix, queries, top_k_docs=len(tiny_docs))
-            want = search_corpus(params, rebuilt, queries, top_k_docs=len(tiny_docs))
-            assert [[r.doc_id for r in rl.results] for rl in got] == [
-                [r.doc_id for r in rl.results] for rl in want
-            ]
+            rebuilt = build_index(
+                params, tiny_docs, mode="dce",
+                generated=[GeneratedQuerySet(g.doc_id, g.queries[:k]) for g in generated],
+            )
+            assert rebuilt.doc_ids == full.doc_ids and rebuilt.k_views == k
+            np.testing.assert_allclose(truncated(full, k).matrix, rebuilt.matrix, rtol=0, atol=1e-6)
+            for q, emb in enumerate(embs):
+                want = search(rebuilt, emb, top_k_docs).results
+                assert [full.doc_ids[d] for d in docs[k - 1, q]] == [r.doc_id for r in want]
+                # a matrix product sums in another order than search's
+                # matrix-vector product, so scores agree to rounding only
+                assert scores[k - 1, q].tolist() == pytest.approx(
+                    [r.score for r in want], rel=0, abs=1e-12
+                )
 
-    def test_k_out_of_range(self, tiny_docs):
-        params = init_params(CFG, seed=0)
-        full = build_index(params, tiny_docs, mode="dce", generated=tiny_generated(tiny_docs))
-        for k in (0, 4):
-            with pytest.raises(ValueError, match="k must lie"):
-                first_views(full, k)
+    def test_matches_search_exactly(self, rng, monkeypatch):
+        # small integers make every score exact in any summation order, and
+        # give many exact ties; doc_id order differs from row order
+        n_docs, k_views, dim = 9, 4, 3
+        matrix = rng.integers(-3, 4, size=(n_docs * k_views, dim)).astype(np.float32)
+        doc_ids = [f"d{i}" for i in rng.permutation(n_docs)]
+        index = FlatIndex(matrix, doc_ids, k_views)
+        queries = rng.integers(-3, 4, size=(8, dim)).astype(np.float64)
+        # blocks of 3 queries: 8 queries leave a short last block
+        monkeypatch.setattr("mvdr.index._PREFIX_BLOCK_BYTES", 3 * 17 * index.n_rows)
+        for top_k_docs in (1, 2, 4, n_docs, n_docs + 3):
+            assert_prefixes_match_search(index, queries, top_k_docs)
+
+    def test_doc_id_tie_straddles_boundary(self):
+        # with view 1 only, b and c tie below a and the top-2 cut splits the
+        # tie: the smaller doc_id wins though c comes first in the index;
+        # c's view 2 lifts it above b
+        matrix = np.array(
+            [[2, 0], [3, 0],  # c
+             [2, 0], [0, 0],  # b
+             [4, 0], [1, 0]],  # a
+            dtype=np.float32,
+        )
+        index = FlatIndex(matrix, ["c", "b", "a"], k_views=2)
+        query = np.array([[1.0, 0.0]])
+        docs, scores = search_prefixes(index, query, 2)
+        assert [index.doc_ids[d] for d in docs[0, 0]] == ["a", "b"]
+        assert [index.doc_ids[d] for d in docs[1, 0]] == ["a", "c"]
+        assert scores[:, 0].tolist() == [[4.0, 2.0], [4.0, 3.0]]
+        assert_prefixes_match_search(index, query, 2)
+
+    def test_best_view_not_first(self):
+        # x scores best on view 2; a prefix pools the best of views 1..k, not view k
+        matrix = np.array([[1, 0], [5, 0], [2, 0], [3, 0], [3, 0], [4, 0]], dtype=np.float32)
+        index = FlatIndex(matrix, ["x", "y"], k_views=3)
+        docs, scores = search_prefixes(index, np.array([[1.0, 0.0]]), 2)
+        assert scores[:, 0].tolist() == [[3.0, 1.0], [5.0, 3.0], [5.0, 4.0]]
+        assert [[index.doc_ids[d] for d in row[0]] for row in docs] == [["y", "x"], ["x", "y"], ["x", "y"]]
+        assert_prefixes_match_search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
+
+    def test_empty_index_and_no_queries(self):
+        index = FlatIndex(np.zeros((0, 4), dtype=np.float32), [], k_views=1)
+        docs, scores = search_prefixes(index, np.zeros((2, 4)), 5)
+        assert docs.shape == scores.shape == (1, 2, 0)
+        index = FlatIndex(np.ones((6, 4), dtype=np.float32), ["a", "b", "c"], k_views=2)
+        docs, scores = search_prefixes(index, np.zeros((0, 4)), 5)
+        assert docs.shape == scores.shape == (2, 0, 3)
+
+    def test_bad_arguments_rejected(self, rng):
+        index = random_index(rng, n_docs=5, k_views=2, dim=8)
+        with pytest.raises(ValueError, match="top_k_docs"):
+            search_prefixes(index, np.zeros((1, 8)), 0)
+        for shape in ((8,), (2, 9)):
+            with pytest.raises(ValueError, match="shape"):
+                search_prefixes(index, np.zeros(shape), 3)
+        queries = np.zeros((2, 8))
+        queries[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            search_prefixes(index, queries, 3)
 
 
 class TestSearch:
@@ -289,11 +366,9 @@ class TestIndexIO:
             loaded.matrix[0, 0] = 1.0
         query = rng.normal(size=4)
         assert search(loaded, query, 3) == search(index, query, 3)
-        for k in (1, 3):
-            np.testing.assert_array_equal(
-                first_views(loaded, k).matrix, first_views(index, k).matrix
-            )
-            assert search(first_views(loaded, k), query, 3) == search(first_views(index, k), query, 3)
+        queries = rng.normal(size=(5, 4))
+        for got, want in zip(search_prefixes(loaded, queries, 3), search_prefixes(index, queries, 3)):
+            np.testing.assert_array_equal(got, want)
         resaved = tmp_path / "resaved.bin"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
