@@ -43,6 +43,9 @@ _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _MAGIC = b"MVDR1"
 
+# Bytes of one float64 block of token-table rows drawn by init_params.
+_INIT_BLOCK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -162,11 +165,17 @@ class EncoderParams:
 def _init_tower(cfg: EncoderConfig, rng: np.random.Generator, dtype: np.dtype) -> Tower:
     dim = cfg.embed_dim
     bound = 1.0 / np.sqrt(dim)
-    token_table = rng.uniform(-bound, bound, size=(cfg.hash_buckets, dim))
+    # Rows drawn in blocks take the same stream as one draw of the whole
+    # table, so the values are those of that draw without its float64 copy.
+    token_table = np.empty((cfg.hash_buckets, dim), dtype=dtype)
+    step = max(1, _INIT_BLOCK_BYTES // (8 * dim))
+    for start in range(0, cfg.hash_buckets, step):
+        block = token_table[start : start + step]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     w_hidden = np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim))
     w_out = np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim))
     return Tower(
-        token_table=token_table.astype(dtype),
+        token_table=token_table,
         w_hidden=w_hidden.astype(dtype),
         b_hidden=np.zeros(dim, dtype=dtype),
         w_out=w_out.astype(dtype),
@@ -418,33 +427,32 @@ def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
     Rejects unknown magic, truncation, trailing bytes and checksum
-    mismatches. Each tensor is copied out of the file once, so the
-    returned parameters are writable.
+    mismatches. Each tensor is read from the file straight into its own
+    aligned, writable array.
     """
-    reader = FramedReader(path, _MAGIC, "checkpoint")
-    embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
-    orders = reader.unpack(f"<{n_orders}B", "header")
-    tied_flag, max_q, max_d = reader.unpack("<BII", "header")
-    cfg = EncoderConfig(
-        embed_dim=embed_dim,
-        hash_buckets=hash_buckets,
-        ngram_orders=orders,
-        tie_params=bool(tied_flag),
-        max_query_tokens=max_q,
-        max_doc_tokens=max_d,
-    )
-    shapes = {
-        "token_table": (hash_buckets, embed_dim),
-        "w_hidden": (embed_dim, embed_dim),
-        "b_hidden": (embed_dim,),
-        "w_out": (embed_dim, embed_dim),
-        "b_out": (embed_dim,),
-    }
+    with FramedReader(path, _MAGIC, "checkpoint") as reader:
+        embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
+        orders = reader.unpack(f"<{n_orders}B", "header")
+        tied_flag, max_q, max_d = reader.unpack("<BII", "header")
+        cfg = EncoderConfig(
+            embed_dim=embed_dim,
+            hash_buckets=hash_buckets,
+            ngram_orders=orders,
+            tie_params=bool(tied_flag),
+            max_query_tokens=max_q,
+            max_doc_tokens=max_d,
+        )
+        shapes = {
+            "token_table": (hash_buckets, embed_dim),
+            "w_hidden": (embed_dim, embed_dim),
+            "b_hidden": (embed_dim,),
+            "w_out": (embed_dim, embed_dim),
+            "b_out": (embed_dim,),
+        }
 
-    def read_tower() -> Tower:
-        return Tower(**{name: reader.floats(shape, name).copy() for name, shape in shapes.items()})
+        def read_tower() -> Tower:
+            return Tower(**{name: reader.floats(shape, name) for name, shape in shapes.items()})
 
-    query_tower = read_tower()
-    doc_tower = query_tower if cfg.tie_params else read_tower()
-    reader.finish()
+        query_tower = read_tower()
+        doc_tower = query_tower if cfg.tie_params else read_tower()
     return EncoderParams(cfg, query_tower, doc_tower)

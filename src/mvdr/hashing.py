@@ -25,7 +25,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # CRC-64/XZ (reflected ECMA-182 polynomial). No file format uses it any more;
 # it stays only because the benchmark tracer wraps ``crc64`` by name, until
-# the tracer's layer list drops it (ROADMAP item 5).
+# the tracer's layer list drops it (ROADMAP item 1).
 _CRC64_POLY = 0xC96C5795D7870F42
 
 
@@ -124,48 +124,109 @@ def write_framed(path: str | Path, magic: bytes, parts: Iterable) -> int:
 
 
 class FramedReader:
-    """A file written by :func:`write_framed`, read once and checked whole.
+    """A file written by :func:`write_framed`, read field by field.
 
-    Length, magic and checksum are verified on construction. Fields are
-    then taken in file order from one ``memoryview`` of the bytes: a field
-    that runs past the payload raises ``truncated``, and :meth:`finish`
-    rejects trailing bytes. ``kind`` names the file in error messages.
+    Construction checks the length and the magic. Fields are then read in
+    file order from the open file, each into its own buffer, while a running
+    CRC-32 covers every byte read. Each size is checked against what the
+    file holds before anything is allocated: a field that runs past the
+    payload raises ``truncated``. :meth:`finish` rejects trailing bytes and
+    then checks the footer. ``kind`` names the file in error messages.
+
+    Use the reader as a context manager: a block that ends normally calls
+    :meth:`finish`, and the file is closed either way. When the block
+    raises, or :meth:`finish` finds trailing bytes, the rest of the file is
+    checksummed first and a file whose CRC does not match reports
+    ``checksum mismatch`` instead, so damage is named the same as by a
+    reader that checks the CRC before parsing.
     """
 
     def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if len(data) < len(magic) + 4:
-            raise ValueError(f"{path}: truncated {kind}")
-        if data[: len(magic)] != magic:
-            raise ValueError(f"{path}: bad magic {data[:len(magic)]!r}, expected {magic!r}")
-        self._payload = memoryview(data)[:-4]
-        (stored,) = struct.unpack_from("<I", data, len(self._payload))
-        computed = crc32(self._payload)
-        if computed != stored:
-            raise ValueError(
-                f"{path}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            )
+        handle = open(path, "rb")
+        try:
+            size = os.fstat(handle.fileno()).st_size
+            if size < len(magic) + 4:
+                raise ValueError(f"{path}: truncated {kind}")
+            head = handle.read(len(magic))
+            if head != magic:
+                raise ValueError(f"{path}: bad magic {head!r}, expected {magic!r}")
+        except BaseException:
+            handle.close()
+            raise
+        self._handle = handle
+        self._end = size - 4  # where the footer starts
+        self._crc = crc32(head)
         self.path = path
         self.kind = kind
-        self.offset = len(magic)
+        self.offset = len(magic)  # bytes read and checksummed
 
-    def take(self, n: int, what: str) -> memoryview:
-        """The next ``n`` bytes, without copying."""
-        start = self.offset
-        if start + n > len(self._payload):
+    def __enter__(self) -> "FramedReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.finish()
+            elif issubclass(exc_type, Exception):
+                self._check_rest()
+        finally:
+            self._handle.close()
+
+    def _claim(self, n: int, what: str) -> None:
+        if n > self._end - self.offset:
             raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
-        self.offset = start + n
-        return self._payload[start : self.offset]
+
+    def _consumed(self, data, n: int, what: str) -> None:
+        if len(data) != n:  # the file shrank after it was opened
+            raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
+        self._crc = crc32(data, self._crc)
+        self.offset += n
+
+    def take(self, n: int, what: str) -> bytes:
+        """The next ``n`` bytes."""
+        self._claim(n, what)
+        data = self._handle.read(n)
+        self._consumed(data, n, what)
+        return data
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next little-endian float32 array: a read-only view of the file."""
-        raw = self.take(4 * math.prod(shape), what)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape)
+        """The next little-endian float32 array, read straight into a new
+        aligned, writable array."""
+        n = 4 * math.prod(shape)
+        self._claim(n, what)
+        array = np.empty(shape, dtype="<f4")
+        data = memoryview(array.reshape(-1)).cast("B")
+        self._consumed(data[: self._handle.readinto(data)], n, what)
+        return array
+
+    def _check_footer(self, computed: int) -> None:
+        self._handle.seek(self._end)
+        footer = self._handle.read(4)
+        if len(footer) != 4 or self._handle.read(1):
+            raise ValueError(f"{self.path}: {self.kind} changed size while being read")
+        (stored,) = struct.unpack("<I", footer)
+        if computed != stored:
+            raise ValueError(
+                f"{self.path}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )
+
+    def _check_rest(self) -> None:
+        """Check the footer against a checksum of the unread payload, then
+        go back to where reading stopped."""
+        crc = self._crc
+        self._handle.seek(self.offset)
+        try:
+            for start in range(self.offset, self._end, 2**20):
+                crc = crc32(self._handle.read(min(2**20, self._end - start)), crc)
+            self._check_footer(crc)
+        finally:
+            self._handle.seek(self.offset)
 
     def finish(self) -> None:
-        if self.offset != len(self._payload):
+        if self.offset != self._end:
+            self._check_rest()
             raise ValueError(f"{self.path}: trailing bytes after {self.kind} data")
+        self._check_footer(self._crc)

@@ -3,7 +3,9 @@
 The index stores every document's views doc-major: document ``i`` owns
 rows ``i * k_views`` to ``i * k_views + k_views - 1``, in view order.
 Search scores a query against every row, max-pools each document's
-``k_views`` scores, and ranks documents by pooled score.
+``k_views`` scores, and ranks documents by pooled score. Scores are float64
+dot products; :func:`search` finds the documents that can reach the top k
+with one float32 pass and a proven error bound, then rescores only those.
 
 The on-disk format is little-endian and checksummed:
 
@@ -36,6 +38,10 @@ _MAGIC = b"MVIXT2"
 # their partitioned copy and the candidate mask, 17 bytes per score.
 _PREFIX_BLOCK_BYTES = 2**20
 
+# Bytes of one block of candidate rows that search rescores: the gathered
+# float32 rows and their float64 copy, 12 bytes per value.
+_RESCORE_BLOCK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -57,14 +63,17 @@ class RankedList:
 class FlatIndex:
     """In-memory flat index over per-view embeddings, stored doc-major."""
 
-    matrix: np.ndarray  # (n_docs * k_views, embed_dim) float32
+    matrix: np.ndarray  # (n_docs * k_views, embed_dim) float32, never changed
     doc_ids: list[str]
     k_views: int
-    _matrix64: np.ndarray | None = field(default=None, repr=False)
+    # (n_docs,) each document's largest view norm, for search's error bound
+    _doc_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {self.matrix.shape}")
+        if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
+            raise ValueError(
+                f"matrix must be 2-D with at least one column, got shape {self.matrix.shape}"
+            )
         n_rows = self.matrix.shape[0]
         if self.k_views < 1:
             raise ValueError("k_views must be >= 1")
@@ -76,6 +85,8 @@ class FlatIndex:
             )
         if not np.isfinite(self.matrix).all():
             raise ValueError("index embeddings must be finite")
+        squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
+        self._doc_norm = np.sqrt(squares).reshape(self.n_docs, self.k_views).max(axis=1)
 
     @property
     def n_rows(self) -> int:
@@ -93,12 +104,6 @@ class FlatIndex:
     def row_doc(self) -> np.ndarray:
         """Each row's index into ``doc_ids``."""
         return np.repeat(np.arange(self.n_docs), self.k_views)
-
-    def scores_matrix(self) -> np.ndarray:
-        """Float64 copy of the row matrix, cached for repeated searches."""
-        if self._matrix64 is None:
-            self._matrix64 = self.matrix.astype(np.float64)
-        return self._matrix64
 
 
 def build_index(
@@ -141,11 +146,9 @@ def build_index(
         if k_views is None:
             k_views = 1  # empty corpus
 
-    if not pairs:
-        matrix = np.zeros((0, params.config.embed_dim), dtype=np.float32)
-    else:
-        parts = [encode_candidates(params, pairs[i : i + 512]) for i in range(0, len(pairs), 512)]
-        matrix = np.concatenate(parts, axis=0).astype(np.float32)
+    matrix = np.empty((len(pairs), params.config.embed_dim), dtype=np.float32)
+    for start in range(0, len(pairs), 512):
+        matrix[start : start + 512] = encode_candidates(params, pairs[start : start + 512])
     index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
     log.info(
         "built index: %d docs, %d views/doc, dim %d", index.n_docs, index.k_views, index.embed_dim
@@ -153,13 +156,43 @@ def build_index(
     return index
 
 
+def _screen_slack(dim: int, query_norm: float, doc_norm: np.ndarray) -> np.ndarray:
+    """Per document, a bound on |float32 pooled score - float64 pooled score|.
+
+    For a view d of n = ``dim`` values and a query q (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 3.1; gamma_n = nu/(1-nu)):
+
+    - the float32 product of d with q rounded to float32 is within
+      gamma_n(2^-24) (1 + 2^-24) |d||q| of that rounded product, and rounding
+      q moves it by at most 2^-24 |d||q| more;
+    - the float64 rescore is within gamma_n(2^-53) |d||q| of the exact q.d;
+    - underflow, gradual or flushed to zero, loses at most 2^-126 per
+      product and per rounded query value, times the other factor: at most
+      n 2^-126 (1 + |q|)(1 + |d|), doubled for the sums that carry it.
+
+    Max-pooling keeps the largest of a document's view bounds, so |d| is the
+    document's largest view norm. The total is doubled once more, which
+    covers the rounding of this computation.
+    """
+    gamma32 = dim * 2.0**-24 / (1 - dim * 2.0**-24) if dim < 2**23 else np.inf
+    gamma64 = dim * 2.0**-53 / (1 - dim * 2.0**-53)
+    relative = 2 * (gamma32 * (1 + 2.0**-24) + 2.0**-24 + gamma64) * query_norm
+    absolute = 4 * dim * 2.0**-126 * (1 + query_norm)
+    return doc_norm * (relative + absolute) + absolute
+
+
 def search(
     index: FlatIndex, query_emb: np.ndarray, top_k_docs: int, query_id: str = ""
 ) -> RankedList:
     """Exact search: max-pool row scores per document, rank documents.
 
-    Scoring accumulates in float64. Ties in pooled score break by doc_id
-    ascending, so rankings are platform-independent.
+    A document's score is the largest float64 dot product of the query
+    with its views. One float32 matrix-vector product scores every row
+    first; :func:`_screen_slack` bounds how far each pooled float32 score
+    can be from the float64 one, and a document whose upper bound falls
+    below the k-th largest lower bound cannot reach the top k. The rows of
+    the remaining documents are rescored in float64. Ties in pooled score
+    break by doc_id ascending, so rankings are platform-independent.
     """
     if top_k_docs < 1:
         raise ValueError(f"top_k_docs must be >= 1, got {top_k_docs}")
@@ -170,22 +203,42 @@ def search(
         )
     if not np.isfinite(query_emb).all():
         raise ValueError("query embedding must be finite")
-    if index.n_docs == 0:
+    n_docs, k_views, dim = index.n_docs, index.k_views, index.embed_dim
+    if n_docs == 0:
         return RankedList(query_id=query_id, results=())
-    scores = index.scores_matrix() @ query_emb
-    doc_best = scores.reshape(index.n_docs, index.k_views).max(axis=1)
-    # every document tied with the k-th best score is a candidate, so the
-    # doc_id tie-break below sees all of them
-    cut = index.n_docs - min(top_k_docs, index.n_docs)
-    boundary = np.partition(doc_best, cut)[cut]
+    top = min(top_k_docs, n_docs)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
+        row_scores = index.matrix @ query_emb.astype(np.float32)
+    # a running max over strided views: far faster than max(axis=1) over
+    # rows of k_views scores
+    approx = row_scores[::k_views].copy()
+    for view in range(1, k_views):
+        np.maximum(approx, row_scores[view::k_views], out=approx)
+    slack = _screen_slack(dim, float(np.linalg.norm(query_emb)), index._doc_norm)
+    if np.isfinite(approx).all() and np.isfinite(slack).all():
+        threshold = np.partition(approx - slack, n_docs - top)[n_docs - top]
+        candidates = np.flatnonzero(approx + slack >= threshold)
+    else:  # float32 overflow or no usable bound: rescore every document
+        candidates = np.arange(n_docs)
+    # einsum sums each row on its own in one fixed order, so a document's
+    # score does not depend on which other rows are rescored with it; a BLAS
+    # matrix-vector product may sum a row differently by its place in a block
+    views = index.matrix.reshape(n_docs, k_views, dim)
+    doc_best = np.empty(len(candidates))
+    step = max(1, _RESCORE_BLOCK_BYTES // (12 * k_views * dim))
+    for start in range(0, len(candidates), step):
+        rows = views[candidates[start : start + step]].astype(np.float64)
+        doc_best[start : start + step] = np.einsum("dvj,j->dv", rows, query_emb).max(axis=1)
+    # every candidate tied with the k-th best score stays, so the doc_id
+    # tie-break below sees all of them
+    cut = len(candidates) - top
+    keep = doc_best >= np.partition(doc_best, cut)[cut]
     ranked = sorted(
-        ((index.doc_ids[i], doc_best[i]) for i in np.flatnonzero(doc_best >= boundary)),
-        key=lambda t: (-t[1], t[0]),
+        zip(candidates[keep], doc_best[keep]), key=lambda t: (-t[1], index.doc_ids[t[0]])
     )
-    top = ranked[:top_k_docs]
     return RankedList(
         query_id=query_id,
-        results=tuple(SearchResult(doc_id, float(s)) for doc_id, s in top),
+        results=tuple(SearchResult(index.doc_ids[i], float(s)) for i, s in ranked[:top]),
     )
 
 
@@ -283,14 +336,15 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> FlatIndex:
     """Load an index written by :func:`save_index`, verifying the checksum.
 
-    The matrix is a read-only view of the file's bytes.
+    The matrix is read from the file straight into its own aligned float32
+    array, which is then made read-only.
     """
-    reader = FramedReader(path, _MAGIC, "index")
-    n_docs, k_views, embed_dim = reader.unpack("<III", "header")
-    doc_ids = []
-    for _ in range(n_docs):
-        (length,) = reader.unpack("<I", "doc_id length")
-        doc_ids.append(str(reader.take(length, "doc_id"), "utf-8"))
-    matrix = reader.floats((n_docs * k_views, embed_dim), "embeddings")
-    reader.finish()
+    with FramedReader(path, _MAGIC, "index") as reader:
+        n_docs, k_views, embed_dim = reader.unpack("<III", "header")
+        doc_ids = []
+        for _ in range(n_docs):
+            (length,) = reader.unpack("<I", "doc_id length")
+            doc_ids.append(str(reader.take(length, "doc_id"), "utf-8"))
+        matrix = reader.floats((n_docs * k_views, embed_dim), "embeddings")
+    matrix.flags.writeable = False
     return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))

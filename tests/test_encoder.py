@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdr.corpus import tokenize
+from mvdr import encoder
 from mvdr.encoder import (
     SEP_TOKEN,
     EncoderConfig,
@@ -28,6 +30,21 @@ from mvdr.trainer import AdamState, adam_step, zero_grads
 
 CFG = EncoderConfig(embed_dim=8, hash_buckets=256, ngram_orders=(1, 2), max_query_tokens=4, max_doc_tokens=6)
 BIGRAM_CFG = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(2,))
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def tensor_bytes(params):
+    return sum(arr.nbytes for tower in params.towers().values() for arr in tower.tensors().values())
+
 
 token_strategy = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
 text_strategy = st.lists(token_strategy, min_size=1, max_size=8).map(" ".join)
@@ -174,6 +191,32 @@ class TestInit:
         assert init_params(CFG, seed=0).query_tower.w_out.dtype == np.float32
         assert init_params(CFG, seed=0, dtype=np.float64).query_tower.w_out.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_block_draw_equals_one_shot_draw(self, tied, dtype):
+        # hash_buckets is not a multiple of the row block: the last block is partial
+        dim = 16
+        rows_per_block = encoder._INIT_BLOCK_BYTES // (8 * dim)
+        cfg = EncoderConfig(embed_dim=dim, hash_buckets=2 * rows_per_block + 37, tie_params=tied)
+        rng = np.random.Generator(np.random.PCG64(11))
+        bound = 1.0 / np.sqrt(dim)
+        for tower in init_params(cfg, seed=11, dtype=dtype).towers().values():
+            want = {
+                "token_table": rng.uniform(-bound, bound, size=(cfg.hash_buckets, dim)),
+                "w_hidden": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
+                "b_hidden": np.zeros(dim),
+                "w_out": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
+                "b_out": np.zeros(dim),
+            }
+            for name, arr in tower.tensors().items():
+                assert arr.dtype == dtype
+                assert arr.tobytes() == want[name].astype(dtype).tobytes(), name
+
+    def test_peak_memory_near_tensor_bytes(self):
+        cfg = EncoderConfig(embed_dim=32, hash_buckets=100_003)
+        params, peak = traced_peak(lambda: init_params(cfg, seed=0))
+        assert peak <= 1.25 * tensor_bytes(params)
+
 
 class TestEncoding:
     def test_shapes_and_dtype(self):
@@ -297,6 +340,28 @@ class TestCheckpointIO:
         )
         with pytest.raises(ValueError, match=r"truncated checkpoint while reading \w+"):
             load_params(path)
+
+    def test_header_claiming_huge_table(self, tmp_path):
+        # 2**40 rows would need 32 TiB: the claim is checked against the file
+        # size before anything is allocated, and a damaged header is still
+        # reported as a checksum mismatch
+        params = init_params(CFG, seed=3)
+        path = tmp_path / "model.bin"
+        save_params(params, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 9, 2**40)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load_params(path)
+        self._rewrite_payload(path, lambda p: None)
+        with pytest.raises(ValueError, match="truncated checkpoint while reading token_table"):
+            load_params(path)
+
+    def test_load_peak_memory_near_tensor_bytes(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_params(init_params(EncoderConfig(embed_dim=32, hash_buckets=100_003), seed=0), path)
+        params, peak = traced_peak(lambda: load_params(path))
+        assert peak <= 1.25 * tensor_bytes(params)
 
     def test_appended_bytes_are_rejected(self, tmp_path):
         params = init_params(CFG, seed=3)

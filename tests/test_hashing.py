@@ -85,24 +85,63 @@ class TestFramedFile:
         payload = b"MAG" + struct.pack("<I", 7) + b"id" + floats.tobytes()
         assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
         assert size == len(payload) + 4
-        reader = FramedReader(path, b"MAG", "test file")
-        assert reader.unpack("<I", "count") == (7,)
-        assert bytes(reader.take(2, "id")) == b"id"
-        view = reader.floats((2, 3), "floats")
-        np.testing.assert_array_equal(view, floats)
-        assert not view.flags.writeable
-        reader.finish()
+        with FramedReader(path, b"MAG", "test file") as reader:
+            assert reader.unpack("<I", "count") == (7,)
+            assert reader.take(2, "id") == b"id"
+            array = reader.floats((2, 3), "floats")
+        np.testing.assert_array_equal(array, floats)
+        # its own buffer, not a view of the file's bytes: the field starts
+        # at offset 9, yet the array is aligned
+        assert array.flags.owndata and array.flags.aligned and array.flags.writeable
 
     def test_short_and_long_payloads(self, tmp_path):
         path = tmp_path / "framed.bin"
         write_framed(path, b"MAG", [b"abcd"])
-        reader = FramedReader(path, b"MAG", "test file")
-        with pytest.raises(ValueError, match="truncated test file while reading tail"):
-            reader.take(5, "tail")
-        with pytest.raises(ValueError, match="trailing bytes after test file"):
+        with FramedReader(path, b"MAG", "test file") as reader:
+            with pytest.raises(ValueError, match="truncated test file while reading tail"):
+                reader.take(5, "tail")
+            with pytest.raises(ValueError, match="trailing bytes after test file"):
+                reader.finish()
+            reader.take(4, "tail")
             reader.finish()
-        reader.take(4, "tail")
-        reader.finish()
+
+    def test_block_error_reports_damage_first(self, tmp_path):
+        # an error raised while parsing is reported as a checksum mismatch
+        # when the file is damaged, and as itself when it is not
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd", b"x" * 3_000_000])
+        for damaged in (False, True):
+            if damaged:
+                data = bytearray(path.read_bytes())
+                data[-10] ^= 0x01
+                path.write_bytes(bytes(data))
+            with pytest.raises(ValueError, match="checksum mismatch" if damaged else "bad field"):
+                with FramedReader(path, b"MAG", "test file") as reader:
+                    reader.take(4, "head")
+                    raise ValueError("bad field")
+            # a block that stops early finds trailing bytes
+            trailing = "checksum mismatch" if damaged else "trailing bytes"
+            with pytest.raises(ValueError, match=trailing):
+                with FramedReader(path, b"MAG", "test file") as reader:
+                    reader.take(4, "head")
+
+    def test_claimed_size_checked_before_allocating(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd"])
+        with pytest.raises(ValueError, match="truncated test file while reading huge"):
+            with FramedReader(path, b"MAG", "test file") as reader:
+                reader.floats((2**40, 128), "huge")
+
+    def test_file_closed_after_block(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd"])
+        with FramedReader(path, b"MAG", "test file") as reader:
+            reader.take(4, "head")
+        assert reader._handle.closed
+        with pytest.raises(ValueError, match="trailing bytes"):
+            with FramedReader(path, b"MAG", "test file") as reader:
+                pass
+        assert reader._handle.closed
 
     def test_failed_part_leaves_old_file(self, tmp_path):
         path = tmp_path / "framed.bin"

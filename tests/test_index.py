@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -54,6 +55,11 @@ class TestFlatIndexValidation:
                 doc_ids=["a"],
                 k_views=1,
             )
+
+    def test_zero_width_rejected(self):
+        # search sizes its rescore blocks by the row width
+        with pytest.raises(ValueError, match="at least one column"):
+            FlatIndex(matrix=np.zeros((2, 0), dtype=np.float32), doc_ids=["a", "b"], k_views=1)
 
 
 class TestBuild:
@@ -246,6 +252,63 @@ class TestSearch:
         assert [r.doc_id for r in got.results] == ["a", "b", "c"]
         assert got.results[1].score == got.results[2].score == 1.0
 
+    def test_certified_screen_at_the_boundary(self, rng):
+        # Every float64 score is exact in any summation order (a sum of 32
+        # products of 12-bit and 30-bit integers at one scale, 2**-42), while
+        # float32 rounds both the query and the products. Coordinates 1-6
+        # form three pairs that the query weighs equally; each row moves a
+        # pair by +s and -s, which leaves its exact score unchanged but not
+        # its float32 one. Two thirds of the documents then differ only in
+        # coordinate 0, which the query weighs 3 * 2**-30: their scores lie
+        # 1e-9 apart, far inside the float32 bound, and many tie exactly.
+        # doc_id order differs from row order.
+        dim, n_docs, k_views = 32, 300, 3
+        q_int = rng.integers(2**29, 2**30, size=dim) * rng.choice([-1, 1], size=dim)
+        q_int[0] = 3
+        q_int[2:8:2] = q_int[1:7:2]
+        rows = np.tile(np.sign(q_int) * rng.integers(1024, 2048, size=dim), (n_docs * k_views, 1))
+        rows[:, 0] = rng.integers(-600, 600, size=len(rows))
+        shift = rng.integers(-1000, 1000, size=(len(rows), 3))
+        rows[:, 1:7:2] += shift
+        rows[:, 2:8:2] -= shift
+        views = rows.reshape(n_docs, k_views, dim)
+        far = rng.permutation(n_docs)[: n_docs // 3]
+        views[far, :, 7] -= np.sign(q_int[7]) * 512  # clearly below on every view
+        views[1::7] = views[0]  # exact ties with document 0
+        exact = (views @ q_int).max(axis=1)  # integers below 2**47
+        doc_ids = [f"d{i:03d}" for i in rng.permutation(n_docs)]
+        index = FlatIndex((rows / 4096).astype(np.float32), doc_ids, k_views)
+        order = sorted(range(n_docs), key=lambda i: (-exact[i], index.doc_ids[i]))
+        q = q_int / 2**30
+        for top_k_docs in (1, 5, 10, 40, 199, n_docs):
+            got = search(index, q, top_k_docs)
+            want = order[:top_k_docs]
+            assert [r.doc_id for r in got.results] == [index.doc_ids[i] for i in want]
+            assert [r.score for r in got.results] == [exact[i] / 2**42 for i in want]
+
+    def test_float32_overflow_and_zero_query_rank_every_document(self, rng, monkeypatch):
+        # a query that overflows float32 gives no bound, and a zero query ties
+        # every document: both rescore all documents, three per block here
+        monkeypatch.setattr("mvdr.index._RESCORE_BLOCK_BYTES", 3 * 12 * 2 * 8)
+        index = random_index(rng, n_docs=10, k_views=2, dim=8)
+        row_doc_ids = [index.doc_ids[i] for i in index.row_doc]
+        for query in (rng.normal(size=8) * 1e39, np.zeros(8)):
+            want = exhaustive_maxpool(index.matrix, row_doc_ids, query)
+            got = search(index, query, top_k_docs=10).results
+            assert [r.doc_id for r in got] == [d for d, _ in want]
+            np.testing.assert_allclose([r.score for r in got], [s for _, s in want], rtol=1e-12)
+
+    def test_one_search_allocates_less_than_a_float64_matrix(self, rng):
+        index = random_index(rng, n_docs=2_000, k_views=10, dim=64)
+        query = rng.normal(size=64)
+        tracemalloc.start()
+        try:
+            search(index, query, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < index.matrix.size * 8
+
     def test_top_k_larger_than_corpus(self, rng):
         index = random_index(rng, n_docs=5, k_views=2, dim=8)
         got = search(index, rng.normal(size=8), top_k_docs=50)
@@ -356,12 +419,15 @@ class TestIndexIO:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_index(path)
 
-    def test_loaded_matrix_is_read_only_view(self, tmp_path, rng):
+    def test_loaded_matrix_is_aligned_and_read_only(self, tmp_path, rng):
+        # doc_ids of 6 bytes each put the float block at offset 18 + 6 * 10,
+        # 2 mod 4: a view of the file's bytes would be unaligned
         index = random_index(rng, n_docs=6, k_views=3, dim=4)
         path = tmp_path / "index.bin"
         save_index(index, path)
         loaded = load_index(path)
-        assert not loaded.matrix.flags.writeable
+        assert loaded.matrix.flags.aligned and loaded.matrix.flags.c_contiguous
+        assert loaded.matrix.flags.owndata and not loaded.matrix.flags.writeable
         with pytest.raises(ValueError):
             loaded.matrix[0, 0] = 1.0
         query = rng.normal(size=4)
