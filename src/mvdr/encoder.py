@@ -11,6 +11,9 @@ with a query prefix separated by a sentinel token (query-informed views).
 The joint encoding sees n-grams that cross the separator, so the same
 document yields a different vector for each prefix query.
 
+Each stage featurizes its texts through one :class:`FeatureTable`, which
+it drops when the stage ends; the module keeps no feature state.
+
 Gradients are computed by hand in :func:`backprop_tower`; there is no
 autodiff anywhere in the package. Training runs in float32 and every
 forward/backward path also works in float64 for verification.
@@ -18,12 +21,11 @@ forward/backward path also works in float64 for verification.
 
 from __future__ import annotations
 
-import functools
 import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,41 +201,87 @@ def init_params(cfg: EncoderConfig, seed: int, dtype: np.dtype | type = np.float
 # Feature extraction
 
 
-# Distinct (text, cap, orders, buckets) entries kept by the feature memo.
-_FEATURE_MEMO_SIZE = 200_000
+class FeatureTable:
+    """Hashed n-gram features for the texts of one stage.
 
+    A stage (one index build, one training run, one batch of query
+    encodings) makes a table, featurizes every text through it and drops
+    it when done, so no feature state outlives the stage. The table hashes
+    each distinct n-gram once and keeps its bucket. Ordinary features hash
+    into [0, hash_buckets - 1); the last bucket is reserved for the
+    separator token.
 
-def _hash_gram(gram: tuple[str, ...], space: int) -> int:
-    return stable_hash64(_GRAM_JOIN.join(gram)) % space
-
-
-@functools.lru_cache(maxsize=_FEATURE_MEMO_SIZE)
-def _text_features(
-    text: str, cap: int, orders: tuple[int, ...], hash_buckets: int
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The first ``cap`` tokens of ``text`` and their hashed n-grams.
-
-    Ordinary features hash into [0, hash_buckets - 1); the last bucket is
-    reserved for the separator token. Every caller shares the memoized
-    bucket array, so it is read-only.
+    A text's tokens and read-only bucket array are kept only while the
+    stage can use them again. With ``keep_texts`` (training, which reads
+    every text once per epoch) the table keeps them for every text;
+    otherwise only for the latest query and the latest document, which
+    covers a document whose views are encoded one after another.
     """
-    tokens = tuple(tokenize(text)[:cap])
-    space = hash_buckets - 1
-    buckets = np.asarray(
-        [_hash_gram(tokens[i : i + n], space) for n in orders for i in range(len(tokens) - n + 1)],
-        dtype=np.int64,
-    )
-    buckets.flags.writeable = False
-    return tokens, buckets
+
+    def __init__(self, cfg: EncoderConfig, keep_texts: bool = False) -> None:
+        self.cfg = cfg
+        self._space = cfg.hash_buckets - 1
+        self._keep_texts = keep_texts
+        # joined n-gram -> bucket
+        self._buckets: dict[str, int] = {}
+        # (what, text), or just what, -> (text, tokens, buckets)
+        self._texts: dict[object, tuple[str, tuple[str, ...], np.ndarray]] = {}
+
+    def _lookup(self, grams: list[str]) -> list[int]:
+        """Buckets of joined n-grams, hashing those the table has not seen."""
+        buckets = self._buckets
+        for gram in grams:
+            if gram not in buckets:
+                buckets[gram] = stable_hash64(gram) % self._space
+        return [buckets[gram] for gram in grams]
+
+    def segment(self, text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """Tokens of a query or document (``what``), cut at its cap, and
+        their n-gram buckets (read-only)."""
+        key = (what, text) if self._keep_texts else what
+        kept = self._texts.get(key)
+        if kept is not None and kept[0] == text:
+            return kept[1], kept[2]
+        cap = self.cfg.max_query_tokens if what == "query" else self.cfg.max_doc_tokens
+        tokens = tuple(tokenize(text)[:cap])
+        if not tokens:
+            raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
+        grams: list[str] = []
+        for n in self.cfg.ngram_orders:
+            grams.extend(_grams(tokens, n))
+        buckets = np.asarray(self._lookup(grams), dtype=np.int64)
+        buckets.flags.writeable = False
+        self._texts[key] = (text, tokens, buckets)
+        return tokens, buckets
+
+    def boundary(self, q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> list[int]:
+        """Buckets of the n-grams of ``query <SEP> document`` that overlap
+        the separator, in order."""
+        out: list[int] = []
+        for n in self.cfg.ngram_orders:
+            if n == 1:
+                out.append(self._space)
+            else:
+                # the last n - 1 query tokens, the separator, the first n - 1 document tokens
+                window = q_tokens[max(0, len(q_tokens) - n + 1) :] + (SEP_TOKEN,) + d_tokens[: n - 1]
+                out.extend(self._lookup(list(_grams(window, n))))
+        return out
 
 
-def _segment(
-    cfg: EncoderConfig, text: str, cap: int, what: str
-) -> tuple[tuple[str, ...], np.ndarray]:
-    tokens, buckets = _text_features(text, cap, cfg.ngram_orders, cfg.hash_buckets)
-    if not tokens:
-        raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
-    return tokens, buckets
+def _grams(tokens: tuple[str, ...], n: int) -> Iterable[str]:
+    """The n-grams of ``tokens``, each joined into one string."""
+    if n == 1:
+        return tokens
+    return map(_GRAM_JOIN.join, zip(*[tokens[k:] for k in range(n)]))
+
+
+def _table_for(cfg: EncoderConfig, table: FeatureTable | None) -> FeatureTable:
+    """``table``, checked against ``cfg``; a throwaway table when None."""
+    if table is None:
+        return FeatureTable(cfg)
+    if table.cfg is not cfg and table.cfg != cfg:
+        raise ValueError("feature table was made for a different encoder config")
+    return table
 
 
 def _require_features(cfg: EncoderConfig, buckets: np.ndarray, what: str) -> np.ndarray:
@@ -243,41 +291,35 @@ def _require_features(cfg: EncoderConfig, buckets: np.ndarray, what: str) -> np.
     return buckets
 
 
-def query_feature_buckets(cfg: EncoderConfig, text: str) -> np.ndarray:
+def query_feature_buckets(
+    cfg: EncoderConfig, text: str, table: FeatureTable | None = None
+) -> np.ndarray:
     """Hashed n-gram features of a query encoded alone (read-only)."""
-    _, buckets = _segment(cfg, text, cfg.max_query_tokens, "query")
+    _, buckets = _table_for(cfg, table).segment(text, "query")
     return _require_features(cfg, buckets, f"query {text!r}")
 
 
-def doc_feature_buckets(cfg: EncoderConfig, text: str) -> np.ndarray:
+def doc_feature_buckets(
+    cfg: EncoderConfig, text: str, table: FeatureTable | None = None
+) -> np.ndarray:
     """Hashed n-gram features of a document encoded alone (read-only)."""
-    _, buckets = _segment(cfg, text, cfg.max_doc_tokens, "document")
+    _, buckets = _table_for(cfg, table).segment(text, "document")
     return _require_features(cfg, buckets, f"document {text!r}")
 
 
-def joint_feature_buckets(cfg: EncoderConfig, query_text: str, doc_text: str) -> np.ndarray:
+def joint_feature_buckets(
+    cfg: EncoderConfig, query_text: str, doc_text: str, table: FeatureTable | None = None
+) -> np.ndarray:
     """Features of ``query <SEP> document`` as one sequence.
 
-    Equal to the features of the concatenated token sequence: segment
-    features come from the per-text memo and only the n-grams that
-    overlap the separator are hashed here.
+    Equal to the features of the concatenated token sequence: the query's
+    and the document's own n-grams, then those that overlap the separator.
     """
-    q_tokens, q_part = _segment(cfg, query_text, cfg.max_query_tokens, "query")
-    d_tokens, d_part = _segment(cfg, doc_text, cfg.max_doc_tokens, "document")
-    seq = q_tokens + (SEP_TOKEN,) + d_tokens
-    sep_pos = len(q_tokens)
-    space = cfg.hash_buckets - 1
-    boundary: list[int] = []
-    for n in cfg.ngram_orders:
-        lo = max(0, sep_pos - n + 1)
-        hi = min(sep_pos, len(seq) - n)
-        for i in range(lo, hi + 1):
-            gram = seq[i : i + n]
-            if n == 1:
-                boundary.append(cfg.hash_buckets - 1)
-            else:
-                boundary.append(_hash_gram(gram, space))
-    buckets = np.concatenate([q_part, np.asarray(boundary, dtype=np.int64), d_part])
+    table = _table_for(cfg, table)
+    q_tokens, q_part = table.segment(query_text, "query")
+    d_tokens, d_part = table.segment(doc_text, "document")
+    boundary = np.asarray(table.boundary(q_tokens, d_tokens), dtype=np.int64)
+    buckets = np.concatenate([q_part, boundary, d_part])
     return _require_features(cfg, buckets, f"query {query_text!r} with document {doc_text!r}")
 
 
@@ -341,9 +383,11 @@ def encode_query(params: EncoderParams, text: str) -> np.ndarray:
 
 
 def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
+    """Embed queries through the query tower, featurized through one table."""
     if len(texts) == 0:
         return np.zeros((0, params.config.embed_dim), dtype=params.query_tower.b_out.dtype)
-    buckets = [query_feature_buckets(params.config, t) for t in texts]
+    table = FeatureTable(params.config)
+    buckets = [query_feature_buckets(params.config, t, table) for t in texts]
     out, _ = forward_tower(params.query_tower, buckets)
     return out
 
@@ -363,22 +407,30 @@ def encode_document_view(params: EncoderParams, query_text: str, doc_text: str) 
 
 
 def candidate_feature_buckets(
-    cfg: EncoderConfig, pair: tuple[str | None, str]
+    cfg: EncoderConfig, pair: tuple[str | None, str], table: FeatureTable | None = None
 ) -> np.ndarray:
     """Features for a candidate: ``(None, doc)`` alone or ``(query, doc)`` jointly."""
     query_text, doc_text = pair
     if query_text is None:
-        return doc_feature_buckets(cfg, doc_text)
-    return joint_feature_buckets(cfg, query_text, doc_text)
+        return doc_feature_buckets(cfg, doc_text, table)
+    return joint_feature_buckets(cfg, query_text, doc_text, table)
 
 
 def encode_candidates(
-    params: EncoderParams, pairs: Sequence[tuple[str | None, str]]
+    params: EncoderParams,
+    pairs: Sequence[tuple[str | None, str]],
+    table: FeatureTable | None = None,
 ) -> np.ndarray:
-    """Embed candidate inputs through the doc tower, preserving order."""
+    """Embed candidate inputs through the doc tower, preserving order.
+
+    ``table`` carries feature hashes across calls of one stage; without
+    one, this call makes its own.
+    """
     if len(pairs) == 0:
         return np.zeros((0, params.config.embed_dim), dtype=params.doc_tower.b_out.dtype)
-    buckets = [candidate_feature_buckets(params.config, p) for p in pairs]
+    if table is None:
+        table = FeatureTable(params.config)
+    buckets = [candidate_feature_buckets(params.config, p, table) for p in pairs]
     out, _ = forward_tower(params.doc_tower, buckets)
     return out
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
-from .encoder import EncoderParams, encode_candidates, encode_queries
+from .encoder import EncoderParams, FeatureTable, encode_candidates, encode_queries
 from .hashing import FramedReader, write_framed
 
 log = logging.getLogger(__name__)
@@ -83,9 +83,11 @@ class FlatIndex:
             raise ValueError(
                 f"{n_rows} rows != {self.k_views} views * {len(self.doc_ids)} docs"
             )
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("index embeddings must be finite")
         squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
+        # float32 rows are finite exactly when their float64 sums of squares
+        # are, so only a wider matrix, or a bad one, is checked value by value
+        if not np.isfinite(squares).all() and not np.isfinite(self.matrix).all():
+            raise ValueError("index embeddings must be finite")
         self._doc_norm = np.sqrt(squares).reshape(self.n_docs, self.k_views).max(axis=1)
 
     @property
@@ -118,7 +120,8 @@ def build_index(
     Single-view mode embeds each document alone (one row per document).
     Query-informed mode needs ``generated`` to cover every document and
     produces one row per (document, generated query). Rows are doc-major.
-    ``threads`` is ignored: encoding runs on the calling thread.
+    Every row is featurized through one :class:`FeatureTable`, dropped on
+    return. ``threads`` is ignored: encoding runs on the calling thread.
     """
     if mode not in ("de", "dce"):
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
@@ -147,8 +150,9 @@ def build_index(
             k_views = 1  # empty corpus
 
     matrix = np.empty((len(pairs), params.config.embed_dim), dtype=np.float32)
+    table = FeatureTable(params.config)
     for start in range(0, len(pairs), 512):
-        matrix[start : start + 512] = encode_candidates(params, pairs[start : start + 512])
+        matrix[start : start + 512] = encode_candidates(params, pairs[start : start + 512], table)
     index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
     log.info(
         "built index: %d docs, %d views/doc, dim %d", index.n_docs, index.k_views, index.embed_dim

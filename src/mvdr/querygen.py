@@ -9,14 +9,19 @@ document's ``top_k`` most salient terms. With ``top_k`` of 1 every draw
 collapses to the argmax, so all k queries of a document are identical.
 
 Every document is generated with its own RNG stream derived from the base
-seed and the doc_id, so outputs do not depend on corpus order.
+seed and the doc_id, so outputs do not depend on corpus order. Each term
+draw takes one uniform from that stream and inverts the cumulative
+distribution of the remaining weights, as ``Generator.choice`` does with
+``p``, in plain Python over at most ``top_k`` weights.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,13 +108,51 @@ def fit_qg(
     return QGModel(salience=salience, templates=tuple(templates), rng_seed=seed)
 
 
-def _term_pool(
-    weights: Mapping[str, float], top_k: int
-) -> tuple[list[str], np.ndarray]:
+def _term_pool(weights: Mapping[str, float], top_k: int) -> tuple[list[str], list[float]]:
     """The document's top-salience terms, ties broken alphabetically."""
     ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    terms = [t for t, _ in ranked]
-    return terms, np.asarray([w for _, w in ranked], dtype=np.float64)
+    return [t for t, _ in ranked], [w for _, w in ranked]
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """``np.sum`` of a float64 array, summed in numpy's pairwise order.
+
+    numpy sums fewer than 8 values left to right. From 8 to 128 values it
+    keeps 8 running sums over strides of 8, combines them pairwise and adds
+    the remainder left to right. Longer arrays are split in two at a
+    multiple of 8 near the middle.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    r = values[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += values[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
+def _draw(rng: np.random.Generator, weights: list[float]) -> int:
+    """Index drawn with probability proportional to ``weights``.
+
+    The same draw, bit for bit, as ``rng.choice(len(weights), p=probs)``
+    with ``probs = w / w.sum()``: one uniform searched in the normalized
+    cumulative sum of ``probs``.
+    """
+    total = _numpy_sum(weights)
+    cdf = list(accumulate([w / total for w in weights]))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
 
 
 def generate(
@@ -138,12 +181,11 @@ def generate(
         n_terms = min(_TERMS_PER_QUERY, len(pool_terms), budget)
         chosen: list[str] = []
         avail_terms = list(pool_terms)
-        avail_weights = pool_weights.copy()
+        avail_weights = list(pool_weights)
         for _ in range(n_terms):
-            probs = avail_weights / avail_weights.sum()
-            j = int(rng.choice(len(avail_terms), p=probs))
+            j = _draw(rng, avail_weights)
             chosen.append(avail_terms.pop(j))
-            avail_weights = np.delete(avail_weights, j)
+            del avail_weights[j]
         tokens = (template_tokens + chosen)[: cfg.max_query_tokens]
         queries.append(" ".join(tokens))
     return GeneratedQuerySet(doc_id=doc.doc_id, queries=tuple(queries))

@@ -31,6 +31,7 @@ import numpy as np
 from .corpus import Document, GeneratedQuerySet, TrainingTriple, write_lines
 from .encoder import (
     EncoderParams,
+    FeatureTable,
     RowGrad,
     Tower,
     backprop_tower,
@@ -184,17 +185,22 @@ def zero_grads(params: EncoderParams) -> dict[str, Tower]:
     }
 
 
-def loss_and_grads(params: EncoderParams, batch: TrainBatch) -> BatchResult:
+def loss_and_grads(
+    params: EncoderParams, batch: TrainBatch, table: FeatureTable | None = None
+) -> BatchResult:
     """Mean batch loss and parameter gradients, by hand-rolled backprop.
 
     Each row of the ``(B, B * block)`` score matrix is one softmax over
     every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
-    which always runs in float64 for stability.
+    which always runs in float64 for stability. ``table`` is the training
+    run's feature table; without one the batch makes its own.
     """
     cfg = params.config
-    q_buckets = [query_feature_buckets(cfg, t) for t in batch.query_texts]
-    c_buckets = [candidate_feature_buckets(cfg, p) for p in batch.candidates]
+    if table is None:
+        table = FeatureTable(cfg)
+    q_buckets = [query_feature_buckets(cfg, t, table) for t in batch.query_texts]
+    c_buckets = [candidate_feature_buckets(cfg, p, table) for p in batch.candidates]
     q_emb, q_cache = forward_tower(params.query_tower, q_buckets, want_cache=True)
     c_emb, c_cache = forward_tower(params.doc_tower, c_buckets, want_cache=True)
 
@@ -348,6 +354,7 @@ def _run_stage(
     rng: np.random.Generator,
     trace: list[TraceEntry],
     progress: Callable[[str], None] | None,
+    table: FeatureTable,
 ) -> None:
     """Run one optimization stage, appending a trace entry per step; the
     trace's length is the step counter across stages."""
@@ -362,7 +369,7 @@ def _run_stage(
         for start, end in spans:
             batch_examples = [examples[j] for j in order[start:end]]
             batch = build_batch(batch_examples)
-            result = loss_and_grads(params, batch)
+            result = loss_and_grads(params, batch, table)
             lr = lr_at(stage_step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
             adam_step(params, result.grads, state, lr)
             trace.append(TraceEntry(step=len(trace), stage=stage, loss=result.loss))
@@ -422,7 +429,10 @@ def train(
     Pretraining (when ``epochs_pretrain > 0``) requires ``corpus`` and
     ``generated``. Both stages' inputs are checked before either runs.
     Optimizer state is fresh per stage, and the step counter in the trace
-    runs across both stages. Deterministic for a fixed (params, data, cfg).
+    runs across both stages. Both stages featurize through one
+    :class:`FeatureTable` that keeps every text's features, since each
+    epoch reads them all again; it is dropped on return. Deterministic for
+    a fixed (params, data, cfg).
     """
     stages = []
     if cfg.epochs_pretrain > 0:
@@ -439,7 +449,8 @@ def train(
         stages.append(("finetune", examples, cfg.batch_size, cfg.epochs_finetune))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     trace: list[TraceEntry] = []
+    table = FeatureTable(params.config, keep_texts=True)
     for stage, examples, batch_size, epochs in stages:
         log.info("%s on %d examples for %d epochs", stage, len(examples), epochs)
-        _run_stage(params, stage, examples, batch_size, epochs, cfg, rng, trace, progress)
+        _run_stage(params, stage, examples, batch_size, epochs, cfg, rng, trace, progress, table)
     return trace

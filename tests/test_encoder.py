@@ -12,6 +12,8 @@ from mvdr import encoder
 from mvdr.encoder import (
     SEP_TOKEN,
     EncoderConfig,
+    FeatureTable,
+    candidate_feature_buckets,
     doc_feature_buckets,
     encode_candidates,
     encode_document,
@@ -116,7 +118,7 @@ class TestFeatureHashing:
         assert len(doc_feature_buckets(cfg, "one two three")) == 3
 
     def test_empty_text_rejected(self):
-        # the memo must not turn a rejected text into a cached result
+        # a table must not turn a rejected text into a kept result
         for featurize in (query_feature_buckets, doc_feature_buckets):
             for _ in range(2):
                 with pytest.raises(ValueError, match="no tokens"):
@@ -152,6 +154,129 @@ class TestFeatureHashing:
         cfg = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(4,))
         with pytest.raises(ValueError, match=r"query 'who' with document 'what' .*\(4,\)"):
             joint_feature_buckets(cfg, "who", "what")
+
+
+def scratch_buckets(cfg, query_text=None, doc_text=None):
+    """Every n-gram of the capped query, document or ``query <SEP> document``
+    hashed from scratch, in the encoder's layout: the query's own n-grams,
+    those that overlap the separator, then the document's, each part by
+    order and position."""
+    seq, sep = (), None
+    if query_text is not None:
+        seq = tuple(tokenize(query_text)[: cfg.max_query_tokens])
+    if doc_text is not None:
+        doc = tuple(tokenize(doc_text)[: cfg.max_doc_tokens])
+        if query_text is not None:
+            sep = len(seq)
+            seq += (SEP_TOKEN,)
+        seq += doc
+    grams = []
+    for rank, n in enumerate(cfg.ngram_orders):
+        for i in range(len(seq) - n + 1):
+            gram = seq[i : i + n]
+            if gram == (SEP_TOKEN,):
+                bucket = cfg.hash_buckets - 1
+            else:
+                bucket = stable_hash64("\x1f".join(gram)) % (cfg.hash_buckets - 1)
+            part = 0 if sep is None or i + n <= sep else 2 if i > sep else 1
+            grams.append((part, rank, i, bucket))
+    return [bucket for *_, bucket in sorted(grams)]
+
+
+# short caps on both sides; orders longer than many texts
+TABLE_CFGS = [
+    CFG,
+    EncoderConfig(embed_dim=4, hash_buckets=97, ngram_orders=(2, 3), max_query_tokens=3, max_doc_tokens=5),
+    EncoderConfig(embed_dim=4, hash_buckets=2**16, ngram_orders=(3, 1), max_query_tokens=5, max_doc_tokens=4),
+    EncoderConfig(embed_dim=4, hash_buckets=2**16, ngram_orders=(4, 2), max_query_tokens=4, max_doc_tokens=3),
+]
+# few distinct tokens, so n-grams repeat within and across texts
+repeat_text = st.lists(st.sampled_from("ab ab cd e".split()), min_size=0, max_size=9).map(" ".join)
+
+
+def featurize_or_error(featurize, *args):
+    try:
+        return featurize(*args).tolist()
+    except ValueError as err:
+        return "no tokens" if "no tokens" in str(err) else "too short"
+
+
+def scratch_or_error(cfg, query_text=None, doc_text=None):
+    for text, cap in ((query_text, cfg.max_query_tokens), (doc_text, cfg.max_doc_tokens)):
+        if text is not None and not tokenize(text)[:cap]:
+            return "no tokens"
+    return scratch_buckets(cfg, query_text, doc_text) or "too short"
+
+
+class TestFeatureTable:
+    @given(repeat_text, repeat_text)
+    @settings(max_examples=150, deadline=None)
+    def test_each_text_matches_scratch_hashing(self, query_text, doc_text):
+        for cfg in TABLE_CFGS:
+            want = scratch_or_error(cfg, query_text=query_text)
+            assert featurize_or_error(query_feature_buckets, cfg, query_text) == want
+            want = scratch_or_error(cfg, doc_text=doc_text)
+            assert featurize_or_error(doc_feature_buckets, cfg, doc_text) == want
+            want = scratch_or_error(cfg, query_text, doc_text)
+            assert featurize_or_error(joint_feature_buckets, cfg, query_text, doc_text) == want
+
+    @pytest.mark.parametrize("keep_texts", [False, True])
+    @pytest.mark.parametrize("cfg", TABLE_CFGS)
+    def test_one_table_across_shuffled_texts(self, cfg, keep_texts):
+        rng = np.random.default_rng(7)
+        words = "ab cd e fg ab cd".split()
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(30)]
+        # each document's views in a row, as an index build reads them, then
+        # everything again in shuffled order, as training epochs read them
+        pairs = [(q, d) for d in texts[:10] for q in texts[10:14]] + [(None, d) for d in texts]
+        order = rng.permutation(len(pairs))
+        pairs += [pairs[i] for i in order]
+        table = FeatureTable(cfg, keep_texts=keep_texts)
+        for query_text, doc_text in pairs:
+            want = scratch_or_error(cfg, query_text, doc_text)
+            got = featurize_or_error(candidate_feature_buckets, cfg, (query_text, doc_text), table)
+            assert got == want
+            if query_text is not None:
+                assert featurize_or_error(query_feature_buckets, cfg, query_text, table) == (
+                    scratch_or_error(cfg, query_text=query_text)
+                )
+
+    def test_caps_cut_both_sides(self):
+        query_text, doc_text = "q1 q2 q3 q4 q5 q6", "d1 d2 d3 d4 d5 d6 d7 d8"
+        table = FeatureTable(CFG)
+        got = joint_feature_buckets(CFG, query_text, doc_text, table).tolist()
+        assert got == scratch_buckets(CFG, "q1 q2 q3 q4", "d1 d2 d3 d4 d5 d6")
+        assert len(got) == (4 + 1 + 6) + (3 + 2 + 5)
+
+    def test_repeated_grams_hashed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(encoder, "stable_hash64", lambda key: calls.append(key) or stable_hash64(key))
+        table = FeatureTable(CFG)
+        for text in ("ab ab ab", "ab ab", "ab cd ab"):
+            query_feature_buckets(CFG, text, table)
+        assert sorted(calls) == sorted(["ab", "ab\x1fab", "cd", "ab\x1fcd", "cd\x1fab"])
+
+    def test_table_of_another_config_rejected(self):
+        other = EncoderConfig(embed_dim=8, hash_buckets=512, ngram_orders=(1, 2))
+        with pytest.raises(ValueError, match="different encoder config"):
+            query_feature_buckets(CFG, "alpha", FeatureTable(other))
+        # an equal config made separately is the same config
+        equal = EncoderConfig(**{f: getattr(CFG, f) for f in CFG.__dataclass_fields__})
+        assert query_feature_buckets(CFG, "alpha", FeatureTable(equal)).tolist() == (
+            scratch_buckets(CFG, "alpha")
+        )
+
+    def test_encodings_through_a_table_equal_throwaway_ones(self):
+        params = init_params(CFG, seed=3)
+        pairs = [("alpha beta", "gamma delta eps"), (None, "gamma delta eps"), ("beta", "zeta")]
+        table = FeatureTable(CFG)
+        np.testing.assert_array_equal(
+            encode_candidates(params, pairs, table), encode_candidates(params, pairs)
+        )
+        np.testing.assert_array_equal(
+            encode_candidates(params, pairs[::-1], table),
+            encode_candidates(params, pairs)[::-1],
+        )
 
 
 class TestInit:

@@ -56,6 +56,32 @@ class TestFlatIndexValidation:
                 k_views=1,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_nonfinite_value_rejected(self, rng, bad):
+        matrix = rng.normal(size=(6, 3)).astype(np.float32)
+        matrix[4, 1] = bad
+        with pytest.raises(ValueError, match="index embeddings must be finite"):
+            FlatIndex(matrix=matrix, doc_ids=["a", "b", "c"], k_views=2)
+
+    def test_largest_float32_values_accepted(self):
+        # their squares overflow float32 but not the float64 sums
+        matrix = np.full((4, 3), np.finfo(np.float32).max, dtype=np.float32)
+        matrix[1::2] *= -1
+        index = FlatIndex(matrix=matrix, doc_ids=["a", "b"], k_views=2)
+        assert np.isfinite(index._doc_norm).all()
+
+    def test_finiteness_check_allocates_no_matrix_sized_array(self, rng):
+        # np.isfinite(matrix) alone would take one byte per value
+        matrix = rng.normal(size=(20_000, 64)).astype(np.float32)
+        doc_ids = [f"d{i}" for i in range(1_000)]
+        tracemalloc.start()
+        try:
+            FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.size // 2
+
     def test_zero_width_rejected(self):
         # search sizes its rescore blocks by the row width
         with pytest.raises(ValueError, match="at least one column"):
@@ -417,6 +443,18 @@ class TestIndexIO:
         payload = path.read_bytes()[:-4] + b"\x00" * 4
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(ValueError, match="trailing bytes"):
+            load_index(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_embedding_rejected(self, tmp_path, rng, bad):
+        # a checksum-valid file whose matrix holds a non-finite value
+        index = random_index(rng, n_docs=4, k_views=2, dim=4)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        payload = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<f", payload, len(payload) - 4 * 6, bad)
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ValueError, match="index embeddings must be finite"):
             load_index(path)
 
     def test_loaded_matrix_is_aligned_and_read_only(self, tmp_path, rng):

@@ -1,5 +1,9 @@
+import functools
 import math
+import operator
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mvdr.corpus import Document, tokenize
@@ -7,6 +11,8 @@ from mvdr.querygen import (
     DEFAULT_TEMPLATES,
     QGModel,
     SamplingConfig,
+    _draw,
+    _numpy_sum,
     fit_qg,
     generate,
     generate_corpus,
@@ -136,3 +142,85 @@ class TestGenerateCorpus:
         # documents share no vocabulary here, so equal queries would mean
         # the same template + term positions; streams should decorrelate
         assert len({s.queries for s in sets}) == len(sets)
+
+
+def reference_generate(model, doc, cfg, seed):
+    """Queries drawn with ``Generator.choice(p=...)`` and ``np.delete``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ranked = sorted(model.salience[doc.doc_id].items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = ranked[: cfg.top_k]
+    pool_terms = [t for t, _ in ranked]
+    pool_weights = np.asarray([w for _, w in ranked], dtype=np.float64)
+    n_templates = min(cfg.top_k, len(model.templates))
+    queries = []
+    for _ in range(cfg.k_views):
+        template_tokens = model.templates[int(rng.integers(0, n_templates))].split()
+        budget = max(0, cfg.max_query_tokens - len(template_tokens))
+        n_terms = min(3, len(pool_terms), budget)
+        chosen = []
+        avail_terms = list(pool_terms)
+        avail_weights = pool_weights.copy()
+        for _ in range(n_terms):
+            probs = avail_weights / avail_weights.sum()
+            j = int(rng.choice(len(avail_terms), p=probs))
+            chosen.append(avail_terms.pop(j))
+            avail_weights = np.delete(avail_weights, j)
+        queries.append(" ".join((template_tokens + chosen)[: cfg.max_query_tokens]))
+    return tuple(queries)
+
+
+def spread_weights(rng, n):
+    """Positive weights over many magnitudes, so that summation order shows."""
+    return rng.lognormal(mean=0.0, sigma=3.0, size=n).tolist()
+
+
+class TestDrawMatchesChoice:
+    """Pool sizes below, at and above numpy's 8-way summation unroll."""
+
+    POOLS = (1, 5, 7, 8, 12, 16, 20)
+
+    def test_sum_in_numpy_order(self):
+        rng = np.random.default_rng(0)
+        left_to_right_differs = 0
+        for n in list(range(1, 40)) + [127, 128, 129, 136, 300, 1001]:
+            for _ in range(20):
+                values = spread_weights(rng, n)
+                assert _numpy_sum(values) == np.asarray(values).sum()
+                left_to_right_differs += functools.reduce(operator.add, values) != _numpy_sum(values)
+        # the data can tell the orders apart
+        assert left_to_right_differs > 0
+
+    @pytest.mark.parametrize("n", POOLS + (129, 300))
+    def test_draw_equals_choice(self, n):
+        weights = spread_weights(np.random.default_rng(n), n)
+        probs = np.asarray(weights) / np.asarray(weights).sum()
+        for seed in range(50):
+            ours = np.random.Generator(np.random.PCG64(seed))
+            theirs = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(5):
+                assert _draw(ours, weights) == int(theirs.choice(n, p=probs))
+
+    @pytest.mark.parametrize("n", POOLS + (129, 300))
+    def test_draw_at_every_cdf_boundary(self, n):
+        # a uniform exactly at, or just below, one of numpy's cumulative
+        # values tells apart cumulative sums that differ in the last bit
+        weights = spread_weights(np.random.default_rng(100 + n), n)
+        w = np.asarray(weights)
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        for u in np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0)]):
+            rng = SimpleNamespace(random=lambda u=float(u): u)
+            assert _draw(rng, weights) == int(np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_generate_equals_reference(self, pool):
+        weights = spread_weights(np.random.default_rng(pool), pool)
+        salience = {f"t{i:02d}": w for i, w in enumerate(weights)}
+        model = QGModel(salience={"d": salience}, templates=DEFAULT_TEMPLATES, rng_seed=0)
+        doc = Document("d", "unused by generation")
+        for max_query_tokens in (1, 2, 3, 4, 16):
+            for top_k in (pool, pool + 3):
+                cfg = SamplingConfig(k_views=6, top_k=top_k, max_query_tokens=max_query_tokens)
+                for seed in range(12):
+                    got = generate(model, doc, cfg, seed=seed).queries
+                    assert got == reference_generate(model, doc, cfg, seed)

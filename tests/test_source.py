@@ -2,6 +2,8 @@
 
 Every output file is opened by ``hashing.open_output``, which replaces its
 target whole, and every input file by the line reader or ``FramedReader``.
+The package keeps no process-global state: no memo decorator, and no
+module-level dict, list or set that a function changes.
 """
 
 import ast
@@ -61,3 +63,90 @@ def test_only_open_output_opens_files_for_writing():
 def test_only_the_line_reader_and_framed_reader_open_inputs():
     readers = sorted(where for where, mode in _file_opens() if not _writes(mode))
     assert readers == ["corpus._read_lines", "hashing.FramedReader.__init__"]
+
+
+_MEMO_DECORATORS = {"lru_cache", "cache"}
+_MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "reverse", "setdefault", "sort", "update",
+}
+
+
+def _is_container(node: ast.expr) -> bool:
+    """A dict, list or set display, comprehension or constructor call."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+    return False
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_container(node.value):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None and _is_container(node.value):
+            targets = [node.target]
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _local_names(func: ast.AST) -> set[str]:
+    """Parameters and plain names that ``func`` binds, less its globals."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    names = {arg.arg for arg in params if arg is not None}
+    declared = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def _mutated_names(func: ast.AST) -> set[str]:
+    """Module names that ``func`` mutates in place or rebinds as globals."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            names.update(node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name):
+                names.add(node.func.value.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+                    names.add(target.value.id)
+    return names - _local_names(func)
+
+
+def test_no_memo_decorators():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in _MEMO_DECORATORS:
+                    found.append(f"{path.stem}.{node.name}")
+    assert found == []
+
+
+def test_no_function_mutates_module_level_containers():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared = _module_containers(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.stem}.{name}" for name in sorted(_mutated_names(node) & shared)]
+    assert found == []
