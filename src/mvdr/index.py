@@ -4,8 +4,12 @@ The index stores every document's views doc-major: document ``i`` owns
 rows ``i * k_views`` to ``i * k_views + k_views - 1``, in view order.
 Search scores a query against every row, max-pools each document's
 ``k_views`` scores, and ranks documents by pooled score. Scores are float64
-dot products; :func:`search` finds the documents that can reach the top k
-with one float32 pass and a proven error bound, then rescores only those.
+dot products, and ties break by doc_id. One kernel, :func:`_rank`, does all
+ranking: one float32 pass and a proven error bound find the documents that
+can reach the top k, and only their rows are rescored in float64, each row
+summed on its own. :func:`search` ranks one query over every view, and
+:func:`search_prefixes` ranks many over every view prefix, so the two agree
+bit for bit.
 
 The on-disk format is little-endian and checksummed:
 
@@ -34,13 +38,12 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"MVIXT2"
 
-# Bytes that one query block of search_prefixes holds: its float64 scores,
-# their partitioned copy and the candidate mask, 17 bytes per score.
-_PREFIX_BLOCK_BYTES = 2**20
-
-# Bytes of one block of candidate rows that search rescores: the gathered
-# float32 rows and their float64 copy, 12 bytes per value.
-_RESCORE_BLOCK_BYTES = 2**20
+# Bytes of one block of search's work arrays: per query of a block, its
+# float32 row scores and, per view prefix and document, the float32 pooled
+# score, its float64 bounds and the candidate mask (4 bytes per row and 21
+# per pooled score); per block of rescored documents, the gathered float32
+# rows and their float64 copy (12 bytes per value).
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,9 @@ def build_index(
     return index
 
 
-def _screen_slack(dim: int, query_norm: float, doc_norm: np.ndarray) -> np.ndarray:
-    """Per document, a bound on |float32 pooled score - float64 pooled score|.
+def _screen_slack(dim: int, query_norm: np.ndarray, doc_norm: np.ndarray) -> np.ndarray:
+    """Per query and document, a bound on |float32 pooled score - float64
+    pooled score|; ``query_norm`` is shaped ``(n_queries, 1)``.
 
     For a view d of n = ``dim`` values and a query q (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., sec. 3.1; gamma_n = nu/(1-nu)):
@@ -175,8 +179,9 @@ def _screen_slack(dim: int, query_norm: float, doc_norm: np.ndarray) -> np.ndarr
       n 2^-126 (1 + |q|)(1 + |d|), doubled for the sums that carry it.
 
     Max-pooling keeps the largest of a document's view bounds, so |d| is the
-    document's largest view norm. The total is doubled once more, which
-    covers the rounding of this computation.
+    document's largest view norm; it bounds every prefix of its views too.
+    The total is doubled once more, which covers the rounding of this
+    computation.
     """
     gamma32 = dim * 2.0**-24 / (1 - dim * 2.0**-24) if dim < 2**23 else np.inf
     gamma64 = dim * 2.0**-53 / (1 - dim * 2.0**-53)
@@ -185,65 +190,96 @@ def _screen_slack(dim: int, query_norm: float, doc_norm: np.ndarray) -> np.ndarr
     return doc_norm * (relative + absolute) + absolute
 
 
-def search(
-    index: FlatIndex, query_emb: np.ndarray, top_k_docs: int, query_id: str = ""
-) -> RankedList:
-    """Exact search: max-pool row scores per document, rank documents.
+def _rank(
+    index: FlatIndex, query_embs: np.ndarray, ndim: int, top_k_docs: int, prefixes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank documents for ``ndim``-dimensional ``query_embs`` over the first
+    k views of every document, for each k in ascending ``prefixes``.
 
-    A document's score is the largest float64 dot product of the query
-    with its views. One float32 matrix-vector product scores every row
-    first; :func:`_screen_slack` bounds how far each pooled float32 score
-    can be from the float64 one, and a document whose upper bound falls
-    below the k-th largest lower bound cannot reach the top k. The rows of
-    the remaining documents are rescored in float64. Ties in pooled score
-    break by doc_id ascending, so rankings are platform-independent.
+    Returns ``(docs, scores)``, both shaped ``(len(prefixes), n_queries,
+    min(top_k_docs, n_docs))``: indices into ``doc_ids``, best first, and
+    pooled float64 scores. A block of queries is scored against every row
+    with one float32 matrix product, and a running max over the strided
+    views pools each prefix. A document whose upper bound (see
+    :func:`_screen_slack`) falls below a prefix's k-th largest lower bound
+    cannot reach that prefix's top k. The rows of every document that can
+    reach some prefix's top k are rescored in float64, and ranked by
+    (-score, doc_id).
     """
     if top_k_docs < 1:
         raise ValueError(f"top_k_docs must be >= 1, got {top_k_docs}")
-    query_emb = np.asarray(query_emb, dtype=np.float64)
-    if query_emb.shape != (index.embed_dim,):
-        raise ValueError(
-            f"query embedding shape {query_emb.shape} != ({index.embed_dim},)"
-        )
-    if not np.isfinite(query_emb).all():
-        raise ValueError("query embedding must be finite")
+    queries = np.ascontiguousarray(query_embs, dtype=np.float64)
+    noun = "query embedding" if ndim == 1 else "query embeddings"
     n_docs, k_views, dim = index.n_docs, index.k_views, index.embed_dim
-    if n_docs == 0:
-        return RankedList(query_id=query_id, results=())
+    if queries.ndim != ndim or queries.shape[-1] != dim:
+        shape = f"({dim},)" if ndim == 1 else f"(n, {dim})"
+        raise ValueError(f"{noun} shape {queries.shape} != {shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError(f"{noun} must be finite")
+    queries = queries.reshape(-1, dim)
     top = min(top_k_docs, n_docs)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
-        row_scores = index.matrix @ query_emb.astype(np.float32)
-    # a running max over strided views: far faster than max(axis=1) over
-    # rows of k_views scores
-    approx = row_scores[::k_views].copy()
-    for view in range(1, k_views):
-        np.maximum(approx, row_scores[view::k_views], out=approx)
-    slack = _screen_slack(dim, float(np.linalg.norm(query_emb)), index._doc_norm)
-    if np.isfinite(approx).all() and np.isfinite(slack).all():
-        threshold = np.partition(approx - slack, n_docs - top)[n_docs - top]
-        candidates = np.flatnonzero(approx + slack >= threshold)
-    else:  # float32 overflow or no usable bound: rescore every document
-        candidates = np.arange(n_docs)
-    # einsum sums each row on its own in one fixed order, so a document's
-    # score does not depend on which other rows are rescored with it; a BLAS
-    # matrix-vector product may sum a row differently by its place in a block
+    docs = np.empty((len(prefixes), len(queries), top), dtype=np.int32)
+    scores = np.empty((len(prefixes), len(queries), top))
+    if top == 0:
+        return docs, scores
     views = index.matrix.reshape(n_docs, k_views, dim)
-    doc_best = np.empty(len(candidates))
-    step = max(1, _RESCORE_BLOCK_BYTES // (12 * k_views * dim))
-    for start in range(0, len(candidates), step):
-        rows = views[candidates[start : start + step]].astype(np.float64)
-        doc_best[start : start + step] = np.einsum("dvj,j->dv", rows, query_emb).max(axis=1)
-    # every candidate tied with the k-th best score stays, so the doc_id
-    # tie-break below sees all of them
-    cut = len(candidates) - top
-    keep = doc_best >= np.partition(doc_best, cut)[cut]
-    ranked = sorted(
-        zip(candidates[keep], doc_best[keep]), key=lambda t: (-t[1], index.doc_ids[t[0]])
-    )
-    return RankedList(
-        query_id=query_id,
-        results=tuple(SearchResult(index.doc_ids[i], float(s)) for i, s in ranked[:top]),
-    )
+    last_views = [k - 1 for k in prefixes]
+    prefix_rows = np.arange(len(prefixes))[:, np.newaxis]
+    cut = n_docs - top
+    block = max(1, _BLOCK_BYTES // (4 * index.n_rows + 21 * len(prefixes) * n_docs))
+    step = max(1, _BLOCK_BYTES // (12 * k_views * dim))
+    for start in range(0, len(queries), block):
+        block_queries = queries[start : start + block]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
+            row_scores = (block_queries.astype(np.float32) @ index.matrix.T).ravel()
+        # a running max over strided views, far faster than max(axis=-1) over
+        # rows of k_views scores; row_scores[view::k_views] runs over (query,
+        # document) pairs in order
+        approx = np.empty((len(prefixes), len(block_queries) * n_docs), dtype=np.float32)
+        best = row_scores[::k_views].copy()
+        pooled = 1
+        for p, k in enumerate(prefixes):
+            for view in range(pooled, k):
+                np.maximum(best, row_scores[view::k_views], out=best)
+            approx[p] = best
+            pooled = k
+        approx = approx.reshape(len(prefixes), len(block_queries), n_docs)
+        norms = np.sqrt(np.einsum("qj,qj->q", block_queries, block_queries))[:, np.newaxis]
+        slack = _screen_slack(dim, norms, index._doc_norm)
+        if np.isfinite(approx).all() and np.isfinite(slack).all():
+            bound = approx - slack
+            bound.partition(cut, axis=2)
+            threshold = bound[:, :, cut, np.newaxis].copy()
+            candidates = (np.add(approx, slack, out=bound) >= threshold).any(axis=0)
+        else:  # float32 overflow or no usable bound: rescore every document
+            candidates = np.ones((len(block_queries), n_docs), dtype=bool)
+        for q, (query, mask) in enumerate(zip(block_queries, candidates)):
+            # in doc_id order, so that a stable sort breaks score ties by it
+            cand = np.array(sorted(np.flatnonzero(mask).tolist(), key=index.doc_ids.__getitem__))
+            # einsum sums each row on its own in one fixed order, so a score
+            # does not depend on which other rows are rescored with it; a
+            # BLAS product may sum a row differently by its place in a block
+            view_scores = np.empty((len(cand), k_views))
+            for first in range(0, len(cand), step):
+                rows = views[cand[first : first + step]].astype(np.float64)
+                view_scores[first : first + step] = np.einsum("dvj,j->dv", rows, query)
+            # (prefix, candidate) pooled scores
+            pooled_scores = np.maximum.accumulate(view_scores, axis=1).T[last_views]
+            order = np.argsort(-pooled_scores, axis=1, kind="stable")[:, :top]
+            docs[:, start + q] = cand[order]
+            scores[:, start + q] = pooled_scores[prefix_rows, order]
+    return docs, scores
+
+
+def search(
+    index: FlatIndex, query_emb: np.ndarray, top_k_docs: int, query_id: str = ""
+) -> RankedList:
+    """Exact search: a document's score is the largest float64 dot product
+    of the query with its views; ties break by doc_id ascending, so
+    rankings are platform-independent. See :func:`_rank`."""
+    docs, scores = _rank(index, query_emb, 1, top_k_docs, [index.k_views])
+    pairs = zip(docs[0, 0].tolist(), scores[0, 0].tolist())
+    return RankedList(query_id, tuple(SearchResult(index.doc_ids[i], s) for i, s in pairs))
 
 
 def search_prefixes(
@@ -255,53 +291,9 @@ def search_prefixes(
     min(top_k_docs, n_docs))``: ``docs[k - 1, q]`` holds the indices into
     ``doc_ids`` of query ``q``'s ranked documents when each document keeps
     only its first k views, and ``scores[k - 1, q]`` their pooled scores.
-    Ranking and ties follow :func:`search`.
-
-    Each block of queries is scored once against every view with one
-    matrix product, and a running maximum along the view axis pools every
-    prefix together. Scores may differ from :func:`search`'s in the last
-    bits, because the product sums in a different order.
+    Both equal :func:`search`'s over an index of those views, bit for bit.
     """
-    if top_k_docs < 1:
-        raise ValueError(f"top_k_docs must be >= 1, got {top_k_docs}")
-    query_embs = np.asarray(query_embs, dtype=np.float64)
-    if query_embs.ndim != 2 or query_embs.shape[1] != index.embed_dim:
-        raise ValueError(
-            f"query embeddings shape {query_embs.shape} != (n, {index.embed_dim})"
-        )
-    if not np.isfinite(query_embs).all():
-        raise ValueError("query embeddings must be finite")
-    n_docs, k_views = index.n_docs, index.k_views
-    top = min(top_k_docs, n_docs)
-    docs = np.empty((k_views, len(query_embs), top), dtype=np.int32)
-    scores = np.empty((k_views, len(query_embs), top))
-    if top == 0:
-        return docs, scores
-    # position of each document in doc_id order, the tie-break of search
-    rank = np.empty(n_docs, dtype=np.int64)
-    rank[sorted(range(n_docs), key=index.doc_ids.__getitem__)] = np.arange(n_docs)
-    cut = n_docs - top
-    # a float64 copy for this call only: the index keeps none after it
-    rows_t = index.matrix.astype(np.float64).T
-    block = max(1, _PREFIX_BLOCK_BYTES // (17 * index.n_rows))
-    for start in range(0, len(query_embs), block):
-        pooled = (query_embs[start : start + block] @ rows_t).reshape(-1, n_docs, k_views)
-        n_block = len(pooled)
-        np.maximum.accumulate(pooled, axis=2, out=pooled)
-        # (view prefix, query, doc); every document tied with a row's k-th
-        # best score is a candidate, so the doc_id tie-break sees all of them
-        pooled = pooled.transpose(2, 0, 1)
-        boundary = np.partition(pooled, cut, axis=2)[:, :, cut, np.newaxis]
-        prefix, query, doc = np.nonzero(pooled >= boundary)
-        cand = pooled[prefix, query, doc]
-        row = prefix * n_block + query
-        order = np.lexsort((rank[doc], -cand, row))
-        counts = np.bincount(row, minlength=k_views * n_block)
-        firsts = np.cumsum(counts) - counts
-        keep = order[(firsts[:, np.newaxis] + np.arange(top)).ravel()]
-        docs[:, start : start + n_block] = doc[keep].reshape(k_views, n_block, top)
-        scores[:, start : start + n_block] = cand[keep].reshape(k_views, n_block, top)
-    return docs, scores
+    return _rank(index, query_embs, 2, top_k_docs, range(1, index.k_views + 1))
 
 
 def batch_search(

@@ -19,8 +19,16 @@ import numpy as np
 
 from . import analysis, evaluation, trainer
 from .corpus import Qrels
-from .encoder import EncoderConfig, EncoderParams, RowGrad, forward_tower, init_params
-from .index import FlatIndex, search
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    RowGrad,
+    candidate_feature_buckets,
+    forward_tower,
+    init_params,
+    query_feature_buckets,
+)
+from .index import FlatIndex, search, search_prefixes
 from .trainer import TrainBatch, build_batch, contrastive_loss, loss_and_grads
 
 # Known-good (query-set quality, retrieval effectiveness) measurement
@@ -207,8 +215,6 @@ def exhaustive_maxpool(
 def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
     """Forward-only batch loss, composed from the scalar loss op."""
     cfg = params.config
-    from .encoder import candidate_feature_buckets, query_feature_buckets
-
     q_buckets = [query_feature_buckets(cfg, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(cfg, p) for p in batch.candidates]
     q_emb, _ = forward_tower(params.query_tower, q_buckets)
@@ -376,22 +382,36 @@ def _check_gradients() -> SelftestResult:
 
 
 def _check_retrieval() -> SelftestResult:
+    """search over every view, and search_prefixes over each prefix of k
+    views, against exhaustive max-pooling over those views' rows."""
     rng = np.random.default_rng(5150)
     index = random_index(rng, n_docs=200, k_views=5, dim=16)
-    row_doc_ids = [index.doc_ids[i] for i in index.row_doc]
+    queries = rng.normal(size=(20, 16))
+    docs, scores = search_prefixes(index, queries, top_k_docs=10)
+    ids = np.array(index.doc_ids, dtype=object)
+    # (kernel, k views, query, ranked (doc_id, score) pairs)
+    cases = [
+        ("search", index.k_views, q, [(r.doc_id, r.score) for r in search(index, q, 10).results])
+        for q in queries
+    ]
+    cases += [
+        ("search_prefixes", k, q, list(zip(ids[docs[k - 1, i]], scores[k - 1, i])))
+        for k in range(1, index.k_views + 1)
+        for i, q in enumerate(queries)
+    ]
+    views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
     worst = 0.0
-    for _ in range(20):
-        q = rng.normal(size=16)
-        got = search(index, q, top_k_docs=10)
-        want = exhaustive_maxpool(index.matrix, row_doc_ids, q)[:10]
-        if [r.doc_id for r in got.results] != [d for d, _ in want]:
-            return SelftestResult("retrieval-maxpool", False, "document order mismatch")
-        worst = max(
-            worst,
-            max(abs(r.score - s) for r, (_, s) in zip(got.results, want)),
-        )
+    for kernel, k, q, got in cases:
+        rows = views[:, :k].reshape(-1, index.embed_dim)
+        want = exhaustive_maxpool(rows, [d for d in index.doc_ids for _ in range(k)], q)[:10]
+        if [d for d, _ in got] != [d for d, _ in want]:
+            detail = f"{kernel}: document order mismatch at k={k}"
+            return SelftestResult("retrieval-maxpool", False, detail)
+        worst = max(worst, max(abs(s - w) for (_, s), (_, w) in zip(got, want)))
     ok = worst <= 1e-6
-    return SelftestResult("retrieval-maxpool", ok, f"max score deviation {worst:.3e}")
+    return SelftestResult(
+        "retrieval-maxpool", ok, f"search and every view prefix: max score deviation {worst:.3e}"
+    )
 
 
 def _check_metrics() -> SelftestResult:

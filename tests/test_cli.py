@@ -329,6 +329,10 @@ class TestPipelineSweep:
         rows = _sweep_rows(out_dir / "sweep.csv")
         assert [row[0] for row in rows] == ["1", "2", "3"]
         assert all(row[2] for row in rows), rows
+        # every view: the sweep ranks as the run does, so the first metric agrees
+        metrics = (out_dir / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == "metric,value"
+        assert rows[-1][2] == metrics[1].split(",")[1]
 
         reports = tmp_path / "reports"
         assert main([

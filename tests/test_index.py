@@ -175,11 +175,7 @@ class TestSearchPrefixes:
             for q, emb in enumerate(embs):
                 want = search(rebuilt, emb, top_k_docs).results
                 assert [full.doc_ids[d] for d in docs[k - 1, q]] == [r.doc_id for r in want]
-                # a matrix product sums in another order than search's
-                # matrix-vector product, so scores agree to rounding only
-                assert scores[k - 1, q].tolist() == pytest.approx(
-                    [r.score for r in want], rel=0, abs=1e-12
-                )
+                assert scores[k - 1, q].tolist() == [r.score for r in want]
 
     def test_matches_search_exactly(self, rng, monkeypatch):
         # small integers make every score exact in any summation order, and
@@ -190,8 +186,20 @@ class TestSearchPrefixes:
         index = FlatIndex(matrix, doc_ids, k_views)
         queries = rng.integers(-3, 4, size=(8, dim)).astype(np.float64)
         # blocks of 3 queries: 8 queries leave a short last block
-        monkeypatch.setattr("mvdr.index._PREFIX_BLOCK_BYTES", 3 * 17 * index.n_rows)
+        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 3 * (4 + 21) * index.n_rows)
         for top_k_docs in (1, 2, 4, n_docs, n_docs + 3):
+            assert_prefixes_match_search(index, queries, top_k_docs)
+
+    @pytest.mark.parametrize("dim", [3, 16, 67])
+    def test_matches_search_on_random_floats(self, rng, monkeypatch, dim):
+        # float scores round by summation order; doc_id order differs from
+        # row order; blocks of 4 queries leave a short last block
+        n_docs, k_views = 40, 5
+        matrix = rng.normal(size=(n_docs * k_views, dim)).astype(np.float32)
+        index = FlatIndex(matrix, [f"d{i:02d}" for i in rng.permutation(n_docs)], k_views)
+        queries = rng.normal(size=(10, dim))
+        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 4 * (4 + 21) * index.n_rows)
+        for top_k_docs in (1, 3, 10, n_docs):
             assert_prefixes_match_search(index, queries, top_k_docs)
 
     def test_doc_id_tie_straddles_boundary(self):
@@ -315,7 +323,7 @@ class TestSearch:
     def test_float32_overflow_and_zero_query_rank_every_document(self, rng, monkeypatch):
         # a query that overflows float32 gives no bound, and a zero query ties
         # every document: both rescore all documents, three per block here
-        monkeypatch.setattr("mvdr.index._RESCORE_BLOCK_BYTES", 3 * 12 * 2 * 8)
+        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 3 * 12 * 2 * 8)
         index = random_index(rng, n_docs=10, k_views=2, dim=8)
         row_doc_ids = [index.doc_ids[i] for i in index.row_doc]
         for query in (rng.normal(size=8) * 1e39, np.zeros(8)):
@@ -324,12 +332,17 @@ class TestSearch:
             assert [r.doc_id for r in got] == [d for d, _ in want]
             np.testing.assert_allclose([r.score for r in got], [s for _, s in want], rtol=1e-12)
 
-    def test_one_search_allocates_less_than_a_float64_matrix(self, rng):
+    @pytest.mark.parametrize("kernel", ["search", "search_prefixes"])
+    def test_one_search_allocates_less_than_a_float64_matrix(self, rng, kernel):
         index = random_index(rng, n_docs=2_000, k_views=10, dim=64)
-        query = rng.normal(size=64)
+        queries = rng.normal(size=(8, 64))
+        call = {
+            "search": lambda: search(index, queries[0], 10),
+            "search_prefixes": lambda: search_prefixes(index, queries, 10),
+        }[kernel]
         tracemalloc.start()
         try:
-            search(index, query, 10)
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

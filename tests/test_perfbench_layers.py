@@ -1,4 +1,5 @@
-"""Every package function that the benchmark's tracer wraps still exists.
+"""Every package function that the benchmark's tracer wraps still exists,
+and ``index.search`` is still called once per query.
 
 ``perfbench/tracing.py`` wraps functions by (module, name) from outside the
 package. A renamed or deleted function would otherwise only fail a
@@ -8,6 +9,11 @@ package. A renamed or deleted function would otherwise only fail a
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import mvdr.index
+from mvdr.selftest import random_index
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +35,23 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(module_name), function, None))
     ]
     assert missing == []
+
+
+def test_search_is_called_once_per_query(monkeypatch):
+    # the tracer counts index.search_calls by wrapping mvdr.index.search, so
+    # batch_search must call it once per query and search_prefixes never
+    calls = []
+    search = mvdr.index.search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mvdr.index, "search", counted)
+    rng = np.random.default_rng(7)
+    index = random_index(rng, n_docs=30, k_views=4, dim=8)
+    queries = rng.normal(size=(7, 8))
+    mvdr.index.search_prefixes(index, queries, 5)
+    assert calls == []
+    ranked = mvdr.index.batch_search(index, [(f"q{i}", q) for i, q in enumerate(queries)], 5)
+    assert len(calls) == len(ranked) == 7
