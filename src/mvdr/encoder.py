@@ -6,6 +6,10 @@ tanh hidden layer produces the embedding:
 
     e = W_out @ tanh(W_hidden @ h + b_hidden) + b_out
 
+A batch is pooled one feature-count group at a time, with one gather and
+one in-order sum per group (see :func:`forward_tower`), so a text pools to
+the same bits in any batch as on its own.
+
 Documents can be encoded two ways: alone (single-view mode) or jointly
 with a query prefix separated by a sentinel token (query-informed views).
 The joint encoding sees n-grams that cross the separator, so the same
@@ -45,8 +49,9 @@ _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _MAGIC = b"MVDR1"
 
-# Bytes of one float64 block of token-table rows drawn by init_params.
-_INIT_BLOCK_BYTES = 2**20
+# Bytes of one block of token-table rows: a float64 block drawn by
+# init_params, or one gather of a batch's feature rows in forward_tower.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,7 @@ def _init_tower(cfg: EncoderConfig, rng: np.random.Generator, dtype: np.dtype) -
     # Rows drawn in blocks take the same stream as one draw of the whole
     # table, so the values are those of that draw without its float64 copy.
     token_table = np.empty((cfg.hash_buckets, dim), dtype=dtype)
-    step = max(1, _INIT_BLOCK_BYTES // (8 * dim))
+    step = max(1, _BLOCK_BYTES // (8 * dim))
     for start in range(0, cfg.hash_buckets, step):
         block = token_table[start : start + step]
         block[...] = rng.uniform(-bound, bound, size=block.shape)
@@ -284,10 +289,15 @@ def _table_for(cfg: EncoderConfig, table: FeatureTable | None) -> FeatureTable:
     return table
 
 
-def _require_features(cfg: EncoderConfig, buckets: np.ndarray, what: str) -> np.ndarray:
+def _require_features(
+    cfg: EncoderConfig, buckets: np.ndarray, what: str, *texts: str
+) -> np.ndarray:
+    """``buckets``, unless empty; ``what`` is formatted with the reprs of
+    ``texts`` only when raising, since most inputs pass."""
     # An all-empty feature set would mean-pool to a NaN embedding.
     if buckets.size == 0:
-        raise ValueError(f"{what} is shorter than every n-gram order {cfg.ngram_orders}")
+        described = what.format(*map(repr, texts))
+        raise ValueError(f"{described} is shorter than every n-gram order {cfg.ngram_orders}")
     return buckets
 
 
@@ -296,7 +306,7 @@ def query_feature_buckets(
 ) -> np.ndarray:
     """Hashed n-gram features of a query encoded alone (read-only)."""
     _, buckets = _table_for(cfg, table).segment(text, "query")
-    return _require_features(cfg, buckets, f"query {text!r}")
+    return _require_features(cfg, buckets, "query {}", text)
 
 
 def doc_feature_buckets(
@@ -304,7 +314,7 @@ def doc_feature_buckets(
 ) -> np.ndarray:
     """Hashed n-gram features of a document encoded alone (read-only)."""
     _, buckets = _table_for(cfg, table).segment(text, "document")
-    return _require_features(cfg, buckets, f"document {text!r}")
+    return _require_features(cfg, buckets, "document {}", text)
 
 
 def joint_feature_buckets(
@@ -320,7 +330,7 @@ def joint_feature_buckets(
     d_tokens, d_part = table.segment(doc_text, "document")
     boundary = np.asarray(table.boundary(q_tokens, d_tokens), dtype=np.int64)
     buckets = np.concatenate([q_part, boundary, d_part])
-    return _require_features(cfg, buckets, f"query {query_text!r} with document {doc_text!r}")
+    return _require_features(cfg, buckets, "query {} with document {}", query_text, doc_text)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +342,7 @@ class ForwardCache:
     """Intermediate activations needed to backpropagate a batch."""
 
     buckets: list[np.ndarray]
+    lengths: np.ndarray  # (B,) int64 feature count of each row
     pooled: np.ndarray  # (B, dim) mean-pooled table rows
     hidden: np.ndarray  # (B, dim) tanh activations
 
@@ -339,11 +350,31 @@ class ForwardCache:
 def forward_tower(
     tower: Tower, buckets: Sequence[np.ndarray], want_cache: bool = False
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Embed a batch of feature-bucket arrays through one tower."""
-    pooled = np.stack([tower.token_table[b].mean(axis=0) for b in buckets])
+    """Embed a batch of feature-bucket arrays through one tower.
+
+    Rows with the same feature count L are pooled together: their table
+    rows are gathered into an (n, L, dim) block, at most about
+    ``_BLOCK_BYTES`` at a time, summed over L and divided by L in the
+    table's dtype. That sums each row in order, exactly as
+    ``table[b].mean(axis=0)`` does, so every pooled row equals the
+    one-row-at-a-time mean bit for bit.
+    """
+    table = tower.token_table
+    lengths = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+    pooled = np.empty((len(buckets), table.shape[1]), dtype=table.dtype)
+    row_bytes = table.shape[1] * table.itemsize
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for length in sorted(set(lengths.tolist())):
+        group = np.flatnonzero(lengths == length)
+        step = max(1, _BLOCK_BYTES // (max(1, length) * row_bytes))
+        for start in range(0, len(group), step):
+            rows = group[start : start + step]
+            idx = np.stack([buckets[i] for i in rows])
+            # the gather is freed before the next one is made
+            pooled[rows] = np.add.reduce(table[idx], axis=1) / table.dtype.type(length)
     hidden = np.tanh(pooled @ tower.w_hidden.T + tower.b_hidden)
     out = hidden @ tower.w_out.T + tower.b_out
-    cache = ForwardCache(list(buckets), pooled, hidden) if want_cache else None
+    cache = ForwardCache(list(buckets), lengths, pooled, hidden) if want_cache else None
     return out, cache
 
 
@@ -364,11 +395,10 @@ def backprop_tower(
     grads.w_hidden += d_hidden.T @ cache.pooled
     grads.b_hidden += d_hidden.sum(axis=0)
     d_pooled = d_hidden @ tower.w_hidden
-    lengths = np.array([len(b) for b in cache.buckets])
     # divide in the parameter dtype: int64 lengths would promote float32 to float64
-    scaled = d_pooled / lengths[:, None].astype(d_pooled.dtype)
+    scaled = d_pooled / cache.lengths[:, None].astype(d_pooled.dtype)
     flat = np.concatenate(cache.buckets)
-    grads.token_table.accumulate(flat, np.repeat(scaled, lengths, axis=0))
+    grads.token_table.accumulate(flat, np.repeat(scaled, cache.lengths, axis=0))
 
 
 # ---------------------------------------------------------------------------

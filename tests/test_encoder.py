@@ -1,6 +1,10 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from mvdr.encoder import (
     encode_document_view,
     encode_queries,
     encode_query,
+    forward_tower,
     init_params,
     joint_feature_buckets,
     load_params,
@@ -321,7 +326,7 @@ class TestInit:
     def test_block_draw_equals_one_shot_draw(self, tied, dtype):
         # hash_buckets is not a multiple of the row block: the last block is partial
         dim = 16
-        rows_per_block = encoder._INIT_BLOCK_BYTES // (8 * dim)
+        rows_per_block = encoder._BLOCK_BYTES // (8 * dim)
         cfg = EncoderConfig(embed_dim=dim, hash_buckets=2 * rows_per_block + 37, tie_params=tied)
         rng = np.random.Generator(np.random.PCG64(11))
         bound = 1.0 / np.sqrt(dim)
@@ -356,7 +361,13 @@ class TestEncoding:
         params = init_params(CFG, seed=1)
         texts = ["solar panels", "court ruling", "apple harvest"]
         batch = encode_queries(params, texts)
-        for row, text in zip(batch, texts):
+        buckets = [query_feature_buckets(CFG, t) for t in texts]
+        _, cache = forward_tower(params.query_tower, buckets, want_cache=True)
+        for i, (row, text) in enumerate(zip(batch, texts)):
+            # pooling is exact in any batch; the MLP's product for one row
+            # (GEMV) sums in another order than for a block (GEMM)
+            _, alone = forward_tower(params.query_tower, buckets[i : i + 1], want_cache=True)
+            assert cache.pooled[i].tobytes() == alone.pooled[0].tobytes()
             np.testing.assert_allclose(row, encode_query(params, text), rtol=0, atol=1e-6)
 
     def test_empty_batch(self):
@@ -386,6 +397,12 @@ class TestEncoding:
         batch = encode_candidates(params, pairs)
         np.testing.assert_allclose(batch[0], encode_document(params, pairs[0][1]), atol=1e-6)
         np.testing.assert_allclose(batch[1], encode_document_view(params, *pairs[1]), atol=1e-6)
+        buckets = [candidate_feature_buckets(CFG, p) for p in pairs]
+        _, cache = forward_tower(params.doc_tower, buckets, want_cache=True)
+        alone = [doc_feature_buckets(CFG, pairs[0][1]), joint_feature_buckets(CFG, *pairs[1])]
+        for i, b in enumerate(alone):
+            _, single = forward_tower(params.doc_tower, [b], want_cache=True)
+            assert cache.pooled[i].tobytes() == single.pooled[0].tobytes()
 
     def test_score_is_dot_product(self, rng):
         a = rng.normal(size=8).astype(np.float32)
@@ -395,6 +412,55 @@ class TestEncoding:
     def test_score_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
             score(np.zeros(3), np.zeros(4))
+
+
+class TestPooling:
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("dim", [1, 3, 16, 128])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooled_rows_equal_per_row_mean(self, rng, monkeypatch, dtype, dim, small_blocks):
+        tower = init_params(EncoderConfig(embed_dim=dim, hash_buckets=300), seed=3, dtype=dtype).query_tower
+        table = tower.token_table
+        if small_blocks:
+            # the six rows of 129 features gather in blocks of 4 and 2
+            monkeypatch.setattr(encoder, "_BLOCK_BYTES", 4 * 129 * dim * table.itemsize)
+        # every length from 1 to 140, some several times, shuffled so that
+        # equal lengths are neither adjacent nor in length order
+        lengths = np.concatenate([np.arange(1, 141), np.full(6, 3), np.full(5, 129), [1, 1]])
+        rng.shuffle(lengths)
+        buckets = [rng.integers(0, 300, size=n) for n in lengths]
+        buckets.append(np.array([7, 7, 7, 7]))  # one bucket repeated within a row
+        buckets.insert(0, buckets[5])  # one bucket array twice in a batch
+        _, cache = forward_tower(tower, buckets, want_cache=True)
+        want = np.stack([table[b].mean(axis=0) for b in buckets])
+        assert cache.pooled.dtype == dtype
+        assert cache.pooled.tobytes() == want.tobytes()
+        assert cache.lengths.tolist() == [len(b) for b in buckets]
+
+    def test_serve_shaped_forward_peak_memory(self):
+        # one index-build chunk of the default encoder: 512 rows of about
+        # 56 buckets; each length's rows need more than one gather block
+        tower = init_params(EncoderConfig(embed_dim=128, hash_buckets=4096), seed=0).query_tower
+        rng = np.random.default_rng(7)
+        buckets = [rng.integers(0, 4095, size=n) for n in rng.integers(54, 59, size=512)]
+        (out, _), peak = traced_peak(lambda: forward_tower(tower, buckets))
+        assert peak <= out.nbytes + 1.25 * encoder._BLOCK_BYTES
+
+    def test_forward_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma, which adds about 1.35 MiB of RSS
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from mvdr.encoder import EncoderConfig, forward_tower, init_params\n"
+            "tower = init_params(EncoderConfig(embed_dim=4, hash_buckets=16), seed=0).query_tower\n"
+            "forward_tower(tower, [np.array([1, 2]), np.array([3]), np.array([4, 5])], want_cache=True)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(encoder.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestCheckpointIO:
