@@ -28,13 +28,9 @@ from .corpus import (
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    encode_document,
-    encode_document_view,
-    encode_query,
     init_params,
     load_params,
     save_params,
-    score,
 )
 from .evaluation import Run, compute_metric, load_run, mrr_at_k, ndcg_at_k, recall_at_k, write_run
 from .index import FlatIndex, RankedList, batch_search, build_index, load_index, save_index, search
@@ -59,9 +55,6 @@ __all__ = [
     "build_index",
     "compute_metric",
     "contrastive_loss",
-    "encode_document",
-    "encode_document_view",
-    "encode_query",
     "fit_qg",
     "generate",
     "generate_corpus",
@@ -80,7 +73,6 @@ __all__ = [
     "recall_at_k",
     "save_index",
     "save_params",
-    "score",
     "search",
     "tokenize",
     "train",

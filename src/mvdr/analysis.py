@@ -196,6 +196,13 @@ def quality_records(
     ]
 
 
+def _level_scale(values: Sequence[float]) -> tuple[float, float]:
+    """The lowest of ``values`` and the width of each of the equal-width
+    levels over their range; the width is 0 when all values are equal."""
+    lo, hi = min(values), max(values)
+    return lo, (hi - lo) / N_DIVERSITY_LEVELS if hi > lo else 0.0
+
+
 def assign_levels(values: Sequence[float]) -> list[int]:
     """Bucket values into equal-width levels over their observed range.
 
@@ -204,11 +211,9 @@ def assign_levels(values: Sequence[float]) -> list[int]:
     """
     if not values:
         return []
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
+    lo, width = _level_scale(values)
+    if width == 0:
         return [N_DIVERSITY_LEVELS] * len(values)
-    width = (hi - lo) / N_DIVERSITY_LEVELS
     return [min(N_DIVERSITY_LEVELS, int((v - lo) / width) + 1) for v in values]
 
 
@@ -234,9 +239,7 @@ def level_summaries(
     """
     if not records:
         return []
-    scores = [r.self_bleu for r in records]
-    lo, hi = min(scores), max(scores)
-    width = (hi - lo) / N_DIVERSITY_LEVELS if hi > lo else 0.0
+    lo, width = _level_scale([r.self_bleu for r in records])
     summaries = []
     for level in range(1, N_DIVERSITY_LEVELS + 1):
         members = [r for r in records if r.level == level]
@@ -252,16 +255,11 @@ def level_summaries(
             if quality_by_doc is not None
             else []
         )
-        if width > 0:
-            level_lo = lo + (level - 1) * width
-            level_hi = lo + level * width
-        else:
-            level_lo = level_hi = lo
         summaries.append(
             LevelSummary(
                 level=level,
-                lo=level_lo,
-                hi=level_hi,
+                lo=lo + (level - 1) * width,
+                hi=lo + level * width,
                 n_docs=len(members),
                 mean_metric=float(np.mean(metric_vals)) if metric_vals else None,
                 mean_quality=float(np.mean(quality_vals)) if quality_vals else None,

@@ -25,7 +25,7 @@ from .corpus import _check_new, _read_lines, write_generated_queries
 from .encoder import EncoderConfig, EncoderParams, encode_queries
 from .encoder import init_params, load_params, save_params
 from .hashing import derive_seed
-from .index import FlatIndex, batch_search, build_index, load_index, save_index, search_prefixes
+from .index import FlatIndex, build_index, load_index, save_index, search_corpus, search_prefixes
 from .querygen import SamplingConfig, fit_qg, generate_corpus
 from .selftest import run_selftest
 from .trainer import TraceEntry, TrainConfig, train, write_loss_trace
@@ -34,7 +34,6 @@ log = logging.getLogger(__name__)
 
 # Flag and config-key values by setting name; a missing name is unset.
 Settings = Mapping[str, object]
-QueryEmbeddings = Sequence[tuple[str, np.ndarray]]
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -170,15 +169,10 @@ def train_stage(
     return params, trace
 
 
-def _embed_queries(params: EncoderParams, queries: Sequence[Query]) -> QueryEmbeddings:
-    embs = encode_queries(params, [q.text for q in queries])
-    return [(q.query_id, emb) for q, emb in zip(queries, embs)]
-
-
 def search_stage(
-    index: FlatIndex, query_embs: QueryEmbeddings, settings: Settings
+    params: EncoderParams, index: FlatIndex, queries: Sequence[Query], settings: Settings
 ) -> evaluation.Run:
-    ranked = batch_search(index, query_embs, settings["search_topk"])
+    ranked = search_corpus(params, index, queries, settings["search_topk"])
     return evaluation.run_from_ranked_lists(ranked, tag=settings["run_tag"])
 
 
@@ -196,25 +190,23 @@ def eval_stage(
 
 
 def _prefix_metrics(
-    index: FlatIndex, query_embs: QueryEmbeddings, qrels: Qrels, settings: Settings, metric: str
+    params: EncoderParams, index: FlatIndex, queries: Sequence[Query], qrels: Qrels,
+    settings: Settings, metric: str,
 ) -> list[float]:
     """``metric`` of the run that ranks each view prefix k = 1..k_views of
     ``index``; one prefix's run is alive at a time."""
-    embs = np.array([emb for _, emb in query_embs], dtype=np.float64)
-    embs = embs.reshape(len(query_embs), index.embed_dim)
+    embs = encode_queries(params, [q.text for q in queries])
     docs, scores = search_prefixes(index, embs, settings["search_topk"])
     doc_ids = np.array(index.doc_ids, dtype=object)
     ranks = range(1, docs.shape[2] + 1)
 
     def prefix_run(prefix_docs: np.ndarray, prefix_scores: np.ndarray) -> evaluation.Run:
         by_query = {
-            query_id: [
+            query.query_id: [
                 evaluation.RunEntry(doc_id, rank, score)
                 for rank, doc_id, score in zip(ranks, id_row.tolist(), score_row.tolist())
             ]
-            for (query_id, _), id_row, score_row in zip(
-                query_embs, doc_ids[prefix_docs], prefix_scores
-            )
+            for query, id_row, score_row in zip(queries, doc_ids[prefix_docs], prefix_scores)
         }
         return evaluation.Run(by_query, tag=settings["run_tag"])
 
@@ -228,15 +220,15 @@ def _prefix_metrics(
 def analyze_stage(
     out_dir: Path, generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
     settings: Settings, metric: str, run: evaluation.Run | None = None,
-    index: FlatIndex | None = None, query_embs: QueryEmbeddings = (),
+    params: EncoderParams | None = None, index: FlatIndex | None = None,
 ) -> None:
     """Write quality.csv, diversity.csv, levels.csv and sweep.csv.
 
-    ``run`` gives the per-level ``metric``. ``index``, built with every
-    view, fills the sweep's retrieval column: one pass ranks its view
-    prefixes k = 1..k_views for ``query_embs``. Each generated view is
-    scored against gold once; quality.csv is the sweep's point with every
-    view.
+    ``run`` gives the per-level ``metric``. ``index``, built from
+    ``params`` with every view, fills the sweep's retrieval column: one
+    pass ranks its view prefixes k = 1..k_views for ``queries``, encoded
+    with ``params``. Each generated view is scored against gold once;
+    quality.csv is the sweep's point with every view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
@@ -253,7 +245,7 @@ def analyze_stage(
     k_views = min(len(qset.queries) for qset in generated)
     retrieval = None
     if index is not None:
-        retrieval = _prefix_metrics(index, query_embs, qrels, settings, metric)
+        retrieval = _prefix_metrics(params, index, queries, qrels, settings, metric)
     points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, retrieval)
     quality = points[-1].quality
 
@@ -324,7 +316,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     params = load_params(settings["checkpoint"])
     index = load_index(settings["index"])
     queries = load_queries(settings["queries"])
-    run = search_stage(index, _embed_queries(params, queries), settings)
+    run = search_stage(params, index, queries, settings)
     evaluation.write_run(run, settings["out"])
     print(f"searched {len(queries)} queries (top {settings['search_topk']}) into {settings['out']}")
     return 0
@@ -345,17 +337,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
     run = evaluation.load_run(settings["run"]) if "run" in settings else None
-    index, query_embs = None, ()
+    params = index = None
     if "checkpoint" in settings:
         if "corpus" not in settings:
             raise ValueError("--checkpoint requires --corpus for the view sweep")
         params = load_params(settings["checkpoint"])
         corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
         index = build_index(params, corpus, "dce", generated)
-        query_embs = _embed_queries(params, queries)
     out_dir = Path(settings["out_dir"])
     analyze_stage(
-        out_dir, generated, queries, qrels, settings, settings["metric"], run, index, query_embs
+        out_dir, generated, queries, qrels, settings, settings["metric"], run, params, index
     )
     print(f"analysis written to {out_dir}")
     return 0
@@ -408,8 +399,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     index = build_index(params, corpus, mode=mode, generated=generated)
     save_index(index, out_dir / "index.mvix")
 
-    query_embs = _embed_queries(params, queries)
-    run = search_stage(index, query_embs, settings)
+    run = search_stage(params, index, queries, settings)
     evaluation.write_run(run, out_dir / "run.trec")
 
     reports = eval_stage(run, qrels, settings)
@@ -420,7 +410,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         dce_index = index if mode == "dce" else None
         metric = reports[0].name
         analyze_stage(
-            out_dir, generated, queries, qrels, settings, metric, run, dce_index, query_embs
+            out_dir, generated, queries, qrels, settings, metric, run, params, dce_index
         )
 
     print(f"pipeline outputs in {out_dir}")

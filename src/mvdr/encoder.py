@@ -405,35 +405,19 @@ def backprop_tower(
 # Public encoding ops
 
 
-def encode_query(params: EncoderParams, text: str) -> np.ndarray:
-    """Embed a query on its own through the query tower."""
-    buckets = [query_feature_buckets(params.config, text)]
-    out, _ = forward_tower(params.query_tower, buckets)
-    return out[0]
-
-
 def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
-    """Embed queries through the query tower, featurized through one table."""
-    if len(texts) == 0:
-        return np.zeros((0, params.config.embed_dim), dtype=params.query_tower.b_out.dtype)
+    """Embed queries through the query tower, featurized through one table.
+
+    A text pools to the same features in any batch, but its float32
+    embedding can differ in the last bit between a one-row batch, whose
+    MLP product runs as a GEMV, and a larger one, whose GEMM sums in
+    another order. So a query encoded alone and the same query encoded in
+    a batch can order near-tied documents differently.
+    """
     table = FeatureTable(params.config)
     buckets = [query_feature_buckets(params.config, t, table) for t in texts]
     out, _ = forward_tower(params.query_tower, buckets)
     return out
-
-
-def encode_document(params: EncoderParams, text: str) -> np.ndarray:
-    """Embed a document alone through the doc tower (single-view mode)."""
-    buckets = [doc_feature_buckets(params.config, text)]
-    out, _ = forward_tower(params.doc_tower, buckets)
-    return out[0]
-
-
-def encode_document_view(params: EncoderParams, query_text: str, doc_text: str) -> np.ndarray:
-    """Embed a document jointly with a query prefix (one query-informed view)."""
-    buckets = [joint_feature_buckets(params.config, query_text, doc_text)]
-    out, _ = forward_tower(params.doc_tower, buckets)
-    return out[0]
 
 
 def candidate_feature_buckets(
@@ -456,24 +440,11 @@ def encode_candidates(
     ``table`` carries feature hashes across calls of one stage; without
     one, this call makes its own.
     """
-    if len(pairs) == 0:
-        return np.zeros((0, params.config.embed_dim), dtype=params.doc_tower.b_out.dtype)
     if table is None:
         table = FeatureTable(params.config)
     buckets = [candidate_feature_buckets(params.config, p, table) for p in pairs]
     out, _ = forward_tower(params.doc_tower, buckets)
     return out
-
-
-def score(query_emb: np.ndarray, doc_emb: np.ndarray) -> float:
-    """Dot-product relevance score between two embeddings."""
-    query_emb = np.asarray(query_emb)
-    doc_emb = np.asarray(doc_emb)
-    if query_emb.shape != doc_emb.shape or query_emb.ndim != 1:
-        raise ValueError(
-            f"embedding shapes differ: {query_emb.shape} vs {doc_emb.shape}"
-        )
-    return float(np.dot(query_emb.astype(np.float64), doc_emb.astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Qrels, _fields, _read_lines, write_lines
-from .index import RankedList
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +32,14 @@ class RunEntry:
     doc_id: str
     rank: int  # 1-based
     score: float
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """One query's run entries, best first."""
+
+    query_id: str
+    results: tuple[RunEntry, ...]
 
 
 class Run:
@@ -70,14 +77,12 @@ class Run:
 
 
 def run_from_ranked_lists(ranked: Iterable[RankedList], tag: str = DEFAULT_RUN_TAG) -> Run:
+    """The run of one ranked list per query; :class:`Run` checks the entries."""
     by_query = {}
     for rl in ranked:
         if rl.query_id in by_query:
             raise ValueError(f"duplicate ranked list for query {rl.query_id!r}")
-        by_query[rl.query_id] = [
-            RunEntry(doc_id=r.doc_id, rank=i, score=r.score)
-            for i, r in enumerate(rl.results, 1)
-        ]
+        by_query[rl.query_id] = rl.results
     return Run(by_query, tag=tag)
 
 

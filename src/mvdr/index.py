@@ -32,6 +32,7 @@ import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
 from .encoder import EncoderParams, FeatureTable, encode_candidates, encode_queries
+from .evaluation import RankedList, RunEntry
 from .hashing import FramedReader, write_framed
 
 log = logging.getLogger(__name__)
@@ -44,22 +45,6 @@ _MAGIC = b"MVIXT2"
 # per pooled score); per block of rescored documents, the gathered float32
 # rows and their float64 copy (12 bytes per value).
 _BLOCK_BYTES = 2**20
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """One ranked retrieval result."""
-
-    doc_id: str
-    score: float
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Ranked results for one query, best first."""
-
-    query_id: str
-    results: tuple[SearchResult, ...]
 
 
 @dataclass
@@ -82,6 +67,10 @@ class FlatIndex:
             raise ValueError("k_views must be >= 1")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("doc_ids must be unique")
+        for doc_id in self.doc_ids:
+            # run files split on whitespace, so an ID must be one non-empty field
+            if doc_id.split() != [doc_id]:
+                raise ValueError(f"doc_id {doc_id!r} is empty or contains whitespace")
         if n_rows != self.k_views * len(self.doc_ids):
             raise ValueError(
                 f"{n_rows} rows != {self.k_views} views * {len(self.doc_ids)} docs"
@@ -276,10 +265,11 @@ def search(
 ) -> RankedList:
     """Exact search: a document's score is the largest float64 dot product
     of the query with its views; ties break by doc_id ascending, so
-    rankings are platform-independent. See :func:`_rank`."""
+    rankings are platform-independent. Returns the run entries of the top
+    documents, ranked from 1. See :func:`_rank`."""
     docs, scores = _rank(index, query_emb, 1, top_k_docs, [index.k_views])
-    pairs = zip(docs[0, 0].tolist(), scores[0, 0].tolist())
-    return RankedList(query_id, tuple(SearchResult(index.doc_ids[i], s) for i, s in pairs))
+    ranked = enumerate(zip(docs[0, 0].tolist(), scores[0, 0].tolist()), 1)
+    return RankedList(query_id, tuple(RunEntry(index.doc_ids[i], r, s) for r, (i, s) in ranked))
 
 
 def search_prefixes(

@@ -13,7 +13,10 @@ from mvdr.corpus import (
     write_queries,
     write_triples,
 )
-from mvdr.corpus import Qrels
+from mvdr.corpus import Qrels, load_corpus, load_queries
+from mvdr.encoder import EncoderConfig, init_params, save_params
+from mvdr.evaluation import run_from_ranked_lists, write_run
+from mvdr.index import build_index, save_index, search_corpus
 
 
 class TestConfigFile:
@@ -137,6 +140,23 @@ class TestStagedCommands:
         out = capsys.readouterr().out
         assert "mrr@10" in out and "ndcg@10" in out
         assert metrics.read_text().startswith("metric,value\n")
+
+    def test_search_writes_the_run_of_search_corpus(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        params = init_params(EncoderConfig(embed_dim=8, hash_buckets=512), seed=3)
+        ckpt, index_path = tmp_path / "model.ckpt", tmp_path / "index.mvix"
+        save_params(params, ckpt)
+        index = build_index(params, load_corpus(paths["corpus"]), mode="de")
+        save_index(index, index_path)
+        got, want = tmp_path / "got.trec", tmp_path / "want.trec"
+        assert main([
+            "search", "--checkpoint", str(ckpt), "--index", str(index_path),
+            "--queries", str(paths["queries"]), "--out", str(got), "--topk", "4", "--tag", "t",
+        ]) == 0
+        ranked = search_corpus(params, index, load_queries(paths["queries"]), 4)
+        write_run(run_from_ranked_lists(ranked, tag="t"), want)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == 12
 
     def test_verbose_train_logs_each_epoch(self, tmp_path, caplog):
         paths = _write_world(tmp_path)

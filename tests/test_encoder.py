@@ -20,17 +20,13 @@ from mvdr.encoder import (
     candidate_feature_buckets,
     doc_feature_buckets,
     encode_candidates,
-    encode_document,
-    encode_document_view,
     encode_queries,
-    encode_query,
     forward_tower,
     init_params,
     joint_feature_buckets,
     load_params,
     query_feature_buckets,
     save_params,
-    score,
 )
 from mvdr.hashing import stable_hash64
 from mvdr.trainer import AdamState, adam_step, zero_grads
@@ -151,7 +147,7 @@ class TestFeatureHashing:
         with pytest.raises(ValueError, match=message):
             doc_feature_buckets(BIGRAM_CFG, "who")
         with pytest.raises(ValueError, match=message):
-            encode_document(init_params(BIGRAM_CFG, seed=0), "who")
+            encode_candidates(init_params(BIGRAM_CFG, seed=0), [(None, "who")])
 
     def test_short_joint_input_rejected(self):
         # one token on each side: bigrams still cross the separator, 4-grams never fit
@@ -351,7 +347,7 @@ class TestInit:
 class TestEncoding:
     def test_shapes_and_dtype(self):
         params = init_params(CFG, seed=1)
-        emb = encode_query(params, "what is this")
+        emb = encode_queries(params, ["what is this"])[0]
         assert emb.shape == (CFG.embed_dim,)
         assert emb.dtype == np.float32
         batch = encode_queries(params, ["one", "two", "three"])
@@ -368,50 +364,42 @@ class TestEncoding:
             # (GEMV) sums in another order than for a block (GEMM)
             _, alone = forward_tower(params.query_tower, buckets[i : i + 1], want_cache=True)
             assert cache.pooled[i].tobytes() == alone.pooled[0].tobytes()
-            np.testing.assert_allclose(row, encode_query(params, text), rtol=0, atol=1e-6)
+            np.testing.assert_allclose(row, encode_queries(params, [text])[0], rtol=0, atol=1e-6)
 
     def test_empty_batch(self):
-        params = init_params(CFG, seed=1)
-        assert encode_queries(params, []).shape == (0, CFG.embed_dim)
-        assert encode_candidates(params, []).shape == (0, CFG.embed_dim)
+        # runs under the suite's RuntimeWarning-as-error filter
+        for dtype in (np.float32, np.float64):
+            params = init_params(CFG, seed=1, dtype=dtype)
+            for out in (encode_queries(params, []), encode_candidates(params, [])):
+                assert out.shape == (0, CFG.embed_dim)
+                assert out.dtype == dtype
 
     def test_mean_pool_ignores_repetition(self):
         # under unigram features a repeated token leaves the bag mean unchanged
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, ngram_orders=(1,))
         params = init_params(cfg, seed=2)
-        np.testing.assert_allclose(
-            encode_document(params, "beacon"),
-            encode_document(params, "beacon beacon beacon"),
-            atol=1e-6,
-        )
+        once, thrice = encode_candidates(params, [(None, "beacon"), (None, "beacon beacon beacon")])
+        np.testing.assert_allclose(once, thrice, atol=1e-6)
 
     def test_view_differs_from_plain_doc(self):
         params = init_params(CFG, seed=1)
-        plain = encode_document(params, "the reactor design")
-        view = encode_document_view(params, "reactor safety", "the reactor design")
+        plain, view = encode_candidates(
+            params, [(None, "the reactor design"), ("reactor safety", "the reactor design")]
+        )
         assert not np.allclose(plain, view)
 
     def test_candidates_route_by_prefix(self):
         params = init_params(CFG, seed=1)
         pairs = [(None, "the reactor design"), ("reactor safety", "the reactor design")]
         batch = encode_candidates(params, pairs)
-        np.testing.assert_allclose(batch[0], encode_document(params, pairs[0][1]), atol=1e-6)
-        np.testing.assert_allclose(batch[1], encode_document_view(params, *pairs[1]), atol=1e-6)
+        for row, pair in zip(batch, pairs):
+            np.testing.assert_allclose(row, encode_candidates(params, [pair])[0], atol=1e-6)
         buckets = [candidate_feature_buckets(CFG, p) for p in pairs]
         _, cache = forward_tower(params.doc_tower, buckets, want_cache=True)
         alone = [doc_feature_buckets(CFG, pairs[0][1]), joint_feature_buckets(CFG, *pairs[1])]
         for i, b in enumerate(alone):
             _, single = forward_tower(params.doc_tower, [b], want_cache=True)
             assert cache.pooled[i].tobytes() == single.pooled[0].tobytes()
-
-    def test_score_is_dot_product(self, rng):
-        a = rng.normal(size=8).astype(np.float32)
-        b = rng.normal(size=8).astype(np.float32)
-        assert score(a, b) == pytest.approx(float(np.dot(a.astype(np.float64), b.astype(np.float64))))
-
-    def test_score_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            score(np.zeros(3), np.zeros(4))
 
 
 class TestPooling:

@@ -6,6 +6,7 @@ import pytest
 from mvdr.corpus import Qrels
 from mvdr.evaluation import (
     MetricReport,
+    RankedList,
     Run,
     RunEntry,
     compute_metric,
@@ -18,7 +19,6 @@ from mvdr.evaluation import (
     write_metrics_csv,
     write_run,
 )
-from mvdr.index import RankedList, SearchResult
 from mvdr.selftest import (
     mrr_reference,
     ndcg_reference,
@@ -59,13 +59,18 @@ class TestRunValidation:
 
     def test_from_ranked_lists(self):
         ranked = [
-            RankedList("q1", (SearchResult("d2", 3.0), SearchResult("d1", 1.0))),
+            RankedList("q1", (RunEntry("d2", 1, 3.0), RunEntry("d1", 2, 1.0))),
             RankedList("q2", ()),
         ]
         run = run_from_ranked_lists(ranked, tag="test")
         assert run.tag == "test"
         assert [e.rank for e in run.entries("q1")] == [1, 2]
         assert run.entries("q2") == ()
+
+    def test_from_ranked_lists_rejects_rank_gap(self):
+        ranked = [RankedList("q1", (RunEntry("d2", 1, 3.0), RunEntry("d1", 3, 1.0)))]
+        with pytest.raises(ValueError, match="not contiguous"):
+            run_from_ranked_lists(ranked)
 
     def test_from_ranked_lists_rejects_duplicates(self):
         ranked = [RankedList("q1", ()), RankedList("q1", ())]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mvdr.corpus import GeneratedQuerySet, Query
-from mvdr.encoder import EncoderConfig, encode_query, init_params
+import mvdr
+from mvdr.encoder import EncoderConfig, encode_queries, init_params
+from mvdr.evaluation import RankedList, RunEntry
 from mvdr.index import (
     FlatIndex,
     batch_search,
@@ -81,6 +83,12 @@ class TestFlatIndexValidation:
         finally:
             tracemalloc.stop()
         assert peak < matrix.size // 2
+
+    @pytest.mark.parametrize("bad", ["a b", "", " a", "a\tb"])
+    def test_doc_id_must_be_one_field(self, bad):
+        # run files split on whitespace, so such an ID would break a run line
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            FlatIndex(np.eye(2, dtype=np.float32), [bad, "c"], 1)
 
     def test_zero_width_rejected(self):
         # search sizes its rescore blocks by the row width
@@ -162,7 +170,7 @@ class TestSearchPrefixes:
         generated = tiny_generated(tiny_docs, k=4)
         full = build_index(params, tiny_docs, mode="dce", generated=generated)
         texts = ["solar panels", "court appeal", "view 2", "view 3 of d4"]
-        embs = np.stack([encode_query(params, text) for text in texts])
+        embs = encode_queries(params, texts)
         top_k_docs = len(tiny_docs) + 2
         docs, scores = search_prefixes(full, embs, top_k_docs)
         for k in range(1, 5):
@@ -263,6 +271,14 @@ class TestSearch:
             np.testing.assert_allclose(
                 [r.score for r in got.results], [s for _, s in expected], atol=1e-9
             )
+
+    def test_results_are_run_entries_ranked_from_1(self, rng):
+        index = random_index(rng, n_docs=12, k_views=3, dim=8)
+        got = search(index, rng.normal(size=8), top_k_docs=5, query_id="q")
+        assert isinstance(got, RankedList) and got.query_id == "q"
+        assert all(isinstance(r, RunEntry) for r in got.results)
+        assert [r.rank for r in got.results] == [1, 2, 3, 4, 5]
+        assert mvdr.RankedList is mvdr.index.RankedList is RankedList
 
     def test_partition_boundary_ties_survive(self):
         # two docs tie exactly at the candidate cutoff; both must pool correctly
@@ -377,7 +393,7 @@ class TestSearch:
         queries = [Query("q1", "solar panels"), Query("q2", "court appeal")]
         ranked = search_corpus(params, index, queries, top_k_docs=2)
         assert [r.query_id for r in ranked] == ["q1", "q2"]
-        direct = search(index, encode_query(params, "solar panels"), 2, query_id="q1")
+        direct = search(index, encode_queries(params, ["solar panels"])[0], 2, query_id="q1")
         # batched query encoding may round float32 differently than one-at-a-time
         assert [r.doc_id for r in ranked[0].results] == [r.doc_id for r in direct.results]
         np.testing.assert_allclose(
@@ -457,6 +473,22 @@ class TestIndexIO:
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(ValueError, match="trailing bytes"):
             load_index(path)
+
+    def test_doc_id_with_whitespace_rejected(self, tmp_path):
+        # a checksum-valid file whose first doc_id is the given one
+        def write(first: bytes):
+            ids = b"".join(struct.pack("<I", len(raw)) + raw for raw in (first, b"c"))
+            header = b"MVIXT2" + struct.pack("<III", 2, 1, 2)
+            payload = header + ids + np.eye(2, dtype="<f4").tobytes()
+            path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+        path = tmp_path / "index.bin"
+        write(b"ab")
+        assert load_index(path).doc_ids == ["ab", "c"]
+        for bad in (b"a b", b"", b" a"):
+            write(bad)
+            with pytest.raises(ValueError, match="empty or contains whitespace"):
+                load_index(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_embedding_rejected(self, tmp_path, rng, bad):
