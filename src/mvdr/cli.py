@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__, analysis, evaluation
 from .corpus import Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
 from .corpus import load_corpus, load_generated_queries, load_qrels, load_queries, load_triples
@@ -194,27 +192,18 @@ def _prefix_metrics(
     settings: Settings, metric: str,
 ) -> list[float]:
     """``metric`` of the run that ranks each view prefix k = 1..k_views of
-    ``index``; one prefix's run is alive at a time."""
+    ``index``. One :func:`search_prefixes` pass ranks every prefix, and each
+    prefix's ranked arrays become its run as they are; one prefix's run is
+    alive at a time."""
     embs = encode_queries(params, [q.text for q in queries])
     docs, scores = search_prefixes(index, embs, settings["search_topk"])
-    doc_ids = np.array(index.doc_ids, dtype=object)
-    ranks = range(1, docs.shape[2] + 1)
-
-    def prefix_run(prefix_docs: np.ndarray, prefix_scores: np.ndarray) -> evaluation.Run:
-        by_query = {
-            query.query_id: [
-                evaluation.RunEntry(doc_id, rank, score)
-                for rank, doc_id, score in zip(ranks, id_row.tolist(), score_row.tolist())
-            ]
-            for query, id_row, score_row in zip(queries, doc_ids[prefix_docs], prefix_scores)
-        }
-        return evaluation.Run(by_query, tag=settings["run_tag"])
-
-    rel_threshold = settings["rel_threshold"]
-    return [
-        evaluation.compute_metric(metric, prefix_run(d, s), qrels, rel_threshold).aggregate
+    query_ids = [q.query_id for q in queries]
+    runs = (
+        evaluation.Run.from_arrays(index.doc_ids, query_ids, d, s, settings["run_tag"])
         for d, s in zip(docs, scores)
-    ]
+    )
+    rel_threshold = settings["rel_threshold"]
+    return [evaluation.compute_metric(metric, run, qrels, rel_threshold).aggregate for run in runs]
 
 
 def analyze_stage(

@@ -1,14 +1,24 @@
-"""Ranked-run serialization and standard retrieval metrics.
+"""Ranked runs, their serialization and standard retrieval metrics.
+
+A :class:`Run` holds each query's ranking as arrays: indices into one
+shared table of doc_ids and float64 scores, best first, so a document's
+rank is its position + 1. :meth:`Run.from_arrays` takes a block of
+rankings as search computes them; :class:`RunEntry` and
+:class:`RankedList` are search's output and the run file's records, and
+``Run(by_query)`` builds a run from them, sorting each query's entries
+by rank and checking that ranks run from 1 without a gap. Both then run
+the same checks on the whole run at once.
 
 Run files use the common 6-column whitespace format::
 
     query_id Q0 doc_id rank score tag
 
-Scores are written with 6 decimal places so a run is byte-stable across
-platforms and thread counts. Metrics treat a query with no run entries
-as scoring 0 rather than skipping it; recall only averages over queries
-that have at least one relevant document, since it is undefined
-otherwise.
+so query ids, doc ids and the tag must each be one non-empty field, and
+scores finite. Scores are written with 6 decimal places so a run is
+byte-stable across platforms and thread counts. Metrics treat a query
+with no run entries as scoring 0 rather than skipping it; recall only
+averages over queries that have at least one relevant document, since it
+is undefined otherwise.
 """
 
 from __future__ import annotations
@@ -16,9 +26,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Qrels, _fields, _read_lines, write_lines
 
@@ -42,38 +54,142 @@ class RankedList:
     results: tuple[RunEntry, ...]
 
 
+def check_fields(kind: str, values: Iterable[str]) -> None:
+    """Reject a value that is empty or contains whitespace: run files split
+    on whitespace, so each id and the tag must be one non-empty field."""
+    for value in values:
+        if value.split() != [value]:
+            raise ValueError(f"{kind} {value!r} is empty or contains whitespace")
+
+
 class Run:
-    """A ranked run: per-query result lists, ranks contiguous from 1."""
+    """A ranked run: per query, indices into ``doc_ids`` and float64 scores,
+    best first, with ranks contiguous from 1.
+
+    ``Run(by_query, tag)`` builds one from run entries, sorted by rank;
+    :meth:`from_arrays` from a block of ranked arrays. Both reject empty or
+    whitespace ids and tags, repeated query ids, a document repeated in a
+    query's ranking, scores that are not finite or that rise with rank,
+    and doc indices outside ``doc_ids``.
+    """
 
     def __init__(self, by_query: Mapping[str, Sequence[RunEntry]], tag: str = DEFAULT_RUN_TAG):
-        self.tag = tag
-        self._by_query: dict[str, tuple[RunEntry, ...]] = {}
+        table: dict[str, int] = {}
+        docs: list[int] = []
+        scores: list[float] = []
+        lengths = []
         for query_id, entries in by_query.items():
-            ordered = tuple(sorted(entries, key=lambda e: e.rank))
-            seen_docs = set()
+            ordered = sorted(entries, key=lambda e: e.rank)
             for i, entry in enumerate(ordered, 1):
                 if entry.rank != i:
                     raise ValueError(
                         f"query {query_id!r}: ranks not contiguous from 1 (saw {entry.rank} at position {i})"
                     )
-                if entry.doc_id in seen_docs:
-                    raise ValueError(f"query {query_id!r}: duplicate doc {entry.doc_id!r}")
-                seen_docs.add(entry.doc_id)
-            for prev, cur in zip(ordered, ordered[1:]):
-                if cur.score > prev.score:
-                    raise ValueError(
-                        f"query {query_id!r}: score increases with rank at doc {cur.doc_id!r}"
-                    )
-            self._by_query[query_id] = ordered
+            docs.extend(table.setdefault(e.doc_id, len(table)) for e in ordered)
+            scores.extend(e.score for e in ordered)
+            lengths.append(len(ordered))
+        self._set(list(table), list(by_query), np.array(docs, dtype=np.intp), scores, lengths, tag)
+
+    @classmethod
+    def from_arrays(
+        cls, doc_ids: Sequence[str], query_ids: Sequence[str], docs: np.ndarray,
+        scores: np.ndarray, tag: str = DEFAULT_RUN_TAG,
+    ) -> Run:
+        """The run in which query ``query_ids[q]`` ranks ``doc_ids[docs[q, i]]``
+        at rank ``i + 1`` with score ``scores[q, i]``; ``docs`` and
+        ``scores`` share one ``(n_queries, n)`` shape, as
+        :func:`~mvdr.index.search_prefixes` returns them per prefix."""
+        docs = np.asarray(docs)
+        scores = np.asarray(scores)
+        if docs.ndim != 2 or docs.shape != scores.shape:
+            raise ValueError(
+                f"docs shape {docs.shape} and scores shape {scores.shape} "
+                "must be one (n_queries, n) shape"
+            )
+        if docs.shape[0] != len(query_ids):
+            raise ValueError(f"{len(query_ids)} query ids for {docs.shape[0]} ranked rows")
+        run = cls.__new__(cls)
+        lengths = [docs.shape[1]] * docs.shape[0]
+        run._set(list(doc_ids), list(query_ids), docs.ravel(), scores.ravel(), lengths, tag)
+        return run
+
+    def _set(
+        self, doc_ids: list[str], query_ids: list[str], docs: np.ndarray,
+        scores: Sequence[float], lengths: Sequence[int], tag: str,
+    ) -> None:
+        """Check the flat rankings of ``query_ids`` in turn, ``lengths[q]``
+        entries each, and keep them."""
+        check_fields("tag", [tag])
+        check_fields("query_id", query_ids)
+        check_fields("doc_id", doc_ids)
+        seen: set[str] = set()
+        for query_id in query_ids:
+            if query_id in seen:
+                raise ValueError(f"duplicate ranked list for query {query_id!r}")
+            seen.add(query_id)
+        if len(set(doc_ids)) != len(doc_ids):
+            raise ValueError("doc_ids must be unique")
+        if docs.dtype.kind not in "iu":
+            raise ValueError(f"doc indices must be integers, got {docs.dtype}")
+        rows = np.repeat(np.arange(len(query_ids)), lengths)
+
+        def fail(problem: Callable[[int], str], positions: np.ndarray) -> None:
+            if positions.size:
+                pos = positions[0]
+                raise ValueError(f"query {query_ids[rows[pos]]!r}: {problem(pos)}")
+
+        fail(
+            lambda p: f"doc index {docs[p]} out of range for {len(doc_ids)} doc_ids",
+            np.flatnonzero((docs < 0) | (docs >= len(doc_ids))),
+        )
+        docs = docs.astype(np.intp)
+        scores = np.array(scores, dtype=np.float64)
+        fail(lambda p: f"non-finite score at doc {doc_ids[docs[p]]!r}", np.flatnonzero(~np.isfinite(scores)))
+        # a repeated document sorts next to its first place in the same row;
+        # the stable sort puts the later place second
+        keys = rows * len(doc_ids) + docs
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        fail(lambda p: f"duplicate doc {doc_ids[docs[p]]!r}", np.sort(repeats))
+        rising = (scores[1:] > scores[:-1]) & (rows[1:] == rows[:-1])
+        fail(lambda p: f"score increases with rank at doc {doc_ids[docs[p]]!r}", np.flatnonzero(rising) + 1)
+        docs.flags.writeable = scores.flags.writeable = False
+        self.tag = tag
+        self.doc_ids = tuple(doc_ids)
+        self._row = {query_id: row for row, query_id in enumerate(query_ids)}
+        self._offsets = list(accumulate(lengths, initial=0))
+        self._docs = docs
+        self._scores = scores
 
     def query_ids(self) -> list[str]:
-        return list(self._by_query)
+        return list(self._row)
+
+    def ranking(self, query_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """A query's ranked indices into ``doc_ids`` and their scores, best
+        first (read-only views); empty for a query not in the run."""
+        row = self._row.get(query_id)
+        if row is None:
+            return self._docs[:0], self._scores[:0]
+        start, end = self._offsets[row], self._offsets[row + 1]
+        return self._docs[start:end], self._scores[start:end]
+
+    def top_doc_ids(self, query_id: str, k: int) -> list[str]:
+        """The doc_ids a query ranks 1..k, best first."""
+        row = self._row.get(query_id)
+        if row is None:
+            return []
+        start = self._offsets[row]
+        stop = min(start + k, self._offsets[row + 1])
+        doc_ids = self.doc_ids
+        return [doc_ids[i] for i in self._docs[start:stop].tolist()]
 
     def entries(self, query_id: str) -> tuple[RunEntry, ...]:
-        return self._by_query.get(query_id, ())
+        docs, scores = self.ranking(query_id)
+        ranked = enumerate(zip(docs.tolist(), scores.tolist()), 1)
+        return tuple(RunEntry(self.doc_ids[d], rank, s) for rank, (d, s) in ranked)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_query.values())
+        return len(self._docs)
 
 
 def run_from_ranked_lists(ranked: Iterable[RankedList], tag: str = DEFAULT_RUN_TAG) -> Run:
@@ -88,8 +204,14 @@ def run_from_ranked_lists(ranked: Iterable[RankedList], tag: str = DEFAULT_RUN_T
 
 def write_run(run: Run, path: str | Path) -> None:
     """Write the 6-column format with %.6f scores (byte-stable)."""
-    entries = ((q, e) for q in run.query_ids() for e in run.entries(q))
-    write_lines(path, (f"{q} Q0 {e.doc_id} {e.rank} {e.score:.6f} {run.tag}" for q, e in entries))
+    doc_ids, tag = run.doc_ids, run.tag
+
+    def lines(query_id: str) -> Iterable[str]:
+        docs, scores = run.ranking(query_id)
+        for rank, (doc, score) in enumerate(zip(docs.tolist(), scores.tolist()), 1):
+            yield f"{query_id} Q0 {doc_ids[doc]} {rank} {score:.6f} {tag}"
+
+    write_lines(path, chain.from_iterable(map(lines, run.query_ids())))
 
 
 def load_run(path: str | Path) -> Run:
@@ -144,11 +266,9 @@ def mrr_at_k(run: Run, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> Met
     for query_id in qrels.query_ids():
         grades = qrels.grades_for(query_id)
         value = 0.0
-        for entry in run.entries(query_id):
-            if entry.rank > k:
-                break
-            if grades.get(entry.doc_id, 0) >= rel_threshold:
-                value = 1.0 / entry.rank
+        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+            if grades.get(doc_id, 0) >= rel_threshold:
+                value = 1.0 / rank
                 break
         per_query[query_id] = value
     return MetricReport(f"mrr@{k}", _mean(list(per_query.values())), per_query)
@@ -164,7 +284,7 @@ def recall_at_k(run: Run, qrels: Qrels, k: int = 1000, rel_threshold: int = 1) -
         relevant = set(qrels.relevant_docs(query_id, threshold=rel_threshold))
         if not relevant:
             continue
-        retrieved = {e.doc_id for e in run.entries(query_id) if e.rank <= k}
+        retrieved = set(run.top_doc_ids(query_id, k))
         per_query[query_id] = len(relevant & retrieved) / len(relevant)
     return MetricReport(f"recall@{k}", _mean(list(per_query.values())), per_query)
 
@@ -181,11 +301,9 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricReport:
     for query_id in qrels.query_ids():
         grades = qrels.grades_for(query_id)
         dcg = 0.0
-        for entry in run.entries(query_id):
-            if entry.rank > k:
-                break
-            gain = 2 ** grades.get(entry.doc_id, 0) - 1
-            dcg += gain / math.log2(entry.rank + 1)
+        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+            gain = 2 ** grades.get(doc_id, 0) - 1
+            dcg += gain / math.log2(rank + 1)
         ideal = sorted(grades.values(), reverse=True)[:k]
         idcg = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(ideal, 1))
         per_query[query_id] = dcg / idcg if idcg > 0 else 0.0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
 from .encoder import EncoderParams, FeatureTable, encode_candidates, encode_queries
-from .evaluation import RankedList, RunEntry
+from .evaluation import RankedList, RunEntry, check_fields
 from .hashing import FramedReader, write_framed
 
 log = logging.getLogger(__name__)
@@ -67,10 +67,7 @@ class FlatIndex:
             raise ValueError("k_views must be >= 1")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("doc_ids must be unique")
-        for doc_id in self.doc_ids:
-            # run files split on whitespace, so an ID must be one non-empty field
-            if doc_id.split() != [doc_id]:
-                raise ValueError(f"doc_id {doc_id!r} is empty or contains whitespace")
+        check_fields("doc_id", self.doc_ids)
         if n_rows != self.k_views * len(self.doc_ids):
             raise ValueError(
                 f"{n_rows} rows != {self.k_views} views * {len(self.doc_ids)} docs"

@@ -1,8 +1,9 @@
 import logging
 
+import numpy as np
 import pytest
 
-from mvdr.cli import main, parse_config
+from mvdr.cli import _prefix_metrics, main, parse_config
 from mvdr.corpus import (
     Document,
     Query,
@@ -14,9 +15,10 @@ from mvdr.corpus import (
     write_triples,
 )
 from mvdr.corpus import Qrels, load_corpus, load_queries
-from mvdr.encoder import EncoderConfig, init_params, save_params
-from mvdr.evaluation import run_from_ranked_lists, write_run
-from mvdr.index import build_index, save_index, search_corpus
+from mvdr.encoder import EncoderConfig, encode_queries, init_params, save_params
+from mvdr.evaluation import RunEntry, compute_metric, run_from_ranked_lists, write_run
+from mvdr.index import FlatIndex, build_index, save_index, search, search_corpus
+from mvdr.selftest import random_index
 
 
 class TestConfigFile:
@@ -393,3 +395,34 @@ class TestPipelineSweep:
         assert not (outs["false"] / "gen_queries.jsonl").exists()
         for name in ("model.ckpt", "run.trec"):
             assert (analyzed / name).read_bytes() == (outs["false"] / name).read_bytes(), name
+
+
+class TestPrefixMetrics:
+    def test_each_prefix_equals_search_over_truncated_index(self, rng, monkeypatch):
+        cfg = EncoderConfig(embed_dim=8, hash_buckets=64, ngram_orders=(1, 2), max_query_tokens=8)
+        params = init_params(cfg, seed=3)
+        index = random_index(rng, n_docs=40, k_views=4, dim=8)
+        texts = ["solar panels", "court appeal", "river delta sediment", "vaccine", "a b c", "panels"]
+        queries = [Query(f"q{i}", text) for i, text in enumerate(texts)]
+        qrels = Qrels({
+            (q.query_id, index.doc_ids[int(d)]): int(rng.integers(0, 3))
+            for q in queries for d in rng.choice(index.n_docs, size=6, replace=False)
+        })
+        settings = {"search_topk": 12, "rel_threshold": 1, "run_tag": "t"}
+        embs = encode_queries(params, texts)
+        views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
+
+        def no_entry(*args, **kwargs):
+            raise AssertionError("_prefix_metrics built a RunEntry")
+
+        for metric in ("mrr@10", "recall@5", "recall@12", "ndcg@10"):
+            with monkeypatch.context() as patch:
+                patch.setattr(RunEntry, "__init__", no_entry)
+                got = _prefix_metrics(params, index, queries, qrels, settings, metric)
+            want = []
+            for k in range(1, index.k_views + 1):
+                prefix = FlatIndex(views[:, :k].reshape(-1, index.embed_dim), index.doc_ids, k)
+                ranked = [search(prefix, emb, 12, query_id=q.query_id) for q, emb in zip(queries, embs)]
+                want.append(compute_metric(metric, run_from_ranked_lists(ranked, tag="t"), qrels).aggregate)
+            assert got == want, metric
+        assert len(set(got)) > 1

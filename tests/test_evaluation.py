@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdr.corpus import Qrels
 from mvdr.evaluation import (
@@ -76,6 +78,144 @@ class TestRunValidation:
         ranked = [RankedList("q1", ()), RankedList("q1", ())]
         with pytest.raises(ValueError, match="duplicate ranked list"):
             run_from_ranked_lists(ranked)
+
+
+def entry_run(rows, doc_ids, tag="t"):
+    """Run({query_id: RunEntry list}) of {query_id: [(doc index, score), ...]}."""
+    return Run(
+        {
+            q: [RunEntry(doc_ids[d], rank, s) for rank, (d, s) in enumerate(row, 1)]
+            for q, row in rows.items()
+        },
+        tag=tag,
+    )
+
+
+def array_run(rows, doc_ids, tag="t"):
+    """Run.from_arrays of the same rows, which must share one length."""
+    n = len(next(iter(rows.values()), []))
+    docs = np.array([[d for d, _ in row] for row in rows.values()], dtype=np.int32).reshape(len(rows), n)
+    scores = np.array([[s for _, s in row] for row in rows.values()]).reshape(len(rows), n)
+    return Run.from_arrays(doc_ids, list(rows), docs, scores, tag=tag)
+
+
+class TestRunChecksOnBothPaths:
+    """Each check rejects the same input, with the same text, whether the
+    run is built from entries or from arrays."""
+
+    @pytest.mark.parametrize("build", [entry_run, array_run])
+    @pytest.mark.parametrize(
+        "rows, doc_ids, tag, message",
+        [
+            ({"q": [(0, 2.0), (1, 1.0), (0, 0.5)]}, ["d1", "d2"], "t", "query 'q': duplicate doc 'd1'"),
+            (
+                {"q1": [(0, 2.0), (1, 1.0)], "q2": [(0, 1.0), (1, 2.0)]}, ["d1", "d2"], "t",
+                "query 'q2': score increases with rank at doc 'd2'",
+            ),
+            ({"q": [(0, 2.0), (1, math.nan)]}, ["d1", "d2"], "t", "query 'q': non-finite score at doc 'd2'"),
+            ({"q": [(0, math.inf)]}, ["d1"], "t", "query 'q': non-finite score at doc 'd1'"),
+            ({"q": [(0, 1.0)]}, ["d 1"], "t", "doc_id 'd 1' is empty or contains whitespace"),
+            ({"q": [(0, 1.0)]}, [""], "t", "doc_id '' is empty or contains whitespace"),
+            ({"": [(0, 1.0)]}, ["d1"], "t", "query_id '' is empty or contains whitespace"),
+            ({"q\t1": [(0, 1.0)]}, ["d1"], "t", "query_id 'q\\t1' is empty or contains whitespace"),
+            ({"q": [(0, 1.0)]}, ["d1"], "my run", "tag 'my run' is empty or contains whitespace"),
+            ({"q": [(0, 1.0)]}, ["d1"], "", "tag '' is empty or contains whitespace"),
+        ],
+    )
+    def test_rejects(self, build, rows, doc_ids, tag, message):
+        with pytest.raises(ValueError) as err:
+            build(rows, doc_ids, tag)
+        assert str(err.value) == message
+
+    def test_duplicate_query_id(self):
+        ranked = [RankedList("q", (RunEntry("d1", 1, 1.0),)), RankedList("q", ())]
+        with pytest.raises(ValueError) as entries:
+            run_from_ranked_lists(ranked)
+        with pytest.raises(ValueError) as arrays:
+            Run.from_arrays(["d1"], ["q", "q"], np.zeros((2, 1), dtype=int), np.ones((2, 1)))
+        assert str(arrays.value) == str(entries.value) == "duplicate ranked list for query 'q'"
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_doc_index_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=f"query 'q2': doc index {bad} out of range for 2 doc_ids"):
+            Run.from_arrays(["d1", "d2"], ["q1", "q2"], np.array([[0, 1], [bad, 0]]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("docs_shape, scores_shape", [((2, 3), (2, 2)), ((3,), (3,)), ((1, 1, 1), (1, 1, 1))])
+    def test_mismatched_shapes(self, docs_shape, scores_shape):
+        with pytest.raises(ValueError, match="must be one \\(n_queries, n\\) shape"):
+            Run.from_arrays(["d1", "d2", "d3"], ["q1", "q2"], np.zeros(docs_shape, int), np.zeros(scores_shape))
+
+    def test_query_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="1 query ids for 2 ranked rows"):
+            Run.from_arrays(["d1"], ["q"], np.zeros((2, 1), int), np.zeros((2, 1)))
+
+    def test_doc_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="doc indices must be integers"):
+            Run.from_arrays(["d1"], ["q"], np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_doc_ids_must_be_unique(self):
+        with pytest.raises(ValueError, match="doc_ids must be unique"):
+            Run.from_arrays(["d1", "d1"], ["q"], np.array([[0, 1]]), np.zeros((1, 2)))
+
+    def test_arrays_are_copied_and_read_only(self):
+        docs, scores = np.array([[1, 0]]), np.array([[2.0, 1.0]])
+        run = Run.from_arrays(["d1", "d2"], ["q"], docs, scores)
+        docs[0, 0], scores[0, 0] = 0, 9.0
+        got_docs, got_scores = run.ranking("q")
+        assert got_docs.tolist() == [1, 0] and got_scores.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError):
+            got_scores[0] = 0.0
+        assert run.entries("q") == (RunEntry("d2", 1, 2.0), RunEntry("d1", 2, 1.0))
+        assert run.top_doc_ids("q", 1) == ["d2"] and run.top_doc_ids("other", 3) == []
+        assert len(run) == 2
+
+
+@st.composite
+def ranked_rows(draw):
+    """Rows of one length over a shuffled doc table: each a ranking without
+    repeats, scores non-increasing with many ties; zero length gives empty
+    rankings."""
+    n_docs = draw(st.integers(0, 8))
+    doc_ids = [f"d{i}" for i in draw(st.permutations(range(n_docs)))]
+    n = draw(st.integers(0, n_docs))
+    query_ids = draw(st.lists(st.sampled_from(["q1", "q2", "q3", "q4", "q5"]), unique=True, max_size=4))
+    score = st.one_of(
+        st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    rows = {}
+    for q in query_ids:
+        docs = draw(st.permutations(range(n_docs)))[:n]
+        scores = sorted(draw(st.lists(score, min_size=n, max_size=n)), reverse=True)
+        rows[q] = list(zip(docs, scores))
+    grades = draw(st.dictionaries(
+        st.tuples(st.sampled_from(["q1", "q2", "q3", "q4", "q5"]), st.sampled_from(["d0", "d1", "d2", "d3", "d9"])),
+        st.integers(0, 3),
+        max_size=12,
+    ))
+    return rows, doc_ids, Qrels(grades), draw(st.integers(1, 10))
+
+
+class TestEntryAndArrayRunsAgree:
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_rows())
+    def test_metrics_file_and_round_trip(self, tmp_path_factory, case):
+        rows, doc_ids, qrels, k = case
+        entries, arrays = entry_run(rows, doc_ids, "sys"), array_run(rows, doc_ids, "sys")
+        for metric in (mrr_at_k, recall_at_k):
+            assert metric(arrays, qrels, k=k, rel_threshold=1) == metric(entries, qrels, k=k, rel_threshold=1)
+        assert ndcg_at_k(arrays, qrels, k=k) == ndcg_at_k(entries, qrels, k=k)
+
+        path = tmp_path_factory.mktemp("runs")
+        write_run(entries, path / "entries.trec")
+        write_run(arrays, path / "arrays.trec")
+        assert (path / "entries.trec").read_bytes() == (path / "arrays.trec").read_bytes()
+
+        loaded = load_run(path / "arrays.trec")
+        assert loaded.query_ids() == [q for q in rows if rows[q]]
+        for q in loaded.query_ids():
+            want = [(doc_ids[d], rank, float(f"{s:.6f}")) for rank, (d, s) in enumerate(rows[q], 1)]
+            assert [(e.doc_id, e.rank, e.score) for e in loaded.entries(q)] == want
 
 
 class TestRunIO:
