@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,20 +29,71 @@ _BLEU_MAX_ORDER = 4
 _BLEU_EPS = 1e-9
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length, O(len(a) * len(b))."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+_BLEU_BLOCK_DOCS = 100  # query sets per self-BLEU block: bounds the block's arrays
+
+
+def _token_ids(text: str, vocab: dict[str, int]) -> list[int]:
+    """``text``'s word tokens as ids in ``vocab``, which gains unseen tokens."""
+    return [vocab.setdefault(token, len(vocab)) for token in tokenize(text)]
+
+
+def _bit_masks(tokens: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Each distinct token's positions in ``tokens`` as the set bits of an int."""
+    masks: dict[Hashable, int] = {}
+    for i, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | 1 << i
+    return masks
+
+
+def _lcs_bits(masks: Mapping[Hashable, int], length: int, tokens: Sequence[Hashable]) -> int:
+    """Longest common subsequence length of ``tokens`` and the ``length``-token
+    reference whose :func:`_bit_masks` are ``masks``.
+
+    Bit-parallel (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004): one big-int
+    step per token. After each step the zero bits among the low ``length``
+    bits of ``v`` count the LCS so far; carries above them are ignored.
+    """
+    full = (1 << length) - 1
+    v = full
+    for token in tokens:
+        u = v & masks.get(token, 0)
+        v = (v + u) | (v - u)
+    return length - (v & full).bit_count()
+
+
+def _checked_ids(text: str, vocab: dict[str, int], side: str) -> list[int]:
+    tokens = _token_ids(text, vocab)
+    if not tokens:
+        raise ValueError(f"{side} has no tokens: {text!r}")
+    return tokens
+
+
+def _best_rouge_l(
+    candidates: Sequence[str], references: Sequence[str], vocab: dict[str, int]
+) -> list[float]:
+    """Each candidate's best ROUGE-L against any reference, tokenizing with
+    ``vocab``. Each reference's bitmask table is built once, after the
+    first candidate is tokenized."""
+    if not candidates:
+        raise ValueError("no candidate queries")
+    if not references:
+        raise ValueError("no reference queries")
+    tables = None
+    values = []
+    for candidate in candidates:
+        cand = _checked_ids(candidate, vocab, "candidate")
+        if tables is None:
+            refs = [_checked_ids(text, vocab, "reference") for text in references]
+            tables = [(len(ref), _bit_masks(ref)) for ref in refs]
+        best = 0.0
+        for length, masks in tables:
+            lcs = _lcs_bits(masks, length, cand)
+            if lcs:
+                precision = lcs / len(cand)
+                recall = lcs / length
+                best = max(best, 2.0 * precision * recall / (precision + recall))
+        values.append(best)
+    return values
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -52,31 +102,134 @@ def rouge_l(candidate: str, reference: str) -> float:
     0 when the texts share no common subsequence; raises if either side
     has no tokens at all.
     """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand:
-        raise ValueError(f"candidate has no tokens: {candidate!r}")
-    if not ref:
-        raise ValueError(f"reference has no tokens: {reference!r}")
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2.0 * precision * recall / (precision + recall)
+    return _best_rouge_l([candidate], [reference], {})[0]
 
 
 def max_rouge_l(candidates: Sequence[str], references: Sequence[str]) -> float:
     """Best ROUGE-L of any candidate against any reference."""
-    if not candidates:
-        raise ValueError("no candidate queries")
-    if not references:
-        raise ValueError("no reference queries")
-    return max(rouge_l(c, r) for c in candidates for r in references)
+    return max(_best_rouge_l(candidates, references, {}))
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each element of a sorted array differs from the one before."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def _dense_ids(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys (0 for the smallest)."""
+    order = np.argsort(keys, kind="stable")
+    ids = np.empty_like(keys)
+    ids[order] = np.cumsum(_firsts(keys[order])) - 1
+    return ids
+
+
+def _clipped_sums(query_of: np.ndarray, grams: np.ndarray, set_of: np.ndarray) -> list[int]:
+    """Each query's clipped n-gram count: the sum over its distinct grams
+    of ``min(count, largest count among the other queries of its set)``.
+
+    ``grams`` holds one order's dense gram ids, ``query_of`` the query of
+    each (non-decreasing) and ``set_of`` each query's set.
+    """
+    n_grams = int(grams.max()) + 1 if len(grams) else 1
+    keys = np.sort(query_of * n_grams + grams)
+    first = _firsts(keys)
+    counts = np.diff(np.flatnonzero(first), append=len(keys))
+    pair_query, pair_gram = np.divmod(keys[first], n_grams)
+    # Sorted by (set, gram, count descending), the head of each group holds
+    # the gram's largest count: it is clipped to the next count in its group
+    # (0 when no other query has the gram), and every other query keeps its
+    # count, which is at most the head's.
+    groups = set_of[pair_query] * n_grams + pair_gram
+    order = np.lexsort((-counts, groups))
+    ranked = counts[order]
+    head = _firsts(groups[order])
+    next_in_group = np.append(np.where(head[1:], 0, ranked[1:]), 0)
+    clipped = np.zeros(len(set_of), dtype=np.int64)
+    np.add.at(clipped, pair_query[order], np.where(head, next_in_group, ranked))
+    return clipped.tolist()
+
+
+def _closest_lengths(lengths: np.ndarray, set_of: np.ndarray) -> list[int]:
+    """For each query, the length of the other query in its set that is
+    closest to its own, ties to the shorter (the brevity penalty's
+    reference length). After sorting by (set, length) that query is a
+    neighbour: the lower one on a tie, an equal one when two share a length."""
+    order = np.lexsort((lengths, set_of))
+    ordered = lengths[order]
+    sets = set_of[order]
+    below = ~_firsts(sets)
+    above = np.append(below[1:], False)
+    gap_below = np.diff(ordered, prepend=0)
+    gap_above = np.diff(ordered, append=0)
+    take_below = below & ~(above & (gap_above < gap_below))
+    closest = np.empty_like(lengths)
+    closest[order] = np.where(take_below, np.roll(ordered, 1), np.roll(ordered, -1))
+    return closest.tolist()
+
+
+def _self_bleu_block(query_sets: Sequence[Sequence[str]]) -> list[float]:
+    """:func:`self_bleu_4` of each query set in ``query_sets``.
+
+    The block's queries are tokenized once into ids from one vocabulary.
+    Order 1's grams are the token ids; each higher order's gram ids are the
+    dense ids of (the (n-1)-gram id, the next token), so a gram never
+    crosses a query. Per-(query, gram) counts and the query holding each
+    (set, gram)'s largest count come from sorts, and each order's clipped
+    counts are exact ints; the logs, their mean, the brevity penalty and
+    each set's mean are taken per query in plain floats.
+    """
+    vocab: dict[str, int] = {}
+    token_ids: list[int] = []
+    lengths: list[int] = []
+    for queries in query_sets:
+        if len(queries) < 2:
+            raise ValueError(f"self-BLEU needs at least 2 queries, got {len(queries)}")
+        for i, query in enumerate(queries):
+            ids = _token_ids(query, vocab)
+            if not ids:
+                raise ValueError(f"query {i} has no tokens: {query!r}")
+            token_ids.extend(ids)
+            lengths.append(len(ids))
+    tokens = np.array(token_ids, dtype=np.int64)
+    query_lengths = np.array(lengths, dtype=np.int64)
+    query_of = np.repeat(np.arange(len(lengths)), query_lengths)
+    set_of = np.repeat(np.arange(len(query_sets)), [len(queries) for queries in query_sets])
+    # tokens from each position to the end of its query
+    room = np.repeat(np.cumsum(query_lengths), query_lengths) - np.arange(len(tokens))
+    starts = np.arange(len(tokens))
+    grams = tokens
+    clipped = []
+    for n in range(1, _BLEU_MAX_ORDER + 1):
+        if n > 1:
+            keep = room[starts] >= n
+            starts = starts[keep]
+            grams = _dense_ids(grams[keep] * len(vocab) + tokens[starts + n - 1])
+        clipped.append(_clipped_sums(query_of[starts], grams, set_of))
+
+    log_eps = math.log(_BLEU_EPS)
+    # order n + 1 has length - n grams; a query with no clipped hits, or no
+    # grams at all, takes the epsilon
+    log_precisions = (
+        [math.log(hits / (length - n)) if hits else log_eps for hits, length in zip(sums, lengths)]
+        for n, sums in enumerate(clipped)
+    )
+    geo_means = [math.exp(sum(logs) / _BLEU_MAX_ORDER) for logs in zip(*log_precisions)]
+    closest = _closest_lengths(query_lengths, set_of)
+    scores = []
+    first = 0
+    for queries in query_sets:
+        last = first + len(queries)
+        set_scores = [
+            (1.0 if h_len >= ref_len else math.exp(1.0 - ref_len / h_len)) * geo_mean
+            for h_len, ref_len, geo_mean in zip(
+                lengths[first:last], closest[first:last], geo_means[first:last]
+            )
+        ]
+        scores.append(float(sum(set_scores) / len(set_scores)))
+        first = last
+    return scores
 
 
 def self_bleu_4(queries: Sequence[str]) -> float:
@@ -85,53 +238,14 @@ def self_bleu_4(queries: Sequence[str]) -> float:
     High values mean the queries restate each other; identical queries
     score 1. Needs at least two queries.
 
-    Per query, modified n-gram precision clips counts by the largest count
-    among the other queries. Orders with no overlap (or no n-grams) fall
-    back to a tiny epsilon so the geometric mean stays defined. The brevity
-    penalty uses the sibling whose length is closest, ties to the shorter.
-    Each query's n-grams are counted once; for each gram the largest count,
-    the query holding it and the second-largest count give every query's
-    clip.
+    Per query, modified n-gram precision clips each gram's count by the
+    largest count among the other queries: the gram's second-largest count
+    in the set when the query holds the largest, else the largest. Orders
+    with no overlap (or no n-grams) fall back to a tiny epsilon so the
+    geometric mean stays defined. The brevity penalty uses the sibling
+    whose length is closest, ties to the shorter.
     """
-    if len(queries) < 2:
-        raise ValueError(f"self-BLEU needs at least 2 queries, got {len(queries)}")
-    token_lists = [tokenize(q) for q in queries]
-    for i, tokens in enumerate(token_lists):
-        if not tokens:
-            raise ValueError(f"query {i} has no tokens: {queries[i]!r}")
-    log_precisions: list[list[float]] = [[] for _ in token_lists]
-    for n in range(1, _BLEU_MAX_ORDER + 1):
-        counts = [_ngram_counts(tokens, n) for tokens in token_lists]
-        # gram -> (largest count, query holding it, second-largest count)
-        best: dict[tuple[str, ...], tuple[int, int, int]] = {}
-        for i, grams in enumerate(counts):
-            for gram, count in grams.items():
-                top, owner, second = best.get(gram, (0, -1, 0))
-                if count > top:
-                    best[gram] = (count, i, top)
-                elif count > second:
-                    best[gram] = (top, owner, count)
-        for i, grams in enumerate(counts):
-            total = sum(grams.values())
-            if total == 0:
-                log_precisions[i].append(math.log(_BLEU_EPS))
-                continue
-            clipped = 0
-            for gram, count in grams.items():
-                top, owner, second = best[gram]
-                clipped += min(count, second if owner == i else top)
-            precision = clipped / total if clipped > 0 else _BLEU_EPS
-            log_precisions[i].append(math.log(precision))
-    lengths = [len(tokens) for tokens in token_lists]
-    scores = []
-    for i, h_len in enumerate(lengths):
-        geo_mean = math.exp(sum(log_precisions[i]) / _BLEU_MAX_ORDER)
-        closest_ref_len = min(
-            (abs(r_len - h_len), r_len) for j, r_len in enumerate(lengths) if j != i
-        )[1]
-        bp = 1.0 if h_len >= closest_ref_len else math.exp(1.0 - closest_ref_len / h_len)
-        scores.append(bp * geo_mean)
-    return float(sum(scores) / len(scores))
+    return _self_bleu_block([queries])[0]
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -188,9 +302,11 @@ class LevelSummary:
 def quality_records(
     generated: Sequence[GeneratedQuerySet], gold_by_doc: Mapping[str, Sequence[str]]
 ) -> list[QualityRecord]:
-    """Each view's best ROUGE-L, for documents that have gold queries."""
+    """Each view's best ROUGE-L, for documents that have gold queries; every
+    text is tokenized once, into ids from one vocabulary."""
+    vocab: dict[str, int] = {}
     return [
-        QualityRecord(qset.doc_id, tuple(max_rouge_l([query], gold) for query in qset.queries))
+        QualityRecord(qset.doc_id, tuple(_best_rouge_l(qset.queries, gold, vocab)))
         for qset in generated
         if (gold := gold_by_doc.get(qset.doc_id))
     ]
@@ -218,8 +334,12 @@ def assign_levels(values: Sequence[float]) -> list[int]:
 
 
 def diversity_records(generated: Sequence[GeneratedQuerySet]) -> list[DiversityRecord]:
-    """Self-BLEU per document plus its diversity level."""
-    scores = [self_bleu_4(qset.queries) for qset in generated]
+    """Self-BLEU per document plus its diversity level; documents are
+    scored in blocks of ``_BLEU_BLOCK_DOCS``."""
+    scores = []
+    for start in range(0, len(generated), _BLEU_BLOCK_DOCS):
+        block = generated[start : start + _BLEU_BLOCK_DOCS]
+        scores.extend(_self_bleu_block([qset.queries for qset in block]))
     levels = assign_levels(scores)
     return [
         DiversityRecord(qset.doc_id, score, level)

@@ -15,7 +15,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Hashable, Iterable, ItemsView, Iterator, Mapping, Sequence
 
 from .hashing import open_output
 
@@ -97,6 +97,10 @@ class Qrels:
     def query_ids(self) -> list[str]:
         """Judged query ids in first-seen order."""
         return list(self._by_query)
+
+    def items(self) -> ItemsView[tuple[str, str], int]:
+        """Every ((query_id, doc_id), grade) judgment."""
+        return self._entries.items()
 
     def grades_for(self, query_id: str) -> dict[str, int]:
         return dict(self._by_query.get(query_id, {}))

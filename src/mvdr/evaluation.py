@@ -15,10 +15,12 @@ Run files use the common 6-column whitespace format::
 
 so query ids, doc ids and the tag must each be one non-empty field, and
 scores finite. Scores are written with 6 decimal places so a run is
-byte-stable across platforms and thread counts. Metrics treat a query
-with no run entries as scoring 0 rather than skipping it; recall only
-averages over queries that have at least one relevant document, since it
-is undefined otherwise.
+byte-stable across platforms and thread counts. Each metric reads one
+matrix of the grades at ranks 1..k of every judged query, and adds a
+query's values rank by rank, so it keeps the floats of a per-query loop.
+Metrics treat a query with no run entries as scoring 0 rather than
+skipping it; recall only averages over queries that have at least one
+relevant document, since it is undefined otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -183,6 +185,16 @@ class Run:
         doc_ids = self.doc_ids
         return [doc_ids[i] for i in self._docs[start:stop].tolist()]
 
+    def _spans(self, query_ids: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where each query's ranks 1..k start in the flat arrays, and how
+        many of them the run fills (0 for a query not in the run)."""
+        rows = np.array([self._row.get(query_id, -1) for query_id in query_ids], dtype=np.intp)
+        offsets = np.array(self._offsets, dtype=np.intp)
+        listed = rows >= 0
+        starts = np.where(listed, offsets[rows], 0)
+        depth = np.where(listed, np.minimum(offsets[rows + 1] - starts, k), 0)
+        return starts, depth
+
     def entries(self, query_id: str) -> tuple[RunEntry, ...]:
         docs, scores = self.ranking(query_id)
         ranked = enumerate(zip(docs.tolist(), scores.tolist()), 1)
@@ -254,38 +266,92 @@ def _mean(values: Sequence[float]) -> float:
     return float(sum(values) / len(values)) if values else 0.0
 
 
+@dataclass(frozen=True)
+class _Graded:
+    """A run's ranks 1..k for each judged query, as grades.
+
+    Row ``r`` of each matrix is ``query_ids[r]``, the judged queries in
+    qrels order; the columns are ranks 1..width, width = min(k, longest
+    ranking) and at least 1.
+    """
+
+    query_ids: list[str]
+    grades: np.ndarray  # (n, width) the grade of the doc at each rank; 0 if unjudged or none
+    judged: np.ndarray  # (n, width) whether that rank holds a judged doc
+    ranked: np.ndarray  # (n, width) whether that rank holds a doc at all
+    judgment_rows: np.ndarray  # each judgment's query row
+    judgment_grades: np.ndarray  # each judgment's grade
+
+
+def _graded(run: Run, qrels: Qrels, k: int) -> _Graded:
+    """The grades of the docs ``run`` ranks 1..k for every judged query.
+
+    The judgments of docs in ``run.doc_ids`` become one sorted
+    (query row, doc index) key table, and the run's flat doc indices are
+    looked up in it with ``searchsorted``.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    query_ids = qrels.query_ids()
+    row_of = {query_id: row for row, query_id in enumerate(query_ids)}
+    doc_index = {doc_id: i for i, doc_id in enumerate(run.doc_ids)}
+    judgments = [(row_of[q], doc_index.get(d, -1), grade) for (q, d), grade in qrels.items()]
+    rows, docs, grades = np.array(judgments, dtype=np.int64).reshape(-1, 3).T
+    n_docs = len(run.doc_ids)
+    in_run = docs >= 0
+    keys = rows[in_run] * n_docs + docs[in_run]
+    order = np.argsort(keys)
+    # a sentinel above every key keeps each lookup inside the table
+    table = np.append(keys[order], len(query_ids) * n_docs)
+    table_grades = np.append(grades[in_run][order], 0)
+
+    starts, depth = run._spans(query_ids, k)
+    rank = np.arange(max(1, int(depth.max(initial=0))))
+    ranked = rank < depth[:, None]
+    flat = (starts[:, None] + rank)[ranked]
+    lookup = np.nonzero(ranked)[0] * n_docs + run._docs[flat]
+    at = np.searchsorted(table, lookup)
+    found = table[at] == lookup
+    judged = np.zeros(ranked.shape, dtype=bool)
+    judged[ranked] = found
+    at_rank = np.zeros(ranked.shape, dtype=np.int64)
+    at_rank[ranked] = np.where(found, table_grades[at], 0)
+    return _Graded(query_ids, at_rank, judged, ranked, rows, grades)
+
+
+def _rank_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``values[:, r] / log2(r + 2)``, added rank by rank
+    from the first, as a per-query loop over ranks would add them."""
+    total = np.zeros(len(values))
+    for r in range(values.shape[1]):
+        total = total + values[:, r] / math.log2(r + 2)
+    return total
+
+
 def mrr_at_k(run: Run, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> MetricReport:
     """Mean reciprocal rank of the first relevant document within the top k.
 
     Averages over every judged query; queries with no relevant document in
     the top k (or absent from the run) contribute 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    per_query: dict[str, float] = {}
-    for query_id in qrels.query_ids():
-        grades = qrels.grades_for(query_id)
-        value = 0.0
-        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
-            if grades.get(doc_id, 0) >= rel_threshold:
-                value = 1.0 / rank
-                break
-        per_query[query_id] = value
+    graded = _graded(run, qrels, k)
+    hit = graded.ranked & (graded.grades >= rel_threshold)
+    values = np.where(hit.any(axis=1), 1.0 / (np.argmax(hit, axis=1) + 1), 0.0)
+    per_query = dict(zip(graded.query_ids, values.tolist()))
     return MetricReport(f"mrr@{k}", _mean(list(per_query.values())), per_query)
 
 
 def recall_at_k(run: Run, qrels: Qrels, k: int = 1000, rel_threshold: int = 1) -> MetricReport:
     """Fraction of a query's relevant documents retrieved in the top k,
     averaged over queries that have at least one relevant document."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    per_query: dict[str, float] = {}
-    for query_id in qrels.query_ids():
-        relevant = set(qrels.relevant_docs(query_id, threshold=rel_threshold))
-        if not relevant:
-            continue
-        retrieved = set(run.top_doc_ids(query_id, k))
-        per_query[query_id] = len(relevant & retrieved) / len(relevant)
+    graded = _graded(run, qrels, k)
+    relevant = np.bincount(
+        graded.judgment_rows[graded.judgment_grades >= rel_threshold], minlength=len(graded.query_ids)
+    )
+    hits = (graded.judged & (graded.grades >= rel_threshold)).sum(axis=1)
+    keep = relevant > 0
+    values = hits[keep] / relevant[keep]
+    per_query = dict(zip(compress(graded.query_ids, keep.tolist()), values.tolist()))
     return MetricReport(f"recall@{k}", _mean(list(per_query.values())), per_query)
 
 
@@ -295,18 +361,20 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricReport:
     Gain is ``2^grade - 1`` and the discount is ``log2(rank + 1)``.
     Queries whose ideal ranking has zero gain score 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    per_query: dict[str, float] = {}
-    for query_id in qrels.query_ids():
-        grades = qrels.grades_for(query_id)
-        dcg = 0.0
-        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
-            gain = 2 ** grades.get(doc_id, 0) - 1
-            dcg += gain / math.log2(rank + 1)
-        ideal = sorted(grades.values(), reverse=True)[:k]
-        idcg = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(ideal, 1))
-        per_query[query_id] = dcg / idcg if idcg > 0 else 0.0
+    graded = _graded(run, qrels, k)
+    n = len(graded.query_ids)
+    # the ideal ranking: each query's judged grades, largest first, to rank k
+    order = np.lexsort((-graded.judgment_grades, graded.judgment_rows))
+    rows = graded.judgment_rows[order]
+    per_row = np.bincount(rows, minlength=n)
+    rank = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
+    ideal = np.zeros((n, max(1, min(k, int(per_row.max(initial=0))))), dtype=np.int64)
+    keep = rank < k
+    ideal[rows[keep], rank[keep]] = graded.judgment_grades[order][keep]
+    dcg = _rank_sums(((1 << graded.grades) - 1).astype(np.float64))
+    idcg = _rank_sums(((1 << ideal) - 1).astype(np.float64))
+    values = np.where(idcg > 0, dcg / np.where(idcg > 0, idcg, 1.0), 0.0)
+    per_query = dict(zip(graded.query_ids, values.tolist()))
     return MetricReport(f"ndcg@{k}", _mean(list(per_query.values())), per_query)
 
 

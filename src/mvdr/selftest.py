@@ -1,11 +1,11 @@
 """Independent reference implementations and a runnable self-check suite.
 
 Everything in this module recomputes a result the package produces
-elsewhere, by a deliberately different route: brute-force enumeration
-instead of dynamic programming, exhaustive scoring instead of top-k
-partitioning, finite differences instead of backpropagation. The test
-suite and the ``selftest`` CLI command both compare the fast paths
-against these references.
+elsewhere, by a deliberately different route: brute-force enumeration and
+dynamic programming instead of bit-parallel LCS, exhaustive scoring
+instead of top-k partitioning, finite differences instead of
+backpropagation. The test suite and the ``selftest`` CLI command both
+compare the fast paths against these references.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,8 +70,29 @@ def lcs_reference(a: Sequence[str], b: Sequence[str]) -> int:
     return 0
 
 
-def rouge_l_reference(cand_tokens: Sequence[str], ref_tokens: Sequence[str]) -> float:
-    lcs = lcs_reference(cand_tokens, ref_tokens)
+def lcs_dp_reference(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length by the O(len(a) * len(b)) dynamic
+    program over prefixes; the reference for inputs too long to enumerate."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_reference(
+    cand_tokens: Sequence[str],
+    ref_tokens: Sequence[str],
+    lcs_length: Callable[[Sequence[str], Sequence[str]], int] = lcs_reference,
+) -> float:
+    lcs = lcs_length(cand_tokens, ref_tokens)
     if lcs == 0:
         return 0.0
     p = lcs / len(cand_tokens)
@@ -482,6 +503,11 @@ def _check_text_overlap() -> SelftestResult:
         got_sb = analysis.self_bleu_4([" ".join(t) for t in token_lists])
         want_sb = self_bleu4_reference(token_lists)
         worst = max(worst, abs(got_sb - want_sb))
+        # long pairs cross the 64-bit words of the bit-parallel LCS
+        cand = random_token_list(rng, max_len=80)
+        ref = random_token_list(rng, max_len=80)
+        got = analysis.rouge_l(" ".join(cand), " ".join(ref))
+        worst = max(worst, abs(got - rouge_l_reference(cand, ref, lcs_dp_reference)))
     ok = worst <= 1e-9
     return SelftestResult("text-overlap", ok, f"max deviation {worst:.3e}")
 

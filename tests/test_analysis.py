@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvdr import analysis
 from mvdr.analysis import (
     N_DIVERSITY_LEVELS,
     DiversityRecord,
@@ -25,9 +30,14 @@ from mvdr.analysis import (
     write_level_csv,
     write_quality_csv,
     write_sweep_csv,
+    _bit_masks,
+    _lcs_bits,
+    _self_bleu_block,
 )
 from mvdr.corpus import tokenize
 from mvdr.selftest import (
+    lcs_dp_reference,
+    lcs_reference,
     pearson_reference,
     random_token_list,
     rouge_l_reference,
@@ -73,6 +83,48 @@ class TestRougeL:
             )
 
 
+def bit_lcs(a, b):
+    return _lcs_bits(_bit_masks(b), len(b), a)
+
+
+# few distinct tokens, so the lists repeat tokens and share long subsequences
+lcs_tokens = st.lists(st.sampled_from("abcd"), max_size=150)
+short_tokens = st.lists(st.sampled_from("abcd"), max_size=8)
+
+
+class TestBitParallelLcs:
+    @given(lcs_tokens, lcs_tokens)
+    @settings(max_examples=200, deadline=None)
+    @example(list("ab" * 32), list("ba" * 32))  # one full 64-bit word
+    @example(list("abcd" * 33), list("dcba" * 32)[:129])  # past two words
+    @example(list("abcab" * 30), list("cabcd" * 30))  # 150 tokens each
+    @example([], list("abc"))
+    def test_equals_dynamic_program(self, a, b):
+        assert bit_lcs(a, b) == lcs_dp_reference(a, b)
+
+    @given(short_tokens, short_tokens)
+    @settings(max_examples=200, deadline=None)
+    def test_short_lists_equal_brute_force(self, a, b):
+        assert bit_lcs(a, b) == lcs_dp_reference(a, b) == lcs_reference(a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 150])
+    def test_word_boundaries(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(5):
+            a = list(rng.choice(list("abc"), size=length))
+            b = list(rng.choice(list("abc"), size=int(rng.integers(0, 151))))
+            assert bit_lcs(a, b) == lcs_dp_reference(a, b)
+            assert bit_lcs(b, a) == lcs_dp_reference(b, a)
+
+    def test_long_pairs_match_dynamic_program_rouge(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            cand = random_token_list(rng, max_len=80)
+            ref = random_token_list(rng, max_len=80)
+            want = rouge_l_reference(cand, ref, lcs_dp_reference)
+            assert rouge_l(" ".join(cand), " ".join(ref)) == want
+
+
 class TestMaxRougeL:
     def test_exact_match_present(self):
         candidates = ["river sediment flow", "delta formation"]
@@ -86,6 +138,20 @@ class TestMaxRougeL:
             max_rouge_l([], ["x"])
         with pytest.raises(ValueError):
             max_rouge_l(["x"], [])
+
+    def test_errors_keep_their_text(self):
+        cases = [
+            (lambda: rouge_l("...", "ok"), "candidate has no tokens: '...'"),
+            (lambda: rouge_l("ok", "!!"), "reference has no tokens: '!!'"),
+            (lambda: max_rouge_l(["a", "?"], ["a"]), "candidate has no tokens: '?'"),
+            (lambda: max_rouge_l(["a"], ["a", "-"]), "reference has no tokens: '-'"),
+            (lambda: max_rouge_l([], ["a"]), "no candidate queries"),
+            (lambda: max_rouge_l(["a"], []), "no reference queries"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def pairwise_bleu4(hypothesis, references):
@@ -165,6 +231,87 @@ class TestSelfBleu:
             token_lists = [random_token_list(rng) for _ in range(int(rng.integers(2, 5)))]
             got = self_bleu_4([" ".join(t) for t in token_lists])
             assert got == pytest.approx(self_bleu4_reference(token_lists), abs=1e-12)
+
+
+# many small sets; each draws from few queries, so sets repeat queries and
+# tie for a gram's top count, and one-token queries have no higher orders
+bleu_sets = st.lists(
+    st.lists(bleu_query, min_size=1, max_size=3).flatmap(
+        lambda qs: st.lists(st.sampled_from(qs), min_size=2, max_size=5)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestSelfBleuBlock:
+    @given(bleu_sets)
+    @settings(max_examples=200, deadline=None)
+    @example([["a", "b", "a"], ["a b", "a b"], ["a a b", "a a c", "b"], ["c", "c"]])
+    def test_block_equals_each_set_alone(self, sets):
+        got = _self_bleu_block(sets)
+        assert got == [self_bleu_4(queries) for queries in sets]
+        assert got == [pairwise_self_bleu(queries) for queries in sets]
+
+    def test_diversity_records_cross_block_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        generated = [
+            GeneratedQuerySet(f"d{i}", tuple(" ".join(random_token_list(rng, 5)) for _ in range(3)))
+            for i in range(8)
+        ]
+        want = diversity_records(generated)
+        monkeypatch.setattr(analysis, "_BLEU_BLOCK_DOCS", 3)
+        assert diversity_records(generated) == want
+        assert [r.self_bleu for r in want] == [self_bleu_4(qset.queries) for qset in generated]
+        assert [r.level for r in want] == assign_levels([r.self_bleu for r in want])
+
+    def test_errors_keep_their_text(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLEU_BLOCK_DOCS", 2)
+        cases = [
+            (lambda: self_bleu_4(["only one"]), "self-BLEU needs at least 2 queries, got 1"),
+            (lambda: self_bleu_4(["a b", "...", "c"]), "query 1 has no tokens: '...'"),
+            (
+                # the first bad set of a later block raises
+                lambda: diversity_records([
+                    GeneratedQuerySet("d1", ("a", "b")),
+                    GeneratedQuerySet("d2", ("a", "b")),
+                    GeneratedQuerySet("d3", ("a", "!!")),
+                    GeneratedQuerySet("d4", ("a",)),
+                ]),
+                "query 1 has no tokens: '!!'",
+            ),
+            (
+                lambda: diversity_records([GeneratedQuerySet("d1", ("a", "b")), GeneratedQuerySet("d2", ("a",))]),
+                "self-BLEU needs at least 2 queries, got 1",
+            ),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+
+def test_scoring_leaves_numpy_ma_unimported():
+    # np.unique and np.isin import numpy.ma, which adds about 1.4 MiB of RSS
+    code = (
+        "import sys\n"
+        "from mvdr.analysis import GeneratedQuerySet, diversity_records, quality_records\n"
+        "from mvdr.corpus import Qrels\n"
+        "from mvdr.evaluation import Run, RunEntry, mrr_at_k, ndcg_at_k, recall_at_k\n"
+        "sets = [GeneratedQuerySet('d1', ('a b c', 'a c d')), GeneratedQuerySet('d2', ('b c', 'c d e'))]\n"
+        "quality_records(sets, {'d1': ['a b d'], 'd2': ['c d']})\n"
+        "diversity_records(sets)\n"
+        "run = Run({'q1': [RunEntry('d1', 1, 2.0), RunEntry('d2', 2, 1.0)]})\n"
+        "qrels = Qrels({('q1', 'd2'): 1, ('q1', 'd3'): 2, ('q2', 'd1'): 1})\n"
+        "for metric in (mrr_at_k, recall_at_k, ndcg_at_k):\n"
+        "    metric(run, qrels, k=10)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(analysis.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestPearson:

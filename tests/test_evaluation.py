@@ -313,6 +313,117 @@ class TestNdcg:
         assert ndcg_at_k(run, qrels, k=10).aggregate == 0.0
 
 
+# The per-query loops the metrics ran before they read a grade matrix:
+# the exact oracle for the block computation.
+
+
+def loop_mrr(run, qrels, k, rel_threshold):
+    per_query = {}
+    for query_id in qrels.query_ids():
+        grades = qrels.grades_for(query_id)
+        value = 0.0
+        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+            if grades.get(doc_id, 0) >= rel_threshold:
+                value = 1.0 / rank
+                break
+        per_query[query_id] = value
+    return per_query
+
+
+def loop_recall(run, qrels, k, rel_threshold):
+    per_query = {}
+    for query_id in qrels.query_ids():
+        relevant = set(qrels.relevant_docs(query_id, threshold=rel_threshold))
+        if not relevant:
+            continue
+        retrieved = set(run.top_doc_ids(query_id, k))
+        per_query[query_id] = len(relevant & retrieved) / len(relevant)
+    return per_query
+
+
+def loop_ndcg(run, qrels, k):
+    per_query = {}
+    for query_id in qrels.query_ids():
+        grades = qrels.grades_for(query_id)
+        dcg = 0.0
+        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+            gain = 2 ** grades.get(doc_id, 0) - 1
+            dcg += gain / math.log2(rank + 1)
+        ideal = sorted(grades.values(), reverse=True)[:k]
+        idcg = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(ideal, 1))
+        per_query[query_id] = dcg / idcg if idcg > 0 else 0.0
+    return per_query
+
+
+QUERY_POOL = ["q1", "q2", "q3", "q4", "q5", "q6"]
+
+
+@st.composite
+def judged_runs(draw):
+    """A run over a shuffled table of up to 8 doc_ids (d0..d7), its rows of
+    one depth or of several, and qrels over q1..q6 and d0..d9: judged
+    queries the run lacks, ranked queries the qrels lack, grade-0
+    judgments and judged docs outside the run's doc_ids (d8, d9)."""
+    n_docs = draw(st.integers(0, 8))
+    doc_ids = [f"d{i}" for i in draw(st.permutations(range(n_docs)))]
+    query_ids = draw(st.lists(st.sampled_from(QUERY_POOL), unique=True, max_size=5))
+    one_depth = draw(st.booleans())
+    depth = draw(st.integers(0, n_docs))
+    rows = {}
+    for q in query_ids:
+        n = depth if one_depth else draw(st.integers(0, n_docs))
+        docs = draw(st.permutations(range(n_docs)))[:n]
+        rows[q] = [(d, float(n - i)) for i, d in enumerate(docs)]
+    grades = draw(st.dictionaries(
+        st.tuples(st.sampled_from(QUERY_POOL), st.sampled_from([f"d{i}" for i in range(10)])),
+        st.integers(0, 3),
+        max_size=20,
+    ))
+    return rows, doc_ids, one_depth, Qrels(grades), draw(st.integers(1, 10)), draw(st.integers(0, 3))
+
+
+class TestBlockMetricsMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(judged_runs())
+    def test_per_query_and_aggregate_equal(self, case):
+        rows, doc_ids, one_depth, qrels, k, threshold = case
+        runs = [entry_run(rows, doc_ids)] + ([array_run(rows, doc_ids)] if one_depth else [])
+        for run in runs:
+            for metric, loop in ((mrr_at_k, loop_mrr), (recall_at_k, loop_recall)):
+                report = metric(run, qrels, k=k, rel_threshold=threshold)
+                want = loop(run, qrels, k, threshold)
+                assert list(report.per_query.items()) == list(want.items())
+                assert report.aggregate == (sum(want.values()) / len(want) if want else 0.0)
+            report = ndcg_at_k(run, qrels, k=k)
+            want = loop_ndcg(run, qrels, k)
+            assert list(report.per_query.items()) == list(want.items())
+            assert report.aggregate == (sum(want.values()) / len(want) if want else 0.0)
+
+    def test_recall_counts_relevant_docs_outside_the_run(self):
+        # d9 is relevant but in no ranking and not in the run's doc_ids
+        run = make_run({"q1": ["d1", "d2"]})
+        qrels = Qrels({("q1", "d1"): 2, ("q1", "d9"): 2, ("q1", "d2"): 1})
+        assert recall_at_k(run, qrels, k=10, rel_threshold=2).per_query == {"q1": 0.5}
+        assert ndcg_at_k(run, qrels, k=1).per_query == {"q1": 1.0}
+
+    def test_threshold_zero_counts_unjudged_docs_for_mrr_only(self):
+        run = make_run({"q1": ["d5", "d1"], "q2": []})
+        qrels = Qrels({("q1", "d1"): 0, ("q2", "d1"): 1})
+        assert mrr_at_k(run, qrels, k=10, rel_threshold=0).per_query == {"q1": 1.0, "q2": 0.0}
+        assert recall_at_k(run, qrels, k=10, rel_threshold=0).per_query == {"q1": 1.0, "q2": 0.0}
+
+    @pytest.mark.parametrize("metric", [mrr_at_k, recall_at_k, ndcg_at_k])
+    def test_k_must_be_positive(self, metric):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            metric(make_run({"q1": ["d1"]}), Qrels({("q1", "d1"): 1}), k=0)
+
+    def test_no_judgments(self):
+        run = make_run({"q1": ["d1"]})
+        for metric in (mrr_at_k, recall_at_k, ndcg_at_k):
+            report = metric(run, Qrels({}), k=10)
+            assert report.per_query == {} and report.aggregate == 0.0
+
+
 def test_metrics_match_brute_force_references():
     rng = np.random.default_rng(424242)
     for _ in range(25):
