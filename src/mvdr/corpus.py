@@ -15,7 +15,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Hashable, Iterable, ItemsView, Iterator, Mapping, Sequence
+from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .hashing import open_output
 
@@ -73,34 +73,29 @@ class Qrels:
     """
 
     def __init__(self, entries: Mapping[tuple[str, str], int]):
+        by_query: dict[str, dict[str, int]] = {}
         for (query_id, doc_id), grade in entries.items():
             if grade < 0:
                 raise ValueError(
                     f"negative relevance grade {grade} for ({query_id!r}, {doc_id!r})"
                 )
-        self._entries = dict(entries)
-        by_query: dict[str, dict[str, int]] = {}
-        for (query_id, doc_id), grade in self._entries.items():
             by_query.setdefault(query_id, {})[doc_id] = grade
         self._by_query = by_query
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._entries
+        return sum(map(len, self._by_query.values()))
 
     def grade(self, query_id: str, doc_id: str) -> int:
         """Grade for a pair; unjudged pairs count as 0."""
-        return self._entries.get((query_id, doc_id), 0)
+        return self._by_query.get(query_id, {}).get(doc_id, 0)
 
     def query_ids(self) -> list[str]:
         """Judged query ids in first-seen order."""
         return list(self._by_query)
 
-    def items(self) -> ItemsView[tuple[str, str], int]:
-        """Every ((query_id, doc_id), grade) judgment."""
-        return self._entries.items()
+    def items(self) -> Iterator[tuple[tuple[str, str], int]]:
+        """Every ((query_id, doc_id), grade) judgment, query by query."""
+        return (((q, d), g) for q, grades in self._by_query.items() for d, g in grades.items())
 
     def grades_for(self, query_id: str) -> dict[str, int]:
         return dict(self._by_query.get(query_id, {}))
@@ -247,8 +242,7 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:
-    rows = ((q, d, g) for q in qrels.query_ids() for d, g in qrels.grades_for(q).items())
-    write_lines(path, (f"{q} 0 {d} {g}" for q, d, g in rows))
+    write_lines(path, (f"{q} 0 {d} {g}" for (q, d), g in qrels.items()))
 
 
 def load_generated_queries(

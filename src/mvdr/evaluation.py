@@ -175,16 +175,6 @@ class Run:
         start, end = self._offsets[row], self._offsets[row + 1]
         return self._docs[start:end], self._scores[start:end]
 
-    def top_doc_ids(self, query_id: str, k: int) -> list[str]:
-        """The doc_ids a query ranks 1..k, best first."""
-        row = self._row.get(query_id)
-        if row is None:
-            return []
-        start = self._offsets[row]
-        stop = min(start + k, self._offsets[row + 1])
-        doc_ids = self.doc_ids
-        return [doc_ids[i] for i in self._docs[start:stop].tolist()]
-
     def _spans(self, query_ids: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         """Where each query's ranks 1..k start in the flat arrays, and how
         many of them the run fills (0 for a query not in the run)."""
@@ -229,9 +219,13 @@ def write_run(run: Run, path: str | Path) -> None:
 def load_run(path: str | Path) -> Run:
     """Parse and validate a 6-column run file."""
     by_query: dict[str, list[RunEntry]] = {}
-    tag = DEFAULT_RUN_TAG
+    tag = None
     for where, line in _read_lines(path):
-        query_id, _, doc_id, rank_text, score_text, tag = _fields(line, 6, where)
+        query_id, _, doc_id, rank_text, score_text, line_tag = _fields(line, 6, where)
+        if tag is None:
+            tag = line_tag
+        elif line_tag != tag:
+            raise ValueError(f"{where}: run tag {line_tag!r} differs from the first line's {tag!r}")
         try:
             rank = int(rank_text)
             score_val = float(score_text)
@@ -240,7 +234,7 @@ def load_run(path: str | Path) -> Run:
         if not math.isfinite(score_val):
             raise ValueError(f"{where}: non-finite score")
         by_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score_val))
-    run = Run(by_query, tag=tag)
+    run = Run(by_query, tag=tag or DEFAULT_RUN_TAG)
     log.info("loaded run with %d queries from %s", len(run.query_ids()), path)
     return run
 

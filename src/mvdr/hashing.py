@@ -3,7 +3,7 @@
 Everything here must be deterministic across processes, platforms, and
 Python versions: feature bucketing, seed derivation, and file checksums
 all feed reproducibility contracts. Checkpoint and index files share one
-frame: magic bytes, a payload, then a CRC-32 footer (:func:`crc32`),
+frame: magic bytes, a payload, then a CRC-32 footer (:func:`zlib.crc32`),
 written by :func:`write_framed` and read back by :class:`FramedReader`.
 Every output file of the package is opened by :func:`open_output`.
 """
@@ -45,54 +45,15 @@ def derive_seed(seed: int, label: str) -> int:
     return (seed ^ stable_hash64(label)) & _MASK64
 
 
-def _build_crc64_tables() -> list[list[int]]:
-    base = []
-    for byte in range(256):
-        crc = byte
+def crc64(data: bytes, crc: int = 0) -> int:
+    """CRC-64/XZ checksum, bit by bit; pass a previous value to checksum
+    incrementally."""
+    crc = ~crc & _MASK64
+    for byte in data:
+        crc ^= byte
         for _ in range(8):
             crc = (crc >> 1) ^ _CRC64_POLY if crc & 1 else crc >> 1
-        base.append(crc)
-    tables = [base]
-    for k in range(1, 8):
-        prev = tables[k - 1]
-        tables.append([base[v & 0xFF] ^ (v >> 8) for v in prev])
-    return tables
-
-
-_CRC64_TABLES = _build_crc64_tables()
-
-
-def crc64(data: bytes, crc: int = 0) -> int:
-    """CRC-64/XZ checksum; pass a previous value to checksum incrementally.
-
-    Slicing-by-8 in pure Python, a few MiB/s: unused by the package's file
-    formats, which use :func:`crc32`.
-    """
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC64_TABLES
-    crc = ~crc & _MASK64
-    view = memoryview(data)
-    n8 = len(view) - (len(view) % 8)
-    for i in range(0, n8, 8):
-        chunk = int.from_bytes(view[i : i + 8], "little")
-        crc ^= chunk
-        crc = (
-            t7[crc & 0xFF]
-            ^ t6[(crc >> 8) & 0xFF]
-            ^ t5[(crc >> 16) & 0xFF]
-            ^ t4[(crc >> 24) & 0xFF]
-            ^ t3[(crc >> 32) & 0xFF]
-            ^ t2[(crc >> 40) & 0xFF]
-            ^ t1[(crc >> 48) & 0xFF]
-            ^ t0[(crc >> 56) & 0xFF]
-        )
-    for b in view[n8:]:
-        crc = _CRC64_TABLES[0][(crc ^ b) & 0xFF] ^ (crc >> 8)
     return ~crc & _MASK64
-
-
-def crc32(data: bytes, crc: int = 0) -> int:
-    """CRC-32 via zlib, used for checkpoint and index file footers."""
-    return zlib.crc32(data, crc) & 0xFFFFFFFF
 
 
 @contextlib.contextmanager
@@ -118,7 +79,7 @@ def write_framed(path: str | Path, magic: bytes, parts: Iterable) -> int:
     with open_output(path) as handle:
         for part in (magic, *parts):
             handle.write(part)
-            crc = crc32(part, crc)
+            crc = zlib.crc32(part, crc)
         handle.write(struct.pack("<I", crc))
         return handle.tell()
 
@@ -155,7 +116,7 @@ class FramedReader:
             raise
         self._handle = handle
         self._end = size - 4  # where the footer starts
-        self._crc = crc32(head)
+        self._crc = zlib.crc32(head)
         self.path = path
         self.kind = kind
         self.offset = len(magic)  # bytes read and checksummed
@@ -179,7 +140,7 @@ class FramedReader:
     def _consumed(self, data, n: int, what: str) -> None:
         if len(data) != n:  # the file shrank after it was opened
             raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
-        self._crc = crc32(data, self._crc)
+        self._crc = zlib.crc32(data, self._crc)
         self.offset += n
 
     def take(self, n: int, what: str) -> bytes:
@@ -220,7 +181,7 @@ class FramedReader:
         self._handle.seek(self.offset)
         try:
             for start in range(self.offset, self._end, 2**20):
-                crc = crc32(self._handle.read(min(2**20, self._end - start)), crc)
+                crc = zlib.crc32(self._handle.read(min(2**20, self._end - start)), crc)
             self._check_footer(crc)
         finally:
             self._handle.seek(self.offset)

@@ -445,6 +445,8 @@ def train(
     if cfg.epochs_finetune > 0:
         if not triples:
             raise ValueError("finetuning requires training triples")
+        if len(triples) < 2:
+            raise ValueError("finetuning requires at least 2 triples")
         examples = finetune_examples(triples, cfg)
         stages.append(("finetune", examples, cfg.batch_size, cfg.epochs_finetune))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

@@ -166,7 +166,6 @@ class TestRunChecksOnBothPaths:
         with pytest.raises(ValueError):
             got_scores[0] = 0.0
         assert run.entries("q") == (RunEntry("d2", 1, 2.0), RunEntry("d1", 2, 1.0))
-        assert run.top_doc_ids("q", 1) == ["d2"] and run.top_doc_ids("other", 3) == []
         assert len(run) == 2
 
 
@@ -252,6 +251,12 @@ class TestRunIO:
         with pytest.raises(ValueError, match="non-finite"):
             load_run(path)
 
+    def test_mixed_tags(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d9 1 0.5 runA\nq1 Q0 d8 2 0.4 runB\n")
+        with pytest.raises(ValueError, match=r"run\.txt:2: run tag 'runB' differs from the first line's 'runA'"):
+            load_run(path)
+
 
 class TestMrr:
     def test_first_relevant_at_rank_two(self):
@@ -317,12 +322,16 @@ class TestNdcg:
 # the exact oracle for the block computation.
 
 
+def top_doc_ids(run, query_id, k):
+    return [run.doc_ids[d] for d in run.ranking(query_id)[0][:k].tolist()]
+
+
 def loop_mrr(run, qrels, k, rel_threshold):
     per_query = {}
     for query_id in qrels.query_ids():
         grades = qrels.grades_for(query_id)
         value = 0.0
-        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+        for rank, doc_id in enumerate(top_doc_ids(run, query_id, k), 1):
             if grades.get(doc_id, 0) >= rel_threshold:
                 value = 1.0 / rank
                 break
@@ -336,7 +345,7 @@ def loop_recall(run, qrels, k, rel_threshold):
         relevant = set(qrels.relevant_docs(query_id, threshold=rel_threshold))
         if not relevant:
             continue
-        retrieved = set(run.top_doc_ids(query_id, k))
+        retrieved = set(top_doc_ids(run, query_id, k))
         per_query[query_id] = len(relevant & retrieved) / len(relevant)
     return per_query
 
@@ -346,7 +355,7 @@ def loop_ndcg(run, qrels, k):
     for query_id in qrels.query_ids():
         grades = qrels.grades_for(query_id)
         dcg = 0.0
-        for rank, doc_id in enumerate(run.top_doc_ids(query_id, k), 1):
+        for rank, doc_id in enumerate(top_doc_ids(run, query_id, k), 1):
             gain = 2 ** grades.get(doc_id, 0) - 1
             dcg += gain / math.log2(rank + 1)
         ideal = sorted(grades.values(), reverse=True)[:k]

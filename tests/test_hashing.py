@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvdr.hashing import FramedReader, crc32, crc64, derive_seed, stable_hash64, write_framed
+from mvdr.hashing import FramedReader, crc64, derive_seed, stable_hash64, write_framed
 
 
 class TestStableHash64:
@@ -66,15 +66,15 @@ class TestCrc64:
         data[5] ^= 0x20
         assert crc64(bytes(data)) != reference
 
+    LONG = bytes(range(256)) * 3
 
-class TestCrc32:
-    @given(st.binary(max_size=256))
-    def test_matches_zlib(self, data):
-        assert crc32(data) == zlib.crc32(data)
+    def test_long_input(self):
+        # every byte value, three times over: past the 9-byte check input
+        assert crc64(self.LONG) == 0xDED362895C7B84D9
 
-    def test_incremental(self):
-        data = b"model checkpoint bytes"
-        assert crc32(data[8:], crc32(data[:8])) == crc32(data)
+    @pytest.mark.parametrize("cut", [1, 7, 8, 9, 767])
+    def test_long_input_incremental(self, cut):
+        assert crc64(self.LONG[cut:], crc64(self.LONG[:cut])) == 0xDED362895C7B84D9
 
 
 class TestFramedFile:

@@ -2,12 +2,14 @@
 
 Every output file is opened by ``hashing.open_output``, which replaces its
 target whole, and every input file by the line reader or ``FramedReader``.
+Only ``write_framed`` and ``FramedReader`` compute a CRC-32.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes.
 """
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvdr"
 
@@ -25,29 +27,36 @@ def _mode(call: ast.Call) -> str | None:
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
 
 
-def _file_opens() -> list[tuple[str, str | None]]:
-    """(module.qualified.function, mode) for every call that opens a file."""
-    found = []
+def _calls() -> Iterator[tuple[str, ast.Call]]:
+    """(module.qualified.function, call) for every call in the package."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "open":
-                mode = _mode(node)
-            elif name in ("write_text", "write_bytes", "read_text", "read_bytes"):
-                mode = name[:1]
-            else:
-                continue
             scope, up = [], parents.get(node)
             while up is not None:
                 if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     scope.append(up.name)
                 up = parents.get(up)
-            found.append((".".join([path.stem, *reversed(scope)]), mode))
+            yield ".".join([path.stem, *reversed(scope)]), node
+
+
+def _name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _file_opens() -> list[tuple[str, str | None]]:
+    """(module.qualified.function, mode) for every call that opens a file."""
+    found = []
+    for where, call in _calls():
+        name = _name(call)
+        if name == "open":
+            found.append((where, _mode(call)))
+        elif name in ("write_text", "write_bytes", "read_text", "read_bytes"):
+            found.append((where, name[:1]))
     return found
 
 
@@ -63,6 +72,18 @@ def test_only_open_output_opens_files_for_writing():
 def test_only_the_line_reader_and_framed_reader_open_inputs():
     readers = sorted(where for where, mode in _file_opens() if not _writes(mode))
     assert readers == ["corpus._read_lines", "hashing.FramedReader.__init__"]
+
+
+def test_only_the_framed_file_computes_crc32():
+    """The CRC-32 footer is written by ``write_framed`` and checked by
+    ``FramedReader``; no other code computes one."""
+    found = sorted({where for where, call in _calls() if _name(call) == "crc32"})
+    assert found == [
+        "hashing.FramedReader.__init__",
+        "hashing.FramedReader._check_rest",
+        "hashing.FramedReader._consumed",
+        "hashing.write_framed",
+    ]
 
 
 _MEMO_DECORATORS = {"lru_cache", "cache"}

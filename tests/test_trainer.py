@@ -485,6 +485,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="requires training triples"):
             train(params, [], cfg)
 
+    def test_finetune_requires_two_triples(self):
+        # one triple makes one batch of one, which has no in-batch negative
+        # to share and would train nothing
+        _, triples, _ = _toy_world()
+        params = init_params(SMALL_CFG, seed=4)
+        cfg = TrainConfig(negatives_per_positive=2, epochs_finetune=3)
+        with pytest.raises(ValueError, match="finetuning requires at least 2 triples"):
+            train(params, triples[:1], cfg)
+
 
 def test_loss_trace_csv(tmp_path):
     trace = [TraceEntry(0, "pretrain", 2.0), TraceEntry(1, "finetune", 1.25)]
