@@ -100,18 +100,14 @@ class Tower:
     def copy(self) -> "Tower":
         return Tower(**{name: arr.copy() for name, arr in self.tensors().items()})
 
-    @classmethod
-    def zeros_like(cls, tower: "Tower") -> "Tower":
-        """Zeros shaped like ``tower``: a gradient or optimizer-moment holder."""
-        return cls(**{name: np.zeros_like(arr) for name, arr in tower.tensors().items()})
-
 
 @dataclass
 class RowGrad:
-    """Gradient of a table at the rows a batch touched; zero elsewhere.
+    """A table that is zero outside ``rows``: the gradient at the rows a
+    batch touched, or an Adam moment at the rows a stage touched.
 
-    ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
-    table row ``rows[i]``.
+    ``rows`` is sorted and unique, and ``values[i]`` is table row
+    ``rows[i]``.
     """
 
     rows: np.ndarray  # (n,) int64
@@ -121,19 +117,30 @@ class RowGrad:
     def empty(cls, table: np.ndarray) -> "RowGrad":
         return cls(np.zeros(0, dtype=np.int64), np.zeros((0, table.shape[1]), dtype=table.dtype))
 
+    def include(self, rows: np.ndarray) -> np.ndarray:
+        """Hold every row in ``rows``, a row not held yet at zero; return
+        the index of each of ``rows`` in ``self.rows``."""
+        held, inverse = np.unique(np.concatenate([self.rows, rows]), return_inverse=True)
+        n_old = len(self.rows)
+        if len(held) > n_old:
+            values = np.zeros((len(held), self.values.shape[1]), dtype=self.values.dtype)
+            values[inverse[:n_old]] = self.values
+            self.rows, self.values = held, values
+        return inverse[n_old:]
+
     def accumulate(self, flat: np.ndarray, contributions: np.ndarray) -> None:
         """Add ``contributions[j]`` to row ``flat[j]`` for every j.
 
-        Each row sums from zero in the order ``np.add.at`` would use on
-        the dense table: earlier calls first, then ``flat`` order, so the
-        result is bit-identical to the dense scatter.
+        Each element sums from zero in the order ``np.add.at`` would use
+        on the dense table: earlier calls first, then ``flat`` order, so
+        the result is bit-identical to the dense scatter. The scatter runs
+        over the flattened values, where ``np.add.at`` takes its 1-D fast
+        path.
         """
-        rows, inverse = np.unique(np.concatenate([self.rows, flat]), return_inverse=True)
-        values = np.zeros((len(rows), self.values.shape[1]), dtype=self.values.dtype)
-        n_old = len(self.rows)
-        values[inverse[:n_old]] = self.values
-        np.add.at(values, inverse[n_old:], contributions)
-        self.rows, self.values = rows, values
+        dim = self.values.shape[1]
+        at = self.include(flat)
+        flat_at = (at[:, None] * dim + np.arange(dim)).reshape(-1)
+        np.add.at(self.values.reshape(-1), flat_at, contributions.reshape(-1))
 
     def to_dense(self, n_rows: int) -> np.ndarray:
         dense = np.zeros((n_rows, self.values.shape[1]), dtype=self.values.dtype)

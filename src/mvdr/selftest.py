@@ -4,8 +4,9 @@ Everything in this module recomputes a result the package produces
 elsewhere, by a deliberately different route: brute-force enumeration and
 dynamic programming instead of bit-parallel LCS, exhaustive scoring
 instead of top-k partitioning, finite differences instead of
-backpropagation. The test suite and the ``selftest`` CLI command both
-compare the fast paths against these references.
+backpropagation, dense Adam over every row instead of over the live rows.
+The test suite and the ``selftest`` CLI command both compare the fast
+paths against these references.
 """
 
 from __future__ import annotations
@@ -23,13 +24,24 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     RowGrad,
+    Tower,
     candidate_feature_buckets,
     forward_tower,
     init_params,
     query_feature_buckets,
 )
 from .index import FlatIndex, search, search_prefixes
-from .trainer import TrainBatch, build_batch, contrastive_loss, loss_and_grads
+from .trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    TrainBatch,
+    adam_step,
+    build_batch,
+    contrastive_loss,
+    loss_and_grads,
+)
 
 # Known-good (query-set quality, retrieval effectiveness) measurement
 # pairs whose correlation is 0.9958. Regression fixture for the
@@ -306,6 +318,72 @@ def gradient_relative_errors(
 
 
 # ---------------------------------------------------------------------------
+# Optimizer reference
+
+
+@dataclass
+class DenseAdamState:
+    """Textbook Adam state: a dense m and v for every tensor of every
+    distinct tower, token table included."""
+
+    m: dict[str, Tower]
+    v: dict[str, Tower]
+    t: int = 0
+
+    @classmethod
+    def for_params(cls, params: EncoderParams) -> "DenseAdamState":
+        def zeros() -> dict[str, Tower]:
+            return {
+                role: Tower(**{name: np.zeros_like(arr) for name, arr in t.tensors().items()})
+                for role, t in params.towers().items()
+            }
+
+        return cls(m=zeros(), v=zeros())
+
+
+def adam_step_reference(
+    params: EncoderParams, grads: dict[str, Tower], state: DenseAdamState, lr: float
+) -> None:
+    """Kingma & Ba's Adam over dense gradients: both moments of every row
+    of every tensor decay, and every row moves, each step.
+
+    The reference for :func:`trainer.adam_step`, which runs the same
+    element-wise arithmetic over the live rows only.
+    """
+    state.t += 1
+    bias1 = 1.0 - ADAM_BETA1**state.t
+    bias2 = 1.0 - ADAM_BETA2**state.t
+    for role, tower in params.towers().items():
+        for name, param in tower.tensors().items():
+            g = getattr(grads[role], name)
+            if isinstance(g, RowGrad):
+                g = g.to_dense(len(param))
+            m = getattr(state.m[role], name)
+            v = getattr(state.v[role], name)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g**2
+            param -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def dense_moments(
+    params: EncoderParams, state: AdamState
+) -> tuple[dict[str, Tower], dict[str, Tower]]:
+    """``state``'s m and v, each token-table moment as the dense table it
+    stands for."""
+    n_rows = params.config.hash_buckets
+
+    def dense(towers: dict[str, Tower]) -> dict[str, Tower]:
+        return {
+            role: Tower(**{**t.tensors(), "token_table": t.token_table.to_dense(n_rows)})
+            for role, t in towers.items()
+        }
+
+    return dense(state.m), dense(state.v)
+
+
+# ---------------------------------------------------------------------------
 # Random instance generators shared by tests and the selftest command
 
 
@@ -345,42 +423,52 @@ def random_token_list(rng: np.random.Generator, max_len: int = 8) -> list[str]:
     return [vocab[int(i)] for i in rng.integers(0, len(vocab), size=length)]
 
 
+# Documents of the self-check training batches.
+_BATCH_DOCS = (
+    "solar panels convert sunlight into electricity",
+    "the court ruled on the appeal last spring",
+    "rivers carry sediment toward the delta",
+    "a vaccine primes the immune system",
+    "the bridge spans a tidal strait",
+    "markets closed higher after the report",
+    "the recipe calls for fresh basil",
+    "glaciers retreat as summers lengthen",
+    "the satellite relays weather imagery",
+    "miners extract ore from the seam",
+    "the novel follows two estranged siblings",
+    "bees pollinate the orchard in april",
+    "the turbine hall hums day and night",
+    "archaeologists dated the site to the bronze age",
+    "the ferry crossing takes forty minutes",
+    "drought stressed the wheat harvest",
+)
+
+
+def _batch(*triples: tuple[str, int, Sequence[int]]) -> TrainBatch:
+    """A query-informed batch of (query, positive doc, negative docs)
+    triples, docs given by their position in ``_BATCH_DOCS``."""
+    return build_batch(
+        [
+            trainer.MappedTriple(
+                query_text=query,
+                positive=(query, _BATCH_DOCS[positive]),
+                negatives=tuple((query, _BATCH_DOCS[i]) for i in negatives),
+            )
+            for query, positive, negatives in triples
+        ]
+    )
+
+
 def _gradcheck_batch() -> tuple[EncoderParams, TrainBatch]:
     cfg = EncoderConfig(
         embed_dim=6, hash_buckets=32, ngram_orders=(1, 2), max_query_tokens=8, max_doc_tokens=16
     )
     params = init_params(cfg, seed=11, dtype=np.float64)
-    docs = [
-        "solar panels convert sunlight into electricity",
-        "the court ruled on the appeal last spring",
-        "rivers carry sediment toward the delta",
-        "a vaccine primes the immune system",
-        "the bridge spans a tidal strait",
-        "markets closed higher after the report",
-        "the recipe calls for fresh basil",
-        "glaciers retreat as summers lengthen",
-        "the satellite relays weather imagery",
-        "miners extract ore from the seam",
-        "the novel follows two estranged siblings",
-        "bees pollinate the orchard in april",
-        "the turbine hall hums day and night",
-        "archaeologists dated the site to the bronze age",
-        "the ferry crossing takes forty minutes",
-        "drought stressed the wheat harvest",
-    ]
-    triples = [
-        trainer.MappedTriple(
-            query_text="how do solar panels work",
-            positive=("how do solar panels work", docs[0]),
-            negatives=tuple(("how do solar panels work", d) for d in docs[1:8]),
-        ),
-        trainer.MappedTriple(
-            query_text="what did the court decide",
-            positive=("what did the court decide", docs[1]),
-            negatives=tuple(("what did the court decide", d) for d in docs[8:15]),
-        ),
-    ]
-    return params, build_batch(triples)
+    batch = _batch(
+        ("how do solar panels work", 0, range(1, 8)),
+        ("what did the court decide", 1, range(8, 15)),
+    )
+    return params, batch
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +510,42 @@ def _check_gradients() -> SelftestResult:
     ok = worst <= 1e-4 and pool_mismatches == 0
     detail = f"worst {worst_name}: {worst:.3e}; pooled rows off the reference: {pool_mismatches}"
     return SelftestResult("gradient-check", ok, detail)
+
+
+def _check_adam() -> SelftestResult:
+    """The live-row Adam step against dense Adam over a few real training
+    batches, tied and untied, every parameter and moment compared exactly.
+
+    The first batch's rows are never touched again, so their moments
+    decay while they stay live."""
+    first = _batch(
+        ("how do solar panels work", 0, range(1, 8)),
+        ("what did the court decide", 1, range(8, 15)),
+    )
+    later = _batch(("when do bees pollinate", 11, [12]), ("how long is the ferry", 14, [15]))
+    mismatched = []
+    live = []
+    for tied in (True, False):
+        cfg = EncoderConfig(embed_dim=8, hash_buckets=512, tie_params=tied, max_doc_tokens=16)
+        fast = init_params(cfg, seed=13)
+        ref = fast.copy()
+        state, ref_state = AdamState.for_params(fast), DenseAdamState.for_params(ref)
+        for step, batch in enumerate([first, later, later, later]):
+            lr = 0.05 / (step + 1)
+            adam_step(fast, loss_and_grads(fast, batch).grads, state, lr)
+            adam_step_reference(ref, loss_and_grads(ref, batch).grads, ref_state, lr)
+        live.append(len(state.m["query"].token_table.rows))
+        got = (fast.towers(), *dense_moments(fast, state))
+        want = (ref.towers(), ref_state.m, ref_state.v)
+        for what, got_towers, want_towers in zip(("param", "m", "v"), got, want):
+            for role, tower in got_towers.items():
+                for name, arr in tower.tensors().items():
+                    if not np.array_equal(arr, getattr(want_towers[role], name)):
+                        mismatched.append(f"{'tied' if tied else 'untied'} {what} {role}.{name}")
+    detail = f"4 steps, live rows {live[0]} (tied) and {live[1]} (untied query) of 512"
+    if mismatched:
+        detail += "; differ: " + ", ".join(mismatched)
+    return SelftestResult("adam-live-rows", not mismatched, detail)
 
 
 def _check_retrieval() -> SelftestResult:
@@ -530,6 +654,7 @@ def run_selftest() -> list[SelftestResult]:
     checks = (
         _check_uniform_loss,
         _check_gradients,
+        _check_adam,
         _check_retrieval,
         _check_metrics,
         _check_text_overlap,

@@ -12,10 +12,13 @@ against all B * (1 + m) candidates in the batch (in-batch negatives plus
 each triple's m hard negatives), which is where most of the supervision
 comes from at small batch sizes.
 
-Optimization is plain Adam over the tower tensors with a linear
-warmup-then-decay schedule per stage. Two stages are supported: an
-optional pretraining pass over (generated query, document) pairs with
-in-batch negatives only, then finetuning on the triples.
+Optimization is Adam over the tower tensors with a linear
+warmup-then-decay schedule per stage. The step is exact dense Adam, but
+it runs only over the token-table rows the stage has touched so far: a
+row no gradient has reached has zero moments, and dense Adam leaves it
+where it is. Two stages are supported: an optional pretraining pass over
+(generated query, document) pairs with in-batch negatives only, then
+finetuning on the triples.
 """
 
 from __future__ import annotations
@@ -239,25 +242,22 @@ def loss_and_grads(
 
 @dataclass
 class AdamState:
-    """Adam state per distinct tower, keyed by role.
+    """Adam moments per distinct tower, keyed by role.
 
-    ``m`` and ``v`` are the moment accumulators. ``m_hat`` and ``v_hat``
-    are scratch buffers that each step overwrites, so a step allocates no
-    parameter-sized temporaries.
+    ``m`` and ``v`` are shaped like the gradients: each token table's
+    moments are a :class:`RowGrad` over the stage's live rows, the rows
+    some gradient of the stage has touched, and every other tensor's are
+    dense. A token-table moment is table-sized only once the stage has
+    touched every row.
     """
 
     m: dict[str, Tower]
     v: dict[str, Tower]
-    m_hat: dict[str, Tower]
-    v_hat: dict[str, Tower]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        def zeros() -> dict[str, Tower]:
-            return {role: Tower.zeros_like(t) for role, t in params.towers().items()}
-
-        return cls(m=zeros(), v=zeros(), m_hat=zeros(), v_hat=zeros())
+        return cls(m=zero_grads(params), v=zero_grads(params))
 
 
 def adam_step(
@@ -268,10 +268,12 @@ def adam_step(
 ) -> None:
     """One in-place Adam update over every distinct tensor.
 
-    Dense Adam: both moments decay and every parameter row moves each
-    step. Gradient terms are added only at the token-table rows the
-    batch touched; elsewhere the gradient is zero and adding it would
-    change nothing.
+    Exact dense Adam, run over the live rows only. A token-table row
+    becomes live, with zero moments, the first step of the stage whose
+    gradient touches it; from then on its moments decay and it moves
+    every step, touched or not. A row no gradient of the stage has touched
+    has m = v = 0, which dense Adam moves by lr * 0 / (0 + eps) = 0, so
+    it is left out. Every row of the other tensors is live.
     """
     state.t += 1
     t = state.t
@@ -280,25 +282,42 @@ def adam_step(
     for role, tower in params.towers().items():
         for name, param in tower.tensors().items():
             g = getattr(grads[role], name)
-            rows = ...  # every row of a dense gradient
-            if isinstance(g, RowGrad):
-                rows, g = g.rows, g.values
             m = getattr(state.m[role], name)
             v = getattr(state.v[role], name)
-            m_hat = getattr(state.m_hat[role], name)
-            v_hat = getattr(state.v_hat[role], name)
-            m *= ADAM_BETA1
-            m[rows] += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v[rows] += (1.0 - ADAM_BETA2) * g**2
-            # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place
-            np.divide(m, bias1, out=m_hat)
-            np.divide(v, bias2, out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += ADAM_EPS
-            np.multiply(lr, m_hat, out=m_hat)
-            m_hat /= v_hat
-            param -= m_hat
+            if isinstance(g, RowGrad):
+                slots = m.include(g.rows)
+                v.include(g.rows)
+                live = param[m.rows]
+                _adam_update(live, m.values, v.values, slots, g.values, lr, bias1, bias2)
+                param[m.rows] = live
+            else:
+                _adam_update(param, m, v, ..., g, lr, bias1, bias2)
+
+
+def _adam_update(
+    param: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    slots,
+    g: np.ndarray,
+    lr: float,
+    bias1: float,
+    bias2: float,
+) -> None:
+    """Adam over rows of a tensor, in place; ``g`` is the gradient of rows
+    ``slots`` of ``param``, ``m`` and ``v``, and zero at the other rows."""
+    m *= ADAM_BETA1
+    m[slots] += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v[slots] += (1.0 - ADAM_BETA2) * g**2
+    # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    m_hat = m / bias1
+    v_hat = v / bias2
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    np.multiply(lr, m_hat, out=m_hat)
+    m_hat /= v_hat
+    param -= m_hat
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:

@@ -187,7 +187,7 @@ class TestStagedCommands:
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "all 6 suites passed" in out
+        assert "all 7 suites passed" in out
 
     def test_index_dce_requires_views(self, tmp_path, capsys):
         paths = _write_world(tmp_path)

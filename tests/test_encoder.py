@@ -17,6 +17,7 @@ from mvdr.encoder import (
     SEP_TOKEN,
     EncoderConfig,
     FeatureTable,
+    RowGrad,
     candidate_feature_buckets,
     doc_feature_buckets,
     encode_candidates,
@@ -449,6 +450,28 @@ class TestPooling:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
         )
         assert result.stdout.strip() == "False"
+
+
+class TestRowGrad:
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.lists(st.integers(0, 11), max_size=20), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accumulate_equals_dense_scatter(self, dtype, calls, seed):
+        # successive calls, rows repeated within and across calls
+        rng = np.random.default_rng(seed)
+        dense = np.zeros((12, 3), dtype=dtype)
+        grad = RowGrad.empty(dense)
+        for rows in calls:
+            flat = np.asarray(rows, dtype=np.int64)
+            contributions = rng.normal(scale=10.0, size=(len(flat), 3)).astype(dtype)
+            grad.accumulate(flat, contributions)
+            np.add.at(dense, flat, contributions)
+            assert grad.rows.tolist() == sorted(set(grad.rows.tolist()))
+            assert grad.values.dtype == np.dtype(dtype)
+            assert grad.to_dense(12).tobytes() == dense.tobytes()
 
 
 class TestCheckpointIO:

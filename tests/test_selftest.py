@@ -16,7 +16,7 @@ from mvdr.selftest import (
 
 def test_every_suite_passes():
     results = run_selftest()
-    assert len(results) == 6
+    assert len(results) == 7
     failed = [r for r in results if not r.passed]
     assert not failed, "failed suites: " + ", ".join(f"{r.name} ({r.detail})" for r in failed)
 

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synthcorpus import build_synth
 
+from mvdr import trainer
 from mvdr.corpus import Document, GeneratedQuerySet, Query, TrainingTriple
 from mvdr.encoder import (
     EncoderConfig,
@@ -14,12 +17,17 @@ from mvdr.encoder import (
     forward_tower,
     init_params,
     query_feature_buckets,
+    save_params,
 )
-from mvdr.selftest import batch_loss, gradient_relative_errors
+from mvdr.querygen import SamplingConfig, fit_qg, generate_corpus
+from mvdr.selftest import (
+    DenseAdamState,
+    adam_step_reference,
+    batch_loss,
+    dense_moments,
+    gradient_relative_errors,
+)
 from mvdr.trainer import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     AdamState,
     TraceEntry,
     TrainConfig,
@@ -279,52 +287,94 @@ class TestAdam:
     @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
     def test_row_sparse_step_equals_dense_adam(self, tied):
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=tied)
-        params = init_params(cfg, seed=5)
-        assert params.query_tower.token_table.dtype == np.float32
-        roles = params.towers()
-        ref = {r: {n: a.copy() for n, a in t.tensors().items()} for r, t in roles.items()}
-        ref_m = {r: {n: np.zeros_like(a) for n, a in p.items()} for r, p in ref.items()}
-        ref_v = {r: {n: np.zeros_like(a) for n, a in p.items()} for r, p in ref.items()}
-        state = AdamState.for_params(params)
         rng = np.random.default_rng(17)
-        touched = np.zeros(cfg.hash_buckets, dtype=int)
-        steps = 24
-        for step in range(steps):
+        # the first step touches no row; row 3 is touched once, early, and
+        # never again; rows 12 and up never; later steps touch a few of
+        # rows 4-11, with repeats, and some touch none
+        schedule = [[], [3, 5, 5, 9], []]
+        schedule += [rng.integers(4, 12, size=int(rng.integers(0, 6))).tolist() for _ in range(21)]
+        for dtype in (np.float32, np.float64):
+            params, state = _adam_against_reference(cfg, dtype, schedule, seed=17)
+            untouched = init_params(cfg, seed=5, dtype=dtype)
+            for role, tower in params.towers().items():
+                start = untouched.towers()[role].token_table
+                assert 3 in state.m[role].token_table.rows
+                assert 12 not in state.m[role].token_table.rows
+                # the idle row kept moving; the untouched ones never moved
+                assert not np.array_equal(tower.token_table[3], start[3])
+                assert np.array_equal(tower.token_table[12:], start[12:])
+
+    @given(
+        st.booleans(),
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.lists(st.integers(0, 15), max_size=6), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_sparse_step_equals_dense_adam_on_random_rows(self, tied, dtype, schedule, seed):
+        cfg = EncoderConfig(embed_dim=3, hash_buckets=16, tie_params=tied)
+        _adam_against_reference(cfg, dtype, schedule, seed)
+
+    def test_state_holds_no_table_sized_array(self):
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=4096, tie_params=False)
+        params = init_params(cfg, seed=5)
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(2)
+        sizes = [max(a.size for a in _arrays(state))]
+        for _ in range(3):
             grads = zero_grads(params)
             for grad in grads.values():
-                # a few rows out of eight, with repeats; some steps touch none
-                flat = rng.integers(0, 8, size=int(rng.integers(0, 6)))
-                contrib = rng.normal(size=(len(flat), cfg.embed_dim)).astype(np.float32)
-                grad.token_table.accumulate(flat, contrib)
-                touched[grad.token_table.rows] += 1
-                for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-                    arr = getattr(grad, name)
-                    arr[...] = rng.normal(size=arr.shape)
-            lr = 0.05 * (steps - step) / steps
-            adam_step(params, grads, state, lr)
+                flat = rng.integers(0, cfg.hash_buckets, size=10)
+                grad.token_table.accumulate(flat, np.ones((10, cfg.embed_dim), dtype=np.float32))
+            adam_step(params, grads, state, lr=0.01)
+            sizes.append(max(a.size for a in _arrays(state)))
+        # at most 30 live rows of 4 values each, against a 4096-row table
+        assert max(sizes) <= 30 * cfg.embed_dim < cfg.hash_buckets
 
-            # the textbook update over dense gradients
-            bias1 = 1.0 - ADAM_BETA1 ** (step + 1)
-            bias2 = 1.0 - ADAM_BETA2 ** (step + 1)
-            for role, grad in grads.items():
-                for name, p in ref[role].items():
-                    g = getattr(grad, name)
-                    if isinstance(g, RowGrad):
-                        g = g.to_dense(cfg.hash_buckets)
-                    m, v = ref_m[role][name], ref_v[role][name]
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * g**2
-                    m_hat = m / bias1
-                    v_hat = v / bias2
-                    p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-        assert np.any((touched > 0) & (touched < steps))
-        for role, tower in roles.items():
+
+def _arrays(obj):
+    """Every numpy array reachable from ``obj`` through dicts and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def _adam_against_reference(cfg, dtype, schedule, seed):
+    """Step ``adam_step`` and the dense reference side by side on the same
+    gradients. ``schedule[s]`` lists the token-table rows, with repeats,
+    that step s's gradient touches in every tower; the other tensors get a
+    dense gradient each step. Params and both full moments must match
+    exactly after every step."""
+    params = init_params(cfg, seed=5, dtype=dtype)
+    ref = params.copy()
+    state, ref_state = AdamState.for_params(params), DenseAdamState.for_params(ref)
+    rng = np.random.default_rng(seed)
+    steps = len(schedule)
+    for step, rows in enumerate(schedule):
+        grads = zero_grads(params)
+        for grad in grads.values():
+            flat = np.asarray(rows, dtype=np.int64)
+            contrib = rng.normal(size=(len(flat), cfg.embed_dim)).astype(dtype)
+            grad.token_table.accumulate(flat, contrib)
+            for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+                arr = getattr(grad, name)
+                arr[...] = rng.normal(size=arr.shape)
+        lr = 0.05 * (steps - step) / steps
+        adam_step(params, grads, state, lr)
+        adam_step_reference(ref, grads, ref_state, lr)
+        m, v = dense_moments(params, state)
+        for role, tower in params.towers().items():
             for name, arr in tower.tensors().items():
-                assert np.array_equal(arr, ref[role][name]), (role, name)
-                assert np.array_equal(getattr(state.m[role], name), ref_m[role][name])
-                assert np.array_equal(getattr(state.v[role], name), ref_v[role][name])
+                assert arr.dtype == np.dtype(dtype)
+                assert np.array_equal(arr, getattr(ref.towers()[role], name)), (step, role, name)
+                assert np.array_equal(getattr(m[role], name), getattr(ref_state.m[role], name))
+                assert np.array_equal(getattr(v[role], name), getattr(ref_state.v[role], name))
+    return params, state
 
 
 class TestSchedule:
@@ -493,6 +543,42 @@ class TestTrainLoop:
         cfg = TrainConfig(negatives_per_positive=2, epochs_finetune=3)
         with pytest.raises(ValueError, match="finetuning requires at least 2 triples"):
             train(params, triples[:1], cfg)
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_training_matches_dense_adam_reference(tmp_path, monkeypatch, tied):
+    """Both stages on the synthetic collection: the live-row step and
+    textbook dense Adam save the same checkpoint bytes and trace."""
+    coll = build_synth(n_entities=12)
+    generated = generate_corpus(
+        fit_qg(coll.docs, seed=7), coll.docs, SamplingConfig(k_views=3, top_k=8), seed=7
+    )
+    encoder = EncoderConfig(
+        embed_dim=8, hash_buckets=4096, ngram_orders=(1,), tie_params=tied, max_doc_tokens=16
+    )
+    cfg = TrainConfig(
+        batch_size=8,
+        pretrain_batch_size=32,
+        negatives_per_positive=3,
+        learning_rate=0.05,
+        epochs_pretrain=2,
+        epochs_finetune=2,
+        seed=3,
+    )
+
+    def run(name):
+        params = init_params(encoder, seed=4)
+        trace = train(params, coll.triples, cfg, corpus=coll.docs, generated=generated)
+        save_params(params, tmp_path / name)
+        return trace, (tmp_path / name).read_bytes()
+
+    fast = run("fast.ckpt")
+    monkeypatch.setattr(trainer, "AdamState", DenseAdamState)
+    monkeypatch.setattr(trainer, "adam_step", adam_step_reference)
+    reference = run("reference.ckpt")
+    assert {e.stage for e in fast[0]} == {"pretrain", "finetune"}
+    assert fast[0] == reference[0]
+    assert fast[1] == reference[1]
 
 
 def test_loss_trace_csv(tmp_path):
