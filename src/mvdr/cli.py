@@ -208,16 +208,17 @@ def _prefix_metrics(
 
 def analyze_stage(
     out_dir: Path, generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
-    settings: Settings, metric: str, run: evaluation.Run | None = None,
+    settings: Settings, metric: str, report: evaluation.MetricReport | None = None,
     params: EncoderParams | None = None, index: FlatIndex | None = None,
 ) -> None:
     """Write quality.csv, diversity.csv, levels.csv and sweep.csv.
 
-    ``run`` gives the per-level ``metric``. ``index``, built from
-    ``params`` with every view, fills the sweep's retrieval column: one
-    pass ranks its view prefixes k = 1..k_views for ``queries``, encoded
-    with ``params``. Each generated view is scored against gold once;
-    quality.csv is the sweep's point with every view.
+    ``report``, the ``metric`` of a run, gives levels.csv its per-level
+    metric. ``index``, built from ``params`` with every view, fills the
+    sweep's retrieval column: one pass ranks its view prefixes
+    k = 1..k_views for ``queries``, encoded with ``params``. Each
+    generated view is scored against gold once; quality.csv is the
+    sweep's point with every view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
@@ -244,8 +245,7 @@ def analyze_stage(
         records = analysis.diversity_records(generated)
         analysis.write_diversity_csv(records, out_dir / "diversity.csv")
         metric_by_doc = None
-        if run is not None:
-            report = evaluation.compute_metric(metric, run, qrels, rel_threshold=rel_threshold)
+        if report is not None:
             positives = {
                 query_id: qrels.relevant_docs(query_id, threshold=rel_threshold)
                 for query_id in qrels.query_ids()
@@ -325,7 +325,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     generated = load_generated_queries(settings["gen_queries"])
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
-    run = evaluation.load_run(settings["run"]) if "run" in settings else None
+    report = None
+    if "run" in settings:
+        run = evaluation.load_run(settings["run"])
+        rel = settings["rel_threshold"]
+        report = evaluation.compute_metric(settings["metric"], run, qrels, rel)
     params = index = None
     if "checkpoint" in settings:
         if "corpus" not in settings:
@@ -335,7 +339,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         index = build_index(params, corpus, "dce", generated)
     out_dir = Path(settings["out_dir"])
     analyze_stage(
-        out_dir, generated, queries, qrels, settings, settings["metric"], run, params, index
+        out_dir, generated, queries, qrels, settings, settings["metric"], report, params, index
     )
     print(f"analysis written to {out_dir}")
     return 0
@@ -397,9 +401,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if settings["analyze"]:
         # a single-view index has no views to slice for the sweep
         dce_index = index if mode == "dce" else None
-        metric = reports[0].name
         analyze_stage(
-            out_dir, generated, queries, qrels, settings, metric, run, params, dce_index
+            out_dir, generated, queries, qrels, settings, reports[0].name, reports[0], params,
+            dce_index,
         )
 
     print(f"pipeline outputs in {out_dir}")

@@ -85,10 +85,6 @@ class Qrels:
     def __len__(self) -> int:
         return sum(map(len, self._by_query.values()))
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        """Grade for a pair; unjudged pairs count as 0."""
-        return self._by_query.get(query_id, {}).get(doc_id, 0)
-
     def query_ids(self) -> list[str]:
         """Judged query ids in first-seen order."""
         return list(self._by_query)
@@ -96,9 +92,6 @@ class Qrels:
     def items(self) -> Iterator[tuple[tuple[str, str], int]]:
         """Every ((query_id, doc_id), grade) judgment, query by query."""
         return (((q, d), g) for q, grades in self._by_query.items() for d, g in grades.items())
-
-    def grades_for(self, query_id: str) -> dict[str, int]:
-        return dict(self._by_query.get(query_id, {}))
 
     def relevant_docs(self, query_id: str, threshold: int = 1) -> list[str]:
         grades = self._by_query.get(query_id, {})

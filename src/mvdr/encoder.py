@@ -15,8 +15,9 @@ with a query prefix separated by a sentinel token (query-informed views).
 The joint encoding sees n-grams that cross the separator, so the same
 document yields a different vector for each prefix query.
 
-Each stage featurizes its texts through one :class:`FeatureTable`, which
-it drops when the stage ends; the module keeps no feature state.
+Each stage makes one :class:`FeatureTable` from the config it encodes
+with, passes it to every featurization call and drops it when the stage
+ends; the module keeps no feature state.
 
 Gradients are computed by hand in :func:`backprop_tower`; there is no
 autodiff anywhere in the package. Training runs in float32 and every
@@ -287,57 +288,41 @@ def _grams(tokens: tuple[str, ...], n: int) -> Iterable[str]:
     return map(_GRAM_JOIN.join, zip(*[tokens[k:] for k in range(n)]))
 
 
-def _table_for(cfg: EncoderConfig, table: FeatureTable | None) -> FeatureTable:
-    """``table``, checked against ``cfg``; a throwaway table when None."""
-    if table is None:
-        return FeatureTable(cfg)
-    if table.cfg is not cfg and table.cfg != cfg:
-        raise ValueError("feature table was made for a different encoder config")
-    return table
-
-
 def _require_features(
-    cfg: EncoderConfig, buckets: np.ndarray, what: str, *texts: str
+    table: FeatureTable, buckets: np.ndarray, what: str, *texts: str
 ) -> np.ndarray:
     """``buckets``, unless empty; ``what`` is formatted with the reprs of
     ``texts`` only when raising, since most inputs pass."""
     # An all-empty feature set would mean-pool to a NaN embedding.
     if buckets.size == 0:
         described = what.format(*map(repr, texts))
-        raise ValueError(f"{described} is shorter than every n-gram order {cfg.ngram_orders}")
+        raise ValueError(f"{described} is shorter than every n-gram order {table.cfg.ngram_orders}")
     return buckets
 
 
-def query_feature_buckets(
-    cfg: EncoderConfig, text: str, table: FeatureTable | None = None
-) -> np.ndarray:
+def query_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a query encoded alone (read-only)."""
-    _, buckets = _table_for(cfg, table).segment(text, "query")
-    return _require_features(cfg, buckets, "query {}", text)
+    _, buckets = table.segment(text, "query")
+    return _require_features(table, buckets, "query {}", text)
 
 
-def doc_feature_buckets(
-    cfg: EncoderConfig, text: str, table: FeatureTable | None = None
-) -> np.ndarray:
+def doc_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a document encoded alone (read-only)."""
-    _, buckets = _table_for(cfg, table).segment(text, "document")
-    return _require_features(cfg, buckets, "document {}", text)
+    _, buckets = table.segment(text, "document")
+    return _require_features(table, buckets, "document {}", text)
 
 
-def joint_feature_buckets(
-    cfg: EncoderConfig, query_text: str, doc_text: str, table: FeatureTable | None = None
-) -> np.ndarray:
+def joint_feature_buckets(table: FeatureTable, query_text: str, doc_text: str) -> np.ndarray:
     """Features of ``query <SEP> document`` as one sequence.
 
     Equal to the features of the concatenated token sequence: the query's
     and the document's own n-grams, then those that overlap the separator.
     """
-    table = _table_for(cfg, table)
     q_tokens, q_part = table.segment(query_text, "query")
     d_tokens, d_part = table.segment(doc_text, "document")
     boundary = np.asarray(table.boundary(q_tokens, d_tokens), dtype=np.int64)
     buckets = np.concatenate([q_part, boundary, d_part])
-    return _require_features(cfg, buckets, "query {} with document {}", query_text, doc_text)
+    return _require_features(table, buckets, "query {} with document {}", query_text, doc_text)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +339,9 @@ class ForwardCache:
     hidden: np.ndarray  # (B, dim) tanh activations
 
 
-def forward_tower(
-    tower: Tower, buckets: Sequence[np.ndarray], want_cache: bool = False
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """Embed a batch of feature-bucket arrays through one tower.
+def forward_tower(tower: Tower, buckets: Sequence[np.ndarray]) -> tuple[np.ndarray, ForwardCache]:
+    """Embed a batch of feature-bucket arrays through one tower; the cache
+    holds what :func:`backprop_tower` needs.
 
     Rows with the same feature count L are pooled together: their table
     rows are gathered into an (n, L, dim) block, at most about
@@ -381,8 +365,7 @@ def forward_tower(
             pooled[rows] = np.add.reduce(table[idx], axis=1) / table.dtype.type(length)
     hidden = np.tanh(pooled @ tower.w_hidden.T + tower.b_hidden)
     out = hidden @ tower.w_out.T + tower.b_out
-    cache = ForwardCache(list(buckets), lengths, pooled, hidden) if want_cache else None
-    return out, cache
+    return out, ForwardCache(list(buckets), lengths, pooled, hidden)
 
 
 def backprop_tower(
@@ -422,34 +405,28 @@ def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     a batch can order near-tied documents differently.
     """
     table = FeatureTable(params.config)
-    buckets = [query_feature_buckets(params.config, t, table) for t in texts]
+    buckets = [query_feature_buckets(table, t) for t in texts]
     out, _ = forward_tower(params.query_tower, buckets)
     return out
 
 
-def candidate_feature_buckets(
-    cfg: EncoderConfig, pair: tuple[str | None, str], table: FeatureTable | None = None
-) -> np.ndarray:
+def candidate_feature_buckets(table: FeatureTable, pair: tuple[str | None, str]) -> np.ndarray:
     """Features for a candidate: ``(None, doc)`` alone or ``(query, doc)`` jointly."""
     query_text, doc_text = pair
     if query_text is None:
-        return doc_feature_buckets(cfg, doc_text, table)
-    return joint_feature_buckets(cfg, query_text, doc_text, table)
+        return doc_feature_buckets(table, doc_text)
+    return joint_feature_buckets(table, query_text, doc_text)
 
 
 def encode_candidates(
-    params: EncoderParams,
-    pairs: Sequence[tuple[str | None, str]],
-    table: FeatureTable | None = None,
+    params: EncoderParams, pairs: Sequence[tuple[str | None, str]], table: FeatureTable
 ) -> np.ndarray:
     """Embed candidate inputs through the doc tower, preserving order.
 
-    ``table`` carries feature hashes across calls of one stage; without
-    one, this call makes its own.
+    ``table`` is the stage's feature table, made from ``params.config``;
+    it carries feature hashes across the stage's calls.
     """
-    if table is None:
-        table = FeatureTable(params.config)
-    buckets = [candidate_feature_buckets(params.config, p, table) for p in pairs]
+    buckets = [candidate_feature_buckets(table, p) for p in pairs]
     out, _ = forward_tower(params.doc_tower, buckets)
     return out
 

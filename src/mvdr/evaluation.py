@@ -185,11 +185,6 @@ class Run:
         depth = np.where(listed, np.minimum(offsets[rows + 1] - starts, k), 0)
         return starts, depth
 
-    def entries(self, query_id: str) -> tuple[RunEntry, ...]:
-        docs, scores = self.ranking(query_id)
-        ranked = enumerate(zip(docs.tolist(), scores.tolist()), 1)
-        return tuple(RunEntry(self.doc_ids[d], rank, s) for rank, (d, s) in ranked)
-
     def __len__(self) -> int:
         return len(self._docs)
 

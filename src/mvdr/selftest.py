@@ -23,6 +23,7 @@ from .corpus import Qrels
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    FeatureTable,
     RowGrad,
     Tower,
     candidate_feature_buckets,
@@ -256,9 +257,9 @@ def mean_pool_reference(table: np.ndarray, buckets: Sequence[np.ndarray]) -> np.
 
 def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
     """Forward-only batch loss, composed from the scalar loss op."""
-    cfg = params.config
-    q_buckets = [query_feature_buckets(cfg, t) for t in batch.query_texts]
-    c_buckets = [candidate_feature_buckets(cfg, p) for p in batch.candidates]
+    table = FeatureTable(params.config)
+    q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
+    c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
     q_emb, _ = forward_tower(params.query_tower, q_buckets)
     c_emb, _ = forward_tower(params.doc_tower, c_buckets)
     scores = (q_emb @ c_emb.T).astype(np.float64)
@@ -303,7 +304,7 @@ def gradient_relative_errors(
     (0 when both are exactly zero). The token table's row gradient is
     compared as the dense table it stands for.
     """
-    analytic = loss_and_grads(params, batch).grads
+    analytic = loss_and_grads(params, batch, FeatureTable(params.config)).grads
     numeric = finite_difference_grads(params, batch, step=step)
     errors = {}
     for role, tower_grads in numeric.items():
@@ -497,14 +498,14 @@ def _check_gradients() -> SelftestResult:
     params, batch = _gradcheck_batch()
     errors = gradient_relative_errors(params, batch)
     worst_name, worst = max(errors.items(), key=lambda kv: kv[1])
-    cfg = params.config
+    table = FeatureTable(params.config)
     towers_and_inputs = (
-        (params.query_tower, [query_feature_buckets(cfg, t) for t in batch.query_texts]),
-        (params.doc_tower, [candidate_feature_buckets(cfg, p) for p in batch.candidates]),
+        (params.query_tower, [query_feature_buckets(table, t) for t in batch.query_texts]),
+        (params.doc_tower, [candidate_feature_buckets(table, p) for p in batch.candidates]),
     )
     pool_mismatches = 0
     for tower, buckets in towers_and_inputs:
-        _, cache = forward_tower(tower, buckets, want_cache=True)
+        _, cache = forward_tower(tower, buckets)
         want = mean_pool_reference(tower.token_table, buckets)
         pool_mismatches += int((cache.pooled != want).any(axis=1).sum())
     ok = worst <= 1e-4 and pool_mismatches == 0
@@ -530,10 +531,11 @@ def _check_adam() -> SelftestResult:
         fast = init_params(cfg, seed=13)
         ref = fast.copy()
         state, ref_state = AdamState.for_params(fast), DenseAdamState.for_params(ref)
+        table = FeatureTable(cfg)
         for step, batch in enumerate([first, later, later, later]):
             lr = 0.05 / (step + 1)
-            adam_step(fast, loss_and_grads(fast, batch).grads, state, lr)
-            adam_step_reference(ref, loss_and_grads(ref, batch).grads, ref_state, lr)
+            adam_step(fast, loss_and_grads(fast, batch, table).grads, state, lr)
+            adam_step_reference(ref, loss_and_grads(ref, batch, table).grads, ref_state, lr)
         live.append(len(state.m["query"].token_table.rows))
         got = (fast.towers(), *dense_moments(fast, state))
         want = (ref.towers(), ref_state.m, ref_state.v)

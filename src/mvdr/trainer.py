@@ -188,24 +188,19 @@ def zero_grads(params: EncoderParams) -> dict[str, Tower]:
     }
 
 
-def loss_and_grads(
-    params: EncoderParams, batch: TrainBatch, table: FeatureTable | None = None
-) -> BatchResult:
+def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable) -> BatchResult:
     """Mean batch loss and parameter gradients, by hand-rolled backprop.
 
     Each row of the ``(B, B * block)`` score matrix is one softmax over
     every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
     which always runs in float64 for stability. ``table`` is the training
-    run's feature table; without one the batch makes its own.
+    run's feature table, made from ``params.config``.
     """
-    cfg = params.config
-    if table is None:
-        table = FeatureTable(cfg)
-    q_buckets = [query_feature_buckets(cfg, t, table) for t in batch.query_texts]
-    c_buckets = [candidate_feature_buckets(cfg, p, table) for p in batch.candidates]
-    q_emb, q_cache = forward_tower(params.query_tower, q_buckets, want_cache=True)
-    c_emb, c_cache = forward_tower(params.doc_tower, c_buckets, want_cache=True)
+    q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
+    c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
+    q_emb, q_cache = forward_tower(params.query_tower, q_buckets)
+    c_emb, c_cache = forward_tower(params.doc_tower, c_buckets)
 
     scores = q_emb @ c_emb.T  # (B, n_candidates)
     scores64 = scores.astype(np.float64)
@@ -286,7 +281,9 @@ def adam_step(
             v = getattr(state.v[role], name)
             if isinstance(g, RowGrad):
                 slots = m.include(g.rows)
-                v.include(g.rows)
+                # v's rows are m's, so they grow only on a step where m's did
+                if len(v.rows) != len(m.rows):
+                    v.include(m.rows)
                 live = param[m.rows]
                 _adam_update(live, m.values, v.values, slots, g.values, lr, bias1, bias2)
                 param[m.rows] = live

@@ -361,10 +361,10 @@ class TestPipelineSweep:
             "analyze", "--gen-queries", str(out_dir / "gen_queries.jsonl"),
             "--queries", str(paths["queries"]), "--qrels", str(paths["qrels"]),
             "--checkpoint", str(out_dir / "model.ckpt"), "--corpus", str(paths["corpus"]),
-            "--topk", "4", "--out-dir", str(reports),
+            "--run", str(out_dir / "run.trec"), "--topk", "4", "--out-dir", str(reports),
         ]) == 0
-        assert (reports / "sweep.csv").read_bytes() == (out_dir / "sweep.csv").read_bytes()
-        assert (reports / "quality.csv").read_bytes() == (out_dir / "quality.csv").read_bytes()
+        for name in ("sweep.csv", "quality.csv", "diversity.csv", "levels.csv"):
+            assert (reports / name).read_bytes() == (out_dir / name).read_bytes(), name
 
     def test_single_view_mode_leaves_retrieval_empty(self, tmp_path, capsys):
         paths = _write_world(tmp_path)

@@ -24,6 +24,7 @@ from mvdr.corpus import (
     write_queries,
     write_triples,
 )
+from mvdr.evaluation import Run, RunEntry, mrr_at_k, ndcg_at_k, recall_at_k
 
 
 class TestNormalization:
@@ -128,15 +129,13 @@ class TestQrelsIO:
         path = tmp_path / "qrels.txt"
         write_qrels(tiny_qrels, path)
         loaded = load_qrels(path)
-        assert loaded.grade("q1", "d1") == 2
-        assert loaded.grade("q1", "d3") == 0
-        assert loaded.grade("q2", "d2") == 1
+        assert list(loaded.items()) == [(("q1", "d1"), 2), (("q1", "d3"), 0), (("q2", "d2"), 1)]
         assert len(loaded) == len(tiny_qrels)
 
     def test_second_column_ignored(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 ignored d1 1\n")
-        assert load_qrels(path).grade("q1", "d1") == 1
+        assert list(load_qrels(path).items()) == [(("q1", "d1"), 1)]
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -159,7 +158,14 @@ class TestQrelsIO:
 
 class TestQrelsObject:
     def test_unjudged_grade_is_zero(self, tiny_qrels):
-        assert tiny_qrels.grade("q1", "nope") == 0
+        # metrics read an unjudged doc exactly as the judged grade-0 d3
+        def scores(first: str) -> list[float]:
+            run = Run({"q1": [RunEntry(first, 1, 2.0), RunEntry("d1", 2, 1.0)]})
+            metrics = (mrr_at_k, ndcg_at_k, recall_at_k)
+            return [metric(run, tiny_qrels, k=10).per_query["q1"] for metric in metrics]
+
+        assert scores("nope") == scores("d3")
+        assert scores("nope")[0] == 0.5
 
     def test_relevant_docs_respects_threshold(self, tiny_qrels):
         assert tiny_qrels.relevant_docs("q1") == ["d1"]

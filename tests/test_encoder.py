@@ -91,71 +91,78 @@ class TestConfigValidation:
 
 class TestFeatureHashing:
     def test_separator_gets_reserved_bucket(self):
-        buckets = joint_feature_buckets(CFG, "alpha", "beta gamma")
+        buckets = joint_feature_buckets(FeatureTable(CFG), "alpha", "beta gamma")
         assert np.count_nonzero(buckets == CFG.hash_buckets - 1) == 1
 
     def test_plain_segments_avoid_reserved_bucket(self):
+        table = FeatureTable(CFG)
         for text in ("alpha beta gamma", "one", "x y z w v u t"):
-            assert CFG.hash_buckets - 1 not in query_feature_buckets(CFG, text)
-            assert CFG.hash_buckets - 1 not in doc_feature_buckets(CFG, text)
+            assert CFG.hash_buckets - 1 not in query_feature_buckets(table, text)
+            assert CFG.hash_buckets - 1 not in doc_feature_buckets(table, text)
 
     @given(text_strategy, text_strategy)
     @settings(max_examples=60)
     def test_joint_matches_full_sequence_hash(self, query_text, doc_text):
-        fast = sorted(joint_feature_buckets(CFG, query_text, doc_text).tolist())
+        fast = sorted(joint_feature_buckets(FeatureTable(CFG), query_text, doc_text).tolist())
         assert fast == naive_joint_buckets(CFG, query_text, doc_text)
 
     def test_query_cap_applies(self):
-        short = query_feature_buckets(CFG, "a b c d")
-        long = query_feature_buckets(CFG, "a b c d ignored extra")
+        table = FeatureTable(CFG)
+        short = query_feature_buckets(table, "a b c d")
+        long = query_feature_buckets(table, "a b c d ignored extra")
         assert short.tolist() == long.tolist()
 
     def test_doc_cap_applies(self):
-        short = doc_feature_buckets(CFG, "a b c d e f")
-        long = doc_feature_buckets(CFG, "a b c d e f tail tail")
+        table = FeatureTable(CFG)
+        short = doc_feature_buckets(table, "a b c d e f")
+        long = doc_feature_buckets(table, "a b c d e f tail tail")
         assert short.tolist() == long.tolist()
 
     def test_unigram_count(self):
         cfg = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(1,))
-        assert len(doc_feature_buckets(cfg, "one two three")) == 3
+        assert len(doc_feature_buckets(FeatureTable(cfg), "one two three")) == 3
 
     def test_empty_text_rejected(self):
         # a table must not turn a rejected text into a kept result
+        table = FeatureTable(CFG)
         for featurize in (query_feature_buckets, doc_feature_buckets):
             for _ in range(2):
                 with pytest.raises(ValueError, match="no tokens"):
-                    featurize(CFG, "  ... ")
+                    featurize(table, "  ... ")
 
     @pytest.mark.parametrize("featurize", [query_feature_buckets, doc_feature_buckets])
     def test_memoized_arrays_are_read_only(self, featurize):
-        first = featurize(CFG, "alpha beta gamma")
+        table = FeatureTable(CFG)
+        first = featurize(table, "alpha beta gamma")
         before = first.tolist()
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 0
-        assert featurize(CFG, "alpha beta gamma").tolist() == before
+        assert featurize(table, "alpha beta gamma").tolist() == before
 
     def test_short_query_rejected(self):
         message = r"query 'who' is shorter than every n-gram order \(2,\)"
+        table = FeatureTable(BIGRAM_CFG)
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                query_feature_buckets(BIGRAM_CFG, "who")
+                query_feature_buckets(table, "who")
         with pytest.raises(ValueError, match=message):
             encode_queries(init_params(BIGRAM_CFG, seed=0), ["who"])
 
     def test_short_document_rejected(self):
         message = r"document 'who' is shorter than every n-gram order \(2,\)"
         with pytest.raises(ValueError, match=message):
-            doc_feature_buckets(BIGRAM_CFG, "who")
+            doc_feature_buckets(FeatureTable(BIGRAM_CFG), "who")
+        params = init_params(BIGRAM_CFG, seed=0)
         with pytest.raises(ValueError, match=message):
-            encode_candidates(init_params(BIGRAM_CFG, seed=0), [(None, "who")])
+            encode_candidates(params, [(None, "who")], FeatureTable(BIGRAM_CFG))
 
     def test_short_joint_input_rejected(self):
         # one token on each side: bigrams still cross the separator, 4-grams never fit
-        assert len(joint_feature_buckets(BIGRAM_CFG, "who", "what")) == 2
+        assert len(joint_feature_buckets(FeatureTable(BIGRAM_CFG), "who", "what")) == 2
         cfg = EncoderConfig(embed_dim=4, hash_buckets=64, ngram_orders=(4,))
         with pytest.raises(ValueError, match=r"query 'who' with document 'what' .*\(4,\)"):
-            joint_feature_buckets(cfg, "who", "what")
+            joint_feature_buckets(FeatureTable(cfg), "who", "what")
 
 
 def scratch_buckets(cfg, query_text=None, doc_text=None):
@@ -216,11 +223,12 @@ class TestFeatureTable:
     def test_each_text_matches_scratch_hashing(self, query_text, doc_text):
         for cfg in TABLE_CFGS:
             want = scratch_or_error(cfg, query_text=query_text)
-            assert featurize_or_error(query_feature_buckets, cfg, query_text) == want
+            assert featurize_or_error(query_feature_buckets, FeatureTable(cfg), query_text) == want
             want = scratch_or_error(cfg, doc_text=doc_text)
-            assert featurize_or_error(doc_feature_buckets, cfg, doc_text) == want
+            assert featurize_or_error(doc_feature_buckets, FeatureTable(cfg), doc_text) == want
             want = scratch_or_error(cfg, query_text, doc_text)
-            assert featurize_or_error(joint_feature_buckets, cfg, query_text, doc_text) == want
+            got = featurize_or_error(joint_feature_buckets, FeatureTable(cfg), query_text, doc_text)
+            assert got == want
 
     @pytest.mark.parametrize("keep_texts", [False, True])
     @pytest.mark.parametrize("cfg", TABLE_CFGS)
@@ -236,17 +244,17 @@ class TestFeatureTable:
         table = FeatureTable(cfg, keep_texts=keep_texts)
         for query_text, doc_text in pairs:
             want = scratch_or_error(cfg, query_text, doc_text)
-            got = featurize_or_error(candidate_feature_buckets, cfg, (query_text, doc_text), table)
+            got = featurize_or_error(candidate_feature_buckets, table, (query_text, doc_text))
             assert got == want
             if query_text is not None:
-                assert featurize_or_error(query_feature_buckets, cfg, query_text, table) == (
+                assert featurize_or_error(query_feature_buckets, table, query_text) == (
                     scratch_or_error(cfg, query_text=query_text)
                 )
 
     def test_caps_cut_both_sides(self):
         query_text, doc_text = "q1 q2 q3 q4 q5 q6", "d1 d2 d3 d4 d5 d6 d7 d8"
         table = FeatureTable(CFG)
-        got = joint_feature_buckets(CFG, query_text, doc_text, table).tolist()
+        got = joint_feature_buckets(table, query_text, doc_text).tolist()
         assert got == scratch_buckets(CFG, "q1 q2 q3 q4", "d1 d2 d3 d4 d5 d6")
         assert len(got) == (4 + 1 + 6) + (3 + 2 + 5)
 
@@ -255,30 +263,17 @@ class TestFeatureTable:
         monkeypatch.setattr(encoder, "stable_hash64", lambda key: calls.append(key) or stable_hash64(key))
         table = FeatureTable(CFG)
         for text in ("ab ab ab", "ab ab", "ab cd ab"):
-            query_feature_buckets(CFG, text, table)
+            query_feature_buckets(table, text)
         assert sorted(calls) == sorted(["ab", "ab\x1fab", "cd", "ab\x1fcd", "cd\x1fab"])
-
-    def test_table_of_another_config_rejected(self):
-        other = EncoderConfig(embed_dim=8, hash_buckets=512, ngram_orders=(1, 2))
-        with pytest.raises(ValueError, match="different encoder config"):
-            query_feature_buckets(CFG, "alpha", FeatureTable(other))
-        # an equal config made separately is the same config
-        equal = EncoderConfig(**{f: getattr(CFG, f) for f in CFG.__dataclass_fields__})
-        assert query_feature_buckets(CFG, "alpha", FeatureTable(equal)).tolist() == (
-            scratch_buckets(CFG, "alpha")
-        )
 
     def test_encodings_through_a_table_equal_throwaway_ones(self):
         params = init_params(CFG, seed=3)
         pairs = [("alpha beta", "gamma delta eps"), (None, "gamma delta eps"), ("beta", "zeta")]
         table = FeatureTable(CFG)
-        np.testing.assert_array_equal(
-            encode_candidates(params, pairs, table), encode_candidates(params, pairs)
-        )
-        np.testing.assert_array_equal(
-            encode_candidates(params, pairs[::-1], table),
-            encode_candidates(params, pairs)[::-1],
-        )
+        throwaway = encode_candidates(params, pairs, FeatureTable(CFG))
+        np.testing.assert_array_equal(encode_candidates(params, pairs, table), throwaway)
+        reversed_ = encode_candidates(params, pairs[::-1], table)
+        np.testing.assert_array_equal(reversed_, throwaway[::-1])
 
 
 class TestInit:
@@ -358,12 +353,13 @@ class TestEncoding:
         params = init_params(CFG, seed=1)
         texts = ["solar panels", "court ruling", "apple harvest"]
         batch = encode_queries(params, texts)
-        buckets = [query_feature_buckets(CFG, t) for t in texts]
-        _, cache = forward_tower(params.query_tower, buckets, want_cache=True)
+        table = FeatureTable(CFG)
+        buckets = [query_feature_buckets(table, t) for t in texts]
+        _, cache = forward_tower(params.query_tower, buckets)
         for i, (row, text) in enumerate(zip(batch, texts)):
             # pooling is exact in any batch; the MLP's product for one row
             # (GEMV) sums in another order than for a block (GEMM)
-            _, alone = forward_tower(params.query_tower, buckets[i : i + 1], want_cache=True)
+            _, alone = forward_tower(params.query_tower, buckets[i : i + 1])
             assert cache.pooled[i].tobytes() == alone.pooled[0].tobytes()
             np.testing.assert_allclose(row, encode_queries(params, [text])[0], rtol=0, atol=1e-6)
 
@@ -371,7 +367,8 @@ class TestEncoding:
         # runs under the suite's RuntimeWarning-as-error filter
         for dtype in (np.float32, np.float64):
             params = init_params(CFG, seed=1, dtype=dtype)
-            for out in (encode_queries(params, []), encode_candidates(params, [])):
+            table = FeatureTable(CFG)
+            for out in (encode_queries(params, []), encode_candidates(params, [], table)):
                 assert out.shape == (0, CFG.embed_dim)
                 assert out.dtype == dtype
 
@@ -379,27 +376,28 @@ class TestEncoding:
         # under unigram features a repeated token leaves the bag mean unchanged
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, ngram_orders=(1,))
         params = init_params(cfg, seed=2)
-        once, thrice = encode_candidates(params, [(None, "beacon"), (None, "beacon beacon beacon")])
+        pairs = [(None, "beacon"), (None, "beacon beacon beacon")]
+        once, thrice = encode_candidates(params, pairs, FeatureTable(cfg))
         np.testing.assert_allclose(once, thrice, atol=1e-6)
 
     def test_view_differs_from_plain_doc(self):
         params = init_params(CFG, seed=1)
-        plain, view = encode_candidates(
-            params, [(None, "the reactor design"), ("reactor safety", "the reactor design")]
-        )
+        pairs = [(None, "the reactor design"), ("reactor safety", "the reactor design")]
+        plain, view = encode_candidates(params, pairs, FeatureTable(CFG))
         assert not np.allclose(plain, view)
 
     def test_candidates_route_by_prefix(self):
         params = init_params(CFG, seed=1)
         pairs = [(None, "the reactor design"), ("reactor safety", "the reactor design")]
-        batch = encode_candidates(params, pairs)
+        table = FeatureTable(CFG)
+        batch = encode_candidates(params, pairs, table)
         for row, pair in zip(batch, pairs):
-            np.testing.assert_allclose(row, encode_candidates(params, [pair])[0], atol=1e-6)
-        buckets = [candidate_feature_buckets(CFG, p) for p in pairs]
-        _, cache = forward_tower(params.doc_tower, buckets, want_cache=True)
-        alone = [doc_feature_buckets(CFG, pairs[0][1]), joint_feature_buckets(CFG, *pairs[1])]
+            np.testing.assert_allclose(row, encode_candidates(params, [pair], table)[0], atol=1e-6)
+        buckets = [candidate_feature_buckets(table, p) for p in pairs]
+        _, cache = forward_tower(params.doc_tower, buckets)
+        alone = [doc_feature_buckets(table, pairs[0][1]), joint_feature_buckets(table, *pairs[1])]
         for i, b in enumerate(alone):
-            _, single = forward_tower(params.doc_tower, [b], want_cache=True)
+            _, single = forward_tower(params.doc_tower, [b])
             assert cache.pooled[i].tobytes() == single.pooled[0].tobytes()
 
 
@@ -420,7 +418,7 @@ class TestPooling:
         buckets = [rng.integers(0, 300, size=n) for n in lengths]
         buckets.append(np.array([7, 7, 7, 7]))  # one bucket repeated within a row
         buckets.insert(0, buckets[5])  # one bucket array twice in a batch
-        _, cache = forward_tower(tower, buckets, want_cache=True)
+        _, cache = forward_tower(tower, buckets)
         want = np.stack([table[b].mean(axis=0) for b in buckets])
         assert cache.pooled.dtype == dtype
         assert cache.pooled.tobytes() == want.tobytes()
@@ -442,7 +440,7 @@ class TestPooling:
             "import numpy as np\n"
             "from mvdr.encoder import EncoderConfig, forward_tower, init_params\n"
             "tower = init_params(EncoderConfig(embed_dim=4, hash_buckets=16), seed=0).query_tower\n"
-            "forward_tower(tower, [np.array([1, 2]), np.array([3]), np.array([4, 5])], want_cache=True)\n"
+            "forward_tower(tower, [np.array([1, 2]), np.array([3]), np.array([4, 5])])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(encoder.__file__).parents[1])}

@@ -39,6 +39,13 @@ def make_run(by_query):
     )
 
 
+def ranking_of(run, query_id):
+    """A query's (doc_id, rank, score) triples, read through ``Run.ranking``."""
+    docs, scores = run.ranking(query_id)
+    pairs = zip(docs.tolist(), scores.tolist())
+    return [(run.doc_ids[d], rank, s) for rank, (d, s) in enumerate(pairs, 1)]
+
+
 class TestRunValidation:
     def test_ranks_must_be_contiguous(self):
         with pytest.raises(ValueError, match="not contiguous"):
@@ -54,10 +61,11 @@ class TestRunValidation:
 
     def test_entries_sorted_by_rank(self):
         run = Run({"q": [RunEntry("d2", 2, 1.0), RunEntry("d1", 1, 2.0)]})
-        assert [e.doc_id for e in run.entries("q")] == ["d1", "d2"]
+        assert ranking_of(run, "q") == [("d1", 1, 2.0), ("d2", 2, 1.0)]
 
     def test_unknown_query_is_empty(self):
-        assert make_run({"q": ["d1"]}).entries("other") == ()
+        docs, scores = make_run({"q": ["d1"]}).ranking("other")
+        assert docs.shape == scores.shape == (0,)
 
     def test_from_ranked_lists(self):
         ranked = [
@@ -66,8 +74,8 @@ class TestRunValidation:
         ]
         run = run_from_ranked_lists(ranked, tag="test")
         assert run.tag == "test"
-        assert [e.rank for e in run.entries("q1")] == [1, 2]
-        assert run.entries("q2") == ()
+        assert ranking_of(run, "q1") == [("d2", 1, 3.0), ("d1", 2, 1.0)]
+        assert ranking_of(run, "q2") == []
 
     def test_from_ranked_lists_rejects_rank_gap(self):
         ranked = [RankedList("q1", (RunEntry("d2", 1, 3.0), RunEntry("d1", 3, 1.0)))]
@@ -165,7 +173,7 @@ class TestRunChecksOnBothPaths:
         assert got_docs.tolist() == [1, 0] and got_scores.tolist() == [2.0, 1.0]
         with pytest.raises(ValueError):
             got_scores[0] = 0.0
-        assert run.entries("q") == (RunEntry("d2", 1, 2.0), RunEntry("d1", 2, 1.0))
+        assert ranking_of(run, "q") == [("d2", 1, 2.0), ("d1", 2, 1.0)]
         assert len(run) == 2
 
 
@@ -214,7 +222,7 @@ class TestEntryAndArrayRunsAgree:
         assert loaded.query_ids() == [q for q in rows if rows[q]]
         for q in loaded.query_ids():
             want = [(doc_ids[d], rank, float(f"{s:.6f}")) for rank, (d, s) in enumerate(rows[q], 1)]
-            assert [(e.doc_id, e.rank, e.score) for e in loaded.entries(q)] == want
+            assert ranking_of(loaded, q) == want
 
 
 class TestRunIO:
@@ -225,7 +233,7 @@ class TestRunIO:
         loaded = load_run(path)
         assert loaded.query_ids() == run.query_ids()
         for q in run.query_ids():
-            assert loaded.entries(q) == run.entries(q)
+            assert ranking_of(loaded, q) == ranking_of(run, q)
 
     def test_exact_format(self, tmp_path):
         run = Run({"q1": [RunEntry("d9", 1, 0.5)]}, tag="sys")
@@ -322,6 +330,10 @@ class TestNdcg:
 # the exact oracle for the block computation.
 
 
+def grades_of(qrels, query_id):
+    return {d: g for (q, d), g in qrels.items() if q == query_id}
+
+
 def top_doc_ids(run, query_id, k):
     return [run.doc_ids[d] for d in run.ranking(query_id)[0][:k].tolist()]
 
@@ -329,7 +341,7 @@ def top_doc_ids(run, query_id, k):
 def loop_mrr(run, qrels, k, rel_threshold):
     per_query = {}
     for query_id in qrels.query_ids():
-        grades = qrels.grades_for(query_id)
+        grades = grades_of(qrels, query_id)
         value = 0.0
         for rank, doc_id in enumerate(top_doc_ids(run, query_id, k), 1):
             if grades.get(doc_id, 0) >= rel_threshold:
@@ -353,7 +365,7 @@ def loop_recall(run, qrels, k, rel_threshold):
 def loop_ndcg(run, qrels, k):
     per_query = {}
     for query_id in qrels.query_ids():
-        grades = qrels.grades_for(query_id)
+        grades = grades_of(qrels, query_id)
         dcg = 0.0
         for rank, doc_id in enumerate(top_doc_ids(run, query_id, k), 1):
             gain = 2 ** grades.get(doc_id, 0) - 1

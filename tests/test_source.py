@@ -4,7 +4,8 @@ Every output file is opened by ``hashing.open_output``, which replaces its
 target whole, and every input file by the line reader or ``FramedReader``.
 Only ``write_framed`` and ``FramedReader`` compute a CRC-32.
 The package keeps no process-global state: no memo decorator, and no
-module-level dict, list or set that a function changes.
+module-level dict, list or set that a function changes. A
+``FeatureTable`` parameter never has a default: the caller owns the table.
 """
 
 import ast
@@ -170,4 +171,37 @@ def test_no_function_mutates_module_level_containers():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 found += [f"{path.stem}.{name}" for name in sorted(_mutated_names(node) & shared)]
+    assert found == []
+
+
+def _names_in(annotation: ast.expr | None) -> set[str]:
+    """Every name an annotation mentions, string annotations included."""
+    if annotation is None:
+        return set()
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(annotation)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_feature_table_parameter_has_a_default():
+    """A stage featurizes through the one table it made from the params it
+    encodes with, so no function makes a table of its own when none is given."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+            found += [
+                f"{path.stem}.{node.name}({arg.arg})"
+                for arg in defaulted
+                if "FeatureTable" in _names_in(arg.annotation)
+            ]
     assert found == []

@@ -11,6 +11,7 @@ from mvdr import trainer
 from mvdr.corpus import Document, GeneratedQuerySet, Query, TrainingTriple
 from mvdr.encoder import (
     EncoderConfig,
+    FeatureTable,
     RowGrad,
     backprop_tower,
     candidate_feature_buckets,
@@ -151,7 +152,7 @@ class TestGradients:
         for mode in ("dce", "de"):
             for shape in ("finetune", "pretrain"):
                 batch = _shaped_batch(shape, mode, tiny_docs, tiny_triples)
-                result = loss_and_grads(params, batch)
+                result = loss_and_grads(params, batch, FeatureTable(SMALL_CFG))
                 assert result.loss == pytest.approx(batch_loss(params, batch), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -176,7 +177,7 @@ class TestGradients:
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=False)
         params = init_params(cfg, seed=9, dtype=np.float64)
         batch = _shaped_batch("finetune", "de", tiny_docs, tiny_triples)
-        grads = loss_and_grads(params, batch).grads
+        grads = loss_and_grads(params, batch, FeatureTable(cfg)).grads
         assert set(grads) == {"query", "doc"}
         assert np.abs(grads["query"].w_out).sum() > 0
         assert np.abs(grads["doc"].w_out).sum() > 0
@@ -201,10 +202,11 @@ class TestTokenTableGradient:
         params = init_params(SMALL_CFG, seed=9, dtype=dtype)
         tower = params.query_tower
         batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
-        q_buckets = [query_feature_buckets(SMALL_CFG, t) for t in batch.query_texts]
-        c_buckets = [candidate_feature_buckets(SMALL_CFG, p) for p in batch.candidates]
-        _, q_cache = forward_tower(tower, q_buckets, want_cache=True)
-        _, c_cache = forward_tower(tower, c_buckets, want_cache=True)
+        table = FeatureTable(SMALL_CFG)
+        q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
+        c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
+        _, q_cache = forward_tower(tower, q_buckets)
+        _, c_cache = forward_tower(tower, c_buckets)
         rng = np.random.default_rng(3)
         d_q = rng.normal(size=(len(q_buckets), SMALL_CFG.embed_dim)).astype(dtype)
         d_c = rng.normal(size=(len(c_buckets), SMALL_CFG.embed_dim)).astype(dtype)
@@ -214,11 +216,12 @@ class TestTokenTableGradient:
     def test_rows_sorted_unique_in_param_dtype(self, dtype, tiny_triples):
         params = init_params(SMALL_CFG, seed=9, dtype=dtype)
         batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
-        grad = loss_and_grads(params, batch).grads["query"].token_table
+        table = FeatureTable(SMALL_CFG)
+        grad = loss_and_grads(params, batch, table).grads["query"].token_table
         assert isinstance(grad, RowGrad)
         touched = np.concatenate(
-            [query_feature_buckets(SMALL_CFG, t) for t in batch.query_texts]
-            + [candidate_feature_buckets(SMALL_CFG, p) for p in batch.candidates]
+            [query_feature_buckets(table, t) for t in batch.query_texts]
+            + [candidate_feature_buckets(table, p) for p in batch.candidates]
         )
         np.testing.assert_array_equal(grad.rows, np.unique(touched))  # sorted and unique
         assert grad.values.shape == (len(grad.rows), SMALL_CFG.embed_dim)
