@@ -126,6 +126,13 @@ def _given(settings: Settings, *keys: str, **renamed: str) -> dict[str, object]:
     return {field: settings[key] for field, key in names.items() if key in settings}
 
 
+def _encoder_config(settings: Settings) -> EncoderConfig:
+    return EncoderConfig(
+        **_given(settings, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
+                 "max_query_tokens", "max_doc_tokens")
+    )
+
+
 def _train_config(settings: Settings) -> TrainConfig:
     return TrainConfig(
         seed=derive_seed(settings["seed"], "train"),
@@ -156,14 +163,10 @@ def train_stage(
 ) -> tuple[EncoderParams, list[TraceEntry]]:
     """Initialise an encoder from stage seed ``init`` and train it.
 
-    Each epoch's loss is logged at INFO level, which ``-v`` shows.
+    The trainer logs each epoch's loss at INFO level, which ``-v`` shows.
     """
-    encoder_cfg = EncoderConfig(
-        **_given(settings, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
-                 "max_query_tokens", "max_doc_tokens")
-    )
-    params = init_params(encoder_cfg, derive_seed(settings["seed"], "init"))
-    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated, progress=log.info)
+    params = init_params(_encoder_config(settings), derive_seed(settings["seed"], "init"))
+    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
     return params, trace
 
 
@@ -174,12 +177,25 @@ def search_stage(
     return evaluation.run_from_ranked_lists(ranked, tag=settings["run_tag"])
 
 
-def eval_stage(
-    run: evaluation.Run, qrels: Qrels, settings: Settings
-) -> list[evaluation.MetricReport]:
+def _metric_specs(settings: Settings) -> list[str]:
     specs = [s.strip() for s in settings["metrics"].split(",") if s.strip()]
     if not specs:
         raise ValueError("no metrics requested")
+    return specs
+
+
+def _check_search(settings: Settings, specs: Sequence[str]) -> None:
+    """Reject a bad metric spec or top-k before a stage writes anything."""
+    for spec in specs:
+        evaluation.parse_metric_spec(spec)
+    if settings["search_topk"] < 1:
+        raise ValueError(f"search_topk must be >= 1, got {settings['search_topk']}")
+
+
+def eval_stage(
+    run: evaluation.Run, qrels: Qrels, settings: Settings
+) -> list[evaluation.MetricReport]:
+    specs = _metric_specs(settings)
     rel = settings["rel_threshold"]
     reports = [evaluation.compute_metric(spec, run, qrels, rel_threshold=rel) for spec in specs]
     for report in reports:
@@ -325,6 +341,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     generated = load_generated_queries(settings["gen_queries"])
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
+    _check_search(settings, [settings["metric"]])
     report = None
     if "run" in settings:
         run = evaluation.load_run(settings["run"])
@@ -366,7 +383,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ValueError(f"config is missing required key {missing[0]!r}")
     # command-line --mode, --seed and --out-dir override the file
     settings = _settings(args, cfg)
+    # every setting a later stage reads fails here, before any output
     train_cfg = _train_config(settings)
+    _encoder_config(settings)
+    _check_search(settings, _metric_specs(settings))
     mode = train_cfg.mode
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -67,18 +67,20 @@ class EncoderConfig:
     max_doc_tokens: int = 128
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.hash_buckets < 2:
-            raise ValueError(f"hash_buckets must be >= 2, got {self.hash_buckets}")
+        # upper bounds are what the checkpoint header stores: u32, u64, u8
+        # (distinct u8 orders also keep their u8 count in range)
+        if not 1 <= self.embed_dim < 2**32:
+            raise ValueError(f"embed_dim must lie in [1, 2**32), got {self.embed_dim}")
+        if not 2 <= self.hash_buckets < 2**64:
+            raise ValueError(f"hash_buckets must lie in [2, 2**64), got {self.hash_buckets}")
         orders = tuple(self.ngram_orders)
-        if not orders or any(n < 1 for n in orders):
-            raise ValueError(f"ngram_orders must be positive, got {orders}")
+        if not orders or any(not 1 <= n < 2**8 for n in orders):
+            raise ValueError(f"ngram_orders must lie in [1, 255], got {orders}")
         if len(set(orders)) != len(orders):
             raise ValueError(f"ngram_orders must be distinct, got {orders}")
         object.__setattr__(self, "ngram_orders", orders)
-        if self.max_query_tokens < 1 or self.max_doc_tokens < 1:
-            raise ValueError("token caps must be >= 1")
+        if not (1 <= self.max_query_tokens < 2**32 and 1 <= self.max_doc_tokens < 2**32):
+            raise ValueError("token caps must lie in [1, 2**32)")
 
 
 @dataclass

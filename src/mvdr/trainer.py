@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -350,51 +350,6 @@ def write_loss_trace(trace: Sequence[TraceEntry], path) -> None:
     write_lines(path, chain(["step,stage,loss"], rows))
 
 
-def _batch_starts(n: int, batch_size: int) -> list[tuple[int, int]]:
-    """Batch spans; a last batch of one example has nothing to share and is dropped."""
-    spans = []
-    for start in range(0, n, batch_size):
-        end = min(start + batch_size, n)
-        if end - start >= 2:
-            spans.append((start, end))
-    return spans
-
-
-def _run_stage(
-    params: EncoderParams,
-    stage: str,
-    examples: Sequence[MappedTriple],
-    batch_size: int,
-    epochs: int,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    trace: list[TraceEntry],
-    progress: Callable[[str], None] | None,
-    table: FeatureTable,
-) -> None:
-    """Run one optimization stage, appending a trace entry per step; the
-    trace's length is the step counter across stages."""
-    spans = _batch_starts(len(examples), batch_size)
-    total_steps = epochs * len(spans)
-    if total_steps == 0:
-        return
-    state = AdamState.for_params(params)
-    stage_step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(len(examples))
-        for start, end in spans:
-            batch_examples = [examples[j] for j in order[start:end]]
-            batch = build_batch(batch_examples)
-            result = loss_and_grads(params, batch, table)
-            lr = lr_at(stage_step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            adam_step(params, result.grads, state, lr)
-            trace.append(TraceEntry(step=len(trace), stage=stage, loss=result.loss))
-            stage_step += 1
-        if progress is not None:
-            epoch_loss = np.mean([entry.loss for entry in trace[-len(spans) :]])
-            progress(f"{stage} epoch {epoch + 1}/{epochs} loss {epoch_loss:.4f}")
-
-
 def pretrain_examples(
     corpus: Sequence[Document], generated: Sequence[GeneratedQuerySet], mode: str
 ) -> list[MappedTriple]:
@@ -438,17 +393,17 @@ def train(
     cfg: TrainConfig,
     corpus: Sequence[Document] | None = None,
     generated: Sequence[GeneratedQuerySet] | None = None,
-    progress: Callable[[str], None] | None = None,
 ) -> list[TraceEntry]:
     """Train ``params`` in place; returns the per-step loss trace.
 
     Pretraining (when ``epochs_pretrain > 0``) requires ``corpus`` and
     ``generated``. Both stages' inputs are checked before either runs.
     Optimizer state is fresh per stage, and the step counter in the trace
-    runs across both stages. Both stages featurize through one
-    :class:`FeatureTable` that keeps every text's features, since each
-    epoch reads them all again; it is dropped on return. Deterministic for
-    a fixed (params, data, cfg).
+    runs across both stages. Each epoch's mean step loss is logged at
+    INFO level as ``<stage> epoch i/n loss x``. Both stages featurize
+    through one :class:`FeatureTable` that keeps every text's features,
+    since each epoch reads them all again; it is dropped on return.
+    Deterministic for a fixed (params, data, cfg).
     """
     stages = []
     if cfg.epochs_pretrain > 0:
@@ -470,5 +425,21 @@ def train(
     table = FeatureTable(params.config, keep_texts=True)
     for stage, examples, batch_size, epochs in stages:
         log.info("%s on %d examples for %d epochs", stage, len(examples), epochs)
-        _run_stage(params, stage, examples, batch_size, epochs, cfg, rng, trace, progress, table)
+        n = len(examples)
+        # a last batch of one example has nothing to share and is dropped;
+        # every stage has n >= 2 and batch_size >= 2, so at least one batch
+        spans = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size) if n - s >= 2]
+        total_steps = epochs * len(spans)
+        state = AdamState.for_params(params)
+        first = len(trace)
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            for start, end in spans:
+                batch = build_batch([examples[j] for j in order[start:end]])
+                result = loss_and_grads(params, batch, table)
+                lr = lr_at(len(trace) - first, total_steps, cfg.learning_rate, cfg.warmup_fraction)
+                adam_step(params, result.grads, state, lr)
+                trace.append(TraceEntry(step=len(trace), stage=stage, loss=result.loss))
+            epoch_loss = np.mean([entry.loss for entry in trace[-len(spans) :]])
+            log.info("%s epoch %d/%d loss %.4f", stage, epoch + 1, epochs, epoch_loss)
     return trace

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from mvdr import cli
 from mvdr.cli import _prefix_metrics, main, parse_config
 from mvdr.corpus import (
     Document,
@@ -170,9 +171,12 @@ class TestStagedCommands:
         quiet, verbose = tmp_path / "quiet.ckpt", tmp_path / "verbose.ckpt"
         loss_trace = tmp_path / "loss_trace.csv"
         assert main([*args, "--out", str(quiet)]) == 0
-        with caplog.at_level(logging.INFO, logger="mvdr.cli"):
+        with caplog.at_level(logging.INFO, logger="mvdr.trainer"):
             assert main(["-v", *args, "--out", str(verbose), "--loss-trace", str(loss_trace)]) == 0
-        lines = [r.getMessage() for r in caplog.records if r.name == "mvdr.cli"]
+        lines = [
+            r.getMessage() for r in caplog.records
+            if r.name == "mvdr.trainer" and " epoch " in r.getMessage()
+        ]
         assert [line.split(" loss ")[0] for line in lines] == [
             f"finetune epoch {e}/3" for e in (1, 2, 3)
         ]
@@ -183,6 +187,48 @@ class TestStagedCommands:
         means = [sum(losses[e * per_epoch : (e + 1) * per_epoch]) / per_epoch for e in range(3)]
         assert [line.split(" loss ")[1] for line in lines] == [f"{m:.4f}" for m in means]
         assert verbose.read_bytes() == quiet.read_bytes()
+
+    def test_train_rejects_orders_the_checkpoint_cannot_store(self, tmp_path, capsys, monkeypatch):
+        # the header stores each n-gram order as one byte
+        paths = _write_world(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started with an encoder the checkpoint cannot store")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        flags = [*ENCODER_FLAGS]
+        flags[flags.index("--ngram-orders") + 1] = "1,300"
+        code = main([
+            "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
+            "--out", str(ckpt), "--mode", "de", "--batch-size", "2", "--negatives", "2",
+            *flags,
+        ])
+        assert code == 1
+        assert "error: ngram_orders" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_analyze_checks_metric_before_building_index(self, tmp_path, capsys, monkeypatch):
+        paths = _write_world(tmp_path)
+        gen, ckpt = tmp_path / "gen.jsonl", tmp_path / "model.ckpt"
+        assert main([
+            "gen-queries", "--corpus", str(paths["corpus"]), "--out", str(gen), "--views", "2",
+        ]) == 0
+        save_params(init_params(EncoderConfig(embed_dim=8, hash_buckets=512), seed=0), ckpt)
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("index built before the metric was checked")
+
+        monkeypatch.setattr(cli, "build_index", no_index)
+        out_dir = tmp_path / "analysis"
+        code = main([
+            "analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
+            "--qrels", str(paths["qrels"]), "--checkpoint", str(ckpt),
+            "--corpus", str(paths["corpus"]), "--metric", "mrr@ten", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "error: bad metric spec 'mrr@ten'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0
@@ -283,6 +329,24 @@ class TestPipeline:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between thread counts"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten"),
+            ("search_topk = 4", "search_topk = 0"),
+            ("ngram_orders = 1", "ngram_orders = 1,300"),
+        ],
+        ids=["metric", "topk", "ngram-orders"],
+    )
+    def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new):
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         paths = _write_world(tmp_path)

@@ -54,23 +54,6 @@ token_strategy = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
 text_strategy = st.lists(token_strategy, min_size=1, max_size=8).map(" ".join)
 
 
-def naive_joint_buckets(cfg, query_text, doc_text):
-    """Hash the full joined token sequence without the segment shortcut."""
-    q = tuple(tokenize(query_text)[: cfg.max_query_tokens])
-    d = tuple(tokenize(doc_text)[: cfg.max_doc_tokens])
-    seq = q + (SEP_TOKEN,) + d
-    space = cfg.hash_buckets - 1
-    out = []
-    for n in cfg.ngram_orders:
-        for i in range(len(seq) - n + 1):
-            gram = seq[i : i + n]
-            if n == 1 and gram[0] == SEP_TOKEN:
-                out.append(cfg.hash_buckets - 1)
-            else:
-                out.append(stable_hash64("\x1f".join(gram)) % space)
-    return sorted(out)
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,6 +65,12 @@ class TestConfigValidation:
             {"ngram_orders": (1, 1)},
             {"max_query_tokens": 0},
             {"max_doc_tokens": 0},
+            # past what the checkpoint header stores (u32, u64, u8 fields)
+            {"embed_dim": 2**32},
+            {"hash_buckets": 2**64},
+            {"ngram_orders": (1, 300)},
+            {"max_query_tokens": 2**32},
+            {"max_doc_tokens": 2**32},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -103,8 +92,8 @@ class TestFeatureHashing:
     @given(text_strategy, text_strategy)
     @settings(max_examples=60)
     def test_joint_matches_full_sequence_hash(self, query_text, doc_text):
-        fast = sorted(joint_feature_buckets(FeatureTable(CFG), query_text, doc_text).tolist())
-        assert fast == naive_joint_buckets(CFG, query_text, doc_text)
+        fast = joint_feature_buckets(FeatureTable(CFG), query_text, doc_text).tolist()
+        assert fast == scratch_buckets(CFG, query_text, doc_text)
 
     def test_query_cap_applies(self):
         table = FeatureTable(CFG)

@@ -6,6 +6,7 @@ Only ``write_framed`` and ``FramedReader`` compute a CRC-32.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes. A
 ``FeatureTable`` parameter never has a default: the caller owns the table.
+Every module-level import is used.
 """
 
 import ast
@@ -204,4 +205,47 @@ def test_no_feature_table_parameter_has_a_default():
                 for arg in defaulted
                 if "FeatureTable" in _names_in(arg.annotation)
             ]
+    assert found == []
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every name a module-level import binds."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: in code, in string annotations and in ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            used |= _names_in(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _names_in(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+def test_every_module_level_import_is_used():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in _module_imports(tree).items()
+            if name not in used
+        ]
     assert found == []

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -492,6 +493,25 @@ class TestTrainLoop:
         assert "pretrain" in stages and "finetune" in stages
         assert [e.step for e in trace] == list(range(len(trace)))
         assert all(math.isfinite(e.loss) and e.loss > 0 for e in trace)
+
+    def test_logs_each_epoch_mean_loss(self, caplog):
+        docs, triples, generated = _toy_world()
+        params = init_params(SMALL_CFG, seed=4)
+        with caplog.at_level(logging.INFO, logger="mvdr.trainer"):
+            trace = train(params, triples, self.CFG, corpus=docs, generated=generated)
+        lines = [
+            r.getMessage() for r in caplog.records
+            if r.name == "mvdr.trainer" and r.levelno == logging.INFO and " epoch " in r.getMessage()
+        ]
+        expected = []
+        for stage, epochs in (("pretrain", 1), ("finetune", 2)):
+            losses = [e.loss for e in trace if e.stage == stage]
+            per_epoch = len(losses) // epochs
+            assert per_epoch > 1 and len(losses) == epochs * per_epoch
+            for e in range(epochs):
+                mean = np.mean(losses[e * per_epoch : (e + 1) * per_epoch])
+                expected.append(f"{stage} epoch {e + 1}/{epochs} loss {mean:.4f}")
+        assert lines == expected
 
     def test_zero_learning_rate_is_noop(self):
         docs, triples, generated = _toy_world()
