@@ -5,11 +5,13 @@ rows ``i * k_views`` to ``i * k_views + k_views - 1``, in view order.
 Search scores a query against every row, max-pools each document's
 ``k_views`` scores, and ranks documents by pooled score. Scores are float64
 dot products, and ties break by doc_id. One kernel, :func:`_rank`, does all
-ranking: one float32 pass and a proven error bound find the documents that
-can reach the top k, and only their rows are rescored in float64, each row
-summed on its own. :func:`search` ranks one query over every view, and
-:func:`search_prefixes` ranks many over every view prefix, so the two agree
-bit for bit.
+ranking, a block of queries at a time: float32 products and a proven error
+bound find the documents that can reach the top k, and only their rows are
+rescored in float64, each row summed on its own. :func:`search` ranks one
+query over every view, :func:`search_corpus` all its queries in one call,
+and :func:`search_prefixes` many over every view prefix; a query's ranking
+does not depend on the block it is ranked in, so all three agree bit for
+bit.
 
 The on-disk format is little-endian and checksummed:
 
@@ -39,12 +41,17 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"MVIXT2"
 
-# Bytes of one block of search's work arrays: per query of a block, its
-# float32 row scores and, per view prefix and document, the float32 pooled
-# score, its float64 bounds and the candidate mask (4 bytes per row and 21
-# per pooled score); per block of rescored documents, the gathered float32
-# rows and their float64 copy (12 bytes per value).
-_BLOCK_BYTES = 2**20
+# Search's work per block of queries (see _rank). A block holds
+# _BLOCK_QUERIES queries, enough that one product pays for packing its rows,
+# or fewer where its screen would pass _SCREEN_BYTES at 13 bytes per (query,
+# document): two float32 pooled maps, the float32 copy that is partitioned
+# and the candidate mask. A product covers as many whole documents' rows as
+# keep its float32 scores within _BLOCK_BYTES; a rescore chunk, as many
+# (query, document) pairs as keep their gathered float32 rows and float64
+# copy (12 bytes per value) within it.
+_BLOCK_QUERIES = 32
+_SCREEN_BYTES = 2**22
+_BLOCK_BYTES = 2**18
 
 
 @dataclass
@@ -54,8 +61,10 @@ class FlatIndex:
     matrix: np.ndarray  # (n_docs * k_views, embed_dim) float32, never changed
     doc_ids: list[str]
     k_views: int
-    # (n_docs,) each document's largest view norm, for search's error bound
-    _doc_norm: np.ndarray = field(init=False, repr=False)
+    # the largest view norm, for search's error bound
+    _max_norm: float = field(init=False, repr=False)
+    # (n_docs,) each document's place in doc_id order, for search's tie-break
+    _doc_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
@@ -77,7 +86,9 @@ class FlatIndex:
         # are, so only a wider matrix, or a bad one, is checked value by value
         if not np.isfinite(squares).all() and not np.isfinite(self.matrix).all():
             raise ValueError("index embeddings must be finite")
-        self._doc_norm = np.sqrt(squares).reshape(self.n_docs, self.k_views).max(axis=1)
+        self._max_norm = float(np.sqrt(squares.max(initial=0.0)))
+        # the inverse of the permutation that sorts doc_ids
+        self._doc_rank = np.argsort(sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
 
     @property
     def n_rows(self) -> int:
@@ -149,9 +160,11 @@ def build_index(
     return index
 
 
-def _screen_slack(dim: int, query_norm: np.ndarray, doc_norm: np.ndarray) -> np.ndarray:
-    """Per query and document, a bound on |float32 pooled score - float64
-    pooled score|; ``query_norm`` is shaped ``(n_queries, 1)``.
+def _screen_slack(dim: int, query_norm: np.ndarray, doc_norm: float) -> np.ndarray:
+    """Per query, a bound on |float32 pooled score - float64 pooled score|
+    over every document and every prefix of its views; ``query_norm`` and
+    the bound are shaped ``(n_queries, 1)``, and ``doc_norm`` is the index's
+    largest view norm.
 
     For a view d of n = ``dim`` values and a query q (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., sec. 3.1; gamma_n = nu/(1-nu)):
@@ -164,16 +177,84 @@ def _screen_slack(dim: int, query_norm: np.ndarray, doc_norm: np.ndarray) -> np.
       product and per rounded query value, times the other factor: at most
       n 2^-126 (1 + |q|)(1 + |d|), doubled for the sums that carry it.
 
-    Max-pooling keeps the largest of a document's view bounds, so |d| is the
-    document's largest view norm; it bounds every prefix of its views too.
-    The total is doubled once more, which covers the rounding of this
-    computation.
+    Max-pooling keeps the largest of the view bounds, so the largest view
+    norm bounds them all. The total is doubled once more, which covers the
+    rounding of this computation and of the screen's own arithmetic.
     """
     gamma32 = dim * 2.0**-24 / (1 - dim * 2.0**-24) if dim < 2**23 else np.inf
     gamma64 = dim * 2.0**-53 / (1 - dim * 2.0**-53)
     relative = 2 * (gamma32 * (1 + 2.0**-24) + 2.0**-24 + gamma64) * query_norm
     absolute = 4 * dim * 2.0**-126 * (1 + query_norm)
     return doc_norm * (relative + absolute) + absolute
+
+
+def _screen(index: FlatIndex, block_queries: np.ndarray, first: int, top: int) -> np.ndarray:
+    """The ``(n_queries, n_docs)`` mask of the documents that may reach the
+    top ``top`` of a block of float64 queries over some prefix of at least
+    ``first`` views; see :func:`_rank`."""
+    n_docs, k_views = index.n_docs, index.k_views
+    n_queries = len(block_queries)
+    # float32 pooled scores over the first `first` views and over all views
+    low = np.empty((n_queries, n_docs), dtype=np.float32)
+    high = low if first == k_views else np.empty_like(low)
+    chunk = max(1, _BLOCK_BYTES // (4 * n_queries * k_views))  # whole documents
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
+        block32 = block_queries.astype(np.float32)
+        for lo in range(0, n_docs, chunk):
+            hi = min(lo + chunk, n_docs)
+            tile = block32 @ index.matrix[lo * k_views : hi * k_views].T
+            # a running max over strided views, far faster than max(axis=-1)
+            # over rows of k_views scores
+            tile = tile.reshape(n_queries, hi - lo, k_views)
+            pooled = low[:, lo:hi]
+            np.copyto(pooled, tile[:, :, 0])
+            for view in range(1, k_views):
+                if view == first:
+                    pooled = high[:, lo:hi]
+                    np.copyto(pooled, low[:, lo:hi])
+                np.maximum(pooled, tile[:, :, view], out=pooled)
+    norms = np.sqrt(np.einsum("qj,qj->q", block_queries, block_queries))[:, np.newaxis]
+    slack = _screen_slack(index.embed_dim, norms, index._max_norm)
+    # high pools low's views too and max keeps NaN, so a NaN or +inf in low
+    # shows in high; a -inf in low is still a lower bound
+    if not np.isfinite(high).all() or not np.isfinite(slack).all():
+        return np.ones((n_queries, n_docs), dtype=bool)  # no usable bound
+    # keep high + slack >= t, where t is the top-th largest low minus slack
+    kth = np.partition(low, n_docs - top, axis=1)[:, n_docs - top, np.newaxis]
+    return high >= kth - 2 * slack
+
+
+def _rank_block(
+    index: FlatIndex, block_queries: np.ndarray, prefixes: Sequence[int], top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rank`'s screen, rescore and order for one block of float64
+    queries; the block's work arrays go when it returns."""
+    n_docs, k_views, dim = index.n_docs, index.k_views, index.embed_dim
+    n_block = len(block_queries)
+    candidates = _screen(index, block_queries, prefixes[0], top)
+    pair_query, pair_doc = np.divmod(np.flatnonzero(candidates), n_docs)
+    # each query's documents in doc_id order, so that a stable sort breaks
+    # score ties by it
+    pair_doc = pair_doc[np.argsort(pair_query * n_docs + index._doc_rank[pair_doc])]
+    counts = np.bincount(pair_query, minlength=n_block)
+    starts = np.cumsum(counts) - counts
+    column = np.arange(len(pair_doc)) - starts[pair_query]
+    # negated pooled scores on a (prefix, query, candidate) grid, padded with
+    # NaN, which sorts last
+    grid = np.full((len(prefixes), n_block, counts.max()), np.nan)
+    views = index.matrix.reshape(n_docs, k_views, dim)
+    last_views = [k - 1 for k in prefixes]
+    step = max(1, _BLOCK_BYTES // (12 * k_views * dim))
+    for lo in range(0, len(pair_doc), step):
+        pairs = slice(lo, lo + step)
+        rows = views[pair_doc[pairs]].astype(np.float64)
+        view_scores = np.einsum("pvj,pj->pv", rows, block_queries[pair_query[pairs]])
+        pooled = np.maximum.accumulate(view_scores, axis=1).T[last_views]
+        grid[:, pair_query[pairs], column[pairs]] = np.negative(pooled, out=pooled)
+    order = grid.argsort(axis=2, kind="stable")[:, :, :top]
+    prefix_rows = np.arange(len(prefixes))[:, np.newaxis, np.newaxis]
+    query_rows = np.arange(n_block)[:, np.newaxis]
+    return pair_doc[order + starts[:, np.newaxis]], -grid[prefix_rows, query_rows, order]
 
 
 def _rank(
@@ -184,19 +265,34 @@ def _rank(
 
     Returns ``(docs, scores)``, both shaped ``(len(prefixes), n_queries,
     min(top_k_docs, n_docs))``: indices into ``doc_ids``, best first, and
-    pooled float64 scores. A block of queries is scored against every row
-    with one float32 matrix product, and a running max over the strided
-    views pools each prefix. A document whose upper bound (see
-    :func:`_screen_slack`) falls below a prefix's k-th largest lower bound
-    cannot reach that prefix's top k. The rows of every document that can
-    reach some prefix's top k are rescored in float64, and ranked by
-    (-score, doc_id).
+    pooled float64 scores. Queries go in blocks (see ``_BLOCK_QUERIES``),
+    and each block runs one pipeline:
+
+    - **Screen** (:func:`_screen`): float32 products against chunks of whole
+      documents' rows keep two pooled maps, each document's max over the
+      first prefix's views (``low``) and over all its views (``high``).
+      Each float32 pooled score is within ``slack`` of the float64 one (see
+      :func:`_screen_slack`). Pooling more views never lowers a score, so
+      on every prefix the n = min(top_k_docs, n_docs) documents with the
+      largest ``low`` score at least t, the n-th largest ``low`` minus
+      ``slack``. A document with ``high + slack`` below t is beaten by n
+      documents on every prefix, so one partition per block screens all
+      prefixes.
+    - **Rescore:** one einsum rescores every surviving (query, document)
+      pair's views in float64. It sums each row on its own in one fixed
+      order, so that a score does not depend on which other rows are
+      rescored with it; a BLAS product may sum a row differently by its
+      place in a block. Running maxima pool the prefixes.
+    - **Order:** the negated pooled scores fill a (prefix, query,
+      candidate) grid, each query's candidates in doc_id order and padded
+      with NaN, which sorts last. One stable argsort per block ranks the
+      grid, so ties go to the smaller doc_id.
     """
     if top_k_docs < 1:
         raise ValueError(f"top_k_docs must be >= 1, got {top_k_docs}")
-    queries = np.ascontiguousarray(query_embs, dtype=np.float64)
+    queries = np.asarray(query_embs)
     noun = "query embedding" if ndim == 1 else "query embeddings"
-    n_docs, k_views, dim = index.n_docs, index.k_views, index.embed_dim
+    n_docs, dim = index.n_docs, index.embed_dim
     if queries.ndim != ndim or queries.shape[-1] != dim:
         shape = f"({dim},)" if ndim == 1 else f"(n, {dim})"
         raise ValueError(f"{noun} shape {queries.shape} != {shape}")
@@ -208,53 +304,20 @@ def _rank(
     scores = np.empty((len(prefixes), len(queries), top))
     if top == 0:
         return docs, scores
-    views = index.matrix.reshape(n_docs, k_views, dim)
-    last_views = [k - 1 for k in prefixes]
-    prefix_rows = np.arange(len(prefixes))[:, np.newaxis]
-    cut = n_docs - top
-    block = max(1, _BLOCK_BYTES // (4 * index.n_rows + 21 * len(prefixes) * n_docs))
-    step = max(1, _BLOCK_BYTES // (12 * k_views * dim))
+    block = min(_BLOCK_QUERIES, max(1, _SCREEN_BYTES // (13 * n_docs)))
     for start in range(0, len(queries), block):
-        block_queries = queries[start : start + block]
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
-            row_scores = (block_queries.astype(np.float32) @ index.matrix.T).ravel()
-        # a running max over strided views, far faster than max(axis=-1) over
-        # rows of k_views scores; row_scores[view::k_views] runs over (query,
-        # document) pairs in order
-        approx = np.empty((len(prefixes), len(block_queries) * n_docs), dtype=np.float32)
-        best = row_scores[::k_views].copy()
-        pooled = 1
-        for p, k in enumerate(prefixes):
-            for view in range(pooled, k):
-                np.maximum(best, row_scores[view::k_views], out=best)
-            approx[p] = best
-            pooled = k
-        approx = approx.reshape(len(prefixes), len(block_queries), n_docs)
-        norms = np.sqrt(np.einsum("qj,qj->q", block_queries, block_queries))[:, np.newaxis]
-        slack = _screen_slack(dim, norms, index._doc_norm)
-        if np.isfinite(approx).all() and np.isfinite(slack).all():
-            bound = approx - slack
-            bound.partition(cut, axis=2)
-            threshold = bound[:, :, cut, np.newaxis].copy()
-            candidates = (np.add(approx, slack, out=bound) >= threshold).any(axis=0)
-        else:  # float32 overflow or no usable bound: rescore every document
-            candidates = np.ones((len(block_queries), n_docs), dtype=bool)
-        for q, (query, mask) in enumerate(zip(block_queries, candidates)):
-            # in doc_id order, so that a stable sort breaks score ties by it
-            cand = np.array(sorted(np.flatnonzero(mask).tolist(), key=index.doc_ids.__getitem__))
-            # einsum sums each row on its own in one fixed order, so a score
-            # does not depend on which other rows are rescored with it; a
-            # BLAS product may sum a row differently by its place in a block
-            view_scores = np.empty((len(cand), k_views))
-            for first in range(0, len(cand), step):
-                rows = views[cand[first : first + step]].astype(np.float64)
-                view_scores[first : first + step] = np.einsum("dvj,j->dv", rows, query)
-            # (prefix, candidate) pooled scores
-            pooled_scores = np.maximum.accumulate(view_scores, axis=1).T[last_views]
-            order = np.argsort(-pooled_scores, axis=1, kind="stable")[:, :top]
-            docs[:, start + q] = cand[order]
-            scores[:, start + q] = pooled_scores[prefix_rows, order]
+        at = slice(start, start + block)
+        block_queries = np.ascontiguousarray(queries[at], dtype=np.float64)
+        docs[:, at], scores[:, at] = _rank_block(index, block_queries, prefixes, top)
     return docs, scores
+
+
+def _ranked_list(
+    index: FlatIndex, query_id: str, docs: np.ndarray, scores: np.ndarray
+) -> RankedList:
+    """One query's ranked ``docs`` and ``scores`` as run entries, ranked from 1."""
+    ranked = enumerate(zip(docs.tolist(), scores.tolist()), 1)
+    return RankedList(query_id, tuple(RunEntry(index.doc_ids[i], r, s) for r, (i, s) in ranked))
 
 
 def search(
@@ -265,8 +328,7 @@ def search(
     rankings are platform-independent. Returns the run entries of the top
     documents, ranked from 1. See :func:`_rank`."""
     docs, scores = _rank(index, query_emb, 1, top_k_docs, [index.k_views])
-    ranked = enumerate(zip(docs[0, 0].tolist(), scores[0, 0].tolist()), 1)
-    return RankedList(query_id, tuple(RunEntry(index.doc_ids[i], r, s) for r, (i, s) in ranked))
+    return _ranked_list(index, query_id, docs[0, 0], scores[0, 0])
 
 
 def search_prefixes(
@@ -286,7 +348,13 @@ def search_prefixes(
 def batch_search(
     index: FlatIndex, queries: Sequence[tuple[str, np.ndarray]], top_k_docs: int
 ) -> list[RankedList]:
-    """Search many (query_id, embedding) pairs, one :func:`search` each, in order."""
+    """Search many (query_id, embedding) pairs, one :func:`search` each, in order.
+
+    The package no longer calls it: :func:`search_corpus` ranks its queries
+    in one :func:`_rank` call. It is kept only because the benchmark's tracer
+    wraps it and a layer test pins its one :func:`search` per query; the
+    benchmark upkeep in ROADMAP item 1 deletes it.
+    """
     return [search(index, emb, top_k_docs, query_id=qid) for qid, emb in queries]
 
 
@@ -297,11 +365,12 @@ def search_corpus(
     top_k_docs: int,
     threads: int | None = None,
 ) -> list[RankedList]:
-    """Encode query objects and search the index with them; ``threads`` is
-    ignored."""
+    """Encode query objects and rank the index for all of them in one
+    :func:`_rank` call; each ranked list equals :func:`search`'s for that
+    query's embedding. ``threads`` is ignored."""
     embs = encode_queries(params, [q.text for q in queries])
-    pairs = [(q.query_id, embs[i]) for i, q in enumerate(queries)]
-    return batch_search(index, pairs, top_k_docs)
+    docs, scores = _rank(index, embs, 2, top_k_docs, [index.k_views])
+    return [_ranked_list(index, q.query_id, d, s) for q, d, s in zip(queries, docs[0], scores[0])]
 
 
 def save_index(index: FlatIndex, path: str | Path) -> None:

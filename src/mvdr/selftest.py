@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import analysis, evaluation, trainer
-from .corpus import Qrels
+from .corpus import Qrels, Query
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -27,11 +27,12 @@ from .encoder import (
     RowGrad,
     Tower,
     candidate_feature_buckets,
+    encode_queries,
     forward_tower,
     init_params,
     query_feature_buckets,
 )
-from .index import FlatIndex, search, search_prefixes
+from .index import _BLOCK_QUERIES, FlatIndex, search, search_corpus, search_prefixes
 from .trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -551,22 +552,31 @@ def _check_adam() -> SelftestResult:
 
 
 def _check_retrieval() -> SelftestResult:
-    """search over every view, and search_prefixes over each prefix of k
-    views, against exhaustive max-pooling over those views' rows."""
+    """search over every view, search_prefixes over each prefix of k views
+    and search_corpus, against exhaustive max-pooling over those views'
+    rows. search_prefixes and search_corpus rank enough queries for two
+    full blocks and a short last one."""
     rng = np.random.default_rng(5150)
-    index = random_index(rng, n_docs=200, k_views=5, dim=16)
-    queries = rng.normal(size=(20, 16))
+    index = random_index(rng, n_docs=100, k_views=4, dim=16)
+    queries = rng.normal(size=(2 * _BLOCK_QUERIES + 6, 16))
     docs, scores = search_prefixes(index, queries, top_k_docs=10)
     ids = np.array(index.doc_ids, dtype=object)
+    params = init_params(EncoderConfig(embed_dim=16, hash_buckets=256), seed=17)
+    texts = [f"term{i % 13} word{i % 5} query{i}" for i in range(len(queries))]
+    ranked = search_corpus(params, index, [Query(f"q{i}", t) for i, t in enumerate(texts)], 10)
     # (kernel, k views, query, ranked (doc_id, score) pairs)
     cases = [
         ("search", index.k_views, q, [(r.doc_id, r.score) for r in search(index, q, 10).results])
-        for q in queries
+        for q in queries[:10]
     ]
     cases += [
         ("search_prefixes", k, q, list(zip(ids[docs[k - 1, i]], scores[k - 1, i])))
         for k in range(1, index.k_views + 1)
         for i, q in enumerate(queries)
+    ]
+    cases += [
+        ("search_corpus", index.k_views, emb, [(r.doc_id, r.score) for r in rl.results])
+        for emb, rl in zip(encode_queries(params, texts), ranked)
     ]
     views = index.matrix.reshape(index.n_docs, index.k_views, index.embed_dim)
     worst = 0.0
@@ -578,9 +588,11 @@ def _check_retrieval() -> SelftestResult:
             return SelftestResult("retrieval-maxpool", False, detail)
         worst = max(worst, max(abs(s - w) for (_, s), (_, w) in zip(got, want)))
     ok = worst <= 1e-6
-    return SelftestResult(
-        "retrieval-maxpool", ok, f"search and every view prefix: max score deviation {worst:.3e}"
+    detail = (
+        f"search, every view prefix and search_corpus over {len(queries)} queries: "
+        f"max score deviation {worst:.3e}"
     )
+    return SelftestResult("retrieval-maxpool", ok, detail)
 
 
 def _check_metrics() -> SelftestResult:

@@ -5,10 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
-from mvdr.corpus import GeneratedQuerySet, Query
+from mvdr.corpus import Document, GeneratedQuerySet, Query
 import mvdr
 from mvdr.encoder import EncoderConfig, encode_queries, init_params
 from mvdr.evaluation import RankedList, RunEntry
+import mvdr.index
 from mvdr.index import (
     FlatIndex,
     batch_search,
@@ -70,7 +71,7 @@ class TestFlatIndexValidation:
         matrix = np.full((4, 3), np.finfo(np.float32).max, dtype=np.float32)
         matrix[1::2] *= -1
         index = FlatIndex(matrix=matrix, doc_ids=["a", "b"], k_views=2)
-        assert np.isfinite(index._doc_norm).all()
+        assert np.isfinite(index._max_norm)
 
     def test_finiteness_check_allocates_no_matrix_sized_array(self, rng):
         # np.isfinite(matrix) alone would take one byte per value
@@ -194,7 +195,7 @@ class TestSearchPrefixes:
         index = FlatIndex(matrix, doc_ids, k_views)
         queries = rng.integers(-3, 4, size=(8, dim)).astype(np.float64)
         # blocks of 3 queries: 8 queries leave a short last block
-        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 3 * (4 + 21) * index.n_rows)
+        monkeypatch.setattr("mvdr.index._BLOCK_QUERIES", 3)
         for top_k_docs in (1, 2, 4, n_docs, n_docs + 3):
             assert_prefixes_match_search(index, queries, top_k_docs)
 
@@ -206,7 +207,7 @@ class TestSearchPrefixes:
         matrix = rng.normal(size=(n_docs * k_views, dim)).astype(np.float32)
         index = FlatIndex(matrix, [f"d{i:02d}" for i in rng.permutation(n_docs)], k_views)
         queries = rng.normal(size=(10, dim))
-        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 4 * (4 + 21) * index.n_rows)
+        monkeypatch.setattr("mvdr.index._BLOCK_QUERIES", 4)
         for top_k_docs in (1, 3, 10, n_docs):
             assert_prefixes_match_search(index, queries, top_k_docs)
 
@@ -256,6 +257,120 @@ class TestSearchPrefixes:
         queries[1, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             search_prefixes(index, queries, 3)
+
+
+def count_blocks(monkeypatch):
+    """The sizes of the query blocks that search screens from now on."""
+    blocks = []
+    screen = mvdr.index._screen
+
+    def counted(index, block_queries, *args):
+        blocks.append(len(block_queries))
+        return screen(index, block_queries, *args)
+
+    monkeypatch.setattr("mvdr.index._screen", counted)
+    return blocks
+
+
+class TestBlocks:
+    """Ranking a block of queries equals ranking each query alone."""
+
+    def test_search_corpus_equals_search_bit_for_bit(self, rng, monkeypatch):
+        words = [f"w{i}" for i in range(30)]
+        texts = [" ".join(rng.choice(words, size=10)) for _ in range(30)]
+        views = [tuple(" ".join(rng.choice(words, size=3)) for _ in range(3)) for _ in texts]
+        # documents 30-39 copy the text and views of documents 13-22: exact
+        # ties in different row chunks; doc_id order differs from row order
+        texts += texts[13:23]
+        views += views[13:23]
+        doc_ids = [f"d{i:02d}" for i in rng.permutation(len(texts))]
+        docs = [Document(d, t) for d, t in zip(doc_ids, texts)]
+        generated = [GeneratedQuerySet(d, v) for d, v in zip(doc_ids, views)]
+        params = init_params(CFG, seed=0)
+        index = build_index(params, docs, mode="dce", generated=generated)
+        queries = [Query(f"q{i}", " ".join(rng.choice(words, size=3))) for i in range(11)]
+        # blocks of 4 queries leave a short last block of 3; a full block's
+        # products cover 5 documents each
+        monkeypatch.setattr("mvdr.index._BLOCK_QUERIES", 4)
+        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 4 * 4 * index.k_views * 5)
+        blocks = count_blocks(monkeypatch)
+        embs = encode_queries(params, [q.text for q in queries])
+        for top_k_docs in (1, 7, 15, len(docs)):
+            blocks.clear()
+            ranked = search_corpus(params, index, queries, top_k_docs)
+            assert blocks == [4, 4, 3]
+            for got, query, emb in zip(ranked, queries, embs):
+                want = search(index, emb, top_k_docs, query_id=query.query_id)
+                assert got.query_id == want.query_id
+                assert [(r.doc_id, r.rank) for r in got.results] == [(r.doc_id, r.rank) for r in want.results]
+                got_scores = np.array([r.score for r in got.results])
+                assert got_scores.tobytes() == np.array([r.score for r in want.results]).tobytes()
+
+    def test_ties_at_block_and_chunk_boundaries_and_late_entries(self, monkeypatch):
+        # query (1, 0) scores each view by its first value. On view 1, a, b
+        # and d tie at 3 in three different row chunks of two documents;
+        # f's first two views are the worst of all, and its third the best
+        views = np.array(
+            [[[5, 1], [0, 2], [0, 0]],  # e
+             [[3, 0], [3, 1], [3, 2]],  # b
+             [[3, 2], [1, 0], [1, 1]],  # a
+             [[-9, 0], [-9, 0], [9, 0]],  # f
+             [[3, 1], [0, 0], [0, 2]],  # d
+             [[1, 0], [4, 1], [0, 0]]],  # c
+            dtype=np.float32,
+        )
+        index = FlatIndex(views.reshape(-1, 2), ["e", "b", "a", "f", "d", "c"], k_views=3)
+        # the same query ends the first block and starts the second; 7
+        # queries in blocks of 3 leave a short last block
+        queries = np.array([[0, 1], [1, 1], [1, 0], [1, 0], [2, 0], [1, -1], [1, 0]], dtype=np.float64)
+        monkeypatch.setattr("mvdr.index._BLOCK_QUERIES", 3)
+        monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 4 * 3 * index.k_views * 2)
+        blocks = count_blocks(monkeypatch)
+        docs, scores = search_prefixes(index, queries, 3)
+        assert blocks == [3, 3, 1]
+        for q in (2, 3, 6):
+            assert [[index.doc_ids[d] for d in row] for row in docs[:, q]] == [
+                ["e", "a", "b"], ["e", "c", "a"], ["f", "e", "c"]
+            ]
+            assert scores[:, q].tolist() == [[5, 3, 3], [5, 4, 3], [9, 5, 4]]
+        assert_prefixes_match_search(index, queries, 3)
+        assert_prefixes_match_search(index, queries, 1)
+
+    def test_overflow_and_zero_queries_inside_a_block(self, rng, monkeypatch):
+        # one query without a float32 bound makes its whole block rescore
+        # every document; the block's other queries rank as they do alone
+        index = random_index(rng, n_docs=12, k_views=3, dim=8)
+        queries = rng.normal(size=(6, 8))
+        queries[1] *= 1e39
+        queries[4] = 0
+        monkeypatch.setattr("mvdr.index._BLOCK_QUERIES", 4)
+        blocks = count_blocks(monkeypatch)
+        docs, scores = search_prefixes(index, queries, 5)
+        assert blocks == [4, 2]
+        assert_prefixes_match_search(index, queries, 5)
+        row_doc_ids = [index.doc_ids[i] for i in index.row_doc]
+        for q, query in enumerate(queries):
+            want = exhaustive_maxpool(index.matrix, row_doc_ids, query)[:5]
+            assert [index.doc_ids[d] for d in docs[-1, q]] == [d for d, _ in want]
+            np.testing.assert_allclose(scores[-1, q], [s for _, s in want], rtol=1e-12)
+
+    def test_sweep_shaped_search_stays_within_its_block_budget(self, rng):
+        # the analysis sweep's shape: 1,000 documents of 10 views of 16
+        # values and 2,000 float32 query embeddings. Besides its outputs,
+        # ranking holds one block at a time: its float64 queries, its screen
+        # (13 bytes per query and document, 1.6 budgets here) with one
+        # product's scores (a budget), then a rescore chunk (a budget) and
+        # the order grid with its argsort (16 bytes per prefix, query and
+        # candidate; random views leave about 95 candidates per query)
+        index = random_index(rng, n_docs=1_000, k_views=10, dim=16)
+        queries = rng.normal(size=(2_000, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            docs, scores = search_prefixes(index, queries, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= docs.nbytes + scores.nbytes + 6 * mvdr.index._BLOCK_BYTES
 
 
 class TestSearch:
@@ -338,7 +453,8 @@ class TestSearch:
 
     def test_float32_overflow_and_zero_query_rank_every_document(self, rng, monkeypatch):
         # a query that overflows float32 gives no bound, and a zero query ties
-        # every document: both rescore all documents, three per block here
+        # every document: both rescore all documents, three (query, document)
+        # pairs per rescore chunk here
         monkeypatch.setattr("mvdr.index._BLOCK_BYTES", 3 * 12 * 2 * 8)
         index = random_index(rng, n_docs=10, k_views=2, dim=8)
         row_doc_ids = [index.doc_ids[i] for i in index.row_doc]
