@@ -33,7 +33,7 @@ from .encoder import (
     save_params,
 )
 from .evaluation import Run, compute_metric, load_run, mrr_at_k, ndcg_at_k, recall_at_k, write_run
-from .index import FlatIndex, RankedList, batch_search, build_index, load_index, save_index, search
+from .index import FlatIndex, RankedList, build_index, load_index, save_index, search
 from .querygen import QGModel, SamplingConfig, fit_qg, generate, generate_corpus
 from .trainer import TrainConfig, contrastive_loss, train
 
@@ -51,7 +51,6 @@ __all__ = [
     "SamplingConfig",
     "TrainConfig",
     "TrainingTriple",
-    "batch_search",
     "build_index",
     "compute_metric",
     "contrastive_loss",

@@ -363,29 +363,19 @@ def level_summaries(
     summaries = []
     for level in range(1, N_DIVERSITY_LEVELS + 1):
         members = [r for r in records if r.level == level]
-        if not members:
-            continue
-        metric_vals = (
-            [metric_by_doc[r.doc_id] for r in members if r.doc_id in metric_by_doc]
-            if metric_by_doc is not None
-            else []
-        )
-        quality_vals = (
-            [quality_by_doc[r.doc_id] for r in members if r.doc_id in quality_by_doc]
-            if quality_by_doc is not None
-            else []
-        )
-        summaries.append(
-            LevelSummary(
-                level=level,
-                lo=lo + (level - 1) * width,
-                hi=lo + level * width,
-                n_docs=len(members),
-                mean_metric=float(np.mean(metric_vals)) if metric_vals else None,
-                mean_quality=float(np.mean(quality_vals)) if quality_vals else None,
-            )
-        )
+        if members:
+            bounds = (lo + (level - 1) * width, lo + level * width)
+            means = (_mean_over(members, metric_by_doc), _mean_over(members, quality_by_doc))
+            summaries.append(LevelSummary(level, *bounds, len(members), *means))
     return summaries
+
+
+def _mean_over(
+    members: Sequence[DiversityRecord], value_by_doc: Mapping[str, float] | None
+) -> float | None:
+    """The mean value of the ``members`` that have one, or None if none has."""
+    values = [value_by_doc[r.doc_id] for r in members if r.doc_id in (value_by_doc or {})]
+    return float(np.mean(values)) if values else None
 
 
 def doc_metric_from_queries(

@@ -223,29 +223,33 @@ def _prefix_metrics(
 
 
 def analyze_stage(
-    out_dir: Path, generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
-    settings: Settings, metric: str, report: evaluation.MetricReport | None = None,
-    params: EncoderParams | None = None, index: FlatIndex | None = None,
+    generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
+    settings: Settings, metric: str, run: evaluation.Run | None, params: EncoderParams | None,
+    index: FlatIndex | None,
 ) -> None:
-    """Write quality.csv, diversity.csv, levels.csv and sweep.csv.
+    """Write quality.csv, diversity.csv, levels.csv and sweep.csv into setting ``out_dir``.
 
-    ``report``, the ``metric`` of a run, gives levels.csv its per-level
-    metric. ``index``, built from ``params`` with every view, fills the
-    sweep's retrieval column: one pass ranks its view prefixes
-    k = 1..k_views for ``queries``, encoded with ``params``. Each
-    generated view is scored against gold once; quality.csv is the
-    sweep's point with every view.
+    ``run``, when given, gives levels.csv its per-level ``metric``: each
+    document's mean over the judged queries it is relevant to. ``index``,
+    built from ``params`` with every view, fills the sweep's retrieval
+    column: one pass ranks its view prefixes k = 1..k_views for
+    ``queries``, encoded with ``params``. Each generated view is scored
+    against gold once; quality.csv is the sweep's point with every view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
     rel_threshold = settings["rel_threshold"]
+    relevant = {qid: qrels.relevant_docs(qid, rel_threshold) for qid in qrels.query_ids()}
     query_text = {q.query_id: q.text for q in queries}
     gold_by_doc: dict[str, list[str]] = {}
-    for query_id in qrels.query_ids():
-        if query_id not in query_text:
-            continue
-        for doc_id in qrels.relevant_docs(query_id, threshold=rel_threshold):
-            gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
+    for query_id, doc_ids in relevant.items():
+        if query_id in query_text:
+            for doc_id in doc_ids:
+                gold_by_doc.setdefault(doc_id, []).append(query_text[query_id])
+    metric_by_doc = None
+    if run is not None:
+        report = evaluation.compute_metric(metric, run, qrels, rel_threshold)
+        metric_by_doc = analysis.doc_metric_from_queries(report.per_query, relevant)
 
     # every query set carries k_views views, so the last point holds them all
     k_views = min(len(qset.queries) for qset in generated)
@@ -255,18 +259,12 @@ def analyze_stage(
     points = analysis.sweep_views(range(1, k_views + 1), generated, gold_by_doc, retrieval)
     quality = points[-1].quality
 
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis.write_quality_csv(quality, out_dir / "quality.csv")
     if k_views >= 2:
         records = analysis.diversity_records(generated)
         analysis.write_diversity_csv(records, out_dir / "diversity.csv")
-        metric_by_doc = None
-        if report is not None:
-            positives = {
-                query_id: qrels.relevant_docs(query_id, threshold=rel_threshold)
-                for query_id in qrels.query_ids()
-            }
-            metric_by_doc = analysis.doc_metric_from_queries(report.per_query, positives)
         quality_by_doc = {r.doc_id: r.max_rouge_l for r in quality}
         summaries = analysis.level_summaries(records, metric_by_doc, quality_by_doc)
         analysis.write_level_csv(summaries, out_dir / "levels.csv")
@@ -338,27 +336,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    generated = load_generated_queries(settings["gen_queries"])
+    if "checkpoint" in settings and "corpus" not in settings:
+        raise ValueError("--checkpoint requires --corpus for the view sweep")
+    _check_search(settings, [settings["metric"]])
+    corpus = None
+    if "corpus" in settings:
+        corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
-    _check_search(settings, [settings["metric"]])
-    report = None
-    if "run" in settings:
-        run = evaluation.load_run(settings["run"])
-        rel = settings["rel_threshold"]
-        report = evaluation.compute_metric(settings["metric"], run, qrels, rel)
+    run = evaluation.load_run(settings["run"]) if "run" in settings else None
     params = index = None
     if "checkpoint" in settings:
-        if "corpus" not in settings:
-            raise ValueError("--checkpoint requires --corpus for the view sweep")
         params = load_params(settings["checkpoint"])
-        corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
         index = build_index(params, corpus, "dce", generated)
-    out_dir = Path(settings["out_dir"])
-    analyze_stage(
-        out_dir, generated, queries, qrels, settings, settings["metric"], report, params, index
-    )
-    print(f"analysis written to {out_dir}")
+    analyze_stage(generated, queries, qrels, settings, settings["metric"], run, params, index)
+    print(f"analysis written to {Path(settings['out_dir'])}")
     return 0
 
 
@@ -421,10 +414,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if settings["analyze"]:
         # a single-view index has no views to slice for the sweep
         dce_index = index if mode == "dce" else None
-        analyze_stage(
-            out_dir, generated, queries, qrels, settings, reports[0].name, reports[0], params,
-            dce_index,
-        )
+        analyze_stage(generated, queries, qrels, settings, reports[0].name, run, params, dce_index)
 
     print(f"pipeline outputs in {out_dir}")
     return 0

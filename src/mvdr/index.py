@@ -115,45 +115,39 @@ def build_index(
     generated: Sequence[GeneratedQuerySet] | None = None,
     threads: int | None = None,
 ) -> FlatIndex:
-    """Encode a corpus into a flat index.
+    """Encode a corpus into a flat index, one row per (document, view), doc-major.
 
-    Single-view mode embeds each document alone (one row per document).
-    Query-informed mode needs ``generated`` to cover every document and
-    produces one row per (document, generated query). Rows are doc-major.
-    Every row is featurized through one :class:`FeatureTable`, dropped on
-    return. ``threads`` is ignored: encoding runs on the calling thread.
+    A ``de`` document has one view, the document alone; ``generated`` is
+    ignored. A ``dce`` document's views are its generated queries, each
+    encoded jointly with it, and ``generated`` must give every document
+    equally many. Every row is featurized through one :class:`FeatureTable`,
+    dropped on return. ``threads`` is ignored: encoding runs on the calling thread.
     """
     if mode not in ("de", "dce"):
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
+    if mode == "dce" and generated is None:
+        raise ValueError("query-informed indexing requires generated queries")
     doc_ids = [doc.doc_id for doc in corpus]
-    if mode == "de":
-        k_views = 1
-        pairs: list[tuple[str | None, str]] = [(None, doc.text) for doc in corpus]
-    else:
-        if generated is None:
-            raise ValueError("query-informed indexing requires generated queries")
-        by_id = {qset.doc_id: qset for qset in generated}
-        k_views = None
-        pairs = []
-        for doc in corpus:
-            qset = by_id.get(doc.doc_id)
-            if qset is None:
-                raise ValueError(f"no generated queries for doc_id {doc.doc_id!r}")
-            if k_views is None:
-                k_views = len(qset.queries)
-            elif len(qset.queries) != k_views:
-                raise ValueError(
-                    f"doc {doc.doc_id!r} has {len(qset.queries)} views, expected {k_views}"
-                )
-            pairs.extend((query_text, doc.text) for query_text in qset.queries)
-        if k_views is None:
-            k_views = 1  # empty corpus
+    views_of = (
+        {qset.doc_id: qset.queries for qset in generated} if mode == "dce"
+        else dict.fromkeys(doc_ids, (None,))
+    )
+    # every document has as many views as the first; an empty corpus has one
+    k_views = len(views_of.get(doc_ids[0], ())) if doc_ids else 1
+    pairs: list[tuple[str | None, str]] = []
+    for doc in corpus:
+        views = views_of.get(doc.doc_id)
+        if views is None:
+            raise ValueError(f"no generated queries for doc_id {doc.doc_id!r}")
+        if len(views) != k_views:
+            raise ValueError(f"doc {doc.doc_id!r} has {len(views)} views, expected {k_views}")
+        pairs.extend((view, doc.text) for view in views)
 
     matrix = np.empty((len(pairs), params.config.embed_dim), dtype=np.float32)
     table = FeatureTable(params.config)
     for start in range(0, len(pairs), 512):
         matrix[start : start + 512] = encode_candidates(params, pairs[start : start + 512], table)
-    index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
+    index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=k_views)
     log.info(
         "built index: %d docs, %d views/doc, dim %d", index.n_docs, index.k_views, index.embed_dim
     )

@@ -230,6 +230,27 @@ class TestStagedCommands:
         assert "error: bad metric spec 'mrr@ten'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_analyze_rejects_queries_for_documents_outside_the_corpus(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        gen, ckpt = tmp_path / "gen.jsonl", tmp_path / "model.ckpt"
+        assert main([
+            "gen-queries", "--corpus", str(paths["corpus"]), "--out", str(gen), "--views", "2",
+        ]) == 0
+        n_lines = len(gen.read_text().splitlines())
+        with gen.open("a") as handle:
+            handle.write('{"doc_id": "ghost", "queries": ["haunted house", "old ghost"]}\n')
+        save_params(init_params(EncoderConfig(embed_dim=8, hash_buckets=512), seed=0), ckpt)
+        out_dir = tmp_path / "analysis"
+        code = main([
+            "analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
+            "--qrels", str(paths["qrels"]), "--checkpoint", str(ckpt),
+            "--corpus", str(paths["corpus"]), "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {gen}:{n_lines + 1}: unknown doc_id 'ghost'" in err
+        assert not out_dir.exists()
+
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -357,10 +378,12 @@ class TestPipeline:
 
 
 class TestStagedMatchesPipeline:
-    def test_same_bytes_for_one_seed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["dce", "de"])
+    def test_same_bytes_for_one_seed(self, tmp_path, capsys, mode):
         paths = _write_world(tmp_path)
         out_dir = tmp_path / "pipeline"
-        assert main(["pipeline", "--config", str(pipeline_config(tmp_path, paths, out_dir))]) == 0
+        cfg = pipeline_config(tmp_path, paths, out_dir)
+        assert main(["pipeline", "--config", str(cfg), "--mode", mode]) == 0
 
         staged = tmp_path / "staged"
         staged.mkdir()
@@ -376,14 +399,14 @@ class TestStagedMatchesPipeline:
             "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
             "--gen-queries", str(gen), "--out", str(ckpt),
             "--loss-trace", str(staged / "loss_trace.csv"),
-            "--mode", "dce", "--batch-size", "4", "--pretrain-batch-size", "4",
+            "--mode", mode, "--batch-size", "4", "--pretrain-batch-size", "4",
             "--negatives", "2", "--lr", "0.02",
             "--pretrain-epochs", "1", "--finetune-epochs", "2", "--seed", "11",
             *ENCODER_FLAGS,
         ]) == 0
         assert main([
             "index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
-            "--mode", "dce", "--gen-queries", str(gen), "--out", str(index),
+            "--mode", mode, "--gen-queries", str(gen), "--out", str(index),
         ]) == 0
         assert main([
             "search", "--checkpoint", str(ckpt), "--index", str(index),

@@ -145,6 +145,24 @@ class TestBuild:
         assert index.n_docs == 0
         assert search(index, np.zeros(CFG.embed_dim), top_k_docs=5).results == ()
 
+    def test_empty_corpus_query_informed(self):
+        params = init_params(CFG, seed=0)
+        index = build_index(params, [], mode="dce", generated=[])
+        assert index.k_views == 1
+        assert index.n_rows == 0
+
+    def test_single_view_mode_ignores_generated(self, tiny_docs):
+        params = init_params(CFG, seed=0)
+        plain = build_index(params, tiny_docs, mode="de")
+        given = build_index(params, tiny_docs, mode="de", generated=tiny_generated(tiny_docs))
+        assert given.k_views == 1
+        assert given.matrix.tobytes() == plain.matrix.tobytes()
+
+    def test_unknown_mode_rejected_without_generated(self, tiny_docs):
+        params = init_params(CFG, seed=0)
+        with pytest.raises(ValueError, match="mode must be 'de' or 'dce', got 'colbert'"):
+            build_index(params, tiny_docs, mode="colbert")
+
 
 def truncated(index, k):
     """The first ``k`` views of every document of ``index``."""
