@@ -30,7 +30,9 @@ from .trainer import TraceEntry, TrainConfig, train, write_loss_trace
 
 log = logging.getLogger(__name__)
 
-# Flag and config-key values by setting name; a missing name is unset.
+# Flag and config-key values by setting name (a missing name is unset), and
+# the entries ``_settings`` derives from them: ``sampling_config``,
+# ``encoder_config``, ``train_config``, ``metric_specs`` and ``metric``.
 Settings = Mapping[str, object]
 
 
@@ -109,7 +111,13 @@ def parse_config(path: str | Path) -> dict[str, str]:
 
 
 def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None) -> dict:
-    """Flags over config-file values over the defaults; a None flag is unset."""
+    """Flags over config-file values over the defaults; a None flag is unset.
+
+    Every value is checked here, before a command reads an input, even one
+    that the command does not use. The stages read the configs built here;
+    ``metric`` is the ``--metric`` flag when given, otherwise the first of
+    ``metrics``.
+    """
     merged: dict[str, object] = dict(_DEFAULTS)
     for key, text in (config or {}).items():
         try:
@@ -117,6 +125,30 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     merged.update((key, value) for key, value in vars(flags).items() if value is not None)
+    merged["sampling_config"] = SamplingConfig(
+        **_given(merged, "max_query_tokens", k_views="views", top_k="sampling_top_k")
+    )
+    merged["encoder_config"] = EncoderConfig(
+        **_given(merged, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
+                 "max_query_tokens", "max_doc_tokens")
+    )
+    merged["train_config"] = TrainConfig(
+        seed=derive_seed(merged["seed"], "train"),
+        **_given(
+            merged, "mode", "batch_size", "pretrain_batch_size", "negatives_per_positive",
+            "learning_rate", "warmup_fraction", "epochs_pretrain", "epochs_finetune",
+        ),
+    )
+    specs = [s.strip() for s in merged["metrics"].split(",") if s.strip()]
+    if not specs:
+        raise ValueError("no metrics requested")
+    merged["metric_specs"] = specs
+    merged.setdefault("metric", specs[0])
+    for spec in [*specs, merged["metric"]]:
+        evaluation.parse_metric_spec(spec)
+    if merged["search_topk"] < 1:
+        raise ValueError(f"search_topk must be >= 1, got {merged['search_topk']}")
+    evaluation.check_fields("tag", [merged["run_tag"]])
     return merged
 
 
@@ -126,47 +158,27 @@ def _given(settings: Settings, *keys: str, **renamed: str) -> dict[str, object]:
     return {field: settings[key] for field, key in names.items() if key in settings}
 
 
-def _encoder_config(settings: Settings) -> EncoderConfig:
-    return EncoderConfig(
-        **_given(settings, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
-                 "max_query_tokens", "max_doc_tokens")
-    )
-
-
-def _train_config(settings: Settings) -> TrainConfig:
-    return TrainConfig(
-        seed=derive_seed(settings["seed"], "train"),
-        **_given(
-            settings, "mode", "batch_size", "pretrain_batch_size", "negatives_per_positive",
-            "learning_rate", "warmup_fraction", "epochs_pretrain", "epochs_finetune",
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stages: one function each, shared by the staged commands and the pipeline
 
 
 def gen_queries_stage(corpus: Sequence[Document], settings: Settings) -> list[GeneratedQuerySet]:
     """Pseudo-queries for every document, drawn from stage seed ``querygen``."""
-    sampling = SamplingConfig(
-        **_given(settings, "max_query_tokens", k_views="views", top_k="sampling_top_k")
-    )
     model = fit_qg(corpus, seed=settings["seed"])
     seed = derive_seed(settings["seed"], "querygen")
-    return generate_corpus(model, corpus, sampling, seed=seed)
+    return generate_corpus(model, corpus, settings["sampling_config"], seed=seed)
 
 
 def train_stage(
-    settings: Settings, train_cfg: TrainConfig, triples: Sequence[TrainingTriple],
-    corpus: Sequence[Document], generated: Sequence[GeneratedQuerySet] | None,
+    settings: Settings, triples: Sequence[TrainingTriple], corpus: Sequence[Document],
+    generated: Sequence[GeneratedQuerySet] | None,
 ) -> tuple[EncoderParams, list[TraceEntry]]:
     """Initialise an encoder from stage seed ``init`` and train it.
 
     The trainer logs each epoch's loss at INFO level, which ``-v`` shows.
     """
-    params = init_params(_encoder_config(settings), derive_seed(settings["seed"], "init"))
-    trace = train(params, triples, train_cfg, corpus=corpus, generated=generated)
+    params = init_params(settings["encoder_config"], derive_seed(settings["seed"], "init"))
+    trace = train(params, triples, settings["train_config"], corpus=corpus, generated=generated)
     return params, trace
 
 
@@ -177,26 +189,10 @@ def search_stage(
     return evaluation.run_from_ranked_lists(ranked, tag=settings["run_tag"])
 
 
-def _metric_specs(settings: Settings) -> list[str]:
-    specs = [s.strip() for s in settings["metrics"].split(",") if s.strip()]
-    if not specs:
-        raise ValueError("no metrics requested")
-    return specs
-
-
-def _check_search(settings: Settings, specs: Sequence[str]) -> None:
-    """Reject a bad metric spec or top-k before a stage writes anything."""
-    for spec in specs:
-        evaluation.parse_metric_spec(spec)
-    if settings["search_topk"] < 1:
-        raise ValueError(f"search_topk must be >= 1, got {settings['search_topk']}")
-
-
 def eval_stage(
     run: evaluation.Run, qrels: Qrels, settings: Settings
 ) -> list[evaluation.MetricReport]:
-    specs = _metric_specs(settings)
-    rel = settings["rel_threshold"]
+    specs, rel = settings["metric_specs"], settings["rel_threshold"]
     reports = [evaluation.compute_metric(spec, run, qrels, rel_threshold=rel) for spec in specs]
     for report in reports:
         print(f"{report.name}\t{report.aggregate:.6f}\t({report.n_queries} queries)")
@@ -224,21 +220,22 @@ def _prefix_metrics(
 
 def analyze_stage(
     generated: Sequence[GeneratedQuerySet], queries: Sequence[Query], qrels: Qrels,
-    settings: Settings, metric: str, run: evaluation.Run | None, params: EncoderParams | None,
+    settings: Settings, run: evaluation.Run | None, params: EncoderParams | None,
     index: FlatIndex | None,
 ) -> None:
     """Write quality.csv, diversity.csv, levels.csv and sweep.csv into setting ``out_dir``.
 
-    ``run``, when given, gives levels.csv its per-level ``metric``: each
-    document's mean over the judged queries it is relevant to. ``index``,
-    built from ``params`` with every view, fills the sweep's retrieval
-    column: one pass ranks its view prefixes k = 1..k_views for
-    ``queries``, encoded with ``params``. Each generated view is scored
-    against gold once; quality.csv is the sweep's point with every view.
+    ``run``, when given, gives levels.csv its per-level value of setting
+    ``metric``: each document's mean over the judged queries it is relevant
+    to. ``index``, built from ``params`` with every view, fills the sweep's
+    retrieval column with ``metric``: one pass ranks its view prefixes
+    k = 1..k_views for ``queries``, encoded with ``params``. Each generated
+    view is scored against gold once; quality.csv is the sweep's point with
+    every view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
-    rel_threshold = settings["rel_threshold"]
+    metric, rel_threshold = settings["metric"], settings["rel_threshold"]
     relevant = {qid: qrels.relevant_docs(qid, rel_threshold) for qid in qrels.query_ids()}
     query_text = {q.query_id: q.text for q in queries}
     gold_by_doc: dict[str, list[str]] = {}
@@ -290,7 +287,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     triples = load_triples(settings["triples"])
     gen_path = settings.get("gen_queries")
     generated = load_generated_queries(gen_path, corpus=corpus) if gen_path else None
-    params, trace = train_stage(settings, _train_config(settings), triples, corpus, generated)
+    params, trace = train_stage(settings, triples, corpus, generated)
     save_params(params, settings["out"])
     if "loss_trace" in settings:
         write_loss_trace(trace, settings["loss_trace"])
@@ -301,14 +298,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_index(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    mode = settings["train_config"].mode
+    if mode == "dce" and "gen_queries" not in settings:
+        raise ValueError("--mode dce requires --gen-queries")
     params = load_params(settings["checkpoint"])
     corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
     generated = None
-    if settings["mode"] == "dce":
-        if "gen_queries" not in settings:
-            raise ValueError("--mode dce requires --gen-queries")
+    if mode == "dce":
         generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
-    index = build_index(params, corpus, mode=settings["mode"], generated=generated)
+    index = build_index(params, corpus, mode=mode, generated=generated)
     save_index(index, settings["out"])
     print(f"indexed {index.n_docs} docs ({index.n_rows} rows) to {settings['out']}")
     return 0
@@ -338,7 +336,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _settings(args)
     if "checkpoint" in settings and "corpus" not in settings:
         raise ValueError("--checkpoint requires --corpus for the view sweep")
-    _check_search(settings, [settings["metric"]])
     corpus = None
     if "corpus" in settings:
         corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
@@ -350,7 +347,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if "checkpoint" in settings:
         params = load_params(settings["checkpoint"])
         index = build_index(params, corpus, "dce", generated)
-    analyze_stage(generated, queries, qrels, settings, settings["metric"], run, params, index)
+    analyze_stage(generated, queries, qrels, settings, run, params, index)
     print(f"analysis written to {Path(settings['out_dir'])}")
     return 0
 
@@ -376,14 +373,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ValueError(f"config is missing required key {missing[0]!r}")
     # command-line --mode, --seed and --out-dir override the file
     settings = _settings(args, cfg)
-    # every setting a later stage reads fails here, before any output
-    train_cfg = _train_config(settings)
-    _encoder_config(settings)
-    _check_search(settings, _metric_specs(settings))
+    train_cfg = settings["train_config"]
     mode = train_cfg.mode
-    out_dir = Path(settings["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
@@ -395,10 +386,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
         else:
             generated = gen_queries_stage(corpus, settings)
-            write_generated_queries(generated, out_dir / "gen_queries.jsonl")
         log.info("pipeline: %d generated query sets ready", len(generated))
 
-    params, trace = train_stage(settings, train_cfg, triples, corpus, generated)
+    # every input is read before the first output
+    out_dir = Path(settings["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if generated is not None and "gen_queries" not in settings:
+        write_generated_queries(generated, out_dir / "gen_queries.jsonl")
+
+    params, trace = train_stage(settings, triples, corpus, generated)
     save_params(params, out_dir / "model.ckpt")
     write_loss_trace(trace, out_dir / "loss_trace.csv")
 
@@ -414,7 +410,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if settings["analyze"]:
         # a single-view index has no views to slice for the sweep
         dce_index = index if mode == "dce" else None
-        analyze_stage(generated, queries, qrels, settings, reports[0].name, run, params, dce_index)
+        analyze_stage(generated, queries, qrels, settings, run, params, dce_index)
 
     print(f"pipeline outputs in {out_dir}")
     return 0
@@ -487,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     add_corpus_format(p)
-    p.add_argument("--mode", choices=("de", "dce"), default="dce")
+    p.add_argument("--mode", choices=("de", "dce"))
     p.add_argument("--gen-queries")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
@@ -514,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="gold queries (TSV)")
     p.add_argument("--qrels", required=True)
     p.add_argument("--run", help="run file for per-level retrieval averages")
-    p.add_argument("--metric", default="mrr@10")
+    p.add_argument("--metric", help="levels.csv and sweep metric; default: the first default metric")
     p.add_argument("--rel-threshold", type=int)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")

@@ -1,10 +1,11 @@
+import argparse
 import logging
 
 import numpy as np
 import pytest
 
 from mvdr import cli
-from mvdr.cli import _prefix_metrics, main, parse_config
+from mvdr.cli import _prefix_metrics, build_parser, main, parse_config
 from mvdr.corpus import (
     Document,
     Query,
@@ -264,12 +265,42 @@ class TestStagedCommands:
             "--out", str(ckpt), "--mode", "de", "--batch-size", "4", "--negatives", "2",
             "--finetune-epochs", "1", *ENCODER_FLAGS,
         ]) == 0
-        code = main([
-            "index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
-            "--mode", "dce", "--out", str(tmp_path / "index.mvix"),
-        ])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        capsys.readouterr()
+        # the flags are checked before the checkpoint is read, even a missing one
+        for checkpoint, mode_flags in ((ckpt, ["--mode", "dce"]), (tmp_path / "nope.ckpt", [])):
+            code = main([
+                "index", "--checkpoint", str(checkpoint), "--corpus", str(paths["corpus"]),
+                *mode_flags, "--out", str(tmp_path / "index.mvix"),
+            ])
+            assert code == 1
+            assert "error: --mode dce requires --gen-queries" in capsys.readouterr().err
+        assert not (tmp_path / "index.mvix").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "--topk", "0"], "search_topk must be >= 1, got 0"),
+            (["search", "--tag", "a b"], "tag 'a b' is empty or contains whitespace"),
+            (["train", "--batch-size", "1"], "batch sizes must be >= 2"),
+            (["gen-queries", "--views", "0"], "k_views must be >= 1, got 0"),
+            (["eval", "--metrics", "mrr@ten"], "bad metric spec 'mrr@ten'"),
+        ],
+        ids=["search-topk", "search-tag", "train-batch-size", "gen-queries-views", "eval-metrics"],
+    )
+    def test_bad_settings_fail_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "search": ["--checkpoint", missing, "--index", missing, "--queries", missing],
+            "train": ["--corpus", missing, "--triples", missing],
+            "gen-queries": ["--corpus", missing],
+            "eval": ["--run", missing, "--qrels", missing],
+        }[argv[0]]
+        out = tmp_path / "out"
+        assert main([*argv, *inputs, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "No such file" not in err
+        assert not out.exists()
 
     def test_analyze_rejects_empty_generated_queries(self, tmp_path, capsys):
         paths = _write_world(tmp_path)
@@ -357,8 +388,10 @@ class TestPipeline:
             ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten"),
             ("search_topk = 4", "search_topk = 0"),
             ("ngram_orders = 1", "ngram_orders = 1,300"),
+            ("search_topk = 4", "search_topk = 4\nrun_tag = a b"),
+            ("views = 3", "views = 0"),
         ],
-        ids=["metric", "topk", "ngram-orders"],
+        ids=["metric", "topk", "ngram-orders", "run-tag", "views"],
     )
     def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new):
         paths = _write_world(tmp_path)
@@ -369,12 +402,31 @@ class TestPipeline:
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_missing_input_leaves_no_output_dir(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "out"
+        paths["queries"].unlink()
+        cfg = pipeline_config(tmp_path, paths, out_dir)
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         paths = _write_world(tmp_path)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"corpus = {paths['corpus']}\n")
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert "missing required key" in capsys.readouterr().err
+
+
+def test_every_subcommand_flag_defaults_to_none():
+    # defaults live in cli._DEFAULTS and the config dataclasses only
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.default is None, (command, action.dest, action.default)
 
 
 class TestStagedMatchesPipeline:
