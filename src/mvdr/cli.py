@@ -114,7 +114,8 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
     """Flags over config-file values over the defaults; a None flag is unset.
 
     Every value is checked here, before a command reads an input, even one
-    that the command does not use. The stages read the configs built here;
+    that the command does not use; a metric spec may not repeat another's
+    (name, k). The stages read the configs built here;
     ``metric`` is the ``--metric`` flag when given, otherwise the first of
     ``metrics``.
     """
@@ -144,8 +145,13 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
         raise ValueError("no metrics requested")
     merged["metric_specs"] = specs
     merged.setdefault("metric", specs[0])
-    for spec in [*specs, merged["metric"]]:
-        evaluation.parse_metric_spec(spec)
+    seen: dict[tuple[str, int], str] = {}
+    for spec in specs:
+        parsed = evaluation.parse_metric_spec(spec)
+        if parsed in seen:
+            raise ValueError(f"metric spec {spec!r} repeats {seen[parsed]!r}")
+        seen[parsed] = spec
+    evaluation.parse_metric_spec(merged["metric"])
     if merged["search_topk"] < 1:
         raise ValueError(f"search_topk must be >= 1, got {merged['search_topk']}")
     evaluation.check_fields("tag", [merged["run_tag"]])

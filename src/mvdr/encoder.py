@@ -6,6 +6,11 @@ tanh hidden layer produces the embedding:
 
     e = W_out @ tanh(W_hidden @ h + b_hidden) + b_out
 
+An n-gram's bucket comes from its tokens' 64-bit hashes through a fixed
+integer mix (the hashing trick of Weinberger et al., "Feature Hashing for
+Large Scale Multitask Learning", ICML 2009), so no n-gram string is ever
+built and a unigram's bucket is its token's hash; see :class:`FeatureTable`.
+
 A batch is pooled one feature-count group at a time, with one gather and
 one in-order sum per group (see :func:`forward_tower`), so a text pools to
 the same bits in any batch as on its own.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,12 +49,23 @@ log = logging.getLogger(__name__)
 # never produce this control character, so the separator's hash bucket is
 # reserved and no ordinary feature collides with it.
 SEP_TOKEN = "\x1e"
+_SEP_HASH = stable_hash64(SEP_TOKEN)
 
-_GRAM_JOIN = "\x1f"
+# An n-gram's hash takes in each token after the first as
+# h = _mix(h * _GRAM_MUL + token hash); see FeatureTable.
+_GRAM_MUL = np.uint64(0x9E3779B97F4A7C15)
+_FMIX_SHIFT = np.uint64(33)
+_FMIX_MUL = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
 
 _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
-_MAGIC = b"MVDR1"
+_MAGIC = b"MVDR2"
+# checkpoint formats that load_params names when it rejects them
+_RETIRED = {
+    b"MVDR1": "an MVDR1 checkpoint was trained when bigram buckets hashed joined "
+    "n-gram strings; MVDR2 takes them from token hashes, so its bigram rows "
+    "would be read under other features: re-create or re-train it",
+}
 
 # Bytes of one block of token-table rows: a float64 block drawn by
 # init_params, or one gather of a batch's feature rows in forward_tower.
@@ -221,73 +238,165 @@ class FeatureTable:
 
     A stage (one index build, one training run, one batch of query
     encodings) makes a table, featurizes every text through it and drops
-    it when done, so no feature state outlives the stage. The table hashes
-    each distinct n-gram once and keeps its bucket. Ordinary features hash
-    into [0, hash_buckets - 1); the last bucket is reserved for the
-    separator token.
+    it when done, so no feature state outlives the stage.
 
-    A text's tokens and read-only bucket array are kept only while the
-    stage can use them again. With ``keep_texts`` (training, which reads
-    every text once per epoch) the table keeps them for every text;
-    otherwise only for the latest query and the latest document, which
-    covers a document whose views are encoded one after another.
+    The table hashes each distinct token once with ``stable_hash64`` and
+    keeps that 64-bit hash, so its memory grows with the stage's distinct
+    tokens, not with its distinct n-grams. A unigram's bucket is its
+    token's hash modulo ``hash_buckets - 1``; the last bucket is reserved
+    for the separator token. An n-gram of order 2 or more, including one
+    that overlaps the separator, starts from its first token's hash ``h``
+    and takes ``h = _mix(h * _GRAM_MUL + t)`` for each further token's hash
+    ``t``, in wrapping uint64 arithmetic; its bucket is the final ``h``
+    modulo ``hash_buckets - 1``.
+
+    Featurization runs in passes. :meth:`queue` names the texts a caller
+    is about to ask for; the first of them asked for runs one pass over
+    all of them, which tokenizes each distinct text once and takes every
+    n-gram's bucket in one array computation. A text asked for without
+    being queued gets a pass of its own. The table keeps each text's
+    token hashes and the buckets of its own n-grams, for the texts of its
+    latest pass or, with ``keep_texts`` (training, which reads every text
+    once per epoch), for every text it has seen; and the separator
+    n-grams of its latest pass's query-document requests.
     """
 
     def __init__(self, cfg: EncoderConfig, keep_texts: bool = False) -> None:
         self.cfg = cfg
         self._space = cfg.hash_buckets - 1
         self._keep_texts = keep_texts
-        # joined n-gram -> bucket
-        self._buckets: dict[str, int] = {}
-        # (what, text), or just what, -> (text, tokens, buckets)
-        self._texts: dict[object, tuple[str, tuple[str, ...], np.ndarray]] = {}
+        self._orders = np.array(cfg.ngram_orders, dtype=np.int64)
+        self._token_hashes: dict[str, int] = {}
+        # "query" or "document" -> text -> (its token hashes, cut at its
+        # cap, and the read-only buckets of its own n-grams)
+        self._texts: dict[str, dict[str, tuple[list[int], np.ndarray]]] = {"query": {}, "document": {}}
+        # (query, document) -> buckets of the n-grams overlapping the separator
+        self._boundaries: dict[tuple[str, str], np.ndarray] = {}
+        self._queued: dict[tuple[str | None, str | None], None] = {}
+        self._done: set[tuple[str | None, str | None]] = set()
 
-    def _lookup(self, grams: list[str]) -> list[int]:
-        """Buckets of joined n-grams, hashing those the table has not seen."""
-        buckets = self._buckets
-        for gram in grams:
-            if gram not in buckets:
-                buckets[gram] = stable_hash64(gram) % self._space
-        return [buckets[gram] for gram in grams]
+    def queue(self, requests: Iterable[tuple[str | None, str | None]]) -> None:
+        """Featurize these (query text or None, document text or None)
+        requests in one pass, when the first of them is asked for."""
+        self._queued = dict.fromkeys(requests)
 
-    def segment(self, text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-        """Tokens of a query or document (``what``), cut at its cap, and
-        their n-gram buckets (read-only)."""
-        key = (what, text) if self._keep_texts else what
-        kept = self._texts.get(key)
-        if kept is not None and kept[0] == text:
-            return kept[1], kept[2]
-        cap = self.cfg.max_query_tokens if what == "query" else self.cfg.max_doc_tokens
-        tokens = tuple(tokenize(text)[:cap])
-        if not tokens:
+    def features(self, query_text: str | None, doc_text: str | None) -> np.ndarray:
+        """Buckets of a query, a document or ``query <SEP> document``: the
+        query's own n-grams, those that overlap the separator, then the
+        document's own, each part by order and then by position. A query's
+        or a document's array is read-only. Raises for a text without
+        tokens."""
+        request = (query_text, doc_text)
+        if request not in self._done:
+            self._featurize(self._queued if request in self._queued else (request,))
+        if query_text is None:
+            return self._own("document", doc_text)
+        query = self._own("query", query_text)
+        if doc_text is None:
+            return query
+        return np.concatenate([query, self._boundaries[request], self._own("document", doc_text)])
+
+    def _own(self, what: str, text: str) -> np.ndarray:
+        """The buckets of a kept text's own n-grams."""
+        hashes, buckets = self._texts[what][text]
+        if not hashes:
             raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
-        grams: list[str] = []
-        for n in self.cfg.ngram_orders:
-            grams.extend(_grams(tokens, n))
-        buckets = np.asarray(self._lookup(grams), dtype=np.int64)
-        buckets.flags.writeable = False
-        self._texts[key] = (text, tokens, buckets)
-        return tokens, buckets
+        return buckets
 
-    def boundary(self, q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> list[int]:
-        """Buckets of the n-grams of ``query <SEP> document`` that overlap
-        the separator, in order."""
-        out: list[int] = []
-        for n in self.cfg.ngram_orders:
-            if n == 1:
-                out.append(self._space)
-            else:
-                # the last n - 1 query tokens, the separator, the first n - 1 document tokens
-                window = q_tokens[max(0, len(q_tokens) - n + 1) :] + (SEP_TOKEN,) + d_tokens[: n - 1]
-                out.extend(self._lookup(list(_grams(window, n))))
-        return out
+    def _featurize(self, requests: Iterable[tuple[str | None, str | None]]) -> None:
+        """One pass: the buckets of every text of ``requests`` that the
+        table does not keep, and of every query-document request's
+        separator window (the tokens on each side of the separator that an
+        n-gram overlapping it can reach), each in one array computation."""
+        requests = list(requests)
+        if not self._keep_texts:
+            self._texts = {"query": {}, "document": {}}
+        queries, docs = self._texts["query"], self._texts["document"]
+        new = [("query", q) for q in dict.fromkeys(q for q, _ in requests) if q not in queries]
+        new += [("document", d) for d in dict.fromkeys(d for _, d in requests) if d not in docs]
+        new = [key for key in new if key[1] is not None]
+        hashes = [self._token_hashes_of(*key) for key in new]
+        for (what, text), text_hashes, buckets in zip(new, hashes, self._grams(hashes)):
+            self._texts[what][text] = (text_hashes, buckets)
+        # a query-document request's boundary depends only on the query's
+        # last and the document's first `reach` tokens
+        reach = max(self.cfg.ngram_orders) - 1
+        joint = [r for r in requests if None not in r]
+        sides = [
+            (tuple(queries[q][0][-reach:] if reach else ()), tuple(docs[d][0][:reach])) for q, d in joint
+        ]
+        windows = list(dict.fromkeys(sides))
+        boundaries = self._grams(
+            [[*q, _SEP_HASH, *d] for q, d in windows], [len(q) for q, _ in windows]
+        )
+        by_window = dict(zip(windows, boundaries))
+        self._boundaries = {request: by_window[side] for request, side in zip(joint, sides)}
+        self._done = set(requests)
+
+    def _token_hashes_of(self, what: str, text: str) -> list[int]:
+        """The token hashes of a query or document (``what``), cut at its cap."""
+        cap = self.cfg.max_query_tokens if what == "query" else self.cfg.max_doc_tokens
+        known = self._token_hashes
+        tokens = tokenize(text)[:cap]
+        for token in tokens:
+            if token not in known:
+                known[token] = stable_hash64(token)
+        return [known[token] for token in tokens]
+
+    def _grams(
+        self, sequences: list[list[int]], separators: list[int] | None = None
+    ) -> list[np.ndarray]:
+        """Per sequence of token hashes, the read-only buckets of its
+        n-grams, by order and then by position; with ``separators``, only
+        the n-grams that overlap position ``separators[i]`` of sequence i,
+        the separator, whose unigram takes the reserved bucket. All
+        sequences are hashed in one array."""
+        if not sequences:
+            return []
+        orders = self.cfg.ngram_orders
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        starts = lengths.cumsum() - lengths
+        hashes = np.fromiter(chain.from_iterable(sequences), dtype=np.uint64, count=int(lengths.sum()))
+        space = np.uint64(self._space)
+        buckets = {}  # order -> bucket of the n-gram starting at each position
+        gram = hashes
+        for n in range(1, max(orders) + 1):
+            if n > 1:
+                gram = _mix(gram[:-1] * _GRAM_MUL + hashes[n - 1 :])
+            if n in orders:
+                buckets[n] = gram % space
+        # (sequence, order): its first and last n-gram
+        first = np.zeros((len(sequences), len(orders)), dtype=np.int64)
+        last = lengths[:, None] - self._orders
+        if separators is not None:
+            sep = np.array(separators, dtype=np.int64)
+            if 1 in orders:
+                buckets[1][starts + sep] = space
+            first = np.maximum(first, sep[:, None] - self._orders + 1)
+            last = np.minimum(last, sep[:, None])
+        stacked = np.concatenate([buckets[n] for n in orders]).astype(np.int64)
+        offsets = np.array([0, *accumulate(len(buckets[n]) for n in orders[:-1])])
+        counts = np.maximum(0, last - first + 1)
+        out = stacked[_ranges((starts[:, None] + first + offsets).reshape(-1), counts.reshape(-1))]
+        out.flags.writeable = False
+        ends = counts.sum(axis=1).cumsum().tolist()
+        return [out[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _grams(tokens: tuple[str, ...], n: int) -> Iterable[str]:
-    """The n-grams of ``tokens``, each joined into one string."""
-    if n == 1:
-        return tokens
-    return map(_GRAM_JOIN.join, zip(*[tokens[k:] for k in range(n)]))
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each (s, c) of ``starts`` and ``counts``, concatenated."""
+    ends = counts.cumsum()
+    return (starts - (ends - counts)).repeat(counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """MurmurHash3's 64-bit finalizer (fmix64), in place on a uint64 array."""
+    x ^= x >> _FMIX_SHIFT
+    x *= _FMIX_MUL[0]
+    x ^= x >> _FMIX_SHIFT
+    x *= _FMIX_MUL[1]
+    x ^= x >> _FMIX_SHIFT
+    return x
 
 
 def _require_features(
@@ -304,14 +413,12 @@ def _require_features(
 
 def query_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a query encoded alone (read-only)."""
-    _, buckets = table.segment(text, "query")
-    return _require_features(table, buckets, "query {}", text)
+    return _require_features(table, table.features(text, None), "query {}", text)
 
 
 def doc_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a document encoded alone (read-only)."""
-    _, buckets = table.segment(text, "document")
-    return _require_features(table, buckets, "document {}", text)
+    return _require_features(table, table.features(None, text), "document {}", text)
 
 
 def joint_feature_buckets(table: FeatureTable, query_text: str, doc_text: str) -> np.ndarray:
@@ -320,10 +427,7 @@ def joint_feature_buckets(table: FeatureTable, query_text: str, doc_text: str) -
     Equal to the features of the concatenated token sequence: the query's
     and the document's own n-grams, then those that overlap the separator.
     """
-    q_tokens, q_part = table.segment(query_text, "query")
-    d_tokens, d_part = table.segment(doc_text, "document")
-    boundary = np.asarray(table.boundary(q_tokens, d_tokens), dtype=np.int64)
-    buckets = np.concatenate([q_part, boundary, d_part])
+    buckets = table.features(query_text, doc_text)
     return _require_features(table, buckets, "query {} with document {}", query_text, doc_text)
 
 
@@ -407,6 +511,7 @@ def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     a batch can order near-tied documents differently.
     """
     table = FeatureTable(params.config)
+    table.queue((t, None) for t in texts)
     buckets = [query_feature_buckets(table, t) for t in texts]
     out, _ = forward_tower(params.query_tower, buckets)
     return out
@@ -426,8 +531,10 @@ def encode_candidates(
     """Embed candidate inputs through the doc tower, preserving order.
 
     ``table`` is the stage's feature table, made from ``params.config``;
-    it carries feature hashes across the stage's calls.
+    it carries token hashes across the stage's calls, and featurizes
+    ``pairs`` in one pass.
     """
+    table.queue(pairs)
     buckets = [candidate_feature_buckets(table, p) for p in pairs]
     out, _ = forward_tower(params.doc_tower, buckets)
     return out
@@ -437,7 +544,8 @@ def encode_candidates(
 # Checkpoint I/O
 #
 # Layout (all little-endian):
-#   magic 'MVDR1'
+#   magic 'MVDR2' (MVDR1, from before bigram buckets came from token
+#   hashes, is rejected by name)
 #   u32 embed_dim, u64 hash_buckets, u8 n_orders, n_orders * u8,
 #   u8 tied, u32 max_query_tokens, u32 max_doc_tokens
 #   float32 tensors in fixed order (query tower, then doc tower if untied)
@@ -465,11 +573,11 @@ def save_params(params: EncoderParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
-    Rejects unknown magic, truncation, trailing bytes and checksum
+    Rejects unknown or retired magic, truncation, trailing bytes and checksum
     mismatches. Each tensor is read from the file straight into its own
     aligned, writable array.
     """
-    with FramedReader(path, _MAGIC, "checkpoint") as reader:
+    with FramedReader(path, _MAGIC, "checkpoint", _RETIRED) as reader:
         embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
         orders = reader.unpack(f"<{n_orders}B", "header")
         tied_flag, max_q, max_d = reader.unpack("<BII", "header")

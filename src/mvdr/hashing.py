@@ -17,7 +17,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,7 +92,9 @@ class FramedReader:
     CRC-32 covers every byte read. Each size is checked against what the
     file holds before anything is allocated: a field that runs past the
     payload raises ``truncated``. :meth:`finish` rejects trailing bytes and
-    then checks the footer. ``kind`` names the file in error messages.
+    then checks the footer. ``kind`` names the file in error messages, and
+    ``retired`` maps the magic of each format that is no longer read to
+    the reason given when a file of it is opened.
 
     Use the reader as a context manager: a block that ends normally calls
     :meth:`finish`, and the file is closed either way. When the block
@@ -102,13 +104,17 @@ class FramedReader:
     reader that checks the CRC before parsing.
     """
 
-    def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
+    def __init__(
+        self, path: str | Path, magic: bytes, kind: str, retired: Mapping[bytes, str] = {}
+    ) -> None:
         handle = open(path, "rb")
         try:
             size = os.fstat(handle.fileno()).st_size
             if size < len(magic) + 4:
                 raise ValueError(f"{path}: truncated {kind}")
             head = handle.read(len(magic))
+            if head in retired:
+                raise ValueError(f"{path}: retired {kind} format {head!r}: {retired[head]}")
             if head != magic:
                 raise ValueError(f"{path}: bad magic {head!r}, expected {magic!r}")
         except BaseException:

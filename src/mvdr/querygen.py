@@ -8,20 +8,29 @@ content terms are drawn salience-weighted (without replacement) from the
 document's ``top_k`` most salient terms. With ``top_k`` of 1 every draw
 collapses to the argmax, so all k queries of a document are identical.
 
-Every document is generated with its own RNG stream derived from the base
-seed and the doc_id, so outputs do not depend on corpus order. Each term
-draw takes one uniform from that stream and inverts the cumulative
-distribution of the remaining weights, as ``Generator.choice`` does with
-``p``, in plain Python over at most ``top_k`` weights.
+Every document is generated with its own PCG64 stream derived from the
+base seed and the doc_id, so outputs do not depend on corpus order. A view
+takes ``integers(0, n_templates)`` for its template, then, per term, the
+draw of ``choice(len(w), p=w / w.sum())`` over the remaining weights ``w``.
+Those scalar ``Generator`` calls are not made: each document's raw words
+are drawn in bulk with ``random_raw`` and the calls are replayed for many
+documents at once in numpy, with the same results bit for bit:
+
+- a 32-bit draw takes a new word's low half and keeps its high half for
+  the next 32-bit draw;
+- ``integers(0, n)`` is Lemire's ``(u32 * n) >> 32``, drawn again while
+  the product's low half is below ``2**32 % n``; ``integers(0, 1)`` draws
+  nothing;
+- a uniform is a new word's top 53 bits times ``2**-53``;
+- the choice searches the uniform in the cumulative sum of ``w`` divided
+  by its pairwise sum, normalized by its last entry.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,6 +53,9 @@ DEFAULT_TEMPLATES = (
 
 # content terms appended to a template per query
 _TERMS_PER_QUERY = 3
+
+# documents whose draws are replayed together
+_BLOCK_DOCS = 1024
 
 
 @dataclass(frozen=True)
@@ -114,45 +126,182 @@ def _term_pool(weights: Mapping[str, float], top_k: int) -> tuple[list[str], lis
     return [t for t, _ in ranked], [w for _, w in ranked]
 
 
-def _numpy_sum(values: list[float]) -> float:
-    """``np.sum`` of a float64 array, summed in numpy's pairwise order.
+def _pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D float64 array, each row summed as ``np.sum`` sums
+    it on its own: in numpy's pairwise order, one column at a time.
 
     numpy sums fewer than 8 values left to right. From 8 to 128 values it
     keeps 8 running sums over strides of 8, combines them pairwise and adds
-    the remainder left to right. Longer arrays are split in two at a
+    the remainder left to right. Longer rows are split in two at a
     multiple of 8 near the middle.
     """
-    n = len(values)
+    n = values.shape[1]
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+        return _pairwise_sum(values[:, :half]) + _pairwise_sum(values[:, half:])
     if n < 8:
-        total = -0.0
-        for v in values:
-            total += v
+        total = np.full(len(values), -0.0)
+        for j in range(n):
+            total += values[:, j]
         return total
-    r = values[:8]
+    r = values[:, :8].copy()
     tail = n - n % 8
     for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += values[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[tail:]:
-        total += v
+        r += values[:, i : i + 8]
+    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for j in range(tail, n):
+        total += values[:, j]
     return total
 
 
-def _draw(rng: np.random.Generator, weights: list[float]) -> int:
-    """Index drawn with probability proportional to ``weights``.
+def _choose(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row, the index that ``Generator.choice(n, p=w / w.sum())``
+    picks with the uniform ``uniforms[row]``: the uniform searched in the
+    normalized cumulative sum of the row's probabilities."""
+    cdf = np.cumsum(weights / _pairwise_sum(weights)[:, None], axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
-    The same draw, bit for bit, as ``rng.choice(len(weights), p=probs)``
-    with ``probs = w / w.sum()``: one uniform searched in the normalized
-    cumulative sum of ``probs``.
+
+def _draw_words(seeds: Sequence[int], width: int) -> np.ndarray:
+    """The first ``width`` raw words of ``PCG64(seed)`` for each seed, one row each."""
+    words = np.empty((len(seeds), width), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        row[:] = np.random.PCG64(seed).random_raw(width)
+    return words
+
+
+class _Streams:
+    """The ``PCG64(seed)`` stream of each seed, read as the scalar
+    ``Generator`` calls read it, for many streams at once.
+
+    Each stream's first ``width`` raw words are drawn up front, one row per
+    stream; the rows are drawn again, twice as wide, when one runs out.
     """
-    total = _numpy_sum(weights)
-    cdf = list(accumulate([w / total for w in weights]))
-    last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+
+    def __init__(self, seeds: Sequence[int], width: int) -> None:
+        self._seeds = seeds
+        self.words = _draw_words(seeds, width)
+        n = len(seeds)
+        self._next = np.zeros(n, dtype=np.int64)  # next unread word per stream
+        self._high = np.zeros(n, dtype=np.uint64)  # buffered upper half-word
+        self._has_high = np.zeros(n, dtype=bool)
+
+    def _take(self, rows: np.ndarray) -> np.ndarray:
+        at = self._next[rows]
+        if len(at) and at.max() >= self.words.shape[1]:
+            self.words = _draw_words(self._seeds, 2 * self.words.shape[1])
+        self._next[rows] = at + 1
+        return self.words[rows, at]
+
+    def uniforms(self, rows: np.ndarray) -> np.ndarray:
+        """``random()`` in each row's stream: the top 53 bits of a new word."""
+        return (self._take(rows) >> np.uint64(11)) * 2.0**-53
+
+    def _uint32(self, rows: np.ndarray) -> np.ndarray:
+        # a new word hands out its low half and keeps its high half for the
+        # next 32-bit draw; doubles never touch the kept half
+        has_high = self._has_high[rows]
+        out = self._high[rows]
+        fresh = rows[~has_high]
+        word = self._take(fresh)
+        out[~has_high] = word & np.uint64(0xFFFFFFFF)
+        self._high[fresh] = word >> np.uint64(32)
+        self._has_high[rows] = ~has_high
+        return out
+
+    def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """``integers(0, n)`` in each row's stream: Lemire's bounded draw
+        ``(u32 * n) >> 32``, drawn again while the product's low 32 bits
+        fall below ``2**32 % n``. ``integers(0, 1)`` draws nothing."""
+        out = np.zeros(len(rows), dtype=np.int64)
+        if n == 1:
+            return out
+        threshold = np.uint64(2**32 % n)
+        todo = np.arange(len(rows))
+        while len(todo):
+            m = self._uint32(rows[todo]) * np.uint64(n)
+            out[todo] = (m >> np.uint64(32)).astype(np.int64)
+            todo = todo[(m & np.uint64(0xFFFFFFFF)) < threshold]
+        return out
+
+
+def _replay(
+    seeds: Sequence[int],
+    pool_weights: Sequence[Sequence[float]],
+    template_lengths: Sequence[int],
+    cfg: SamplingConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every document's draws (see the module docstring), one view at a
+    time for all documents; document i draws from ``PCG64(seeds[i])`` and
+    ``pool_weights[i]`` are its term pool's weights.
+
+    Returns the template index of each (document, view) and the pool index
+    of each of its terms, -1 past the view's last term.
+    """
+    # every view draws a template and at most three terms: at most 4 words
+    streams = _Streams(seeds, cfg.k_views * (1 + _TERMS_PER_QUERY))
+    n_docs = len(pool_weights)
+    pool_size = np.fromiter(map(len, pool_weights), dtype=np.int64, count=n_docs)
+    weights = np.zeros((n_docs, max(pool_size, default=0)))
+    for row, w in zip(weights, pool_weights):
+        row[: len(w)] = w
+    lengths = np.asarray(template_lengths, dtype=np.int64)
+    budget = np.maximum(0, cfg.max_query_tokens - lengths)
+    templates = np.empty((n_docs, cfg.k_views), dtype=np.int64)
+    terms = np.full((n_docs, cfg.k_views, _TERMS_PER_QUERY), -1, dtype=np.int64)
+    docs = np.arange(n_docs)
+    for view in range(cfg.k_views):
+        templates[:, view] = streams.integers(docs, len(lengths))
+        n_terms = np.minimum(np.minimum(_TERMS_PER_QUERY, pool_size), budget[templates[:, view]])
+        # at each step, a row's first (pool size - step) entries are the
+        # pool indices its view has not drawn yet, in pool order
+        remaining = np.tile(np.arange(weights.shape[1]), (n_docs, 1))
+        for step in range(_TERMS_PER_QUERY):
+            live = np.flatnonzero(n_terms > step)
+            uniforms = streams.uniforms(live)
+            # pairwise sums take a fixed order per count, so group by count
+            left = pool_size[live] - step
+            # sorted(set()) rather than np.unique, which imports numpy.ma
+            for count in sorted(set(left.tolist())):
+                rows = live[left == count]
+                avail = remaining[rows, :count]
+                pick = _choose(weights[rows[:, None], avail], uniforms[left == count])
+                terms[rows, view, step] = avail[np.arange(len(rows)), pick]
+                kept = np.arange(count) != pick[:, None]
+                remaining[rows, : count - 1] = avail[kept].reshape(len(rows), count - 1)
+    return templates, terms
+
+
+def _generate(
+    model: QGModel, docs: Sequence[Document], cfg: SamplingConfig, seeds: Sequence[int]
+) -> list[GeneratedQuerySet]:
+    """Query sets for ``docs``, document i drawn from ``PCG64(seeds[i])``,
+    replayed ``_BLOCK_DOCS`` documents at a time."""
+    template_tokens = [t.split() for t in model.templates[: cfg.top_k]]
+    lengths = list(map(len, template_tokens))
+    sets = []
+    for start in range(0, len(docs), _BLOCK_DOCS):
+        block = docs[start : start + _BLOCK_DOCS]
+        pools = []
+        for doc in block:
+            weights = model.salience.get(doc.doc_id)
+            if weights is None:
+                raise ValueError(f"document {doc.doc_id!r} is not in the generator's corpus")
+            if not weights:
+                raise ValueError(f"document {doc.doc_id!r} has no usable terms")
+            pools.append(_term_pool(weights, cfg.top_k))
+        block_seeds = seeds[start : start + _BLOCK_DOCS]
+        templates, terms = _replay(block_seeds, [w for _, w in pools], lengths, cfg)
+        for doc, (pool_terms, _), doc_templates, doc_terms in zip(block, pools, templates, terms):
+            queries = tuple(
+                " ".join(
+                    (template_tokens[t] + [pool_terms[j] for j in chosen if j >= 0])[: cfg.max_query_tokens]
+                )
+                for t, chosen in zip(doc_templates.tolist(), doc_terms.tolist())
+            )
+            sets.append(GeneratedQuerySet(doc_id=doc.doc_id, queries=queries))
+    return sets
 
 
 def generate(
@@ -164,31 +313,7 @@ def generate(
     in-vocabulary token. Identical (model, doc, cfg, seed) always yields
     identical queries.
     """
-    weights = model.salience.get(doc.doc_id)
-    if weights is None:
-        raise ValueError(f"document {doc.doc_id!r} is not in the generator's corpus")
-    if not weights:
-        raise ValueError(f"document {doc.doc_id!r} has no usable terms")
-    if seed is None:
-        seed = model.rng_seed
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pool_terms, pool_weights = _term_pool(weights, cfg.top_k)
-    n_templates = min(cfg.top_k, len(model.templates))
-    queries = []
-    for _ in range(cfg.k_views):
-        template_tokens = model.templates[int(rng.integers(0, n_templates))].split()
-        budget = max(0, cfg.max_query_tokens - len(template_tokens))
-        n_terms = min(_TERMS_PER_QUERY, len(pool_terms), budget)
-        chosen: list[str] = []
-        avail_terms = list(pool_terms)
-        avail_weights = list(pool_weights)
-        for _ in range(n_terms):
-            j = _draw(rng, avail_weights)
-            chosen.append(avail_terms.pop(j))
-            del avail_weights[j]
-        tokens = (template_tokens + chosen)[: cfg.max_query_tokens]
-        queries.append(" ".join(tokens))
-    return GeneratedQuerySet(doc_id=doc.doc_id, queries=tuple(queries))
+    return _generate(model, [doc], cfg, [model.rng_seed if seed is None else seed])[0]
 
 
 def generate_corpus(
@@ -206,7 +331,7 @@ def generate_corpus(
     """
     if seed is None:
         seed = model.rng_seed
-    sets = [generate(model, doc, cfg, seed=derive_seed(seed, doc.doc_id)) for doc in corpus]
+    sets = _generate(model, corpus, cfg, [derive_seed(seed, doc.doc_id) for doc in corpus])
     total = sum(len(qset.queries) for qset in sets)
     log.info("generated %d queries for %d documents (%d each)", total, len(sets), cfg.k_views)
     return sets

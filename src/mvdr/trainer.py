@@ -197,6 +197,7 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     which always runs in float64 for stability. ``table`` is the training
     run's feature table, made from ``params.config``.
     """
+    table.queue([*((t, None) for t in batch.query_texts), *batch.candidates])
     q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
     q_emb, q_cache = forward_tower(params.query_tower, q_buckets)

@@ -284,8 +284,12 @@ class TestStagedCommands:
             (["train", "--batch-size", "1"], "batch sizes must be >= 2"),
             (["gen-queries", "--views", "0"], "k_views must be >= 1, got 0"),
             (["eval", "--metrics", "mrr@ten"], "bad metric spec 'mrr@ten'"),
+            (["eval", "--metrics", "mrr@10,ndcg@10, MRR@10"], "metric spec 'MRR@10' repeats 'mrr@10'"),
         ],
-        ids=["search-topk", "search-tag", "train-batch-size", "gen-queries-views", "eval-metrics"],
+        ids=[
+            "search-topk", "search-tag", "train-batch-size", "gen-queries-views", "eval-metrics",
+            "eval-repeated-metric",
+        ],
     )
     def test_bad_settings_fail_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         missing = str(tmp_path / "missing")

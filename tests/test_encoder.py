@@ -154,6 +154,27 @@ class TestFeatureHashing:
             joint_feature_buckets(FeatureTable(cfg), "who", "what")
 
 
+MASK64 = 2**64 - 1
+
+
+def fmix64(x):
+    """MurmurHash3's 64-bit finalizer, in plain Python integers."""
+    x ^= x >> 33
+    x = x * 0xFF51AFD7ED558CCD & MASK64
+    x ^= x >> 33
+    x = x * 0xC4CEB9FE1A85EC53 & MASK64
+    return x ^ x >> 33
+
+
+def gram_hash(gram):
+    """An n-gram's 64-bit hash: its first token's hash, then for each further
+    token h = fmix64(h * 0x9E3779B97F4A7C15 + token hash) mod 2**64."""
+    h = stable_hash64(gram[0])
+    for token in gram[1:]:
+        h = fmix64((h * 0x9E3779B97F4A7C15 + stable_hash64(token)) & MASK64)
+    return h
+
+
 def scratch_buckets(cfg, query_text=None, doc_text=None):
     """Every n-gram of the capped query, document or ``query <SEP> document``
     hashed from scratch, in the encoder's layout: the query's own n-grams,
@@ -175,7 +196,7 @@ def scratch_buckets(cfg, query_text=None, doc_text=None):
             if gram == (SEP_TOKEN,):
                 bucket = cfg.hash_buckets - 1
             else:
-                bucket = stable_hash64("\x1f".join(gram)) % (cfg.hash_buckets - 1)
+                bucket = gram_hash(gram) % (cfg.hash_buckets - 1)
             part = 0 if sep is None or i + n <= sep else 2 if i > sep else 1
             grams.append((part, rank, i, bucket))
     return [bucket for *_, bucket in sorted(grams)]
@@ -190,6 +211,12 @@ TABLE_CFGS = [
 ]
 # few distinct tokens, so n-grams repeat within and across texts
 repeat_text = st.lists(st.sampled_from("ab ab cd e".split()), min_size=0, max_size=9).map(" ".join)
+
+
+def featurize_request(table, query_text, doc_text):
+    if doc_text is None:
+        return query_feature_buckets(table, query_text)
+    return candidate_feature_buckets(table, (query_text, doc_text))
 
 
 def featurize_or_error(featurize, *args):
@@ -247,13 +274,52 @@ class TestFeatureTable:
         assert got == scratch_buckets(CFG, "q1 q2 q3 q4", "d1 d2 d3 d4 d5 d6")
         assert len(got) == (4 + 1 + 6) + (3 + 2 + 5)
 
-    def test_repeated_grams_hashed_once(self, monkeypatch):
+    def test_each_distinct_token_hashed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(encoder, "stable_hash64", lambda key: calls.append(key) or stable_hash64(key))
         table = FeatureTable(CFG)
         for text in ("ab ab ab", "ab ab", "ab cd ab"):
             query_feature_buckets(table, text)
-        assert sorted(calls) == sorted(["ab", "ab\x1fab", "cd", "ab\x1fcd", "cd\x1fab"])
+        table.queue([("cd ef", "ab gh"), (None, "gh ab")])
+        joint_feature_buckets(table, "cd ef", "ab gh")
+        doc_feature_buckets(table, "gh ab")
+        assert sorted(calls) == ["ab", "cd", "ef", "gh"]
+
+    @pytest.mark.parametrize("hash_buckets", [2, 97, 2**18])
+    def test_unigram_buckets_are_token_hashes(self, monkeypatch, hash_buckets):
+        # a unigram-only table never mixes: every bucket is a token's hash,
+        # and the separator's is the reserved last bucket
+        def no_mix(x):
+            raise AssertionError("a unigram-only table called the mixer")
+
+        monkeypatch.setattr(encoder, "_mix", no_mix)
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=hash_buckets, ngram_orders=(1,))
+        table = FeatureTable(cfg)
+        query, doc = "how does the solar panel work", "the solar panel turns light into power"
+        want_q = [stable_hash64(t) % (hash_buckets - 1) for t in tokenize(query)]
+        want_d = [stable_hash64(t) % (hash_buckets - 1) for t in tokenize(doc)]
+        table.queue([(query, doc), (None, doc), (query, None)])
+        assert joint_feature_buckets(table, query, doc).tolist() == want_q + [hash_buckets - 1] + want_d
+        assert doc_feature_buckets(table, doc).tolist() == want_d
+        assert query_feature_buckets(table, query).tolist() == want_q
+        params = init_params(cfg, seed=0)
+        encode_candidates(params, [(query, doc), (None, doc)], table)
+        encode_queries(params, [query])
+
+    @pytest.mark.parametrize("keep_texts", [False, True])
+    @pytest.mark.parametrize("cfg", TABLE_CFGS)
+    def test_queued_pass_equals_one_pass_per_request(self, cfg, keep_texts):
+        # one pass over many requests, with repeats, texts without tokens and
+        # texts shorter than an order, gives each request what it gets alone
+        texts = ["ab cd", "e", " ... ", "ab cd e fg h", "fg fg fg", "cd"]
+        requests = [(q, d) for q in texts + [None] for d in texts + [None] if (q, d) != (None, None)]
+        requests += requests[:9]
+        table = FeatureTable(cfg, keep_texts=keep_texts)
+        table.queue(requests)
+        for request in requests:
+            got = featurize_or_error(featurize_request, table, *request)
+            assert got == featurize_or_error(featurize_request, FeatureTable(cfg), *request)
+            assert got == scratch_or_error(cfg, *request)
 
     def test_encodings_through_a_table_equal_throwaway_ones(self):
         params = init_params(CFG, seed=3)
@@ -485,6 +551,15 @@ class TestCheckpointIO:
         path = tmp_path / "model.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 64)
         with pytest.raises(ValueError, match="bad magic"):
+            load_params(path)
+
+    def test_mvdr1_checkpoint_rejected_by_name(self, tmp_path):
+        # a checkpoint from before bigram buckets came from token hashes:
+        # the current layout under the old magic, with a valid checksum
+        path = tmp_path / "model.bin"
+        save_params(init_params(CFG, seed=3), path)
+        self._rewrite_payload(path, lambda p: p.__setitem__(slice(0, 5), b"MVDR1"))
+        with pytest.raises(ValueError, match=r"retired checkpoint format b'MVDR1'.*token hashes"):
             load_params(path)
 
     def test_corruption_detected(self, tmp_path):

@@ -6,13 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mvdr import querygen
 from mvdr.corpus import Document, tokenize
+from mvdr.hashing import derive_seed
 from mvdr.querygen import (
     DEFAULT_TEMPLATES,
     QGModel,
     SamplingConfig,
-    _draw,
-    _numpy_sum,
+    _choose,
+    _pairwise_sum,
     fit_qg,
     generate,
     generate_corpus,
@@ -144,9 +146,8 @@ class TestGenerateCorpus:
         assert len({s.queries for s in sets}) == len(sets)
 
 
-def reference_generate(model, doc, cfg, seed):
-    """Queries drawn with ``Generator.choice(p=...)`` and ``np.delete``."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def reference_queries(model, doc, cfg, rng):
+    """Queries drawn with ``rng.integers``, ``rng.choice(p=...)`` and ``np.delete``."""
     ranked = sorted(model.salience[doc.doc_id].items(), key=lambda kv: (-kv[1], kv[0]))
     ranked = ranked[: cfg.top_k]
     pool_terms = [t for t, _ in ranked]
@@ -169,12 +170,65 @@ def reference_generate(model, doc, cfg, seed):
     return tuple(queries)
 
 
+def reference_generate(model, doc, cfg, seed):
+    return reference_queries(model, doc, cfg, np.random.Generator(np.random.PCG64(seed)))
+
+
+class WordRng:
+    """The scalar ``Generator`` calls that generation makes, over given raw
+    PCG64 words: ``integers(0, n)`` by Lemire's method on 32-bit halves (a
+    word's low half first, its high half kept for the next one), and
+    ``random()`` from the top 53 bits of a new word."""
+
+    def __init__(self, words):
+        self.words = iter(int(w) for w in words)
+        self.high = None
+        self.rejections = 0
+
+    def _uint32(self):
+        if self.high is not None:
+            out, self.high = self.high, None
+            return out
+        word = next(self.words)
+        self.high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low, high):
+        n = high - low
+        if n == 1:
+            return low
+        while True:
+            m = self._uint32() * n
+            if m & 0xFFFFFFFF >= 2**32 % n:
+                return low + (m >> 32)
+            self.rejections += 1
+
+    def random(self):
+        return (next(self.words) >> 11) * 2.0**-53
+
+    def choice(self, n, p):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, self.random(), side="right"))
+
+
 def spread_weights(rng, n):
     """Positive weights over many magnitudes, so that summation order shows."""
     return rng.lognormal(mean=0.0, sigma=3.0, size=n).tolist()
 
 
-class TestDrawMatchesChoice:
+def spread_model(pools, seed=0, templates=DEFAULT_TEMPLATES):
+    """A fitted-looking model with one document per pool size."""
+    rng = np.random.default_rng(seed)
+    salience = {
+        f"d{i}": {f"t{j:03d}": w for j, w in enumerate(spread_weights(rng, pool))}
+        for i, pool in enumerate(pools)
+    }
+    docs = [Document(doc_id, "unused by generation") for doc_id in salience]
+    return QGModel(salience=salience, templates=tuple(templates), rng_seed=0), docs
+
+
+class TestReplayMatchesScalarCalls:
     """Pool sizes below, at and above numpy's 8-way summation unroll."""
 
     POOLS = (1, 5, 7, 8, 12, 16, 20)
@@ -183,44 +237,87 @@ class TestDrawMatchesChoice:
         rng = np.random.default_rng(0)
         left_to_right_differs = 0
         for n in list(range(1, 40)) + [127, 128, 129, 136, 300, 1001]:
-            for _ in range(20):
-                values = spread_weights(rng, n)
-                assert _numpy_sum(values) == np.asarray(values).sum()
-                left_to_right_differs += functools.reduce(operator.add, values) != _numpy_sum(values)
+            rows = np.asarray([spread_weights(rng, n) for _ in range(20)])
+            sums = _pairwise_sum(rows)
+            assert sums.tolist() == [row.sum() for row in rows]
+            left_to_right_differs += sum(
+                functools.reduce(operator.add, row.tolist()) != total for row, total in zip(rows, sums)
+            )
         # the data can tell the orders apart
         assert left_to_right_differs > 0
 
     @pytest.mark.parametrize("n", POOLS + (129, 300))
-    def test_draw_equals_choice(self, n):
-        weights = spread_weights(np.random.default_rng(n), n)
-        probs = np.asarray(weights) / np.asarray(weights).sum()
-        for seed in range(50):
-            ours = np.random.Generator(np.random.PCG64(seed))
-            theirs = np.random.Generator(np.random.PCG64(seed))
-            for _ in range(5):
-                assert _draw(ours, weights) == int(theirs.choice(n, p=probs))
+    def test_choose_equals_choice(self, n):
+        weights = np.asarray(spread_weights(np.random.default_rng(n), n))
+        probs = weights / weights.sum()
+        rows = np.tile(weights, (50, 1))
+        ours = [np.random.Generator(np.random.PCG64(seed)) for seed in range(50)]
+        theirs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(50)]
+        for _ in range(5):
+            picks = _choose(rows, np.asarray([rng.random() for rng in ours]))
+            assert picks.tolist() == [int(rng.choice(n, p=probs)) for rng in theirs]
 
     @pytest.mark.parametrize("n", POOLS + (129, 300))
-    def test_draw_at_every_cdf_boundary(self, n):
+    def test_choose_at_every_cdf_boundary(self, n):
         # a uniform exactly at, or just below, one of numpy's cumulative
         # values tells apart cumulative sums that differ in the last bit
-        weights = spread_weights(np.random.default_rng(100 + n), n)
-        w = np.asarray(weights)
+        w = np.asarray(spread_weights(np.random.default_rng(100 + n), n))
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
-        for u in np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0)]):
-            rng = SimpleNamespace(random=lambda u=float(u): u)
-            assert _draw(rng, weights) == int(np.searchsorted(cdf, u, side="right"))
+        uniforms = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0)])
+        picks = _choose(np.tile(w, (len(uniforms), 1)), uniforms)
+        assert picks.tolist() == np.searchsorted(cdf, uniforms, side="right").tolist()
+
+    def test_word_model_matches_generator(self):
+        # the test's own model of the scalar calls, used on crafted words below
+        model, docs = spread_model(self.POOLS)
+        for top_k in (1, 3, 5, 8, 12):
+            cfg = SamplingConfig(k_views=5, top_k=top_k, max_query_tokens=16)
+            for seed in range(4):
+                for doc in docs:
+                    words = np.random.PCG64(seed).random_raw(4 * cfg.k_views)
+                    assert reference_queries(model, doc, cfg, WordRng(words)) == (
+                        reference_generate(model, doc, cfg, seed)
+                    )
 
     @pytest.mark.parametrize("pool", POOLS)
     def test_generate_equals_reference(self, pool):
-        weights = spread_weights(np.random.default_rng(pool), pool)
-        salience = {f"t{i:02d}": w for i, w in enumerate(weights)}
-        model = QGModel(salience={"d": salience}, templates=DEFAULT_TEMPLATES, rng_seed=0)
-        doc = Document("d", "unused by generation")
+        model, docs = spread_model([pool], seed=pool)
         for max_query_tokens in (1, 2, 3, 4, 16):
             for top_k in (pool, pool + 3):
                 cfg = SamplingConfig(k_views=6, top_k=top_k, max_query_tokens=max_query_tokens)
                 for seed in range(12):
-                    got = generate(model, doc, cfg, seed=seed).queries
-                    assert got == reference_generate(model, doc, cfg, seed)
+                    got = generate(model, docs[0], cfg, seed=seed).queries
+                    assert got == reference_generate(model, docs[0], cfg, seed)
+
+    def test_generate_corpus_equals_reference(self):
+        # several pool sizes in one corpus, so documents leave the term
+        # draws at different steps and their streams drift apart
+        model, docs = spread_model(list(range(1, 21)) + [129], seed=5)
+        for top_k in (1, 3, 5, 6, 8, 12, 20):
+            for max_query_tokens in (1, 2, 3, 4, 16):
+                for seed in range(12):
+                    cfg = SamplingConfig(
+                        k_views=5 + seed % 2, top_k=top_k, max_query_tokens=max_query_tokens
+                    )
+                    got = [qset.queries for qset in generate_corpus(model, docs, cfg, seed=seed)]
+                    want = [reference_generate(model, d, cfg, derive_seed(seed, d.doc_id)) for d in docs]
+                    assert got == want
+
+    @pytest.mark.parametrize("top_k", [3, 5, 6])
+    def test_lemire_rejection_replayed(self, monkeypatch, top_k):
+        # template counts of 3, 5 and 6 reject a 32-bit draw whose product
+        # with the count is below 2**32 % count mod 2**32, which a zero half
+        # always is; crafted words with many zero halves force rejections,
+        # runs of them, and more words than a stream first draws
+        model, docs = spread_model([1, 2, 3, 4, 12], seed=top_k)
+        cfg = SamplingConfig(k_views=7, top_k=top_k, max_query_tokens=16)
+        rng = np.random.default_rng(top_k)
+        words = rng.integers(0, 2**64, size=(len(docs), 40 * cfg.k_views), dtype=np.uint64)
+        halves = words.view(np.uint32)
+        halves[rng.random(halves.shape) < 0.5] = 0
+        monkeypatch.setattr(querygen, "_draw_words", lambda seeds, n: words[:, :n])
+        got = [qset.queries for qset in generate_corpus(model, docs, cfg, seed=0)]
+        scalar = [WordRng(row) for row in words]
+        assert got == [reference_queries(model, d, cfg, r) for d, r in zip(docs, scalar)]
+        assert sum(r.rejections for r in scalar) > 10
