@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -250,34 +250,38 @@ class FeatureTable:
     ``t``, in wrapping uint64 arithmetic; its bucket is the final ``h``
     modulo ``hash_buckets - 1``.
 
-    Featurization runs in passes. :meth:`queue` names the texts a caller
-    is about to ask for; the first of them asked for runs one pass over
-    all of them, which tokenizes each distinct text once and takes every
-    n-gram's bucket in one array computation. A text asked for without
-    being queued gets a pass of its own. The table keeps each text's
-    token hashes and the buckets of its own n-grams, for the texts of its
-    latest pass or, with ``keep_texts`` (training, which reads every text
-    once per epoch), for every text it has seen; and the separator
-    n-grams of its latest pass's query-document requests.
+    Featurization runs in passes. :meth:`queue` names the requests a
+    caller is about to ask for; the first of them asked for runs one pass
+    over all of them, which tokenizes each distinct text once and takes
+    every n-gram's bucket in one array computation. A request asked for
+    without being queued gets a pass of its own. The table keeps what its
+    latest pass featurized, and nothing per request: per text, the
+    buckets of its own n-grams; per separator window (the token hashes on
+    each side of the separator that an n-gram overlapping it can reach),
+    the buckets of the n-grams that overlap the separator. A request
+    whose texts and window are kept runs no pass, whichever pass kept
+    them.
     """
 
-    def __init__(self, cfg: EncoderConfig, keep_texts: bool = False) -> None:
+    def __init__(self, cfg: EncoderConfig) -> None:
         self.cfg = cfg
         self._space = cfg.hash_buckets - 1
-        self._keep_texts = keep_texts
         self._orders = np.array(cfg.ngram_orders, dtype=np.int64)
         self._token_hashes: dict[str, int] = {}
-        # "query" or "document" -> text -> (its token hashes, cut at its
-        # cap, and the read-only buckets of its own n-grams)
-        self._texts: dict[str, dict[str, tuple[list[int], np.ndarray]]] = {"query": {}, "document": {}}
-        # (query, document) -> buckets of the n-grams overlapping the separator
-        self._boundaries: dict[tuple[str, str], np.ndarray] = {}
+        # "query" or "document" -> text -> (its token count after its cap;
+        # the read-only buckets of its own n-grams; its side of a separator
+        # window, a query's last and a document's first `reach` token hashes)
+        self._texts: dict[str, dict[str, tuple[int, np.ndarray, tuple[int, ...]]]]
+        self._texts = {"query": {}, "document": {}}
+        # separator window (query side, document side) -> buckets of the
+        # n-grams overlapping the separator, which depend on nothing else
+        self._windows: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
         self._queued: dict[tuple[str | None, str | None], None] = {}
-        self._done: set[tuple[str | None, str | None]] = set()
 
     def queue(self, requests: Iterable[tuple[str | None, str | None]]) -> None:
         """Featurize these (query text or None, document text or None)
-        requests in one pass, when the first of them is asked for."""
+        requests in one pass, when the first of them is asked for; the
+        queue is emptied when its pass runs."""
         self._queued = dict.fromkeys(requests)
 
     def features(self, query_text: str | None, doc_text: str | None) -> np.ndarray:
@@ -285,53 +289,64 @@ class FeatureTable:
         query's own n-grams, those that overlap the separator, then the
         document's own, each part by order and then by position. A query's
         or a document's array is read-only. Raises for a text without
-        tokens."""
+        tokens, and for a request with no n-gram of any order."""
         request = (query_text, doc_text)
-        if request not in self._done:
-            self._featurize(self._queued if request in self._queued else (request,))
-        if query_text is None:
-            return self._own("document", doc_text)
-        query = self._own("query", query_text)
-        if doc_text is None:
-            return query
-        return np.concatenate([query, self._boundaries[request], self._own("document", doc_text)])
-
-    def _own(self, what: str, text: str) -> np.ndarray:
-        """The buckets of a kept text's own n-grams."""
-        hashes, buckets = self._texts[what][text]
-        if not hashes:
-            raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
+        parts = self._kept(*request)
+        if parts is None:
+            if request in self._queued:
+                requests, self._queued = self._queued, {}
+            else:
+                requests = (request,)
+            self._featurize(requests)
+            parts = self._kept(*request)
+        buckets = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # a text without tokens or shorter than every order has no own buckets
+        if not all(map(len, parts)):
+            named = [(w, t) for w, t in zip(("query", "document"), request) if t is not None]
+            for what, text in named:
+                if not self._texts[what][text][0]:
+                    raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
+            # An all-empty feature set would mean-pool to a NaN embedding.
+            if buckets.size == 0:
+                described = " with ".join(f"{what} {text!r}" for what, text in named)
+                orders = self.cfg.ngram_orders
+                raise ValueError(f"{described} is shorter than every n-gram order {orders}")
         return buckets
 
-    def _featurize(self, requests: Iterable[tuple[str | None, str | None]]) -> None:
-        """One pass: the buckets of every text of ``requests`` that the
-        table does not keep, and of every query-document request's
-        separator window (the tokens on each side of the separator that an
-        n-gram overlapping it can reach), each in one array computation."""
-        requests = list(requests)
-        if not self._keep_texts:
-            self._texts = {"query": {}, "document": {}}
-        queries, docs = self._texts["query"], self._texts["document"]
-        new = [("query", q) for q in dict.fromkeys(q for q, _ in requests) if q not in queries]
-        new += [("document", d) for d in dict.fromkeys(d for _, d in requests) if d not in docs]
-        new = [key for key in new if key[1] is not None]
-        hashes = [self._token_hashes_of(*key) for key in new]
-        for (what, text), text_hashes, buckets in zip(new, hashes, self._grams(hashes)):
-            self._texts[what][text] = (text_hashes, buckets)
-        # a query-document request's boundary depends only on the query's
-        # last and the document's first `reach` tokens
+    def _kept(self, query_text: str | None, doc_text: str | None) -> list[np.ndarray] | None:
+        """The kept buckets of a request's parts, in its feature order, or
+        None when the latest pass did not featurize all of them."""
+        query = self._texts["query"].get(query_text)
+        doc = self._texts["document"].get(doc_text)
+        if (query is None) != (query_text is None) or (doc is None) != (doc_text is None):
+            return None
+        if query is None:
+            return [doc[1]]
+        if doc is None:
+            return [query[1]]
+        window = self._windows.get((query[2], doc[2]))
+        return None if window is None else [query[1], window, doc[1]]
+
+    def _featurize(self, requests: Collection[tuple[str | None, str | None]]) -> None:
+        """One pass: the buckets of every text of ``requests`` and of every
+        query-document request's separator window, each in one array
+        computation. The table then keeps these and nothing else."""
+        keys = [("query", q) for q in dict.fromkeys(q for q, _ in requests) if q is not None]
+        keys += [("document", d) for d in dict.fromkeys(d for _, d in requests) if d is not None]
+        self._texts, self._windows = {"query": {}, "document": {}}, {}
+        hashes = [self._token_hashes_of(*key) for key in keys]
         reach = max(self.cfg.ngram_orders) - 1
-        joint = [r for r in requests if None not in r]
-        sides = [
-            (tuple(queries[q][0][-reach:] if reach else ()), tuple(docs[d][0][:reach])) for q, d in joint
-        ]
-        windows = list(dict.fromkeys(sides))
+        for (what, text), text_hashes, buckets in zip(keys, hashes, self._grams(hashes)):
+            cut = max(0, len(text_hashes) - reach) if what == "query" else 0
+            side = tuple(text_hashes[cut : cut + reach])
+            self._texts[what][text] = (len(text_hashes), buckets, side)
+        queries, docs = self._texts["query"], self._texts["document"]
+        joint = ((queries[q][2], docs[d][2]) for q, d in requests if None not in (q, d))
+        windows = list(dict.fromkeys(joint))
         boundaries = self._grams(
             [[*q, _SEP_HASH, *d] for q, d in windows], [len(q) for q, _ in windows]
         )
-        by_window = dict(zip(windows, boundaries))
-        self._boundaries = {request: by_window[side] for request, side in zip(joint, sides)}
-        self._done = set(requests)
+        self._windows = dict(zip(windows, boundaries))
 
     def _token_hashes_of(self, what: str, text: str) -> list[int]:
         """The token hashes of a query or document (``what``), cut at its cap."""
@@ -399,26 +414,14 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _require_features(
-    table: FeatureTable, buckets: np.ndarray, what: str, *texts: str
-) -> np.ndarray:
-    """``buckets``, unless empty; ``what`` is formatted with the reprs of
-    ``texts`` only when raising, since most inputs pass."""
-    # An all-empty feature set would mean-pool to a NaN embedding.
-    if buckets.size == 0:
-        described = what.format(*map(repr, texts))
-        raise ValueError(f"{described} is shorter than every n-gram order {table.cfg.ngram_orders}")
-    return buckets
-
-
 def query_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a query encoded alone (read-only)."""
-    return _require_features(table, table.features(text, None), "query {}", text)
+    return table.features(text, None)
 
 
 def doc_feature_buckets(table: FeatureTable, text: str) -> np.ndarray:
     """Hashed n-gram features of a document encoded alone (read-only)."""
-    return _require_features(table, table.features(None, text), "document {}", text)
+    return table.features(None, text)
 
 
 def joint_feature_buckets(table: FeatureTable, query_text: str, doc_text: str) -> np.ndarray:
@@ -427,8 +430,7 @@ def joint_feature_buckets(table: FeatureTable, query_text: str, doc_text: str) -
     Equal to the features of the concatenated token sequence: the query's
     and the document's own n-grams, then those that overlap the separator.
     """
-    buckets = table.features(query_text, doc_text)
-    return _require_features(table, buckets, "query {} with document {}", query_text, doc_text)
+    return table.features(query_text, doc_text)
 
 
 # ---------------------------------------------------------------------------

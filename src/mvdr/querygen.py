@@ -126,39 +126,13 @@ def _term_pool(weights: Mapping[str, float], top_k: int) -> tuple[list[str], lis
     return [t for t, _ in ranked], [w for _, w in ranked]
 
 
-def _pairwise_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D float64 array, each row summed as ``np.sum`` sums
-    it on its own: in numpy's pairwise order, one column at a time.
-
-    numpy sums fewer than 8 values left to right. From 8 to 128 values it
-    keeps 8 running sums over strides of 8, combines them pairwise and adds
-    the remainder left to right. Longer rows are split in two at a
-    multiple of 8 near the middle.
-    """
-    n = values.shape[1]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(values[:, :half]) + _pairwise_sum(values[:, half:])
-    if n < 8:
-        total = np.full(len(values), -0.0)
-        for j in range(n):
-            total += values[:, j]
-        return total
-    r = values[:, :8].copy()
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        r += values[:, i : i + 8]
-    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for j in range(tail, n):
-        total += values[:, j]
-    return total
-
-
 def _choose(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Per row, the index that ``Generator.choice(n, p=w / w.sum())``
     picks with the uniform ``uniforms[row]``: the uniform searched in the
-    normalized cumulative sum of the row's probabilities."""
-    cdf = np.cumsum(weights / _pairwise_sum(weights)[:, None], axis=1)
+    normalized cumulative sum of the row's probabilities. ``weights`` is
+    C-contiguous, so numpy sums each row in the pairwise order in which
+    ``np.sum`` sums that row alone."""
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 

@@ -194,10 +194,11 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     Each row of the ``(B, B * block)`` score matrix is one softmax over
     every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
-    which always runs in float64 for stability. ``table`` is the training
-    run's feature table, made from ``params.config``.
+    which always runs in float64 for stability. ``table`` is a feature
+    table made from ``params.config``; it featurizes the batch in the pass
+    its caller queued (:func:`train` queues a whole stage), or one request
+    at a time if nothing queued covers it.
     """
-    table.queue([*((t, None) for t in batch.query_texts), *batch.candidates])
     q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
     q_emb, q_cache = forward_tower(params.query_tower, q_buckets)
@@ -402,8 +403,9 @@ def train(
     Optimizer state is fresh per stage, and the step counter in the trace
     runs across both stages. Each epoch's mean step loss is logged at
     INFO level as ``<stage> epoch i/n loss x``. Both stages featurize
-    through one :class:`FeatureTable` that keeps every text's features,
-    since each epoch reads them all again; it is dropped on return.
+    through one :class:`FeatureTable`, which featurizes each stage's
+    queries and candidates in one pass and keeps them for all its epochs;
+    it is dropped on return.
     Deterministic for a fixed (params, data, cfg).
     """
     stages = []
@@ -423,9 +425,11 @@ def train(
         stages.append(("finetune", examples, cfg.batch_size, cfg.epochs_finetune))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     trace: list[TraceEntry] = []
-    table = FeatureTable(params.config, keep_texts=True)
+    table = FeatureTable(params.config)
     for stage, examples, batch_size, epochs in stages:
         log.info("%s on %d examples for %d epochs", stage, len(examples), epochs)
+        requests = ([(ex.query_text, None), ex.positive, *ex.negatives] for ex in examples)
+        table.queue(chain.from_iterable(requests))
         n = len(examples)
         # a last batch of one example has nothing to share and is dropped;
         # every stage has n >= 2 and batch_size >= 2, so at least one batch

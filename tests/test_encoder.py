@@ -246,9 +246,9 @@ class TestFeatureTable:
             got = featurize_or_error(joint_feature_buckets, FeatureTable(cfg), query_text, doc_text)
             assert got == want
 
-    @pytest.mark.parametrize("keep_texts", [False, True])
+    @pytest.mark.parametrize("queued", [False, True])
     @pytest.mark.parametrize("cfg", TABLE_CFGS)
-    def test_one_table_across_shuffled_texts(self, cfg, keep_texts):
+    def test_one_table_across_shuffled_texts(self, cfg, queued):
         rng = np.random.default_rng(7)
         words = "ab cd e fg ab cd".split()
         texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(30)]
@@ -257,7 +257,11 @@ class TestFeatureTable:
         pairs = [(q, d) for d in texts[:10] for q in texts[10:14]] + [(None, d) for d in texts]
         order = rng.permutation(len(pairs))
         pairs += [pairs[i] for i in order]
-        table = FeatureTable(cfg, keep_texts=keep_texts)
+        table = FeatureTable(cfg)
+        # queued: one pass over everything, as training featurizes a stage;
+        # else a pass per request, each replacing what the table keeps
+        if queued:
+            table.queue([*pairs, *((q, None) for q, _ in pairs if q is not None)])
         for query_text, doc_text in pairs:
             want = scratch_or_error(cfg, query_text, doc_text)
             got = featurize_or_error(candidate_feature_buckets, table, (query_text, doc_text))
@@ -306,20 +310,56 @@ class TestFeatureTable:
         encode_candidates(params, [(query, doc), (None, doc)], table)
         encode_queries(params, [query])
 
-    @pytest.mark.parametrize("keep_texts", [False, True])
+    @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("cfg", TABLE_CFGS)
-    def test_queued_pass_equals_one_pass_per_request(self, cfg, keep_texts):
+    def test_queued_pass_equals_one_pass_per_request(self, cfg, overlap):
         # one pass over many requests, with repeats, texts without tokens and
-        # texts shorter than an order, gives each request what it gets alone
+        # texts shorter than an order, gives each request what it gets alone;
+        # with overlap, a second pass repeats half of the first one's requests
         texts = ["ab cd", "e", " ... ", "ab cd e fg h", "fg fg fg", "cd"]
         requests = [(q, d) for q in texts + [None] for d in texts + [None] if (q, d) != (None, None)]
         requests += requests[:9]
-        table = FeatureTable(cfg, keep_texts=keep_texts)
-        table.queue(requests)
-        for request in requests:
-            got = featurize_or_error(featurize_request, table, *request)
-            assert got == featurize_or_error(featurize_request, FeatureTable(cfg), *request)
-            assert got == scratch_or_error(cfg, *request)
+        third = len(requests) // 3
+        passes = [requests[: 2 * third], requests[third:]] if overlap else [requests]
+        table = FeatureTable(cfg)
+        for queued in passes:
+            table.queue(queued)
+            for request in queued:
+                got = featurize_or_error(featurize_request, table, *request)
+                assert got == featurize_or_error(featurize_request, FeatureTable(cfg), *request)
+                assert got == scratch_or_error(cfg, *request)
+
+    @pytest.mark.parametrize("cfg", TABLE_CFGS)
+    def test_views_across_passes_equal_a_fresh_table(self, cfg, monkeypatch):
+        # one document's views straddle two encode_candidates chunks of one
+        # table, and the second chunk repeats a request of the first: each
+        # chunk runs one pass, and every row gets a fresh table's buckets
+        featurize, one_pass = encoder.candidate_feature_buckets, FeatureTable._featurize
+        rows, passes = [], []
+
+        def recorded(table, pair):
+            buckets = featurize(table, pair)
+            rows.append((pair, buckets.tolist()))
+            return buckets
+
+        def counted(table, requests):
+            passes.append(requests)
+            one_pass(table, requests)
+
+        monkeypatch.setattr(encoder, "candidate_feature_buckets", recorded)
+        monkeypatch.setattr(FeatureTable, "_featurize", counted)
+        doc, other = "ab cd e fg h", "fg e ab cd"
+        chunks = [
+            [("ab cd", doc), ("e fg", doc), (None, other)],
+            [("e fg", doc), ("cd ab e", doc), ("ab cd", other)],
+        ]
+        params, table = init_params(cfg, seed=0), FeatureTable(cfg)
+        for chunk in chunks:
+            encode_candidates(params, chunk, table)
+        assert len(passes) == len(chunks)
+        assert [pair for pair, _ in rows] == chunks[0] + chunks[1]
+        fresh = [featurize(FeatureTable(cfg), pair).tolist() for pair, _ in rows]
+        assert [got for _, got in rows] == fresh
 
     def test_encodings_through_a_table_equal_throwaway_ones(self):
         params = init_params(CFG, seed=3)

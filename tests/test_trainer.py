@@ -513,6 +513,24 @@ class TestTrainLoop:
                 expected.append(f"{stage} epoch {e + 1}/{epochs} loss {mean:.4f}")
         assert lines == expected
 
+    @pytest.mark.parametrize("mode", ["dce", "de"])
+    def test_one_featurization_pass_per_stage(self, monkeypatch, mode):
+        # each stage queues all of its requests, so every batch of every
+        # epoch reads the features of that stage's one pass
+        passes = []
+        one_pass = FeatureTable._featurize
+
+        def counted(table, requests):
+            passes.append(requests)
+            one_pass(table, requests)
+
+        monkeypatch.setattr(FeatureTable, "_featurize", counted)
+        docs, triples, generated = _toy_world()
+        cfg = dataclasses.replace(self.CFG, mode=mode)
+        trace = train(init_params(SMALL_CFG, seed=4), triples, cfg, corpus=docs, generated=generated)
+        assert [e.stage for e in trace].count("finetune") == 4
+        assert len(passes) == len({e.stage for e in trace}) == 2
+
     def test_zero_learning_rate_is_noop(self):
         docs, triples, generated = _toy_world()
         cfg = TrainConfig(
