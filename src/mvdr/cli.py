@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, analysis, evaluation
-from .corpus import Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
+from .corpus import CORPUS_FORMATS, Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
 from .corpus import load_corpus, load_generated_queries, load_qrels, load_queries, load_triples
 from .corpus import _check_new, _read_lines, write_generated_queries
-from .encoder import EncoderConfig, EncoderParams, encode_queries
+from .encoder import MODES, EncoderConfig, EncoderParams, encode_queries
 from .encoder import init_params, load_params, save_params
 from .hashing import derive_seed
 from .index import FlatIndex, build_index, load_index, save_index, search_corpus, search_prefixes
@@ -451,12 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_corpus_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--corpus-format", choices=("tsv", "jsonl"))
-
     p = sub.add_parser("gen-queries", help="generate pseudo-queries for a corpus")
     p.add_argument("--corpus", required=True)
-    add_corpus_format(p)
+    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
     p.add_argument("--out", required=True)
     p.add_argument("--views", type=int, help="queries per document")
     p.add_argument("--top-k", dest="sampling_top_k", type=int, help="sampling pool size")
@@ -466,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an encoder on triples")
     p.add_argument("--corpus", required=True)
-    add_corpus_format(p)
+    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
     p.add_argument("--triples", required=True)
     p.add_argument("--gen-queries", help="generated queries (needed for pretraining)")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--mode", choices=("de", "dce"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--pretrain-batch-size", type=int)
     p.add_argument(
@@ -488,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="encode a corpus into a flat index")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    add_corpus_format(p)
-    p.add_argument("--mode", choices=("de", "dce"))
+    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--gen-queries")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
@@ -521,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")
     p.add_argument("--corpus")
-    add_corpus_format(p)
+    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
     p.add_argument("--topk", dest="search_topk", type=int)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=("de", "dce"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.add_argument("--threads", type=int, help="ignored: every stage runs on one thread")

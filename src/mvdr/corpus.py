@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
+CORPUS_FORMATS = ("tsv", "jsonl")
+
 
 def normalize_text(text: str) -> str:
     """Canonicalize text: NFC, lowercase, whitespace runs collapsed."""
@@ -191,7 +193,7 @@ def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
     or whitespace-containing ids, duplicate ids, or text that is empty
     after canonicalization.
     """
-    if fmt not in ("tsv", "jsonl"):
+    if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r} (expected 'tsv' or 'jsonl')")
     docs = [Document(*item) for item in _load_texts(path, "doc_id", fmt).items()]
     log.info("loaded %d documents from %s", len(docs), path)

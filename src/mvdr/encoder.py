@@ -57,6 +57,8 @@ _GRAM_MUL = np.uint64(0x9E3779B97F4A7C15)
 _FMIX_SHIFT = np.uint64(33)
 _FMIX_MUL = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
 
+MODES = ("de", "dce")
+
 _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _MAGIC = b"MVDR2"
@@ -251,11 +253,11 @@ class FeatureTable:
     modulo ``hash_buckets - 1``.
 
     Featurization runs in passes. :meth:`queue` names the requests a
-    caller is about to ask for; the first of them asked for runs one pass
-    over all of them, which tokenizes each distinct text once and takes
-    every n-gram's bucket in one array computation. A request asked for
-    without being queued gets a pass of its own. The table keeps what its
-    latest pass featurized, and nothing per request: per text, the
+    caller is about to ask for. A request the table does not keep joins
+    that queue, and one pass runs over the whole queue, which is then
+    empty: it tokenizes each distinct text once and takes every n-gram's
+    bucket in one array computation. The table keeps what its latest
+    pass featurized, and nothing per request: per text, the
     buckets of its own n-grams; per separator window (the token hashes on
     each side of the separator that an n-gram overlapping it can reach),
     the buckets of the n-grams that overlap the separator. A request
@@ -268,11 +270,10 @@ class FeatureTable:
         self._space = cfg.hash_buckets - 1
         self._orders = np.array(cfg.ngram_orders, dtype=np.int64)
         self._token_hashes: dict[str, int] = {}
-        # "query" or "document" -> text -> (its token count after its cap;
+        # ("query" or "document", text) -> (its token count after its cap;
         # the read-only buckets of its own n-grams; its side of a separator
         # window, a query's last and a document's first `reach` token hashes)
-        self._texts: dict[str, dict[str, tuple[int, np.ndarray, tuple[int, ...]]]]
-        self._texts = {"query": {}, "document": {}}
+        self._texts: dict[tuple[str, str], tuple[int, np.ndarray, tuple[int, ...]]] = {}
         # separator window (query side, document side) -> buckets of the
         # n-grams overlapping the separator, which depend on nothing else
         self._windows: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
@@ -280,8 +281,8 @@ class FeatureTable:
 
     def queue(self, requests: Iterable[tuple[str | None, str | None]]) -> None:
         """Featurize these (query text or None, document text or None)
-        requests in one pass, when the first of them is asked for; the
-        queue is emptied when its pass runs."""
+        requests in the next pass, which the first request the table does
+        not keep runs; the queue is emptied when its pass runs."""
         self._queued = dict.fromkeys(requests)
 
     def features(self, query_text: str | None, doc_text: str | None) -> np.ndarray:
@@ -293,10 +294,8 @@ class FeatureTable:
         request = (query_text, doc_text)
         parts = self._kept(*request)
         if parts is None:
-            if request in self._queued:
-                requests, self._queued = self._queued, {}
-            else:
-                requests = (request,)
+            self._queued[request] = None
+            requests, self._queued = self._queued, {}
             self._featurize(requests)
             parts = self._kept(*request)
         buckets = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -304,7 +303,7 @@ class FeatureTable:
         if not all(map(len, parts)):
             named = [(w, t) for w, t in zip(("query", "document"), request) if t is not None]
             for what, text in named:
-                if not self._texts[what][text][0]:
+                if not self._texts[what, text][0]:
                     raise ValueError(f"{what} has no tokens after canonicalization: {text!r}")
             # An all-empty feature set would mean-pool to a NaN embedding.
             if buckets.size == 0:
@@ -316,8 +315,8 @@ class FeatureTable:
     def _kept(self, query_text: str | None, doc_text: str | None) -> list[np.ndarray] | None:
         """The kept buckets of a request's parts, in its feature order, or
         None when the latest pass did not featurize all of them."""
-        query = self._texts["query"].get(query_text)
-        doc = self._texts["document"].get(doc_text)
+        query = self._texts.get(("query", query_text))
+        doc = self._texts.get(("document", doc_text))
         if (query is None) != (query_text is None) or (doc is None) != (doc_text is None):
             return None
         if query is None:
@@ -333,15 +332,17 @@ class FeatureTable:
         computation. The table then keeps these and nothing else."""
         keys = [("query", q) for q in dict.fromkeys(q for q, _ in requests) if q is not None]
         keys += [("document", d) for d in dict.fromkeys(d for _, d in requests) if d is not None]
-        self._texts, self._windows = {"query": {}, "document": {}}, {}
+        self._texts, self._windows = {}, {}
         hashes = [self._token_hashes_of(*key) for key in keys]
         reach = max(self.cfg.ngram_orders) - 1
-        for (what, text), text_hashes, buckets in zip(keys, hashes, self._grams(hashes)):
-            cut = max(0, len(text_hashes) - reach) if what == "query" else 0
+        # the kept keys are the pass's own tuples: no second tuple per kept text
+        for key, text_hashes, buckets in zip(keys, hashes, self._grams(hashes)):
+            cut = max(0, len(text_hashes) - reach) if key[0] == "query" else 0
             side = tuple(text_hashes[cut : cut + reach])
-            self._texts[what][text] = (len(text_hashes), buckets, side)
-        queries, docs = self._texts["query"], self._texts["document"]
-        joint = ((queries[q][2], docs[d][2]) for q, d in requests if None not in (q, d))
+            self._texts[key] = (len(text_hashes), buckets, side)
+        texts = self._texts
+        joint = ((texts["query", q][2], texts["document", d][2])
+                 for q, d in requests if None not in (q, d))
         windows = list(dict.fromkeys(joint))
         boundaries = self._grams(
             [[*q, _SEP_HASH, *d] for q, d in windows], [len(q) for q, _ in windows]

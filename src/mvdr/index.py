@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, GeneratedQuerySet
-from .encoder import EncoderParams, FeatureTable, encode_candidates, encode_queries
+from .encoder import MODES, EncoderParams, FeatureTable, encode_candidates, encode_queries
 from .evaluation import RankedList, RunEntry, check_fields
 from .hashing import FramedReader, write_framed
 
@@ -123,7 +123,7 @@ def build_index(
     equally many. Every row is featurized through one :class:`FeatureTable`,
     dropped on return. ``threads`` is ignored: encoding runs on the calling thread.
     """
-    if mode not in ("de", "dce"):
+    if mode not in MODES:
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
     if mode == "dce" and generated is None:
         raise ValueError("query-informed indexing requires generated queries")

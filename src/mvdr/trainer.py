@@ -33,6 +33,7 @@ import numpy as np
 
 from .corpus import Document, GeneratedQuerySet, TrainingTriple, write_lines
 from .encoder import (
+    MODES,
     EncoderParams,
     FeatureTable,
     RowGrad,
@@ -44,8 +45,6 @@ from .encoder import (
 )
 
 log = logging.getLogger(__name__)
-
-MODES = ("de", "dce")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -195,9 +194,9 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
     which always runs in float64 for stability. ``table`` is a feature
-    table made from ``params.config``; it featurizes the batch in the pass
-    its caller queued (:func:`train` queues a whole stage), or one request
-    at a time if nothing queued covers it.
+    table made from ``params.config``; the batch's first request it lacks
+    runs one pass over that request and the table's queue (:func:`train`
+    queues a whole stage).
     """
     q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]

@@ -1,5 +1,8 @@
 import argparse
 import logging
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +434,42 @@ def test_every_subcommand_flag_defaults_to_none():
         for action in sub._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.default is None, (command, action.dest, action.default)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The bodies of README's fenced code blocks of language ``lang``."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+
+
+class TestReadmeExamples:
+    def test_every_command_parses(self):
+        # a renamed flag or subcommand fails here rather than leaving the README stale
+        commands = [
+            shlex.split(line)
+            for block in _readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mvdr ")
+        ]
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert {argv[1] for argv in commands} == set(subparsers.choices)
+
+    def test_config_example_passes_every_settings_check(self, tmp_path):
+        (block,) = _readme_blocks("ini")
+        path = tmp_path / "run.cfg"
+        path.write_text(block, encoding="utf-8")
+        config = parse_config(path)
+        assert config
+        cli._settings(build_parser().parse_args(["pipeline", "--config", str(path)]), config)
 
 
 class TestStagedMatchesPipeline:

@@ -361,6 +361,25 @@ class TestFeatureTable:
         fresh = [featurize(FeatureTable(cfg), pair).tolist() for pair, _ in rows]
         assert [got for _, got in rows] == fresh
 
+    @pytest.mark.parametrize("cfg", TABLE_CFGS)
+    def test_unqueued_request_joins_the_queued_pass(self, cfg, monkeypatch):
+        # a request asked for before the queued ones joins their pass: the
+        # queue and it are featurized together, once
+        one_pass, passes = FeatureTable._featurize, []
+
+        def counted(table, requests):
+            passes.append(list(requests))
+            one_pass(table, requests)
+
+        monkeypatch.setattr(FeatureTable, "_featurize", counted)
+        a, b, c = ("ab cd", "ab cd e fg h"), (None, "fg e ab cd"), ("e fg", "cd ab e")
+        table = FeatureTable(cfg)
+        table.queue([a, b])
+        got = [featurize_or_error(featurize_request, table, *request) for request in (c, a, b)]
+        assert passes == [[a, b, c]]
+        fresh = [featurize_or_error(featurize_request, FeatureTable(cfg), *r) for r in (c, a, b)]
+        assert got == fresh
+
     def test_encodings_through_a_table_equal_throwaway_ones(self):
         params = init_params(CFG, seed=3)
         pairs = [("alpha beta", "gamma delta eps"), (None, "gamma delta eps"), ("beta", "zeta")]
