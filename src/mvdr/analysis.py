@@ -10,7 +10,6 @@ quality averages expose how diversity relates to effectiveness.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -21,8 +20,6 @@ import numpy as np
 
 from .corpus import GeneratedQuerySet, tokenize, write_lines
 
-log = logging.getLogger(__name__)
-
 N_DIVERSITY_LEVELS = 5
 
 _BLEU_MAX_ORDER = 4
@@ -30,11 +27,6 @@ _BLEU_EPS = 1e-9
 
 
 _BLEU_BLOCK_DOCS = 100  # query sets per self-BLEU block: bounds the block's arrays
-
-
-def _token_ids(text: str, vocab: dict[str, int]) -> list[int]:
-    """``text``'s word tokens as ids in ``vocab``, which gains unseen tokens."""
-    return [vocab.setdefault(token, len(vocab)) for token in tokenize(text)]
 
 
 def _bit_masks(tokens: Sequence[Hashable]) -> dict[Hashable, int]:
@@ -61,19 +53,16 @@ def _lcs_bits(masks: Mapping[Hashable, int], length: int, tokens: Sequence[Hasha
     return length - (v & full).bit_count()
 
 
-def _checked_ids(text: str, vocab: dict[str, int], side: str) -> list[int]:
-    tokens = _token_ids(text, vocab)
+def _checked_tokens(text: str, side: str) -> list[str]:
+    tokens = tokenize(text)
     if not tokens:
         raise ValueError(f"{side} has no tokens: {text!r}")
     return tokens
 
 
-def _best_rouge_l(
-    candidates: Sequence[str], references: Sequence[str], vocab: dict[str, int]
-) -> list[float]:
-    """Each candidate's best ROUGE-L against any reference, tokenizing with
-    ``vocab``. Each reference's bitmask table is built once, after the
-    first candidate is tokenized."""
+def _best_rouge_l(candidates: Sequence[str], references: Sequence[str]) -> list[float]:
+    """Each candidate's best ROUGE-L against any reference. Each reference's
+    bitmask table is built once, after the first candidate is tokenized."""
     if not candidates:
         raise ValueError("no candidate queries")
     if not references:
@@ -81,9 +70,9 @@ def _best_rouge_l(
     tables = None
     values = []
     for candidate in candidates:
-        cand = _checked_ids(candidate, vocab, "candidate")
+        cand = _checked_tokens(candidate, "candidate")
         if tables is None:
-            refs = [_checked_ids(text, vocab, "reference") for text in references]
+            refs = [_checked_tokens(text, "reference") for text in references]
             tables = [(len(ref), _bit_masks(ref)) for ref in refs]
         best = 0.0
         for length, masks in tables:
@@ -102,12 +91,12 @@ def rouge_l(candidate: str, reference: str) -> float:
     0 when the texts share no common subsequence; raises if either side
     has no tokens at all.
     """
-    return _best_rouge_l([candidate], [reference], {})[0]
+    return _best_rouge_l([candidate], [reference])[0]
 
 
 def max_rouge_l(candidates: Sequence[str], references: Sequence[str]) -> float:
     """Best ROUGE-L of any candidate against any reference."""
-    return max(_best_rouge_l(candidates, references, {}))
+    return max(_best_rouge_l(candidates, references))
 
 
 def _firsts(ordered: np.ndarray) -> np.ndarray:
@@ -187,7 +176,7 @@ def _self_bleu_block(query_sets: Sequence[Sequence[str]]) -> list[float]:
         if len(queries) < 2:
             raise ValueError(f"self-BLEU needs at least 2 queries, got {len(queries)}")
         for i, query in enumerate(queries):
-            ids = _token_ids(query, vocab)
+            ids = [vocab.setdefault(token, len(vocab)) for token in tokenize(query)]
             if not ids:
                 raise ValueError(f"query {i} has no tokens: {query!r}")
             token_ids.extend(ids)
@@ -302,11 +291,9 @@ class LevelSummary:
 def quality_records(
     generated: Sequence[GeneratedQuerySet], gold_by_doc: Mapping[str, Sequence[str]]
 ) -> list[QualityRecord]:
-    """Each view's best ROUGE-L, for documents that have gold queries; every
-    text is tokenized once, into ids from one vocabulary."""
-    vocab: dict[str, int] = {}
+    """Each view's best ROUGE-L, for documents that have gold queries."""
     return [
-        QualityRecord(qset.doc_id, tuple(_best_rouge_l(qset.queries, gold, vocab)))
+        QualityRecord(qset.doc_id, tuple(_best_rouge_l(qset.queries, gold)))
         for qset in generated
         if (gold := gold_by_doc.get(qset.doc_id))
     ]

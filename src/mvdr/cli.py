@@ -152,8 +152,9 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
             raise ValueError(f"metric spec {spec!r} repeats {seen[parsed]!r}")
         seen[parsed] = spec
     evaluation.parse_metric_spec(merged["metric"])
-    if merged["search_topk"] < 1:
-        raise ValueError(f"search_topk must be >= 1, got {merged['search_topk']}")
+    for key in ("search_topk", "rel_threshold"):
+        if merged[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {merged[key]}")
     evaluation.check_fields("tag", [merged["run_tag"]])
     return merged
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import analysis, evaluation, trainer
-from .corpus import Qrels, Query
+from .corpus import GeneratedQuerySet, Qrels, Query
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -646,6 +646,16 @@ def _check_text_overlap() -> SelftestResult:
         ref = random_token_list(rng, max_len=80)
         got = analysis.rouge_l(" ".join(cand), " ".join(ref))
         worst = max(worst, abs(got - rouge_l_reference(cand, ref, lcs_dp_reference)))
+    # several documents sharing tokens per call; the last has no gold and no record
+    for _ in range(10):
+        views = [[random_token_list(rng) for _ in range(3)] for _ in range(int(rng.integers(2, 6)))]
+        gold = [[random_token_list(rng) for _ in range(int(rng.integers(1, 4)))] for _ in views[1:]]
+        qsets = [GeneratedQuerySet(f"d{d}", tuple(map(" ".join, v))) for d, v in enumerate(views)]
+        gold_by_doc = {f"d{d}": list(map(" ".join, g)) for d, g in enumerate(gold)}
+        records = analysis.quality_records(qsets, gold_by_doc)
+        for record, doc_views, refs in zip(records, views[:-1], gold, strict=True):
+            for got, view in zip(record.view_rouge_l, doc_views, strict=True):
+                worst = max(worst, abs(got - max(rouge_l_reference(view, r) for r in refs)))
     ok = worst <= 1e-9
     return SelftestResult("text-overlap", ok, f"max deviation {worst:.3e}")
 

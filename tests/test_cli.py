@@ -288,10 +288,11 @@ class TestStagedCommands:
             (["gen-queries", "--views", "0"], "k_views must be >= 1, got 0"),
             (["eval", "--metrics", "mrr@ten"], "bad metric spec 'mrr@ten'"),
             (["eval", "--metrics", "mrr@10,ndcg@10, MRR@10"], "metric spec 'MRR@10' repeats 'mrr@10'"),
+            (["eval", "--rel-threshold", "0"], "rel_threshold must be >= 1, got 0"),
         ],
         ids=[
             "search-topk", "search-tag", "train-batch-size", "gen-queries-views", "eval-metrics",
-            "eval-repeated-metric",
+            "eval-repeated-metric", "eval-rel-threshold",
         ],
     )
     def test_bad_settings_fail_before_any_input_is_read(self, tmp_path, capsys, argv, message):
@@ -434,6 +435,16 @@ def test_every_subcommand_flag_defaults_to_none():
         for action in sub._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.default is None, (command, action.dest, action.default)
+
+
+def test_every_integer_setting_but_seed_rejects_minus_one():
+    # counts, sizes and thresholds are range-checked before any input is read
+    flags = build_parser().parse_args(["pipeline", "--config", "run.cfg"])
+    cli._settings(flags, {})
+    for key, parse in cli._CONFIG_KEYS.items():
+        if parse is int and key != "seed":
+            with pytest.raises(ValueError):
+                cli._settings(flags, {key: "-1"})
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

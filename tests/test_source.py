@@ -6,14 +6,18 @@ Only ``write_framed`` and ``FramedReader`` compute a CRC-32.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes. A
 ``FeatureTable`` parameter never has a default: the caller owns the table.
-Every module-level import is used.
+Every module-level import is used, and every module-level function and
+class is named somewhere besides its own definition.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mvdr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mvdr"
 
 
 def _mode(call: ast.Call) -> str | None:
@@ -248,4 +252,25 @@ def test_every_module_level_import_is_used():
             for name, line in _module_imports(tree).items()
             if name not in used
         ]
+    assert found == []
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    # a word match anywhere in the Python files of src/, tests/ or perfbench/,
+    # outside the definition's own line
+    words = Counter(
+        word
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    )
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own_line = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+                if words[node.name] <= own_line:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
