@@ -291,9 +291,12 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
     file is self-contained:
     ``{"query_id", "query", "positive_doc_id", "positive",
     "negative_doc_ids", "negatives"}``. IDs follow the same rules as in
-    every other input file.
+    every other input file. Triples that name the same document with the
+    same canonical text share one :class:`Document`; a doc_id given two
+    texts loads as two documents.
     """
     triples: list[TrainingTriple] = []
+    docs: dict[Document, Document] = {}  # each distinct document, to itself
     for where, line in _read_lines(path):
         record = _json_record(line, _TRIPLE_FIELDS, where)
         neg_ids = record["negative_doc_ids"]
@@ -312,13 +315,15 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
             _checked_id(record["positive_doc_id"], "positive_doc_id", where),
             _checked_text(record["positive"], "positive text", where),
         )
+        positive = docs.setdefault(positive, positive)
         negatives = []
         for neg_id, neg_text in zip(neg_ids, neg_texts):
             neg_id = _checked_id(neg_id, "negative doc_id", where)
             if neg_id == positive.doc_id:
                 raise ValueError(f"{where}: negative {neg_id!r} duplicates the positive")
             text = _checked_text(neg_text, f"negative text for {neg_id!r}", where)
-            negatives.append(Document(neg_id, text))
+            negative = Document(neg_id, text)
+            negatives.append(docs.setdefault(negative, negative))
         triples.append(TrainingTriple(query, positive, tuple(negatives)))
     log.info("loaded %d training triples from %s", len(triples), path)
     return triples

@@ -11,11 +11,13 @@ Every output file of the package is opened by :func:`open_output`.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
 import struct
 import zlib
+# CPython's own BLAKE2b, not hashlib's: ``hashlib.blake2b`` is this class,
+# and importing it here does not load OpenSSL's libcrypto as ``hashlib`` does
+from _blake2 import blake2b
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
@@ -25,13 +27,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # CRC-64/XZ (reflected ECMA-182 polynomial). No file format uses it any more;
 # it stays only because the benchmark tracer wraps ``crc64`` by name, until
-# the tracer's layer list drops it (ROADMAP item 1).
+# the benchmark change that drops it from the tracer's ``LAYERS``.
 _CRC64_POLY = 0xC96C5795D7870F42
 
 
 def stable_hash64(key: str) -> int:
     """Map a string to a 64-bit integer, stable across runs and platforms."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

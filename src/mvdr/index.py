@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -120,8 +121,11 @@ def build_index(
     A ``de`` document has one view, the document alone; ``generated`` is
     ignored. A ``dce`` document's views are its generated queries, each
     encoded jointly with it, and ``generated`` must give every document
-    equally many. Every row is featurized through one :class:`FeatureTable`,
-    dropped on return. ``threads`` is ignored: encoding runs on the calling thread.
+    equally many, which is checked for every document before any encoding.
+    (view, document) pairs are then drawn 512 at a time and encoded chunk
+    by chunk, so only one chunk of pairs is held at once. Every row is
+    featurized through one :class:`FeatureTable`, dropped on return.
+    ``threads`` is ignored: encoding runs on the calling thread.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'de' or 'dce', got {mode!r}")
@@ -134,19 +138,18 @@ def build_index(
     )
     # every document has as many views as the first; an empty corpus has one
     k_views = len(views_of.get(doc_ids[0], ())) if doc_ids else 1
-    pairs: list[tuple[str | None, str]] = []
     for doc in corpus:
         views = views_of.get(doc.doc_id)
         if views is None:
             raise ValueError(f"no generated queries for doc_id {doc.doc_id!r}")
         if len(views) != k_views:
             raise ValueError(f"doc {doc.doc_id!r} has {len(views)} views, expected {k_views}")
-        pairs.extend((view, doc.text) for view in views)
 
-    matrix = np.empty((len(pairs), params.config.embed_dim), dtype=np.float32)
+    pairs = ((view, doc.text) for doc in corpus for view in views_of[doc.doc_id])
+    matrix = np.empty((len(doc_ids) * k_views, params.config.embed_dim), dtype=np.float32)
     table = FeatureTable(params.config)
-    for start in range(0, len(pairs), 512):
-        matrix[start : start + 512] = encode_candidates(params, pairs[start : start + 512], table)
+    for start in range(0, len(matrix), 512):
+        matrix[start : start + 512] = encode_candidates(params, list(islice(pairs, 512)), table)
     index = FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=k_views)
     log.info(
         "built index: %d docs, %d views/doc, dim %d", index.n_docs, index.k_views, index.embed_dim
@@ -347,7 +350,7 @@ def batch_search(
     The package no longer calls it: :func:`search_corpus` ranks its queries
     in one :func:`_rank` call. It is kept only because the benchmark's tracer
     wraps it and a layer test pins its one :func:`search` per query; the
-    benchmark upkeep in ROADMAP item 1 deletes it.
+    benchmark change that drops it from the tracer's ``LAYERS`` deletes it.
     """
     return [search(index, emb, top_k_docs, query_id=qid) for qid, emb in queries]
 

@@ -1,7 +1,10 @@
 import argparse
 import logging
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,12 @@ from mvdr import cli
 from mvdr.cli import _prefix_metrics, build_parser, main, parse_config
 from mvdr.corpus import (
     Document,
+    GeneratedQuerySet,
     Query,
     TrainingTriple,
     load_generated_queries,
     write_corpus,
+    write_generated_queries,
     write_qrels,
     write_queries,
     write_triples,
@@ -445,6 +450,45 @@ def test_every_integer_setting_but_seed_rejects_minus_one():
         if parse is int and key != "seed":
             with pytest.raises(ValueError):
                 cli._settings(flags, {key: "-1"})
+
+
+def test_serving_commands_load_neither_openssl_nor_numpy_random(tmp_path):
+    # OpenSSL's libcrypto (through hashlib) and numpy.random each add
+    # megabytes of RSS; only the commands that draw random streams need them
+    paths = _write_world(tmp_path)
+    docs = load_corpus(paths["corpus"])
+    gen, ckpt = tmp_path / "gen.jsonl", tmp_path / "model.ckpt"
+    index, run = tmp_path / "index.mvix", tmp_path / "run.trec"
+    write_generated_queries(
+        [GeneratedQuerySet(d.doc_id, (d.text.split()[0], d.text.split()[-1])) for d in docs], gen
+    )
+    save_params(init_params(EncoderConfig(embed_dim=8, hash_buckets=512), seed=0), ckpt)
+    commands = [
+        ["index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
+         "--mode", "dce", "--gen-queries", str(gen), "--out", str(index)],
+        ["search", "--checkpoint", str(ckpt), "--index", str(index),
+         "--queries", str(paths["queries"]), "--out", str(run), "--topk", "4"],
+        ["eval", "--run", str(run), "--qrels", str(paths["qrels"]),
+         "--out", str(tmp_path / "metrics.csv")],
+        ["analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
+         "--qrels", str(paths["qrels"]), "--checkpoint", str(ckpt),
+         "--corpus", str(paths["corpus"]), "--out-dir", str(tmp_path / "analysis")],
+    ]
+    code = (
+        "import sys\n"
+        "preloaded = '_hashlib' in sys.modules\n"
+        "from mvdr.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(preloaded, codes, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    last = result.stdout.splitlines()[-1]
+    if last.startswith("True "):
+        pytest.skip("the interpreter loads _hashlib at start-up")
+    assert last == "False [0, 0, 0, 0] False False"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -234,6 +234,36 @@ class TestTripleIO:
         write_triples(tiny_triples, path)
         assert load_triples(path) == tiny_triples
 
+    def test_triples_share_each_document(self, tmp_path, tiny_triples):
+        path = tmp_path / "triples.jsonl"
+        write_triples(tiny_triples, path)
+        with path.open("a") as handle:
+            # d1 again, with text that only canonicalizes to the same
+            record = {**self.RECORD, "positive_doc_id": "d1", "negative_doc_ids": ["d2"]}
+            record["positive"] = "  Solar PANELS convert sunlight\tinto electricity"
+            record["negatives"] = [tiny_triples[0].negatives[0].text]
+            handle.write(json.dumps(record) + "\n")
+        first, second, third = load_triples(path)
+        assert first.positive is second.negatives[0] is third.positive
+        assert first.negatives[0] is second.positive is third.negatives[0]
+        assert len({id(doc) for t in (first, second, third) for doc in (t.positive, *t.negatives)}) == 4
+
+    def test_one_doc_id_with_two_texts_loads_as_two_documents(self, tmp_path):
+        path = tmp_path / "triples.jsonl"
+        path.write_text(
+            json.dumps(self.RECORD) + "\n"
+            + json.dumps({**self.RECORD, "query_id": "q2", "positive": "other pos"}) + "\n"
+            + json.dumps({**self.RECORD, "query_id": "q3", "negatives": ["other neg"]}) + "\n"
+        )
+        first, second, third = load_triples(path)
+        assert [t.positive for t in (first, second, third)] == [
+            Document("d1", "pos"), Document("d1", "other pos"), Document("d1", "pos"),
+        ]
+        assert [t.negatives for t in (first, second, third)] == [
+            (Document("d2", "neg"),), (Document("d2", "neg"),), (Document("d2", "other neg"),),
+        ]
+        assert first.positive is third.positive and first.negatives[0] is second.negatives[0]
+
     def test_positive_among_negatives_rejected(self, tmp_path):
         record = {
             "query_id": "q",

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -29,6 +30,11 @@ class TestStableHash64:
     def test_distinct_keys_differ(self):
         seen = {stable_hash64(f"tok{i}") for i in range(1000)}
         assert len(seen) == 1000
+
+    @given(st.text(max_size=64))
+    def test_equals_hashlib_blake2b(self, key):
+        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+        assert stable_hash64(key) == int.from_bytes(digest, "little")
 
 
 class TestDeriveSeed:

@@ -139,6 +139,26 @@ class TestBuild:
         with pytest.raises(ValueError, match="expected 3"):
             build_index(params, tiny_docs, mode="dce", generated=generated)
 
+    @pytest.mark.parametrize("last_views", [None, ("only one",)], ids=["missing", "uneven"])
+    def test_last_doc_checked_before_any_encoding(self, monkeypatch, last_views):
+        # 200 documents of 3 views: the first 512-pair chunk ends before the last
+        docs = [Document(f"d{i}", f"text of document {i}") for i in range(200)]
+        generated = tiny_generated(docs)
+        if last_views is None:
+            del generated[-1]
+            message = "no generated queries for doc_id 'd199'"
+        else:
+            generated[-1] = GeneratedQuerySet("d199", last_views)
+            message = "doc 'd199' has 1 views, expected 3"
+        calls = []
+        encode = mvdr.index.encode_candidates
+        monkeypatch.setattr(
+            mvdr.index, "encode_candidates", lambda *args: calls.append(1) or encode(*args)
+        )
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            build_index(init_params(CFG, seed=0), docs, mode="dce", generated=generated)
+        assert calls == []
+
     def test_empty_corpus(self):
         params = init_params(CFG, seed=0)
         index = build_index(params, [], mode="de")
