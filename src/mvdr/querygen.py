@@ -9,21 +9,19 @@ document's ``top_k`` most salient terms. With ``top_k`` of 1 every draw
 collapses to the argmax, so all k queries of a document are identical.
 
 Every document is generated with its own PCG64 stream derived from the
-base seed and the doc_id, so outputs do not depend on corpus order. A view
-takes ``integers(0, n_templates)`` for its template, then, per term, the
-draw of ``choice(len(w), p=w / w.sum())`` over the remaining weights ``w``.
-Those scalar ``Generator`` calls are not made: each document's raw words
-are drawn in bulk with ``random_raw`` and the calls are replayed for many
-documents at once in numpy, with the same results bit for bit:
+base seed and the doc_id, so outputs do not depend on corpus order. View
+``v`` reads the stream's raw words ``4v`` to ``4v + 3`` and nothing else,
+each as the uniform ``u = (word >> 11) * 2**-53``:
 
-- a 32-bit draw takes a new word's low half and keeps its high half for
-  the next 32-bit draw;
-- ``integers(0, n)`` is Lemire's ``(u32 * n) >> 32``, drawn again while
-  the product's low half is below ``2**32 % n``; ``integers(0, 1)`` draws
-  nothing;
-- a uniform is a new word's top 53 bits times ``2**-53``;
-- the choice searches the uniform in the cumulative sum of ``w`` divided
-  by its pairwise sum, normalized by its last entry.
+- the first word picks the template ``floor(u * n_templates)``;
+- term draw ``j`` reads word ``1 + j`` and picks the first pool entry
+  whose cumulative weight, divided by its last entry, exceeds ``u``. The
+  cumulative weight runs in pool order over the terms the view has not
+  drawn (a drawn term counts as weight 0), so the pick is salience-weighted
+  without replacement.
+
+Each document's words are drawn in bulk with ``random_raw``, and every
+draw is made for a block of documents at once in numpy.
 """
 
 from __future__ import annotations
@@ -54,7 +52,10 @@ DEFAULT_TEMPLATES = (
 # content terms appended to a template per query
 _TERMS_PER_QUERY = 3
 
-# documents whose draws are replayed together
+# raw words each view reads: one for its template, one per term draw
+_WORDS_PER_VIEW = 1 + _TERMS_PER_QUERY
+
+# documents whose draws are sampled together
 _BLOCK_DOCS = 1024
 
 
@@ -126,17 +127,6 @@ def _term_pool(weights: Mapping[str, float], top_k: int) -> tuple[list[str], lis
     return [t for t, _ in ranked], [w for _, w in ranked]
 
 
-def _choose(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Per row, the index that ``Generator.choice(n, p=w / w.sum())``
-    picks with the uniform ``uniforms[row]``: the uniform searched in the
-    normalized cumulative sum of the row's probabilities. ``weights`` is
-    C-contiguous, so numpy sums each row in the pairwise order in which
-    ``np.sum`` sums that row alone."""
-    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
-
-
 def _draw_words(seeds: Sequence[int], width: int) -> np.ndarray:
     """The first ``width`` raw words of ``PCG64(seed)`` for each seed, one row each."""
     words = np.empty((len(seeds), width), dtype=np.uint64)
@@ -145,76 +135,20 @@ def _draw_words(seeds: Sequence[int], width: int) -> np.ndarray:
     return words
 
 
-class _Streams:
-    """The ``PCG64(seed)`` stream of each seed, read as the scalar
-    ``Generator`` calls read it, for many streams at once.
-
-    Each stream's first ``width`` raw words are drawn up front, one row per
-    stream; the rows are drawn again, twice as wide, when one runs out.
-    """
-
-    def __init__(self, seeds: Sequence[int], width: int) -> None:
-        self._seeds = seeds
-        self.words = _draw_words(seeds, width)
-        n = len(seeds)
-        self._next = np.zeros(n, dtype=np.int64)  # next unread word per stream
-        self._high = np.zeros(n, dtype=np.uint64)  # buffered upper half-word
-        self._has_high = np.zeros(n, dtype=bool)
-
-    def _take(self, rows: np.ndarray) -> np.ndarray:
-        at = self._next[rows]
-        if len(at) and at.max() >= self.words.shape[1]:
-            self.words = _draw_words(self._seeds, 2 * self.words.shape[1])
-        self._next[rows] = at + 1
-        return self.words[rows, at]
-
-    def uniforms(self, rows: np.ndarray) -> np.ndarray:
-        """``random()`` in each row's stream: the top 53 bits of a new word."""
-        return (self._take(rows) >> np.uint64(11)) * 2.0**-53
-
-    def _uint32(self, rows: np.ndarray) -> np.ndarray:
-        # a new word hands out its low half and keeps its high half for the
-        # next 32-bit draw; doubles never touch the kept half
-        has_high = self._has_high[rows]
-        out = self._high[rows]
-        fresh = rows[~has_high]
-        word = self._take(fresh)
-        out[~has_high] = word & np.uint64(0xFFFFFFFF)
-        self._high[fresh] = word >> np.uint64(32)
-        self._has_high[rows] = ~has_high
-        return out
-
-    def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """``integers(0, n)`` in each row's stream: Lemire's bounded draw
-        ``(u32 * n) >> 32``, drawn again while the product's low 32 bits
-        fall below ``2**32 % n``. ``integers(0, 1)`` draws nothing."""
-        out = np.zeros(len(rows), dtype=np.int64)
-        if n == 1:
-            return out
-        threshold = np.uint64(2**32 % n)
-        todo = np.arange(len(rows))
-        while len(todo):
-            m = self._uint32(rows[todo]) * np.uint64(n)
-            out[todo] = (m >> np.uint64(32)).astype(np.int64)
-            todo = todo[(m & np.uint64(0xFFFFFFFF)) < threshold]
-        return out
-
-
-def _replay(
+def _sample(
     seeds: Sequence[int],
     pool_weights: Sequence[Sequence[float]],
     template_lengths: Sequence[int],
     cfg: SamplingConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every document's draws (see the module docstring), one view at a
-    time for all documents; document i draws from ``PCG64(seeds[i])`` and
-    ``pool_weights[i]`` are its term pool's weights.
+    time for all documents; document i reads the words of
+    ``PCG64(seeds[i])`` and ``pool_weights[i]`` are its term pool's weights.
 
     Returns the template index of each (document, view) and the pool index
     of each of its terms, -1 past the view's last term.
     """
-    # every view draws a template and at most three terms: at most 4 words
-    streams = _Streams(seeds, cfg.k_views * (1 + _TERMS_PER_QUERY))
+    words = _draw_words(seeds, cfg.k_views * _WORDS_PER_VIEW)
     n_docs = len(pool_weights)
     pool_size = np.fromiter(map(len, pool_weights), dtype=np.int64, count=n_docs)
     weights = np.zeros((n_docs, max(pool_size, default=0)))
@@ -224,26 +158,19 @@ def _replay(
     budget = np.maximum(0, cfg.max_query_tokens - lengths)
     templates = np.empty((n_docs, cfg.k_views), dtype=np.int64)
     terms = np.full((n_docs, cfg.k_views, _TERMS_PER_QUERY), -1, dtype=np.int64)
-    docs = np.arange(n_docs)
     for view in range(cfg.k_views):
-        templates[:, view] = streams.integers(docs, len(lengths))
+        first = view * _WORDS_PER_VIEW
+        u = (words[:, first : first + _WORDS_PER_VIEW] >> np.uint64(11)) * 2.0**-53
+        templates[:, view] = (u[:, 0] * len(lengths)).astype(np.int64)
         n_terms = np.minimum(np.minimum(_TERMS_PER_QUERY, pool_size), budget[templates[:, view]])
-        # at each step, a row's first (pool size - step) entries are the
-        # pool indices its view has not drawn yet, in pool order
-        remaining = np.tile(np.arange(weights.shape[1]), (n_docs, 1))
+        left = weights.copy()  # a drawn term's weight drops to 0
         for step in range(_TERMS_PER_QUERY):
             live = np.flatnonzero(n_terms > step)
-            uniforms = streams.uniforms(live)
-            # pairwise sums take a fixed order per count, so group by count
-            left = pool_size[live] - step
-            # sorted(set()) rather than np.unique, which imports numpy.ma
-            for count in sorted(set(left.tolist())):
-                rows = live[left == count]
-                avail = remaining[rows, :count]
-                pick = _choose(weights[rows[:, None], avail], uniforms[left == count])
-                terms[rows, view, step] = avail[np.arange(len(rows)), pick]
-                kept = np.arange(count) != pick[:, None]
-                remaining[rows, : count - 1] = avail[kept].reshape(len(rows), count - 1)
+            cdf = np.cumsum(left[live], axis=1)
+            cdf /= cdf[:, -1:]
+            pick = np.count_nonzero(cdf <= u[live, 1 + step][:, None], axis=1)
+            terms[live, view, step] = pick
+            left[live, pick] = 0.0
     return templates, terms
 
 
@@ -251,7 +178,7 @@ def _generate(
     model: QGModel, docs: Sequence[Document], cfg: SamplingConfig, seeds: Sequence[int]
 ) -> list[GeneratedQuerySet]:
     """Query sets for ``docs``, document i drawn from ``PCG64(seeds[i])``,
-    replayed ``_BLOCK_DOCS`` documents at a time."""
+    sampled ``_BLOCK_DOCS`` documents at a time."""
     template_tokens = [t.split() for t in model.templates[: cfg.top_k]]
     lengths = list(map(len, template_tokens))
     sets = []
@@ -266,7 +193,7 @@ def _generate(
                 raise ValueError(f"document {doc.doc_id!r} has no usable terms")
             pools.append(_term_pool(weights, cfg.top_k))
         block_seeds = seeds[start : start + _BLOCK_DOCS]
-        templates, terms = _replay(block_seeds, [w for _, w in pools], lengths, cfg)
+        templates, terms = _sample(block_seeds, [w for _, w in pools], lengths, cfg)
         for doc, (pool_terms, _), doc_templates, doc_terms in zip(block, pools, templates, terms):
             queries = tuple(
                 " ".join(

@@ -1,36 +1,67 @@
 """Generated views and a unigram index stay byte-identical to pinned files.
 
-The CRC-32 values below were computed at commit 5ed6e19, whose generator
-made one scalar ``Generator`` call per draw and whose feature table hashed
-joined n-gram strings. Generation now replays every document's PCG64
-stream in arrays, and a unigram bucket is still its token's hash, so both
-files must keep their bytes.
+Both pins changed when view sampling was redefined on each document's raw
+PCG64 words (four words a view; see ``mvdr.querygen``). Until then the
+views reproduced, bit for bit, the scalar ``Generator`` calls of commit
+5ed6e19. The views file's CRC-32 went from 0x93A7AA70 to 0xE694A857, and
+the index, which encodes those views, from a payload CRC-32 of 0x4ED9FE56
+to 0xCAF9E1FE.
+
+The index pin is the CRC-32 of the file without its last four bytes. An
+``.mvix`` file ends in the little-endian CRC-32 of everything before it,
+and the CRC-32 of any data followed by its own CRC-32 is the constant
+residue 0x2144DF1C, so a CRC-32 of the whole file pins nothing.
 """
 
 import zlib
 
+import pytest
 from synthcorpus import DOC_TOKEN_CAP, build_synth
 
 from mvdr.corpus import write_generated_queries
 from mvdr.encoder import EncoderConfig, init_params
-from mvdr.index import build_index, save_index
+from mvdr.index import FlatIndex, build_index, save_index
 from mvdr.querygen import SamplingConfig, fit_qg, generate_corpus
 
 # the acceptance matrix's encoder: unigram features over the first 16 tokens
 UNIGRAM_ENCODER = EncoderConfig(
     embed_dim=16, hash_buckets=65536, ngram_orders=(1,), max_query_tokens=16, max_doc_tokens=DOC_TOKEN_CAP
 )
-GEN_QUERIES_CRC32 = 0x93A7AA70
-INDEX_CRC32 = 0x2144DF1C
+GEN_QUERIES_CRC32 = 0xE694A857
+INDEX_PAYLOAD_CRC32 = 0xCAF9E1FE
+CRC32_RESIDUE = 0x2144DF1C
 
 
-def test_generated_views_and_unigram_index_match_pins(tmp_path):
+def payload_crc32(path):
+    """The CRC-32 of a framed file without its CRC-32 footer."""
+    return zlib.crc32(path.read_bytes()[:-4])
+
+
+@pytest.fixture(scope="module")
+def pinned_index():
     docs = build_synth().docs
     generated = generate_corpus(
         fit_qg(docs, seed=77), docs, SamplingConfig(k_views=10, top_k=12, max_query_tokens=16), seed=77
     )
-    write_generated_queries(generated, tmp_path / "gen_queries.jsonl")
     index = build_index(init_params(UNIGRAM_ENCODER, seed=0), docs, mode="dce", generated=generated)
+    return generated, index
+
+
+def test_generated_views_and_unigram_index_match_pins(pinned_index, tmp_path):
+    generated, index = pinned_index
+    write_generated_queries(generated, tmp_path / "gen_queries.jsonl")
     save_index(index, tmp_path / "index.mvix")
     assert zlib.crc32((tmp_path / "gen_queries.jsonl").read_bytes()) == GEN_QUERIES_CRC32
-    assert zlib.crc32((tmp_path / "index.mvix").read_bytes()) == INDEX_CRC32
+    assert payload_crc32(tmp_path / "index.mvix") == INDEX_PAYLOAD_CRC32
+
+
+def test_index_pin_sees_one_changed_value(pinned_index, tmp_path):
+    _, index = pinned_index
+    matrix = index.matrix.copy()
+    matrix[0, 0] += 1.0
+    save_index(FlatIndex(matrix=matrix, doc_ids=index.doc_ids, k_views=index.k_views), tmp_path / "changed.mvix")
+    save_index(index, tmp_path / "index.mvix")
+    # a whole-file CRC-32 reads the residue for both files
+    for name in ("index.mvix", "changed.mvix"):
+        assert zlib.crc32((tmp_path / name).read_bytes()) == CRC32_RESIDUE
+    assert payload_crc32(tmp_path / "changed.mvix") != INDEX_PAYLOAD_CRC32

@@ -1,7 +1,6 @@
-import functools
+import bisect
+import itertools
 import math
-import operator
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from mvdr.querygen import (
     DEFAULT_TEMPLATES,
     QGModel,
     SamplingConfig,
-    _choose,
     fit_qg,
     generate,
     generate_corpus,
@@ -145,78 +143,28 @@ class TestGenerateCorpus:
         assert len({s.queries for s in sets}) == len(sets)
 
 
-def reference_queries(model, doc, cfg, rng):
-    """Queries drawn with ``rng.integers``, ``rng.choice(p=...)`` and ``np.delete``."""
-    ranked = sorted(model.salience[doc.doc_id].items(), key=lambda kv: (-kv[1], kv[0]))
-    ranked = ranked[: cfg.top_k]
-    pool_terms = [t for t, _ in ranked]
-    pool_weights = np.asarray([w for _, w in ranked], dtype=np.float64)
-    n_templates = min(cfg.top_k, len(model.templates))
-    queries = []
-    for _ in range(cfg.k_views):
-        template_tokens = model.templates[int(rng.integers(0, n_templates))].split()
-        budget = max(0, cfg.max_query_tokens - len(template_tokens))
-        n_terms = min(3, len(pool_terms), budget)
-        chosen = []
-        avail_terms = list(pool_terms)
-        avail_weights = pool_weights.copy()
-        for _ in range(n_terms):
-            probs = avail_weights / avail_weights.sum()
-            j = int(rng.choice(len(avail_terms), p=probs))
-            chosen.append(avail_terms.pop(j))
-            avail_weights = np.delete(avail_weights, j)
-        queries.append(" ".join((template_tokens + chosen)[: cfg.max_query_tokens]))
-    return tuple(queries)
-
-
-def reference_generate(model, doc, cfg, seed):
-    return reference_queries(model, doc, cfg, np.random.Generator(np.random.PCG64(seed)))
-
-
-class WordRng:
-    """The scalar ``Generator`` calls that generation makes, over given raw
-    PCG64 words: ``integers(0, n)`` by Lemire's method on 32-bit halves (a
-    word's low half first, its high half kept for the next one), and
-    ``random()`` from the top 53 bits of a new word."""
-
-    def __init__(self, words):
-        self.words = iter(int(w) for w in words)
-        self.high = None
-        self.rejections = 0
-
-    def _uint32(self):
-        if self.high is not None:
-            out, self.high = self.high, None
-            return out
-        word = next(self.words)
-        self.high = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low, high):
-        n = high - low
-        if n == 1:
-            return low
-        while True:
-            m = self._uint32() * n
-            if m & 0xFFFFFFFF >= 2**32 % n:
-                return low + (m >> 32)
-            self.rejections += 1
-
-    def random(self):
-        return (next(self.words) >> 11) * 2.0**-53
-
-    def choice(self, n, p):
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        return int(np.searchsorted(cdf, self.random(), side="right"))
+# 16 templates, so that top_k 8, 12 and 20 keep different counts, up to
+# four tokens long, so that the budget of max_query_tokens cuts term draws
+# short
+TEMPLATES = DEFAULT_TEMPLATES + (
+    "which one",
+    "is there a",
+    "can you tell me",
+    "list",
+    "name the",
+    "how long is",
+    "what kind of",
+    "define",
+)
+POOLS = tuple(range(1, 21)) + (129,)
 
 
 def spread_weights(rng, n):
-    """Positive weights over many magnitudes, so that summation order shows."""
+    """Positive weights over many magnitudes."""
     return rng.lognormal(mean=0.0, sigma=3.0, size=n).tolist()
 
 
-def spread_model(pools, seed=0, templates=DEFAULT_TEMPLATES):
+def spread_model(pools, seed=0, templates=TEMPLATES):
     """A fitted-looking model with one document per pool size."""
     rng = np.random.default_rng(seed)
     salience = {
@@ -227,97 +175,113 @@ def spread_model(pools, seed=0, templates=DEFAULT_TEMPLATES):
     return QGModel(salience=salience, templates=tuple(templates), rng_seed=0), docs
 
 
-class TestReplayMatchesScalarCalls:
-    """Pool sizes below, at and above numpy's 8-way summation unroll."""
+def ranked_pool(model, doc, top_k):
+    ranked = sorted(model.salience[doc.doc_id].items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:top_k]
 
-    POOLS = (1, 5, 7, 8, 12, 16, 20)
 
-    def test_sum_in_numpy_order(self):
-        rng = np.random.default_rng(0)
-        left_to_right_differs = 0
-        for n in list(range(1, 40)) + [127, 128, 129, 136, 300, 1001]:
-            rows = np.asarray([spread_weights(rng, n) for _ in range(20)])
-            # _choose normalizes with this row sum of a C-contiguous block
-            sums = rows.sum(axis=1)
-            assert sums.tolist() == [row.sum() for row in rows]
-            left_to_right_differs += sum(
-                functools.reduce(operator.add, row.tolist()) != total for row, total in zip(rows, sums)
-            )
-        # the data can tell the orders apart
-        assert left_to_right_differs > 0
+def reference_queries(model, doc, cfg, seed):
+    """The module docstring's definition in plain Python: view v reads
+    words 4v to 4v + 3 of ``PCG64(seed)``."""
+    templates = model.templates[: cfg.top_k]
+    pool = ranked_pool(model, doc, cfg.top_k)
+    words = iter(np.random.PCG64(seed).random_raw(4 * cfg.k_views).tolist())
+    queries = []
+    for _ in range(cfg.k_views):
+        u = [(next(words) >> 11) * 2.0**-53 for _ in range(4)]
+        template_tokens = templates[int(u[0] * len(templates))].split()
+        n_terms = min(3, len(pool), max(0, cfg.max_query_tokens - len(template_tokens)))
+        left = list(pool)
+        chosen = []
+        for j in range(n_terms):
+            cumulative = list(itertools.accumulate(w for _, w in left))
+            cdf = [c / cumulative[-1] for c in cumulative]
+            term, _ = left.pop(bisect.bisect_right(cdf, u[1 + j]))
+            chosen.append(term)
+        queries.append(" ".join((template_tokens + chosen)[: cfg.max_query_tokens]))
+    return tuple(queries)
 
-    @pytest.mark.parametrize("n", POOLS + (129, 300))
-    def test_choose_equals_choice(self, n):
-        weights = np.asarray(spread_weights(np.random.default_rng(n), n))
-        probs = weights / weights.sum()
-        rows = np.tile(weights, (50, 1))
-        ours = [np.random.Generator(np.random.PCG64(seed)) for seed in range(50)]
-        theirs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(50)]
-        for _ in range(5):
-            picks = _choose(rows, np.asarray([rng.random() for rng in ours]))
-            assert picks.tolist() == [int(rng.choice(n, p=probs)) for rng in theirs]
 
-    @pytest.mark.parametrize("n", POOLS + (129, 300))
-    def test_choose_at_every_cdf_boundary(self, n):
-        # a uniform exactly at, or just below, one of numpy's cumulative
-        # values tells apart cumulative sums that differ in the last bit
-        w = np.asarray(spread_weights(np.random.default_rng(100 + n), n))
-        cdf = (w / w.sum()).cumsum()
-        cdf /= cdf[-1]
-        uniforms = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0)])
-        picks = _choose(np.tile(w, (len(uniforms), 1)), uniforms)
-        assert picks.tolist() == np.searchsorted(cdf, uniforms, side="right").tolist()
+def patch_words(monkeypatch, words):
+    """Make every document read ``words`` (one row, repeated per document)."""
+    monkeypatch.setattr(
+        querygen, "_draw_words", lambda seeds, n: np.tile(np.asarray(words, dtype=np.uint64)[:n], (len(seeds), 1))
+    )
 
-    def test_word_model_matches_generator(self):
-        # the test's own model of the scalar calls, used on crafted words below
-        model, docs = spread_model(self.POOLS)
-        for top_k in (1, 3, 5, 8, 12):
-            cfg = SamplingConfig(k_views=5, top_k=top_k, max_query_tokens=16)
-            for seed in range(4):
-                for doc in docs:
-                    words = np.random.PCG64(seed).random_raw(4 * cfg.k_views)
-                    assert reference_queries(model, doc, cfg, WordRng(words)) == (
-                        reference_generate(model, doc, cfg, seed)
-                    )
 
+class TestSampleFromRawWords:
     @pytest.mark.parametrize("pool", POOLS)
     def test_generate_equals_reference(self, pool):
         model, docs = spread_model([pool], seed=pool)
-        for max_query_tokens in (1, 2, 3, 4, 16):
-            for top_k in (pool, pool + 3):
+        for top_k in (1, 3, 5, 8, 12, 20):
+            for max_query_tokens in (1, 2, 3, 4, 16):
                 cfg = SamplingConfig(k_views=6, top_k=top_k, max_query_tokens=max_query_tokens)
                 for seed in range(12):
                     got = generate(model, docs[0], cfg, seed=seed).queries
-                    assert got == reference_generate(model, docs[0], cfg, seed)
+                    assert got == reference_queries(model, docs[0], cfg, seed)
 
     def test_generate_corpus_equals_reference(self):
-        # several pool sizes in one corpus, so documents leave the term
-        # draws at different steps and their streams drift apart
-        model, docs = spread_model(list(range(1, 21)) + [129], seed=5)
-        for top_k in (1, 3, 5, 6, 8, 12, 20):
+        # several pool sizes in one corpus, so documents stop drawing terms
+        # at different steps
+        model, docs = spread_model(POOLS, seed=5)
+        for top_k in (1, 3, 5, 8, 12, 20):
             for max_query_tokens in (1, 2, 3, 4, 16):
                 for seed in range(12):
                     cfg = SamplingConfig(
                         k_views=5 + seed % 2, top_k=top_k, max_query_tokens=max_query_tokens
                     )
                     got = [qset.queries for qset in generate_corpus(model, docs, cfg, seed=seed)]
-                    want = [reference_generate(model, d, cfg, derive_seed(seed, d.doc_id)) for d in docs]
+                    want = [reference_queries(model, d, cfg, derive_seed(seed, d.doc_id)) for d in docs]
                     assert got == want
 
-    @pytest.mark.parametrize("top_k", [3, 5, 6])
-    def test_lemire_rejection_replayed(self, monkeypatch, top_k):
-        # template counts of 3, 5 and 6 reject a 32-bit draw whose product
-        # with the count is below 2**32 % count mod 2**32, which a zero half
-        # always is; crafted words with many zero halves force rejections,
-        # runs of them, and more words than a stream first draws
-        model, docs = spread_model([1, 2, 3, 4, 12], seed=top_k)
-        cfg = SamplingConfig(k_views=7, top_k=top_k, max_query_tokens=16)
-        rng = np.random.default_rng(top_k)
-        words = rng.integers(0, 2**64, size=(len(docs), 40 * cfg.k_views), dtype=np.uint64)
-        halves = words.view(np.uint32)
-        halves[rng.random(halves.shape) < 0.5] = 0
-        monkeypatch.setattr(querygen, "_draw_words", lambda seeds, n: words[:, :n])
-        got = [qset.queries for qset in generate_corpus(model, docs, cfg, seed=0)]
-        scalar = [WordRng(row) for row in words]
-        assert got == [reference_queries(model, d, cfg, r) for d, r in zip(docs, scalar)]
-        assert sum(r.rejections for r in scalar) > 10
+    @pytest.mark.parametrize("pool", (1, 5, 7, 8, 12, 16, 20, 129, 300))
+    def test_pick_at_every_cdf_boundary(self, monkeypatch, pool):
+        # one view per uniform, each at or just below a cumulative weight
+        # of the pool: a uniform equal to an entry's cumulative weight
+        # passes that entry
+        model, docs = spread_model([pool], seed=100 + pool)
+        terms, weights = zip(*ranked_pool(model, docs[0], pool))
+        cumulative = list(itertools.accumulate(weights))
+        cdf = [c / cumulative[-1] for c in cumulative]
+        steps = sorted({int(c * 2**53) for c in cdf[:-1]} | {0, 2**53 - 1})
+        uniforms = sorted({s * 2.0**-53 for s in steps} | {(s - 1) * 2.0**-53 for s in steps if s})
+        assert pool == 1 or set(uniforms) & set(cdf)  # some uniform sits on a boundary
+        words = [0] * (4 * len(uniforms))
+        words[1::4] = [int(u * 2**53) << 11 for u in uniforms]
+        patch_words(monkeypatch, words)
+        # template 0 ("what is") leaves a budget of one term
+        cfg = SamplingConfig(k_views=len(uniforms), top_k=pool, max_query_tokens=3)
+        got = generate(model, docs[0], cfg).queries
+        assert got == tuple(f"what is {terms[bisect.bisect_right(cdf, u)]}" for u in uniforms)
+
+    @pytest.mark.parametrize("word", [0, 2**64 - 1])
+    def test_extreme_words(self, monkeypatch, word):
+        # u = 0 picks the first template and each draw's first term left;
+        # u = 1 - 2**-53 the last template and each draw's last term left
+        model, docs = spread_model([1, 2, 3, 7], seed=3)
+        patch_words(monkeypatch, [word] * 12)
+        cfg = SamplingConfig(k_views=3, top_k=5, max_query_tokens=16)
+        last = word == 2**64 - 1
+        for qset, doc in zip(generate_corpus(model, docs, cfg), docs):
+            pool = [t for t, _ in ranked_pool(model, doc, cfg.top_k)]
+            terms = pool[::-1] if last else pool
+            want = " ".join([TEMPLATES[4 if last else 0]] + terms[:3])
+            assert qset.queries == (want,) * 3
+
+    def test_draw_frequencies(self):
+        # 20,000 documents with one view each; with a fixed seed the
+        # frequencies are fixed, and each sits within 0.01 (about three
+        # standard errors of a proportion from 20,000 draws) of its target
+        weights = {"alpha": 4.0, "beta": 2.0, "delta": 1.0, "gamma": 1.0}
+        salience = {f"d{i}": weights for i in range(20_000)}
+        templates = ("t0", "t1", "t2", "t3", "t4", "t5")
+        model = QGModel(salience=salience, templates=templates, rng_seed=0)
+        docs = [Document(doc_id, "unused by generation") for doc_id in salience]
+        cfg = SamplingConfig(k_views=1, top_k=5, max_query_tokens=16)
+        firsts = [qset.queries[0].split()[:2] for qset in generate_corpus(model, docs, cfg, seed=7)]
+        n = len(firsts)
+        for template in templates[:5]:
+            assert abs(sum(t == template for t, _ in firsts) / n - 1 / 5) < 0.01
+        assert not any(t == "t5" for t, _ in firsts)
+        for term, w in weights.items():
+            assert abs(sum(f == term for _, f in firsts) / n - w / 8) < 0.01
