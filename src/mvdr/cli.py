@@ -171,7 +171,7 @@ def _given(settings: Settings, *keys: str, **renamed: str) -> dict[str, object]:
 
 def gen_queries_stage(corpus: Sequence[Document], settings: Settings) -> list[GeneratedQuerySet]:
     """Pseudo-queries for every document, drawn from stage seed ``querygen``."""
-    model = fit_qg(corpus, seed=settings["seed"])
+    model = fit_qg(corpus)
     seed = derive_seed(settings["seed"], "querygen")
     return generate_corpus(model, corpus, settings["sampling_config"], seed=seed)
 

@@ -22,6 +22,8 @@ from .hashing import open_output
 log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
+# Metrics pack grades into int64 arrays.
+_MAX_GRADE = 2**63 - 1
 
 CORPUS_FORMATS = ("tsv", "jsonl")
 
@@ -80,6 +82,10 @@ class Qrels:
             if grade < 0:
                 raise ValueError(
                     f"negative relevance grade {grade} for ({query_id!r}, {doc_id!r})"
+                )
+            if grade > _MAX_GRADE:
+                raise ValueError(
+                    f"relevance grade {grade} for ({query_id!r}, {doc_id!r}) is above {_MAX_GRADE}"
                 )
             by_query.setdefault(query_id, {})[doc_id] = grade
         self._by_query = by_query
@@ -144,10 +150,18 @@ def _json_record(line: str, fields: Sequence[str], where: str) -> dict:
     return record
 
 
+def _string(value: object, what: str, where: str) -> str:
+    """``value``, which must be a string: a JSON field holding null, a
+    boolean, a number, an array or an object is an error, not its ``str()``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {what} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
 def _checked_id(value: object, kind: str, where: str) -> str:
     """An ID with surrounding whitespace stripped. Run and qrels files split
     on whitespace, so an empty ID or one with inner whitespace is an error."""
-    value = str(value).strip()
+    value = _string(value, kind, where).strip()
     if not value:
         raise ValueError(f"{where}: empty {kind}")
     if len(value.split()) > 1:
@@ -157,7 +171,7 @@ def _checked_id(value: object, kind: str, where: str) -> str:
 
 def _checked_text(value: object, what: str, where: str) -> str:
     """``value`` in canonical form, which must not be empty."""
-    text = normalize_text(str(value))
+    text = normalize_text(_string(value, what, where))
     if not text:
         raise ValueError(f"{where}: empty {what}")
     return text
@@ -230,6 +244,8 @@ def load_qrels(path: str | Path) -> Qrels:
             raise ValueError(f"{where}: grade {grade_text!r} is not an integer") from None
         if grade < 0:
             raise ValueError(f"{where}: negative grade {grade}")
+        if grade > _MAX_GRADE:
+            raise ValueError(f"{where}: grade {grade} is above {_MAX_GRADE}, the largest int64")
         _check_new((query_id, doc_id), entries, "judgment for", where)
         entries[query_id, doc_id] = grade
     log.info("loaded %d judgments from %s", len(entries), path)

@@ -347,8 +347,10 @@ def recall_at_k(run: Run, qrels: Qrels, k: int = 1000, rel_threshold: int = 1) -
 def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricReport:
     """Normalized discounted cumulative gain with exponential gains.
 
-    Gain is ``2^grade - 1`` and the discount is ``log2(rank + 1)``.
-    Queries whose ideal ranking has zero gain score 0.
+    Gain is ``2^grade - 1`` in float64 and the discount is
+    ``log2(rank + 1)``. Queries whose ideal ranking has zero gain score 0.
+    A query whose discounted gains overflow float64 (any grade of 1024 or
+    more, or several just below) raises ``ValueError``.
     """
     graded = _graded(run, qrels, k)
     n = len(graded.query_ids)
@@ -360,8 +362,16 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricReport:
     ideal = np.zeros((n, max(1, min(k, int(per_row.max(initial=0))))), dtype=np.int64)
     keep = rank < k
     ideal[rows[keep], rank[keep]] = graded.judgment_grades[order][keep]
-    dcg = _rank_sums(((1 << graded.grades) - 1).astype(np.float64))
-    idcg = _rank_sums(((1 << ideal) - 1).astype(np.float64))
+    with np.errstate(over="ignore"):
+        dcg = _rank_sums(np.exp2(graded.grades) - 1.0)
+        idcg = _rank_sums(np.exp2(ideal) - 1.0)
+    overflow = np.flatnonzero(np.isinf(dcg) | np.isinf(idcg))
+    if overflow.size:
+        row = overflow[0]
+        raise ValueError(
+            f"query {graded.query_ids[row]!r}: nDCG's gains 2^grade - 1 of its grades, "
+            f"up to {ideal[row].max()}, overflow float64"
+        )
     values = np.where(idcg > 0, dcg / np.where(idcg > 0, idcg, 1.0), 0.0)
     per_query = dict(zip(graded.query_ids, values.tolist()))
     return MetricReport(f"ndcg@{k}", _mean(list(per_query.values())), per_query)

@@ -8,10 +8,12 @@ content terms are drawn salience-weighted (without replacement) from the
 document's ``top_k`` most salient terms. With ``top_k`` of 1 every draw
 collapses to the argmax, so all k queries of a document are identical.
 
-Every document is generated with its own PCG64 stream derived from the
-base seed and the doc_id, so outputs do not depend on corpus order. View
-``v`` reads the stream's raw words ``4v`` to ``4v + 3`` and nothing else,
-each as the uniform ``u = (word >> 11) * 2**-53``:
+Every document draws from its own stream, ``PCG64(derive_seed(seed,
+doc_id))`` for the call's base seed, so outputs do not depend on corpus
+order, and ``generate`` of one document gives that document's entry of
+any ``generate_corpus`` call with the same seed. View ``v`` reads the
+stream's raw words ``4v`` to ``4v + 3`` and nothing else, each as the
+uniform ``u = (word >> 11) * 2**-53``:
 
 - the first word picks the template ``floor(u * n_templates)``;
 - term draw ``j`` reads word ``1 + j`` and picks the first pool entry
@@ -89,15 +91,14 @@ class QGModel:
             raise ValueError("QGModel needs at least one template")
 
 
-def fit_qg(
-    corpus: Sequence[Document],
-    seed: int = 0,
-    templates: Sequence[str] = DEFAULT_TEMPLATES,
-) -> QGModel:
-    """Fit tf-idf salience over the corpus.
+def fit_qg(corpus: Sequence[Document], seed: int = 0) -> QGModel:
+    """Fit tf-idf salience over the corpus, with ``DEFAULT_TEMPLATES``.
 
-    idf uses add-one smoothing, ``log((1 + N) / (1 + df)) + 1``, so a
-    single-document corpus still yields positive weights.
+    ``seed`` becomes ``QGModel.rng_seed``, the base seed of a generation
+    call that passes none; document ``doc_id`` then draws from
+    ``PCG64(derive_seed(seed, doc_id))``. idf uses add-one smoothing,
+    ``log((1 + N) / (1 + df)) + 1``, so a single-document corpus still
+    yields positive weights.
     """
     if not corpus:
         raise ValueError("cannot fit a query generator on an empty corpus")
@@ -118,7 +119,7 @@ def fit_qg(
         doc_id: {term: tf * idf[term] for term, tf in counts.items()}
         for doc_id, counts in doc_terms.items()
     }
-    return QGModel(salience=salience, templates=tuple(templates), rng_seed=seed)
+    return QGModel(salience=salience, templates=DEFAULT_TEMPLATES, rng_seed=seed)
 
 
 def _term_pool(weights: Mapping[str, float], top_k: int) -> tuple[list[str], list[float]]:
@@ -174,16 +175,29 @@ def _sample(
     return templates, terms
 
 
-def _generate(
-    model: QGModel, docs: Sequence[Document], cfg: SamplingConfig, seeds: Sequence[int]
+def generate_corpus(
+    model: QGModel,
+    corpus: Sequence[Document],
+    cfg: SamplingConfig,
+    seed: int | None = None,
+    threads: int | None = None,
 ) -> list[GeneratedQuerySet]:
-    """Query sets for ``docs``, document i drawn from ``PCG64(seeds[i])``,
-    sampled ``_BLOCK_DOCS`` documents at a time."""
+    """Generate query sets for every document, ``_BLOCK_DOCS`` at a time.
+
+    Document ``doc_id`` draws from ``PCG64(derive_seed(seed, doc_id))``,
+    with ``seed`` defaulting to ``model.rng_seed``, so results are
+    invariant to corpus order and identical inputs give identical queries.
+    Every document must belong to the fitted corpus and have at least one
+    in-vocabulary token. ``threads`` is ignored: generation runs on the
+    calling thread.
+    """
+    if seed is None:
+        seed = model.rng_seed
     template_tokens = [t.split() for t in model.templates[: cfg.top_k]]
     lengths = list(map(len, template_tokens))
     sets = []
-    for start in range(0, len(docs), _BLOCK_DOCS):
-        block = docs[start : start + _BLOCK_DOCS]
+    for start in range(0, len(corpus), _BLOCK_DOCS):
+        block = corpus[start : start + _BLOCK_DOCS]
         pools = []
         for doc in block:
             weights = model.salience.get(doc.doc_id)
@@ -192,7 +206,7 @@ def _generate(
             if not weights:
                 raise ValueError(f"document {doc.doc_id!r} has no usable terms")
             pools.append(_term_pool(weights, cfg.top_k))
-        block_seeds = seeds[start : start + _BLOCK_DOCS]
+        block_seeds = [derive_seed(seed, doc.doc_id) for doc in block]
         templates, terms = _sample(block_seeds, [w for _, w in pools], lengths, cfg)
         for doc, (pool_terms, _), doc_templates, doc_terms in zip(block, pools, templates, terms):
             queries = tuple(
@@ -202,37 +216,16 @@ def _generate(
                 for t, chosen in zip(doc_templates.tolist(), doc_terms.tolist())
             )
             sets.append(GeneratedQuerySet(doc_id=doc.doc_id, queries=queries))
+    total = sum(len(qset.queries) for qset in sets)
+    log.info("generated %d queries for %d documents (%d each)", total, len(sets), cfg.k_views)
     return sets
 
 
 def generate(
     model: QGModel, doc: Document, cfg: SamplingConfig, seed: int | None = None
 ) -> GeneratedQuerySet:
-    """Generate ``cfg.k_views`` queries for one document.
-
-    The document must belong to the fitted corpus and have at least one
-    in-vocabulary token. Identical (model, doc, cfg, seed) always yields
-    identical queries.
+    """Generate ``cfg.k_views`` queries for one document:
+    ``generate_corpus(model, [doc], cfg, seed)[0]``, so the document draws
+    from ``PCG64(derive_seed(seed, doc.doc_id))`` here as in any corpus.
     """
-    return _generate(model, [doc], cfg, [model.rng_seed if seed is None else seed])[0]
-
-
-def generate_corpus(
-    model: QGModel,
-    corpus: Sequence[Document],
-    cfg: SamplingConfig,
-    seed: int | None = None,
-    threads: int | None = None,
-) -> list[GeneratedQuerySet]:
-    """Generate query sets for every document.
-
-    Each document's RNG stream is derived from (seed, doc_id), so results
-    are invariant to corpus order. ``threads`` is ignored: generation runs
-    on the calling thread.
-    """
-    if seed is None:
-        seed = model.rng_seed
-    sets = _generate(model, corpus, cfg, [derive_seed(seed, doc.doc_id) for doc in corpus])
-    total = sum(len(qset.queries) for qset in sets)
-    log.info("generated %d queries for %d documents (%d each)", total, len(sets), cfg.k_views)
-    return sets
+    return generate_corpus(model, [doc], cfg, seed)[0]

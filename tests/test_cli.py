@@ -13,6 +13,7 @@ import pytest
 from mvdr import cli
 from mvdr.cli import _prefix_metrics, build_parser, main, parse_config
 from mvdr.corpus import (
+    CORPUS_FORMATS,
     Document,
     GeneratedQuerySet,
     Query,
@@ -25,7 +26,7 @@ from mvdr.corpus import (
     write_triples,
 )
 from mvdr.corpus import Qrels, load_corpus, load_queries
-from mvdr.encoder import EncoderConfig, encode_queries, init_params, save_params
+from mvdr.encoder import MODES, EncoderConfig, encode_queries, init_params, save_params
 from mvdr.evaluation import RunEntry, compute_metric, run_from_ranked_lists, write_run
 from mvdr.index import FlatIndex, build_index, save_index, search, search_corpus
 from mvdr.selftest import random_index
@@ -440,6 +441,31 @@ def test_every_subcommand_flag_defaults_to_none():
         for action in sub._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.default is None, (command, action.dest, action.default)
+
+
+def test_every_setting_flag_parses_like_its_config_key():
+    # a flag that stores into a config key reads its value as the config
+    # file's parser does; a str key's flag stores its text as given
+    choices = {"mode": MODES, "corpus_format": CORPUS_FORMATS}
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flagged = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            parse = cli._CONFIG_KEYS.get(action.dest)
+            if parse is None:
+                continue
+            where = (command, action.option_strings)
+            flagged.add(action.dest)
+            if action.dest == "tie_params":
+                # --untie: the one boolean flag, which can only turn tying off
+                assert parse is cli._parse_bool, where
+                assert isinstance(action, argparse._StoreFalseAction), where
+                continue
+            assert isinstance(action, argparse._StoreAction), where
+            assert action.type is (None if parse is str else parse), where
+            assert action.choices == choices.get(action.dest), where
+    assert flagged == set(cli._CONFIG_KEYS) - {"analyze"}
 
 
 def test_every_integer_setting_but_seed_rejects_minus_one():

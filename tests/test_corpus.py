@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,23 @@ class TestCorpusIO:
         path.write_bytes(b"d1\tsolar\rpanels\r\nd2\tcourt\n")
         assert load_corpus(path) == [Document("d1", "solar panels"), Document("d2", "court")]
 
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ({"doc_id": "d1", "text": None}, "text for doc_id 'd1' must be a JSON string, got null"),
+            ({"doc_id": "d1", "text": ["a b"]}, "text for doc_id 'd1' must be a JSON string, got [\"a b\"]"),
+            ({"doc_id": "d1", "text": False}, "text for doc_id 'd1' must be a JSON string, got false"),
+            ({"doc_id": 7, "text": "seven"}, "doc_id must be a JSON string, got 7"),
+            ({"doc_id": {"id": "d1"}, "text": "x"}, 'doc_id must be a JSON string, got {"id": "d1"}'),
+        ],
+        ids=["null-text", "array-text", "false-text", "number-id", "object-id"],
+    )
+    def test_non_string_jsonl_field_rejected(self, tmp_path, record, error):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "d0", "text": "ok"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"c\.jsonl:2: {re.escape(error)}$"):
+            load_corpus(path, fmt="jsonl")
+
     def test_whitespace_in_jsonl_doc_id_rejected(self, tmp_path):
         path = tmp_path / "ws.jsonl"
         path.write_text('{"doc_id": "a", "text": "x"}\n{"doc_id": "b\\tc", "text": "y"}\n')
@@ -149,6 +167,12 @@ class TestQrelsIO:
         with pytest.raises(ValueError, match="negative grade"):
             load_qrels(path)
 
+    def test_grade_beyond_int64(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d1 {2**63 - 1}\nq2 0 d1 {2**63}\n")
+        with pytest.raises(ValueError, match=rf"qrels.txt:2: grade {2**63} is above {2**63 - 1}"):
+            load_qrels(path)
+
     def test_duplicate_pair(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 1\nq1 0 d1 2\n")
@@ -174,6 +198,11 @@ class TestQrelsObject:
     def test_rejects_negative_grades(self):
         with pytest.raises(ValueError):
             Qrels({("q", "d"): -2})
+
+    def test_rejects_grades_beyond_int64(self):
+        assert len(Qrels({("q", "d"): 2**63 - 1})) == 1
+        with pytest.raises(ValueError, match="above"):
+            Qrels({("q", "d"): 2**63})
 
 
 class TestGeneratedQueryIO:
@@ -216,6 +245,23 @@ class TestGeneratedQueryIO:
         path = tmp_path / "gen.jsonl"
         path.write_text(json.dumps({"doc_id": doc_id, "queries": ["ok"]}) + "\n")
         with pytest.raises(ValueError, match=rf"gen\.jsonl:1: {error}"):
+            load_generated_queries(path)
+
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ({"doc_id": "a", "queries": ["ok", False]}, "query for doc 'a' must be a JSON string, got false"),
+            ({"doc_id": "a", "queries": [None, "ok"]}, "query for doc 'a' must be a JSON string, got null"),
+            ({"doc_id": "a", "queries": ["ok", 1.5]}, "query for doc 'a' must be a JSON string, got 1.5"),
+            ({"doc_id": 7, "queries": ["ok", "ok"]}, "doc_id must be a JSON string, got 7"),
+        ],
+        ids=["false-query", "null-query", "number-query", "number-id"],
+    )
+    def test_non_string_field_rejected(self, tmp_path, record, error):
+        path = tmp_path / "gen.jsonl"
+        path.write_text(json.dumps({"doc_id": "z", "queries": ["x", "y"]}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"gen\.jsonl:2: {re.escape(error)}$"):
             load_generated_queries(path)
 
 
@@ -313,6 +359,26 @@ class TestTripleIO:
         path = tmp_path / "triples.jsonl"
         path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps({**self.RECORD, **fields}))
         with pytest.raises(ValueError, match=rf"triples\.jsonl:2: {error}$"):
+            load_triples(path)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"negatives": [False]}, "negative text for 'd2' must be a JSON string, got false"),
+            ({"negatives": [["a b"]]}, "negative text for 'd2' must be a JSON string, got [\"a b\"]"),
+            ({"query": None}, "query text must be a JSON string, got null"),
+            ({"positive": 3}, "positive text must be a JSON string, got 3"),
+            ({"query_id": 7}, "query_id must be a JSON string, got 7"),
+            ({"positive_doc_id": True}, "positive_doc_id must be a JSON string, got true"),
+            ({"negative_doc_ids": [2]}, "negative doc_id must be a JSON string, got 2"),
+        ],
+        ids=["false-negative", "array-negative", "null-query", "number-positive",
+             "number-query-id", "true-positive-id", "number-negative-id"],
+    )
+    def test_non_string_field_rejected(self, tmp_path, fields, error):
+        path = tmp_path / "triples.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps({**self.RECORD, **fields}) + "\n")
+        with pytest.raises(ValueError, match=rf"triples\.jsonl:2: {re.escape(error)}$"):
             load_triples(path)
 
     @pytest.mark.parametrize("line", ["5", "null"])

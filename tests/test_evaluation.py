@@ -325,6 +325,36 @@ class TestNdcg:
         qrels = Qrels({("q1", "d1"): 0})
         assert ndcg_at_k(run, qrels, k=10).aggregate == 0.0
 
+    def test_grade_64_gains_like_any_other(self):
+        # an int64 gain 1 << 64 wraps to 1, and its gain 2^64 - 1 to -1
+        ranked, grades = {"q1": ["a", "b"]}, {"q1": {"a": 1, "b": 64}}
+        report = ndcg_at_k(make_run(ranked), Qrels({("q1", "a"): 1, ("q1", "b"): 64}), k=10)
+        assert report.aggregate == pytest.approx(ndcg_reference(ranked, grades, 10), abs=1e-12)
+        assert report.aggregate == pytest.approx(0.631, abs=5e-4)
+
+    def test_grades_to_100_match_reference(self):
+        rng = np.random.default_rng(100)
+        for _ in range(50):
+            ranked, judged = random_ranking_instance(rng)
+            grades = {q: {d: int(rng.integers(0, 101)) for d in dg} for q, dg in judged.items()}
+            qrels = Qrels({(q, d): g for q, dg in grades.items() for d, g in dg.items()})
+            k = int(rng.integers(1, 12))
+            assert ndcg_at_k(make_run(ranked), qrels, k=k).aggregate == pytest.approx(
+                ndcg_reference(ranked, grades, k), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("grades", [(1, 1024), (1023, 1023, 1023)], ids=["1024", "3x1023"])
+    def test_overflowing_gains_rejected(self, grades):
+        qrels = Qrels({("q1", "d1"): 1, **{("q2", f"d{i}"): g for i, g in enumerate(grades)}})
+        run = make_run({"q1": ["d1"], "q2": ["d0", "d1", "d2"]})
+        with pytest.raises(ValueError, match=rf"query 'q2': .* up to {max(grades)}, overflow float64"):
+            ndcg_at_k(run, qrels, k=10)
+
+    def test_largest_grades_that_fit(self):
+        run = make_run({"q1": ["d1", "d2"], "q2": ["d1", "d2"]})
+        qrels = Qrels({("q1", "d1"): 1023, ("q1", "d2"): 1, ("q2", "d1"): 1022, ("q2", "d2"): 1022})
+        assert ndcg_at_k(run, qrels, k=10).per_query == {"q1": 1.0, "q2": 1.0}
+
 
 # The per-query loops the metrics ran before they read a grade matrix:
 # the exact oracle for the block computation.

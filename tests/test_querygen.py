@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdr import querygen
 from mvdr.corpus import Document, tokenize
@@ -137,10 +139,41 @@ class TestGenerateCorpus:
 
     def test_per_doc_streams_differ(self, tiny_docs):
         model = fit_qg(tiny_docs, seed=9)
-        sets = generate_corpus(model, tiny_docs, self.CFG)
         # documents share no vocabulary here, so equal queries would mean
-        # the same template + term positions; streams should decorrelate
-        assert len({s.queries for s in sets}) == len(sets)
+        # the same template + term positions; streams should decorrelate,
+        # in one corpus and one document at a time alike
+        for sets in (
+            generate_corpus(model, tiny_docs, self.CFG),
+            [generate(model, doc, self.CFG) for doc in tiny_docs],
+            [generate(model, doc, self.CFG, seed=5) for doc in tiny_docs],
+        ):
+            assert len({s.queries for s in sets}) == len(sets)
+
+
+class TestOneSeedRule:
+    # every document draws from PCG64(derive_seed(seed, doc_id)), whether
+    # generated alone or in any corpus
+    CFG = SamplingConfig(k_views=3, top_k=5, max_query_tokens=8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+        order=st.permutations(range(4)),
+        size=st.integers(1, 4),
+    )
+    def test_generate_is_generate_corpus_of_one_document(self, seed, order, size):
+        docs = [Document(f"d{i}", text) for i, text in enumerate(
+            ["solar panels convert sunlight", "the court ruled on the appeal",
+             "rivers carry sediment", "a vaccine primes the immune system"]
+        )]
+        model = fit_qg(docs, seed=9)
+        corpus = [docs[i] for i in order[:size]]
+        doc = corpus[-1]
+        got = generate(model, doc, self.CFG, seed)
+        assert got == generate_corpus(model, [doc], self.CFG, seed)[0]
+        assert got == generate_corpus(model, corpus, self.CFG, seed)[-1]
+        base = model.rng_seed if seed is None else seed
+        assert got.queries == reference_queries(model, doc, self.CFG, derive_seed(base, doc.doc_id))
 
 
 # 16 templates, so that top_k 8, 12 and 20 keep different counts, up to
@@ -218,7 +251,7 @@ class TestSampleFromRawWords:
                 cfg = SamplingConfig(k_views=6, top_k=top_k, max_query_tokens=max_query_tokens)
                 for seed in range(12):
                     got = generate(model, docs[0], cfg, seed=seed).queries
-                    assert got == reference_queries(model, docs[0], cfg, seed)
+                    assert got == reference_queries(model, docs[0], cfg, derive_seed(seed, docs[0].doc_id))
 
     def test_generate_corpus_equals_reference(self):
         # several pool sizes in one corpus, so documents stop drawing terms
