@@ -40,7 +40,8 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"bad n-gram orders {text!r}: expected e.g. '1,2'") from None
+        message = f"bad n-gram orders {text!r}: expected e.g. '1,2'"
+        raise argparse.ArgumentTypeError(message) from None  # argparse prints it for the flag
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,7 +124,7 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
     for key, text in (config or {}).items():
         try:
             merged[key] = _CONFIG_KEYS[key](text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     merged.update((key, value) for key, value in vars(flags).items() if value is not None)
     merged["sampling_config"] = SamplingConfig(
@@ -426,21 +427,27 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 #
-# Flags store into the setting names of ``_CONFIG_KEYS`` and default to
-# None, so unset flags fall back to ``_DEFAULTS`` or the config dataclasses.
+# Each setting's flag stores into its name in ``_CONFIG_KEYS``, parses its
+# value as that config key does, and defaults to None, so unset flags fall
+# back to ``_DEFAULTS`` or the config dataclasses. A flag is ``--`` and the
+# name with dashes, except for these settings.
+_FLAGS = {
+    "sampling_top_k": "--top-k", "negatives_per_positive": "--negatives", "learning_rate": "--lr",
+    "warmup_fraction": "--warmup", "epochs_pretrain": "--pretrain-epochs",
+    "epochs_finetune": "--finetune-epochs", "search_topk": "--topk", "run_tag": "--tag",
+}
 
 
-def _add_encoder_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("encoder")
-    group.add_argument("--embed-dim", type=int)
-    group.add_argument("--hash-buckets", type=int)
-    group.add_argument("--ngram-orders", type=_parse_orders, help="comma-separated, e.g. 1,2")
-    group.add_argument(
-        "--untie", dest="tie_params", action="store_false", default=None,
-        help="give query and document towers separate weights",
-    )
-    group.add_argument("--max-query-tokens", type=int)
-    group.add_argument("--max-doc-tokens", type=int)
+def _add_settings(
+    parser: argparse._ActionsContainer, *names: str, required: bool = False, help: str | None = None
+) -> None:
+    """Add the flag of each named setting."""
+    choices = {"mode": MODES, "corpus_format": CORPUS_FORMATS}
+    for name in names:
+        parse = _CONFIG_KEYS[name]
+        flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=None if parse is str else parse,
+                            choices=choices.get(name), required=required, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,81 +460,70 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-queries", help="generate pseudo-queries for a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
+    _add_settings(p, "corpus", required=True)
+    _add_settings(p, "corpus_format")
     p.add_argument("--out", required=True)
-    p.add_argument("--views", type=int, help="queries per document")
-    p.add_argument("--top-k", dest="sampling_top_k", type=int, help="sampling pool size")
-    p.add_argument("--max-query-tokens", type=int)
-    p.add_argument("--seed", type=int)
+    _add_settings(p, "views", help="queries per document")
+    _add_settings(p, "sampling_top_k", help="sampling pool size")
+    _add_settings(p, "max_query_tokens", "seed")
     p.set_defaults(func=cmd_gen_queries)
 
     p = sub.add_parser("train", help="train an encoder on triples")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
-    p.add_argument("--triples", required=True)
-    p.add_argument("--gen-queries", help="generated queries (needed for pretraining)")
+    _add_settings(p, "corpus", required=True)
+    _add_settings(p, "corpus_format")
+    _add_settings(p, "triples", required=True)
+    _add_settings(p, "gen_queries", help="generated queries (needed for pretraining)")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--pretrain-batch-size", type=int)
-    p.add_argument(
-        "--negatives", dest="negatives_per_positive", type=int, help="hard negatives per positive"
-    )
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--warmup", dest="warmup_fraction", type=float)
-    p.add_argument("--pretrain-epochs", dest="epochs_pretrain", type=int)
-    p.add_argument("--finetune-epochs", dest="epochs_finetune", type=int)
-    p.add_argument("--seed", type=int)
+    _add_settings(p, "mode", "batch_size", "pretrain_batch_size")
+    _add_settings(p, "negatives_per_positive", help="hard negatives per positive")
+    _add_settings(p, "learning_rate", "warmup_fraction")
+    _add_settings(p, "epochs_pretrain", "epochs_finetune", "seed")
     p.add_argument("--loss-trace", help="write per-step loss CSV here")
-    _add_encoder_args(p)
+    group = p.add_argument_group("encoder")
+    _add_settings(group, "embed_dim", "hash_buckets")
+    _add_settings(group, "ngram_orders", help="comma-separated, e.g. 1,2")
+    untie = "give query and document towers separate weights"
+    group.add_argument("--untie", dest="tie_params", action="store_false", default=None, help=untie)
+    _add_settings(group, "max_query_tokens", "max_doc_tokens")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="encode a corpus into a flat index")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--gen-queries")
+    _add_settings(p, "corpus", required=True)
+    _add_settings(p, "corpus_format", "mode", "gen_queries")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="run queries against an index")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--queries", required=True)
+    _add_settings(p, "queries", required=True)
     p.add_argument("--out", required=True, help="run file path")
-    p.add_argument("--topk", dest="search_topk", type=int)
-    p.add_argument("--tag", dest="run_tag")
+    _add_settings(p, "search_topk", "run_tag")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="score a run file against judgments")
     p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--metrics")
-    p.add_argument("--rel-threshold", type=int)
+    _add_settings(p, "qrels", required=True)
+    _add_settings(p, "metrics", "rel_threshold")
     p.add_argument("--out", help="also write metric,value CSV here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="query-set quality/diversity reports")
-    p.add_argument("--gen-queries", required=True)
-    p.add_argument("--queries", required=True, help="gold queries (TSV)")
-    p.add_argument("--qrels", required=True)
+    _add_settings(p, "gen_queries", required=True)
+    _add_settings(p, "queries", required=True, help="gold queries (TSV)")
+    _add_settings(p, "qrels", required=True)
     p.add_argument("--run", help="run file for per-level retrieval averages")
     p.add_argument("--metric", help="levels.csv and sweep metric; default: the first default metric")
-    p.add_argument("--rel-threshold", type=int)
-    p.add_argument("--out-dir", required=True)
+    _add_settings(p, "rel_threshold")
+    _add_settings(p, "out_dir", required=True)
     p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")
-    p.add_argument("--corpus")
-    p.add_argument("--corpus-format", choices=CORPUS_FORMATS)
-    p.add_argument("--topk", dest="search_topk", type=int)
+    _add_settings(p, "corpus", "corpus_format", "search_topk")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir")
+    _add_settings(p, "mode", "seed", "out_dir")
     p.add_argument("--threads", type=int, help="ignored: every stage runs on one thread")
     p.set_defaults(func=cmd_pipeline)
 

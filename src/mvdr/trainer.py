@@ -74,8 +74,8 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 2: examples share in-batch negatives")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
             raise ValueError("epoch counts must be >= 0")
 

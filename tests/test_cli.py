@@ -13,7 +13,6 @@ import pytest
 from mvdr import cli
 from mvdr.cli import _prefix_metrics, build_parser, main, parse_config
 from mvdr.corpus import (
-    CORPUS_FORMATS,
     Document,
     GeneratedQuerySet,
     Query,
@@ -26,7 +25,7 @@ from mvdr.corpus import (
     write_triples,
 )
 from mvdr.corpus import Qrels, load_corpus, load_queries
-from mvdr.encoder import MODES, EncoderConfig, encode_queries, init_params, save_params
+from mvdr.encoder import EncoderConfig, encode_queries, init_params, save_params
 from mvdr.evaluation import RunEntry, compute_metric, run_from_ranked_lists, write_run
 from mvdr.index import FlatIndex, build_index, save_index, search, search_corpus
 from mvdr.selftest import random_index
@@ -404,8 +403,9 @@ class TestPipeline:
             ("ngram_orders = 1", "ngram_orders = 1,300"),
             ("search_topk = 4", "search_topk = 4\nrun_tag = a b"),
             ("views = 3", "views = 0"),
+            ("learning_rate = 0.02", "learning_rate = inf"),
         ],
-        ids=["metric", "topk", "ngram-orders", "run-tag", "views"],
+        ids=["metric", "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf"],
     )
     def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new):
         paths = _write_world(tmp_path)
@@ -434,38 +434,20 @@ class TestPipeline:
 
 
 def test_every_subcommand_flag_defaults_to_none():
-    # defaults live in cli._DEFAULTS and the config dataclasses only
-    parser = build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for command, sub in subparsers.choices.items():
-        for action in sub._actions:
-            if not isinstance(action, argparse._HelpAction):
-                assert action.default is None, (command, action.dest, action.default)
-
-
-def test_every_setting_flag_parses_like_its_config_key():
-    # a flag that stores into a config key reads its value as the config
-    # file's parser does; a str key's flag stores its text as given
-    choices = {"mode": MODES, "corpus_format": CORPUS_FORMATS}
+    # defaults live in cli._DEFAULTS and the config dataclasses only; every
+    # config key but analyze has a flag, and --untie can only turn tying off
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flagged = set()
     for command, sub in subparsers.choices.items():
         for action in sub._actions:
-            parse = cli._CONFIG_KEYS.get(action.dest)
-            if parse is None:
-                continue
-            where = (command, action.option_strings)
-            flagged.add(action.dest)
+            if not isinstance(action, argparse._HelpAction):
+                assert action.default is None, (command, action.dest, action.default)
+                flagged.add(action.dest)
             if action.dest == "tie_params":
-                # --untie: the one boolean flag, which can only turn tying off
-                assert parse is cli._parse_bool, where
-                assert isinstance(action, argparse._StoreFalseAction), where
-                continue
-            assert isinstance(action, argparse._StoreAction), where
-            assert action.type is (None if parse is str else parse), where
-            assert action.choices == choices.get(action.dest), where
-    assert flagged == set(cli._CONFIG_KEYS) - {"analyze"}
+                assert isinstance(action, argparse._StoreFalseAction), command
+                assert action.option_strings == ["--untie"] and action.const is False, command
+    assert flagged & set(cli._CONFIG_KEYS) == set(cli._CONFIG_KEYS) - {"analyze"}
 
 
 def test_every_integer_setting_but_seed_rejects_minus_one():
@@ -476,6 +458,34 @@ def test_every_integer_setting_but_seed_rejects_minus_one():
         if parse is int and key != "seed":
             with pytest.raises(ValueError):
                 cli._settings(flags, {key: "-1"})
+
+
+def test_every_float_setting_rejects_inf_and_nan():
+    # a non-finite learning rate would train a checkpoint of non-finite weights
+    flags = build_parser().parse_args(["pipeline", "--config", "run.cfg"])
+    for key, parse in cli._CONFIG_KEYS.items():
+        if parse is float:
+            for text in ("inf", "nan"):
+                with pytest.raises(ValueError, match=key):
+                    cli._settings(flags, {key: text})
+
+
+@pytest.mark.parametrize(
+    "key, flag, value, message",
+    [
+        ("ngram_orders", "--ngram-orders", "1,x", "bad n-gram orders '1,x': expected e.g. '1,2'"),
+        ("embed_dim", "--embed-dim", "x", "invalid int value: 'x'"),
+        ("learning_rate", "--lr", "x", "invalid float value: 'x'"),
+    ],
+)
+def test_a_bad_flag_value_is_reported_by_its_config_key_parser(capsys, key, flag, value, message):
+    argv = ["train", "--corpus", "c", "--triples", "t", "--out", "o", flag, value]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    flags = build_parser().parse_args(["pipeline", "--config", "run.cfg"])
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r}: ")):
+        cli._settings(flags, {key: value})
 
 
 def test_serving_commands_load_neither_openssl_nor_numpy_random(tmp_path):
@@ -543,6 +553,25 @@ class TestReadmeExamples:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert {argv[1] for argv in commands} == set(subparsers.choices)
+
+    def test_settings_table_names_each_keys_flag_and_commands(self):
+        # one row per config key: its flag, and every command that takes that flag
+        text = README.read_text(encoding="utf-8")
+        table = text.split("| config key | flag | commands |\n", 1)[1].split("\n\n", 1)[0]
+        lines = table.splitlines()[1:]  # below the header's | --- | row
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in lines]
+        assert sorted(row[0] for row in rows) == sorted(cli._CONFIG_KEYS)
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for key, flag, commands in rows:
+            flags = {
+                command: action.option_strings
+                for command, sub in subparsers.choices.items()
+                for action in sub._actions
+                if action.dest == key
+            }
+            listed = [] if commands == "none" else [c.strip(" `") for c in commands.split(",")]
+            assert flags == {command: [flag] for command in listed}, key
 
     def test_config_example_passes_every_settings_check(self, tmp_path):
         (block,) = _readme_blocks("ini")

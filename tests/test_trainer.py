@@ -413,6 +413,8 @@ class TestConfigValidation:
             {"warmup_fraction": 1.5},
             {"learning_rate": -0.1},
             {"epochs_finetune": -1},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
