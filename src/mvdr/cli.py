@@ -2,7 +2,8 @@
 
 Subcommands cover each pipeline stage (gen-queries, train, index, search,
 eval, analyze), an end-to-end ``pipeline`` driven by a key=value config
-file, and ``selftest`` for the built-in reference checks. Each stage is one
+file, and ``selftest`` for the built-in reference checks. ``main`` checks
+every command's settings before the command runs. Each stage is one
 function that its subcommand and ``pipeline`` both call, so for one seed
 the staged commands and ``pipeline`` write the same bytes. Every stage
 runs on the calling thread.
@@ -114,9 +115,9 @@ def parse_config(path: str | Path) -> dict[str, str]:
 def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None) -> dict:
     """Flags over config-file values over the defaults; a None flag is unset.
 
-    Every value is checked here, before a command reads an input, even one
-    that the command does not use; a metric spec may not repeat another's
-    (name, k). The stages read the configs built here;
+    ``main`` calls this before any command runs, and every value is checked
+    here, even one that the command does not use; a metric spec may not
+    repeat another's (name, k). The stages read the configs built here;
     ``metric`` is the ``--metric`` flag when given, otherwise the first of
     ``metrics``.
     """
@@ -280,8 +281,7 @@ def analyze_stage(
 # Subcommands
 
 
-def cmd_gen_queries(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_gen_queries(settings: Settings) -> int:
     corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
     sets = gen_queries_stage(corpus, settings)
     write_generated_queries(sets, settings["out"])
@@ -289,8 +289,7 @@ def cmd_gen_queries(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_train(settings: Settings) -> int:
     corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
     triples = load_triples(settings["triples"])
     gen_path = settings.get("gen_queries")
@@ -304,8 +303,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_index(settings: Settings) -> int:
     mode = settings["train_config"].mode
     if mode == "dce" and "gen_queries" not in settings:
         raise ValueError("--mode dce requires --gen-queries")
@@ -320,8 +318,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_search(settings: Settings) -> int:
     params = load_params(settings["checkpoint"])
     index = load_index(settings["index"])
     queries = load_queries(settings["queries"])
@@ -331,8 +328,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_eval(settings: Settings) -> int:
     run = evaluation.load_run(settings["run"])
     reports = eval_stage(run, load_qrels(settings["qrels"]), settings)
     if "out" in settings:
@@ -340,8 +336,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+def cmd_analyze(settings: Settings) -> int:
     if "checkpoint" in settings and "corpus" not in settings:
         raise ValueError("--checkpoint requires --corpus for the view sweep")
     corpus = None
@@ -360,7 +355,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(settings: Settings) -> int:
     results = run_selftest()
     failed = 0
     for result in results:
@@ -374,13 +369,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    missing = [key for key in ("corpus", "queries", "qrels", "triples") if key not in cfg]
+def cmd_pipeline(settings: Settings) -> int:
+    # pipeline has no flag for these, so only its config file sets them
+    missing = [key for key in ("corpus", "queries", "qrels", "triples") if key not in settings]
     if missing:
         raise ValueError(f"config is missing required key {missing[0]!r}")
-    # command-line --mode, --seed and --out-dir override the file
-    settings = _settings(args, cfg)
     train_cfg = settings["train_config"]
     mode = train_cfg.mode
     corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
@@ -542,7 +535,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        # only pipeline has --config; its --mode, --seed and --out-dir override the file
+        config = parse_config(args.config) if "config" in args else None
+        return args.func(_settings(args, config))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

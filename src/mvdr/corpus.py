@@ -113,11 +113,16 @@ class Qrels:
 
 
 def _read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Each LF- or CRLF-terminated line of a UTF-8 text file without its
-    ending, after the ``path:line`` that names it. A lone CR is kept: it is
-    whitespace inside a text field, not a line break."""
-    with open(path, encoding="utf-8", newline="\n") as handle:
-        for line_no, line in enumerate(handle, 1):
+    """Each line of a UTF-8 text file, after the ``path:line`` that names
+    it; a line that is not UTF-8 is an error that names it. A line ends at
+    LF or CRLF, which is dropped; a lone CR is whitespace inside a text
+    field, not a line break."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             yield f"{path}:{line_no}", line.rstrip("\n").rstrip("\r")
 
 
@@ -152,9 +157,15 @@ def _json_record(line: str, fields: Sequence[str], where: str) -> dict:
 
 def _string(value: object, what: str, where: str) -> str:
     """``value``, which must be a string: a JSON field holding null, a
-    boolean, a number, an array or an object is an error, not its ``str()``."""
+    boolean, a number, an array or an object is an error, not its ``str()``,
+    and so is a string with a lone surrogate (``"\\ud800"``), which no
+    output could write."""
     if not isinstance(value, str):
         raise ValueError(f"{where}: {what} must be a JSON string, got {json.dumps(value)}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{where}: {what} cannot be encoded as UTF-8 ({exc.reason})") from None
     return value
 
 

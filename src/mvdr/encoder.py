@@ -62,12 +62,6 @@ MODES = ("de", "dce")
 _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _MAGIC = b"MVDR2"
-# checkpoint formats that load_params names when it rejects them
-_RETIRED = {
-    b"MVDR1": "an MVDR1 checkpoint was trained when bigram buckets hashed joined "
-    "n-gram strings; MVDR2 takes them from token hashes, so its bigram rows "
-    "would be read under other features: re-create or re-train it",
-}
 
 # Bytes of one block of token-table rows: a float64 block drawn by
 # init_params, or one gather of a batch's feature rows in forward_tower.
@@ -547,8 +541,7 @@ def encode_candidates(
 # Checkpoint I/O
 #
 # Layout (all little-endian):
-#   magic 'MVDR2' (MVDR1, from before bigram buckets came from token
-#   hashes, is rejected by name)
+#   magic 'MVDR2'
 #   u32 embed_dim, u64 hash_buckets, u8 n_orders, n_orders * u8,
 #   u8 tied, u32 max_query_tokens, u32 max_doc_tokens
 #   float32 tensors in fixed order (query tower, then doc tower if untied)
@@ -576,11 +569,11 @@ def save_params(params: EncoderParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
-    Rejects unknown or retired magic, truncation, trailing bytes and checksum
-    mismatches. Each tensor is read from the file straight into its own
-    aligned, writable array.
+    Rejects bad magic, truncation, trailing bytes and checksum mismatches.
+    Each tensor is read from the file straight into its own aligned,
+    writable array.
     """
-    with FramedReader(path, _MAGIC, "checkpoint", _RETIRED) as reader:
+    with FramedReader(path, _MAGIC, "checkpoint") as reader:
         embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
         orders = reader.unpack(f"<{n_orders}B", "header")
         tied_flag, max_q, max_d = reader.unpack("<BII", "header")

@@ -57,11 +57,16 @@ class RankedList:
 
 
 def check_fields(kind: str, values: Iterable[str]) -> None:
-    """Reject a value that is empty or contains whitespace: run files split
-    on whitespace, so each id and the tag must be one non-empty field."""
+    """Reject a value that is empty, contains whitespace or cannot be
+    encoded as UTF-8: run files split on whitespace and are written as
+    UTF-8, so each id and the tag must be one non-empty, writable field."""
     for value in values:
         if value.split() != [value]:
             raise ValueError(f"{kind} {value!r} is empty or contains whitespace")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{kind} {value!r} cannot be encoded as UTF-8") from None
 
 
 class Run:

@@ -19,7 +19,7 @@ import zlib
 # and importing it here does not load OpenSSL's libcrypto as ``hashlib`` does
 from _blake2 import blake2b
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -94,9 +94,7 @@ class FramedReader:
     CRC-32 covers every byte read. Each size is checked against what the
     file holds before anything is allocated: a field that runs past the
     payload raises ``truncated``. :meth:`finish` rejects trailing bytes and
-    then checks the footer. ``kind`` names the file in error messages, and
-    ``retired`` maps the magic of each format that is no longer read to
-    the reason given when a file of it is opened.
+    then checks the footer. ``kind`` names the file in error messages.
 
     Use the reader as a context manager: a block that ends normally calls
     :meth:`finish`, and the file is closed either way. When the block
@@ -106,17 +104,13 @@ class FramedReader:
     reader that checks the CRC before parsing.
     """
 
-    def __init__(
-        self, path: str | Path, magic: bytes, kind: str, retired: Mapping[bytes, str] = {}
-    ) -> None:
+    def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
         handle = open(path, "rb")
         try:
             size = os.fstat(handle.fileno()).st_size
             if size < len(magic) + 4:
                 raise ValueError(f"{path}: truncated {kind}")
             head = handle.read(len(magic))
-            if head in retired:
-                raise ValueError(f"{path}: retired {kind} format {head!r}: {retired[head]}")
             if head != magic:
                 raise ValueError(f"{path}: bad magic {head!r}, expected {magic!r}")
         except BaseException:

@@ -294,10 +294,12 @@ class TestStagedCommands:
             (["eval", "--metrics", "mrr@ten"], "bad metric spec 'mrr@ten'"),
             (["eval", "--metrics", "mrr@10,ndcg@10, MRR@10"], "metric spec 'MRR@10' repeats 'mrr@10'"),
             (["eval", "--rel-threshold", "0"], "rel_threshold must be >= 1, got 0"),
+            # a non-UTF-8 argument byte reaches Python as a lone surrogate
+            (["search", "--tag", os.fsdecode(b"t\xff")], "tag 't\\udcff' cannot be encoded as UTF-8"),
         ],
         ids=[
             "search-topk", "search-tag", "train-batch-size", "gen-queries-views", "eval-metrics",
-            "eval-repeated-metric", "eval-rel-threshold",
+            "eval-repeated-metric", "eval-rel-threshold", "search-unwritable-tag",
         ],
     )
     def test_bad_settings_fail_before_any_input_is_read(self, tmp_path, capsys, argv, message):
@@ -431,6 +433,46 @@ class TestPipeline:
         cfg.write_text(f"corpus = {paths['corpus']}\n")
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert "missing required key" in capsys.readouterr().err
+
+    def test_a_bad_value_is_reported_before_a_missing_key(self, tmp_path, capsys):
+        # main checks every value before the pipeline looks for its inputs
+        paths = _write_world(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"corpus = {paths['corpus']}\nviews = 0\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert "error: k_views must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_a_settings_error_stops_every_command_before_it_runs(tmp_path, monkeypatch, capsys):
+    # main checks the settings of every subcommand, so no command body runs
+    # when they fail; an empty file stands for every required path
+    empty = tmp_path / "empty"
+    empty.write_text("")
+
+    def bad_settings(flags, config=None):
+        raise ValueError("bad setting")
+
+    entered = []
+
+    def recorded(name, func):
+        def wrapper(*args):
+            entered.append(name)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_settings", bad_settings)
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        name = sub.get_default("func").__name__
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        argv = [command]
+        for action in sub._actions:
+            if action.required:
+                argv += [action.option_strings[0], str(empty)]
+        assert main(argv) == 1, command
+        assert "error: bad setting" in capsys.readouterr().err, command
+    assert len(subparsers.choices) == 8
+    assert entered == []
 
 
 def test_every_subcommand_flag_defaults_to_none():

@@ -25,7 +25,8 @@ from mvdr.corpus import (
     write_queries,
     write_triples,
 )
-from mvdr.evaluation import Run, RunEntry, mrr_at_k, ndcg_at_k, recall_at_k
+from mvdr.cli import parse_config
+from mvdr.evaluation import Run, RunEntry, load_run, mrr_at_k, ndcg_at_k, recall_at_k
 
 
 class TestNormalization:
@@ -387,6 +388,52 @@ class TestTripleIO:
         path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
         with pytest.raises(ValueError, match=r"triples\.jsonl:2: expected a JSON object"):
             load_triples(path)
+
+
+class TestEncoding:
+    TRIPLE = json.dumps(TestTripleIO.RECORD).encode() + b"\n"
+    # every text reader: a valid first line, then a second with a 0xFF byte
+    READERS = {
+        "corpus-tsv": (load_corpus, b"d1\tsolar\n", b"d2\tsol\xffar\n"),
+        "corpus-jsonl": (
+            lambda path: load_corpus(path, fmt="jsonl"),
+            b'{"doc_id": "d1", "text": "a"}\n', b'{"doc_id": "d2", "text": "\xff"}\n',
+        ),
+        "queries": (load_queries, b"q1\tsolar\n", b"q2\t\xffsolar\n"),
+        "qrels": (load_qrels, b"q1 0 d1 1\n", b"q1 0 d\xff 1\n"),
+        "generated-queries": (
+            load_generated_queries,
+            b'{"doc_id": "d1", "queries": ["a"]}\n', b'{"doc_id": "d2", "queries": ["\xff"]}\n',
+        ),
+        "triples": (load_triples, TRIPLE, TRIPLE.replace(b'"q1"', b'"q\xff"')),
+        "run": (load_run, b"q1 Q0 d1 1 1.0 tag\n", b"q1 Q0 d\xff 2 0.5 tag\n"),
+        "config": (parse_config, b"seed = 1\n", b"mode = d\xffe\n"),
+    }
+
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_undecodable_line_is_named(self, tmp_path, name):
+        read, first, second = self.READERS[name]
+        path = tmp_path / "input"
+        path.write_bytes(first + second)
+        with pytest.raises(ValueError, match=r"input:2: 'utf-8' codec can't decode byte 0xff"):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "read, record, field",
+        [
+            (lambda path: load_corpus(path, fmt="jsonl"), {"doc_id": "d\ud800", "text": "x"}, "doc_id"),
+            (load_generated_queries, {"doc_id": "d1", "queries": ["ok", "a \udfff"]}, "query for doc 'd1'"),
+            (load_triples, {**TestTripleIO.RECORD, "negatives": ["\ud800"]}, "negative text for 'd2'"),
+        ],
+        ids=["corpus-jsonl", "generated-queries", "triples"],
+    )
+    def test_lone_surrogate_is_named(self, tmp_path, read, record, field):
+        # a JSON escape can hold half a surrogate pair, which no output can write
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        error = f"{field} cannot be encoded as UTF-8 (surrogates not allowed)"
+        with pytest.raises(ValueError, match=rf"input\.jsonl:1: {re.escape(error)}$"):
+            read(path)
 
 
 class TestWriteLines:

@@ -613,12 +613,13 @@ class TestCheckpointIO:
             load_params(path)
 
     def test_mvdr1_checkpoint_rejected_by_name(self, tmp_path):
-        # a checkpoint from before bigram buckets came from token hashes:
-        # the current layout under the old magic, with a valid checksum
+        # a checkpoint from before bigram buckets came from token hashes has
+        # no second reader: the current layout under the old magic, with a
+        # valid checksum, fails like any other magic
         path = tmp_path / "model.bin"
         save_params(init_params(CFG, seed=3), path)
         self._rewrite_payload(path, lambda p: p.__setitem__(slice(0, 5), b"MVDR1"))
-        with pytest.raises(ValueError, match=r"retired checkpoint format b'MVDR1'.*token hashes"):
+        with pytest.raises(ValueError, match=r"bad magic b'MVDR1', expected b'MVDR2'"):
             load_params(path)
 
     def test_corruption_detected(self, tmp_path):

@@ -583,9 +583,9 @@ class TestIndexIO:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"
         # the earlier row-table format has no second reader
-        for magic in (b"WRONG", b"MVIXT1"):
+        for magic in (b"WRONG!", b"MVIXT1"):
             path.write_bytes(magic + b"\x00" * 32)
-            with pytest.raises(ValueError, match="bad magic"):
+            with pytest.raises(ValueError, match=f"bad magic {magic!r}, expected b'MVIXT2'"):
                 load_index(path)
 
     def test_corruption_detected(self, tmp_path, rng):

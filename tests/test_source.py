@@ -2,7 +2,8 @@
 
 Every output file is opened by ``hashing.open_output``, which replaces its
 target whole, and every input file by the line reader or ``FramedReader``.
-Only ``write_framed`` and ``FramedReader`` compute a CRC-32.
+Only ``write_framed`` and ``FramedReader`` compute a CRC-32. Only
+``cli.main`` reads a config file and checks settings.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes. A
 ``FeatureTable`` parameter never has a default: the caller owns the table.
@@ -90,6 +91,13 @@ def test_only_the_framed_file_computes_crc32():
         "hashing.FramedReader._consumed",
         "hashing.write_framed",
     ]
+
+
+def test_only_main_reads_the_config_and_checks_settings():
+    """Every command gets its settings from ``cli.main``, checked before the
+    command runs; no command resolves them itself."""
+    found = sorted(where for where, call in _calls() if _name(call) in ("_settings", "parse_config"))
+    assert found == ["cli.main", "cli.main"]
 
 
 _MEMO_DECORATORS = {"lru_cache", "cache"}
