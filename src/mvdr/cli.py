@@ -72,7 +72,6 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "learning_rate": float,
     "warmup_fraction": float,
     "ngram_orders": _parse_orders,
-    "tie_params": _parse_bool,
     "analyze": _parse_bool,
 }
 
@@ -132,8 +131,8 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
         **_given(merged, "max_query_tokens", k_views="views", top_k="sampling_top_k")
     )
     merged["encoder_config"] = EncoderConfig(
-        **_given(merged, "embed_dim", "hash_buckets", "ngram_orders", "tie_params",
-                 "max_query_tokens", "max_doc_tokens")
+        **_given(merged, "embed_dim", "hash_buckets", "ngram_orders", "max_query_tokens",
+                 "max_doc_tokens")
     )
     merged["train_config"] = TrainConfig(
         seed=derive_seed(merged["seed"], "train"),
@@ -475,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_argument_group("encoder")
     _add_settings(group, "embed_dim", "hash_buckets")
     _add_settings(group, "ngram_orders", help="comma-separated, e.g. 1,2")
-    untie = "give query and document towers separate weights"
-    group.add_argument("--untie", dest="tie_params", action="store_false", default=None, help=untie)
     _add_settings(group, "max_query_tokens", "max_doc_tokens")
     p.set_defaults(func=cmd_train)
 

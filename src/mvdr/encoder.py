@@ -1,4 +1,4 @@
-"""Hashed n-gram text encoder with query and document towers.
+"""Hashed n-gram text encoder: one tower encodes queries and documents alike.
 
 A text is mapped to hashed n-gram features (configurable orders), the
 matching rows of a token table are mean-pooled, and a two-layer MLP with a
@@ -70,7 +70,12 @@ _BLOCK_BYTES = 2**20
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Architecture and truncation settings shared by both towers."""
+    """Architecture and truncation settings of the encoder.
+
+    ``tie_params`` must be True: queries and documents share one tower.
+    The field exists only so that callers which pass ``tie_params=True``
+    keep working.
+    """
 
     embed_dim: int = 128
     hash_buckets: int = 2**18
@@ -94,11 +99,14 @@ class EncoderConfig:
         object.__setattr__(self, "ngram_orders", orders)
         if not (1 <= self.max_query_tokens < 2**32 and 1 <= self.max_doc_tokens < 2**32):
             raise ValueError("token caps must lie in [1, 2**32)")
+        if self.tie_params is not True:
+            message = "queries and documents share one tower"
+            raise ValueError(f"tie_params must be True ({message}), got {self.tie_params!r}")
 
 
 @dataclass
 class Tower:
-    """Parameters of one encoding tower.
+    """Parameters of the encoding tower.
 
     Gradients use the same holder, with the token table's gradient kept
     as a :class:`RowGrad` over the rows a batch touched.
@@ -166,33 +174,22 @@ class RowGrad:
 
 @dataclass
 class EncoderParams:
-    """Both towers plus their shared configuration.
-
-    When parameters are tied, ``query_tower`` and ``doc_tower`` are the
-    same object, so one update reaches both roles.
-    """
+    """The one tower that encodes queries and documents, plus its configuration."""
 
     config: EncoderConfig
-    query_tower: Tower
-    doc_tower: Tower
-
-    @property
-    def tied(self) -> bool:
-        return self.doc_tower is self.query_tower
-
-    def towers(self) -> dict[str, Tower]:
-        """Distinct towers keyed by role; a tied model has a single entry."""
-        if self.tied:
-            return {"query": self.query_tower}
-        return {"query": self.query_tower, "doc": self.doc_tower}
+    tower: Tower
 
     def copy(self) -> "EncoderParams":
-        query_tower = self.query_tower.copy()
-        doc_tower = query_tower if self.tied else self.doc_tower.copy()
-        return EncoderParams(self.config, query_tower, doc_tower)
+        return EncoderParams(self.config, self.tower.copy())
 
 
-def _init_tower(cfg: EncoderConfig, rng: np.random.Generator, dtype: np.dtype) -> Tower:
+def init_params(cfg: EncoderConfig, seed: int, dtype: np.dtype | type = np.float32) -> EncoderParams:
+    """Draw fresh parameters; identical (cfg, seed) gives identical values.
+
+    Projections start near identity so an untrained model already behaves
+    like a hashed bag-of-n-grams scorer rather than pure noise.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
     dim = cfg.embed_dim
     bound = 1.0 / np.sqrt(dim)
     # Rows drawn in blocks take the same stream as one draw of the whole
@@ -204,25 +201,13 @@ def _init_tower(cfg: EncoderConfig, rng: np.random.Generator, dtype: np.dtype) -
         block[...] = rng.uniform(-bound, bound, size=block.shape)
     w_hidden = np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim))
     w_out = np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim))
-    return Tower(
+    return EncoderParams(cfg, Tower(
         token_table=token_table,
         w_hidden=w_hidden.astype(dtype),
         b_hidden=np.zeros(dim, dtype=dtype),
         w_out=w_out.astype(dtype),
         b_out=np.zeros(dim, dtype=dtype),
-    )
-
-
-def init_params(cfg: EncoderConfig, seed: int, dtype: np.dtype | type = np.float32) -> EncoderParams:
-    """Draw fresh parameters; identical (cfg, seed) gives identical values.
-
-    Projections start near identity so an untrained model already behaves
-    like a hashed bag-of-n-grams scorer rather than pure noise.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    query_tower = _init_tower(cfg, rng, np.dtype(dtype))
-    doc_tower = query_tower if cfg.tie_params else _init_tower(cfg, rng, np.dtype(dtype))
-    return EncoderParams(cfg, query_tower, doc_tower)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +484,7 @@ def backprop_tower(
 
 
 def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
-    """Embed queries through the query tower, featurized through one table.
+    """Embed queries through the tower, featurized through one table.
 
     A text pools to the same features in any batch, but its float32
     embedding can differ in the last bit between a one-row batch, whose
@@ -510,7 +495,7 @@ def encode_queries(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     table = FeatureTable(params.config)
     table.queue((t, None) for t in texts)
     buckets = [query_feature_buckets(table, t) for t in texts]
-    out, _ = forward_tower(params.query_tower, buckets)
+    out, _ = forward_tower(params.tower, buckets)
     return out
 
 
@@ -525,7 +510,7 @@ def candidate_feature_buckets(table: FeatureTable, pair: tuple[str | None, str])
 def encode_candidates(
     params: EncoderParams, pairs: Sequence[tuple[str | None, str]], table: FeatureTable
 ) -> np.ndarray:
-    """Embed candidate inputs through the doc tower, preserving order.
+    """Embed candidate inputs through the tower, preserving order.
 
     ``table`` is the stage's feature table, made from ``params.config``;
     it carries token hashes across the stage's calls, and featurizes
@@ -533,7 +518,7 @@ def encode_candidates(
     """
     table.queue(pairs)
     buckets = [candidate_feature_buckets(table, p) for p in pairs]
-    out, _ = forward_tower(params.doc_tower, buckets)
+    out, _ = forward_tower(params.tower, buckets)
     return out
 
 
@@ -543,8 +528,8 @@ def encode_candidates(
 # Layout (all little-endian):
 #   magic 'MVDR2'
 #   u32 embed_dim, u64 hash_buckets, u8 n_orders, n_orders * u8,
-#   u8 tied, u32 max_query_tokens, u32 max_doc_tokens
-#   float32 tensors in fixed order (query tower, then doc tower if untied)
+#   u8 tied (always 1), u32 max_query_tokens, u32 max_doc_tokens
+#   float32 tensors of the tower in fixed order
 #   u32 CRC-32 of everything before the footer
 
 
@@ -555,13 +540,9 @@ def save_params(params: EncoderParams, path: str | Path) -> None:
     header = [
         struct.pack("<IQB", cfg.embed_dim, cfg.hash_buckets, len(orders)),
         struct.pack(f"<{len(orders)}B", *orders),
-        struct.pack("<BII", int(params.tied), cfg.max_query_tokens, cfg.max_doc_tokens),
+        struct.pack("<BII", 1, cfg.max_query_tokens, cfg.max_doc_tokens),
     ]
-    tensors = [
-        np.ascontiguousarray(arr, dtype="<f4")
-        for tower in params.towers().values()
-        for arr in tower.tensors().values()
-    ]
+    tensors = [np.ascontiguousarray(arr, dtype="<f4") for arr in params.tower.tensors().values()]
     size = write_framed(path, _MAGIC, header + tensors)
     log.info("saved checkpoint to %s (%d bytes)", path, size)
 
@@ -569,19 +550,24 @@ def save_params(params: EncoderParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
-    Rejects bad magic, truncation, trailing bytes and checksum mismatches.
-    Each tensor is read from the file straight into its own aligned,
-    writable array.
+    Rejects bad magic, truncation, trailing bytes, checksum mismatches and
+    a tied byte other than 1 (0 marks separate query and document towers,
+    which an older build wrote). Each tensor is read from the file straight
+    into its own aligned, writable array.
     """
     with FramedReader(path, _MAGIC, "checkpoint") as reader:
         embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
         orders = reader.unpack(f"<{n_orders}B", "header")
-        tied_flag, max_q, max_d = reader.unpack("<BII", "header")
+        tied, max_q, max_d = reader.unpack("<BII", "header")
+        if tied != 1:
+            raise ValueError(
+                f"{path}: checkpoint tied byte is {tied}, expected 1 (a checkpoint with "
+                "separate query and document towers, byte 0, must be re-trained)"
+            )
         cfg = EncoderConfig(
             embed_dim=embed_dim,
             hash_buckets=hash_buckets,
             ngram_orders=orders,
-            tie_params=bool(tied_flag),
             max_query_tokens=max_q,
             max_doc_tokens=max_d,
         )
@@ -592,10 +578,5 @@ def load_params(path: str | Path) -> EncoderParams:
             "w_out": (embed_dim, embed_dim),
             "b_out": (embed_dim,),
         }
-
-        def read_tower() -> Tower:
-            return Tower(**{name: reader.floats(shape, name) for name, shape in shapes.items()})
-
-        query_tower = read_tower()
-        doc_tower = query_tower if cfg.tie_params else read_tower()
-    return EncoderParams(cfg, query_tower, doc_tower)
+        tower = Tower(**{name: reader.floats(shape, name) for name, shape in shapes.items()})
+    return EncoderParams(cfg, tower)

@@ -261,8 +261,8 @@ def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
     table = FeatureTable(params.config)
     q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
-    q_emb, _ = forward_tower(params.query_tower, q_buckets)
-    c_emb, _ = forward_tower(params.doc_tower, c_buckets)
+    q_emb, _ = forward_tower(params.tower, q_buckets)
+    c_emb, _ = forward_tower(params.tower, c_buckets)
     scores = (q_emb @ c_emb.T).astype(np.float64)
     losses = []
     for i in range(batch.size):
@@ -274,25 +274,23 @@ def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
 
 def finite_difference_grads(
     params: EncoderParams, batch: TrainBatch, step: float = 1e-5
-) -> dict[str, dict[str, np.ndarray]]:
-    """Central finite differences of the batch loss w.r.t. every tensor."""
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for role, tower in params.towers().items():
-        tower_grads = {}
-        for name, arr in tower.tensors().items():
-            grad = np.zeros_like(arr)
-            flat = arr.reshape(-1)
-            grad_flat = grad.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                loss_plus = batch_loss(params, batch)
-                flat[idx] = orig - step
-                loss_minus = batch_loss(params, batch)
-                flat[idx] = orig
-                grad_flat[idx] = (loss_plus - loss_minus) / (2 * step)
-            tower_grads[name] = grad
-        out[role] = tower_grads
+) -> dict[str, np.ndarray]:
+    """Central finite differences of the batch loss w.r.t. every tensor,
+    keyed by tensor name."""
+    out: dict[str, np.ndarray] = {}
+    for name, arr in params.tower.tensors().items():
+        grad = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        grad_flat = grad.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            loss_plus = batch_loss(params, batch)
+            flat[idx] = orig - step
+            loss_minus = batch_loss(params, batch)
+            flat[idx] = orig
+            grad_flat[idx] = (loss_plus - loss_minus) / (2 * step)
+        out[name] = grad
     return out
 
 
@@ -308,14 +306,13 @@ def gradient_relative_errors(
     analytic = loss_and_grads(params, batch, FeatureTable(params.config)).grads
     numeric = finite_difference_grads(params, batch, step=step)
     errors = {}
-    for role, tower_grads in numeric.items():
-        for name, fd in tower_grads.items():
-            bp = analytic[role].tensors()[name]
-            if isinstance(bp, RowGrad):
-                bp = bp.to_dense(len(fd))
-            denom = max(np.linalg.norm(bp), np.linalg.norm(fd))
-            diff = np.linalg.norm(bp - fd)
-            errors[f"{role}.{name}"] = float(diff / denom) if denom > 0 else 0.0
+    for name, fd in numeric.items():
+        bp = getattr(analytic, name)
+        if isinstance(bp, RowGrad):
+            bp = bp.to_dense(len(fd))
+        denom = max(np.linalg.norm(bp), np.linalg.norm(fd))
+        diff = np.linalg.norm(bp - fd)
+        errors[name] = float(diff / denom) if denom > 0 else 0.0
     return errors
 
 
@@ -325,26 +322,25 @@ def gradient_relative_errors(
 
 @dataclass
 class DenseAdamState:
-    """Textbook Adam state: a dense m and v for every tensor of every
-    distinct tower, token table included."""
+    """Textbook Adam state: a dense m and v for every tensor of the tower,
+    token table included."""
 
-    m: dict[str, Tower]
-    v: dict[str, Tower]
+    m: Tower
+    v: Tower
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "DenseAdamState":
-        def zeros() -> dict[str, Tower]:
-            return {
-                role: Tower(**{name: np.zeros_like(arr) for name, arr in t.tensors().items()})
-                for role, t in params.towers().items()
-            }
+        tensors = params.tower.tensors()
+
+        def zeros() -> Tower:
+            return Tower(**{name: np.zeros_like(arr) for name, arr in tensors.items()})
 
         return cls(m=zeros(), v=zeros())
 
 
 def adam_step_reference(
-    params: EncoderParams, grads: dict[str, Tower], state: DenseAdamState, lr: float
+    params: EncoderParams, grads: Tower, state: DenseAdamState, lr: float
 ) -> None:
     """Kingma & Ba's Adam over dense gradients: both moments of every row
     of every tensor decay, and every row moves, each step.
@@ -355,32 +351,24 @@ def adam_step_reference(
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1**state.t
     bias2 = 1.0 - ADAM_BETA2**state.t
-    for role, tower in params.towers().items():
-        for name, param in tower.tensors().items():
-            g = getattr(grads[role], name)
-            if isinstance(g, RowGrad):
-                g = g.to_dense(len(param))
-            m = getattr(state.m[role], name)
-            v = getattr(state.v[role], name)
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g**2
-            param -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    for name, param in params.tower.tensors().items():
+        g, m, v = (getattr(tower, name) for tower in (grads, state.m, state.v))
+        if isinstance(g, RowGrad):
+            g = g.to_dense(len(param))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
+        param -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def dense_moments(
-    params: EncoderParams, state: AdamState
-) -> tuple[dict[str, Tower], dict[str, Tower]]:
-    """``state``'s m and v, each token-table moment as the dense table it
+def dense_moments(params: EncoderParams, state: AdamState) -> tuple[Tower, Tower]:
+    """``state``'s m and v, the token-table moment as the dense table it
     stands for."""
     n_rows = params.config.hash_buckets
 
-    def dense(towers: dict[str, Tower]) -> dict[str, Tower]:
-        return {
-            role: Tower(**{**t.tensors(), "token_table": t.token_table.to_dense(n_rows)})
-            for role, t in towers.items()
-        }
+    def dense(t: Tower) -> Tower:
+        return Tower(**{**t.tensors(), "token_table": t.token_table.to_dense(n_rows)})
 
     return dense(state.m), dense(state.v)
 
@@ -500,14 +488,14 @@ def _check_gradients() -> SelftestResult:
     errors = gradient_relative_errors(params, batch)
     worst_name, worst = max(errors.items(), key=lambda kv: kv[1])
     table = FeatureTable(params.config)
-    towers_and_inputs = (
-        (params.query_tower, [query_feature_buckets(table, t) for t in batch.query_texts]),
-        (params.doc_tower, [candidate_feature_buckets(table, p) for p in batch.candidates]),
+    inputs = (
+        [query_feature_buckets(table, t) for t in batch.query_texts],
+        [candidate_feature_buckets(table, p) for p in batch.candidates],
     )
     pool_mismatches = 0
-    for tower, buckets in towers_and_inputs:
-        _, cache = forward_tower(tower, buckets)
-        want = mean_pool_reference(tower.token_table, buckets)
+    for buckets in inputs:
+        _, cache = forward_tower(params.tower, buckets)
+        want = mean_pool_reference(params.tower.token_table, buckets)
         pool_mismatches += int((cache.pooled != want).any(axis=1).sum())
     ok = worst <= 1e-4 and pool_mismatches == 0
     detail = f"worst {worst_name}: {worst:.3e}; pooled rows off the reference: {pool_mismatches}"
@@ -516,7 +504,7 @@ def _check_gradients() -> SelftestResult:
 
 def _check_adam() -> SelftestResult:
     """The live-row Adam step against dense Adam over a few real training
-    batches, tied and untied, every parameter and moment compared exactly.
+    batches, every parameter and moment compared exactly.
 
     The first batch's rows are never touched again, so their moments
     decay while they stay live."""
@@ -525,27 +513,24 @@ def _check_adam() -> SelftestResult:
         ("what did the court decide", 1, range(8, 15)),
     )
     later = _batch(("when do bees pollinate", 11, [12]), ("how long is the ferry", 14, [15]))
-    mismatched = []
-    live = []
-    for tied in (True, False):
-        cfg = EncoderConfig(embed_dim=8, hash_buckets=512, tie_params=tied, max_doc_tokens=16)
-        fast = init_params(cfg, seed=13)
-        ref = fast.copy()
-        state, ref_state = AdamState.for_params(fast), DenseAdamState.for_params(ref)
-        table = FeatureTable(cfg)
-        for step, batch in enumerate([first, later, later, later]):
-            lr = 0.05 / (step + 1)
-            adam_step(fast, loss_and_grads(fast, batch, table).grads, state, lr)
-            adam_step_reference(ref, loss_and_grads(ref, batch, table).grads, ref_state, lr)
-        live.append(len(state.m["query"].token_table.rows))
-        got = (fast.towers(), *dense_moments(fast, state))
-        want = (ref.towers(), ref_state.m, ref_state.v)
-        for what, got_towers, want_towers in zip(("param", "m", "v"), got, want):
-            for role, tower in got_towers.items():
-                for name, arr in tower.tensors().items():
-                    if not np.array_equal(arr, getattr(want_towers[role], name)):
-                        mismatched.append(f"{'tied' if tied else 'untied'} {what} {role}.{name}")
-    detail = f"4 steps, live rows {live[0]} (tied) and {live[1]} (untied query) of 512"
+    cfg = EncoderConfig(embed_dim=8, hash_buckets=512, max_doc_tokens=16)
+    fast = init_params(cfg, seed=13)
+    ref = fast.copy()
+    state, ref_state = AdamState.for_params(fast), DenseAdamState.for_params(ref)
+    table = FeatureTable(cfg)
+    for step, batch in enumerate([first, later, later, later]):
+        lr = 0.05 / (step + 1)
+        adam_step(fast, loss_and_grads(fast, batch, table).grads, state, lr)
+        adam_step_reference(ref, loss_and_grads(ref, batch, table).grads, ref_state, lr)
+    got = (fast.tower, *dense_moments(fast, state))
+    want = (ref.tower, ref_state.m, ref_state.v)
+    mismatched = [
+        f"{what} {name}"
+        for what, got_tower, want_tower in zip(("param", "m", "v"), got, want)
+        for name, arr in got_tower.tensors().items()
+        if not np.array_equal(arr, getattr(want_tower, name))
+    ]
+    detail = f"4 steps, live rows {len(state.m.token_table.rows)} of 512"
     if mismatched:
         detail += "; differ: " + ", ".join(mismatched)
     return SelftestResult("adam-live-rows", not mismatched, detail)

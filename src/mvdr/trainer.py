@@ -170,21 +170,19 @@ def contrastive_loss(score_pos: float, scores_neg: Sequence[float]) -> float:
 @dataclass
 class BatchResult:
     loss: float
-    grads: dict[str, Tower]
+    grads: Tower
 
 
-def zero_grads(params: EncoderParams) -> dict[str, Tower]:
-    """Zero gradients per distinct tower; the token-table gradient starts with no rows."""
-    return {
-        role: Tower(
-            token_table=RowGrad.empty(t.token_table),
-            w_hidden=np.zeros_like(t.w_hidden),
-            b_hidden=np.zeros_like(t.b_hidden),
-            w_out=np.zeros_like(t.w_out),
-            b_out=np.zeros_like(t.b_out),
-        )
-        for role, t in params.towers().items()
-    }
+def zero_grads(params: EncoderParams) -> Tower:
+    """Zero gradients of the tower; the token-table gradient starts with no rows."""
+    t = params.tower
+    return Tower(
+        token_table=RowGrad.empty(t.token_table),
+        w_hidden=np.zeros_like(t.w_hidden),
+        b_hidden=np.zeros_like(t.b_hidden),
+        w_out=np.zeros_like(t.w_out),
+        b_out=np.zeros_like(t.b_out),
+    )
 
 
 def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable) -> BatchResult:
@@ -200,8 +198,8 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     """
     q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
     c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
-    q_emb, q_cache = forward_tower(params.query_tower, q_buckets)
-    c_emb, c_cache = forward_tower(params.doc_tower, c_buckets)
+    q_emb, q_cache = forward_tower(params.tower, q_buckets)
+    c_emb, c_cache = forward_tower(params.tower, c_buckets)
 
     scores = q_emb @ c_emb.T  # (B, n_candidates)
     scores64 = scores.astype(np.float64)
@@ -225,10 +223,8 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     d_c = d_scores_t.T @ q_emb
 
     grads = zero_grads(params)
-    q_grads = grads["query"]
-    c_grads = grads["query"] if params.tied else grads["doc"]
-    backprop_tower(params.query_tower, q_cache, d_q, q_grads)
-    backprop_tower(params.doc_tower, c_cache, d_c, c_grads)
+    backprop_tower(params.tower, q_cache, d_q, grads)
+    backprop_tower(params.tower, c_cache, d_c, grads)
     return BatchResult(loss=loss, grads=grads)
 
 
@@ -238,17 +234,17 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
 
 @dataclass
 class AdamState:
-    """Adam moments per distinct tower, keyed by role.
+    """Adam moments of the tower.
 
-    ``m`` and ``v`` are shaped like the gradients: each token table's
+    ``m`` and ``v`` are shaped like the gradients: the token table's
     moments are a :class:`RowGrad` over the stage's live rows, the rows
     some gradient of the stage has touched, and every other tensor's are
     dense. A token-table moment is table-sized only once the stage has
     touched every row.
     """
 
-    m: dict[str, Tower]
-    v: dict[str, Tower]
+    m: Tower
+    v: Tower
     t: int = 0
 
     @classmethod
@@ -258,11 +254,11 @@ class AdamState:
 
 def adam_step(
     params: EncoderParams,
-    grads: dict[str, Tower],
+    grads: Tower,
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place Adam update over every distinct tensor.
+    """One in-place Adam update over every tensor of the tower.
 
     Exact dense Adam, run over the live rows only. A token-table row
     becomes live, with zero moments, the first step of the stage whose
@@ -275,21 +271,18 @@ def adam_step(
     t = state.t
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for role, tower in params.towers().items():
-        for name, param in tower.tensors().items():
-            g = getattr(grads[role], name)
-            m = getattr(state.m[role], name)
-            v = getattr(state.v[role], name)
-            if isinstance(g, RowGrad):
-                slots = m.include(g.rows)
-                # v's rows are m's, so they grow only on a step where m's did
-                if len(v.rows) != len(m.rows):
-                    v.include(m.rows)
-                live = param[m.rows]
-                _adam_update(live, m.values, v.values, slots, g.values, lr, bias1, bias2)
-                param[m.rows] = live
-            else:
-                _adam_update(param, m, v, ..., g, lr, bias1, bias2)
+    for name, param in params.tower.tensors().items():
+        g, m, v = (getattr(tower, name) for tower in (grads, state.m, state.v))
+        if isinstance(g, RowGrad):
+            slots = m.include(g.rows)
+            # v's rows are m's, so they grow only on a step where m's did
+            if len(v.rows) != len(m.rows):
+                v.include(m.rows)
+            live = param[m.rows]
+            _adam_update(live, m.values, v.values, slots, g.values, lr, bias1, bias2)
+            param[m.rows] = live
+        else:
+            _adam_update(param, m, v, ..., g, lr, bias1, bias2)
 
 
 def _adam_update(

@@ -1,4 +1,5 @@
-"""Generated views and a unigram index stay byte-identical to pinned files.
+"""Generated views, a unigram index and an untrained checkpoint stay
+byte-identical to pinned files.
 
 Both pins changed when view sampling was redefined on each document's raw
 PCG64 words (four words a view; see ``mvdr.querygen``). Until then the
@@ -7,10 +8,16 @@ views reproduced, bit for bit, the scalar ``Generator`` calls of commit
 the index, which encodes those views, from a payload CRC-32 of 0x4ED9FE56
 to 0xCAF9E1FE.
 
-The index pin is the CRC-32 of the file without its last four bytes. An
-``.mvix`` file ends in the little-endian CRC-32 of everything before it,
-and the CRC-32 of any data followed by its own CRC-32 is the constant
-residue 0x2144DF1C, so a CRC-32 of the whole file pins nothing.
+The index and checkpoint pins are the CRC-32 of the file without its
+last four bytes. An ``.mvix`` or checkpoint file ends in the
+little-endian CRC-32 of everything before it, and the CRC-32 of any data
+followed by its own CRC-32 is the constant residue 0x2144DF1C, so a
+CRC-32 of the whole file pins nothing.
+
+The checkpoint pin covers the writer's layout: header, tied byte and the
+tower's float32 tensors. An untrained checkpoint's values come from
+``PCG64`` draws and float conversions only, never from a BLAS product or
+``np.tanh``, so they do not depend on the CPU.
 """
 
 import zlib
@@ -19,7 +26,7 @@ import pytest
 from synthcorpus import DOC_TOKEN_CAP, build_synth
 
 from mvdr.corpus import write_generated_queries
-from mvdr.encoder import EncoderConfig, init_params
+from mvdr.encoder import EncoderConfig, init_params, save_params
 from mvdr.index import FlatIndex, build_index, save_index
 from mvdr.querygen import SamplingConfig, fit_qg, generate_corpus
 
@@ -29,6 +36,8 @@ UNIGRAM_ENCODER = EncoderConfig(
 )
 GEN_QUERIES_CRC32 = 0xE694A857
 INDEX_PAYLOAD_CRC32 = 0xCAF9E1FE
+CHECKPOINT_BYTES = 4_196_512
+CHECKPOINT_PAYLOAD_CRC32 = 0x373C9EC3
 CRC32_RESIDUE = 0x2144DF1C
 
 
@@ -65,3 +74,10 @@ def test_index_pin_sees_one_changed_value(pinned_index, tmp_path):
     for name in ("index.mvix", "changed.mvix"):
         assert zlib.crc32((tmp_path / name).read_bytes()) == CRC32_RESIDUE
     assert payload_crc32(tmp_path / "changed.mvix") != INDEX_PAYLOAD_CRC32
+
+
+def test_untrained_unigram_checkpoint_matches_pin(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_params(init_params(UNIGRAM_ENCODER, seed=0), path)
+    assert path.stat().st_size == CHECKPOINT_BYTES
+    assert payload_crc32(path) == CHECKPOINT_PAYLOAD_CRC32

@@ -427,6 +427,19 @@ class TestPipeline:
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_tie_params_key_fails_before_any_input_is_read(self, tmp_path, capsys, value):
+        # queries and documents share one tower, so it is not a setting
+        paths = _write_world(tmp_path)
+        paths["corpus"].unlink()
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir, extra=f"tie_params = {value}\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:21: unknown config key 'tie_params'" in err
+        assert "No such file" not in err
+        assert not out_dir.exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         paths = _write_world(tmp_path)
         cfg = tmp_path / "bad.cfg"
@@ -477,7 +490,7 @@ def test_a_settings_error_stops_every_command_before_it_runs(tmp_path, monkeypat
 
 def test_every_subcommand_flag_defaults_to_none():
     # defaults live in cli._DEFAULTS and the config dataclasses only; every
-    # config key but analyze has a flag, and --untie can only turn tying off
+    # config key but analyze has a flag
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flagged = set()
@@ -486,10 +499,17 @@ def test_every_subcommand_flag_defaults_to_none():
             if not isinstance(action, argparse._HelpAction):
                 assert action.default is None, (command, action.dest, action.default)
                 flagged.add(action.dest)
-            if action.dest == "tie_params":
-                assert isinstance(action, argparse._StoreFalseAction), command
-                assert action.option_strings == ["--untie"] and action.const is False, command
     assert flagged & set(cli._CONFIG_KEYS) == set(cli._CONFIG_KEYS) - {"analyze"}
+
+
+def test_untie_flag_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--corpus", missing, "--triples", missing, "--out", missing, "--untie"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mvdr ") and "mvdr: error: unrecognized arguments: --untie" in err
 
 
 def test_every_integer_setting_but_seed_rejects_minus_one():

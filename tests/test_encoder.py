@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from mvdr.encoder import (
     query_feature_buckets,
     save_params,
 )
-from mvdr.hashing import stable_hash64
+from mvdr.hashing import stable_hash64, write_framed
 from mvdr.trainer import AdamState, adam_step, zero_grads
 
 CFG = EncoderConfig(embed_dim=8, hash_buckets=256, ngram_orders=(1, 2), max_query_tokens=4, max_doc_tokens=6)
@@ -47,7 +48,7 @@ def traced_peak(fn):
 
 
 def tensor_bytes(params):
-    return sum(arr.nbytes for tower in params.towers().values() for arr in tower.tensors().values())
+    return sum(arr.nbytes for arr in params.tower.tensors().values())
 
 
 token_strategy = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
@@ -71,6 +72,9 @@ class TestConfigValidation:
             {"ngram_orders": (1, 300)},
             {"max_query_tokens": 2**32},
             {"max_doc_tokens": 2**32},
+            # queries and documents share one tower
+            {"tie_params": False},
+            {"tie_params": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -394,59 +398,51 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(CFG, seed=5)
         b = init_params(CFG, seed=5)
-        for name, arr in a.query_tower.tensors().items():
-            np.testing.assert_array_equal(arr, b.query_tower.tensors()[name])
+        for name, arr in a.tower.tensors().items():
+            np.testing.assert_array_equal(arr, b.tower.tensors()[name])
 
     def test_seed_changes_weights(self):
         a = init_params(CFG, seed=5)
         b = init_params(CFG, seed=6)
-        assert not np.array_equal(a.query_tower.w_hidden, b.query_tower.w_hidden)
+        assert not np.array_equal(a.tower.w_hidden, b.tower.w_hidden)
 
     def test_tied_towers_share_storage(self):
+        # queries and documents go through the one tower: a text embeds to
+        # the same vector as a query and as a document
         params = init_params(CFG, seed=0)
-        assert params.tied
-        assert params.query_tower is params.doc_tower
-        assert list(params.towers()) == ["query"]
-
-    def test_untied_towers_differ(self):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=False)
-        params = init_params(cfg, seed=0)
-        assert not params.tied
-        assert list(params.towers()) == ["query", "doc"]
-        assert not np.array_equal(params.query_tower.w_hidden, params.doc_tower.w_hidden)
+        text = "alpha beta gamma"
+        as_doc = encode_candidates(params, [(None, text)], FeatureTable(CFG))
+        np.testing.assert_array_equal(encode_queries(params, [text]), as_doc)
 
     def test_copy_preserves_tying(self):
         params = init_params(CFG, seed=0)
         clone = params.copy()
-        assert clone.tied
-        clone.query_tower.b_out += 1.0
-        assert not np.array_equal(clone.doc_tower.b_out, params.doc_tower.b_out)
-        np.testing.assert_array_equal(clone.query_tower.b_out, clone.doc_tower.b_out)
+        assert clone.config == params.config
+        clone.tower.b_out += 1.0
+        assert not np.array_equal(clone.tower.b_out, params.tower.b_out)
 
     def test_dtype(self):
-        assert init_params(CFG, seed=0).query_tower.w_out.dtype == np.float32
-        assert init_params(CFG, seed=0, dtype=np.float64).query_tower.w_out.dtype == np.float64
+        assert init_params(CFG, seed=0).tower.w_out.dtype == np.float32
+        assert init_params(CFG, seed=0, dtype=np.float64).tower.w_out.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-    def test_block_draw_equals_one_shot_draw(self, tied, dtype):
+    def test_block_draw_equals_one_shot_draw(self, dtype):
         # hash_buckets is not a multiple of the row block: the last block is partial
         dim = 16
         rows_per_block = encoder._BLOCK_BYTES // (8 * dim)
-        cfg = EncoderConfig(embed_dim=dim, hash_buckets=2 * rows_per_block + 37, tie_params=tied)
+        cfg = EncoderConfig(embed_dim=dim, hash_buckets=2 * rows_per_block + 37)
         rng = np.random.Generator(np.random.PCG64(11))
         bound = 1.0 / np.sqrt(dim)
-        for tower in init_params(cfg, seed=11, dtype=dtype).towers().values():
-            want = {
-                "token_table": rng.uniform(-bound, bound, size=(cfg.hash_buckets, dim)),
-                "w_hidden": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
-                "b_hidden": np.zeros(dim),
-                "w_out": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
-                "b_out": np.zeros(dim),
-            }
-            for name, arr in tower.tensors().items():
-                assert arr.dtype == dtype
-                assert arr.tobytes() == want[name].astype(dtype).tobytes(), name
+        want = {
+            "token_table": rng.uniform(-bound, bound, size=(cfg.hash_buckets, dim)),
+            "w_hidden": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
+            "b_hidden": np.zeros(dim),
+            "w_out": np.eye(dim) + rng.uniform(-0.01, 0.01, size=(dim, dim)),
+            "b_out": np.zeros(dim),
+        }
+        for name, arr in init_params(cfg, seed=11, dtype=dtype).tower.tensors().items():
+            assert arr.dtype == dtype
+            assert arr.tobytes() == want[name].astype(dtype).tobytes(), name
 
     def test_peak_memory_near_tensor_bytes(self):
         cfg = EncoderConfig(embed_dim=32, hash_buckets=100_003)
@@ -469,11 +465,11 @@ class TestEncoding:
         batch = encode_queries(params, texts)
         table = FeatureTable(CFG)
         buckets = [query_feature_buckets(table, t) for t in texts]
-        _, cache = forward_tower(params.query_tower, buckets)
+        _, cache = forward_tower(params.tower, buckets)
         for i, (row, text) in enumerate(zip(batch, texts)):
             # pooling is exact in any batch; the MLP's product for one row
             # (GEMV) sums in another order than for a block (GEMM)
-            _, alone = forward_tower(params.query_tower, buckets[i : i + 1])
+            _, alone = forward_tower(params.tower, buckets[i : i + 1])
             assert cache.pooled[i].tobytes() == alone.pooled[0].tobytes()
             np.testing.assert_allclose(row, encode_queries(params, [text])[0], rtol=0, atol=1e-6)
 
@@ -508,10 +504,10 @@ class TestEncoding:
         for row, pair in zip(batch, pairs):
             np.testing.assert_allclose(row, encode_candidates(params, [pair], table)[0], atol=1e-6)
         buckets = [candidate_feature_buckets(table, p) for p in pairs]
-        _, cache = forward_tower(params.doc_tower, buckets)
+        _, cache = forward_tower(params.tower, buckets)
         alone = [doc_feature_buckets(table, pairs[0][1]), joint_feature_buckets(table, *pairs[1])]
         for i, b in enumerate(alone):
-            _, single = forward_tower(params.doc_tower, [b])
+            _, single = forward_tower(params.tower, [b])
             assert cache.pooled[i].tobytes() == single.pooled[0].tobytes()
 
 
@@ -520,7 +516,7 @@ class TestPooling:
     @pytest.mark.parametrize("dim", [1, 3, 16, 128])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pooled_rows_equal_per_row_mean(self, rng, monkeypatch, dtype, dim, small_blocks):
-        tower = init_params(EncoderConfig(embed_dim=dim, hash_buckets=300), seed=3, dtype=dtype).query_tower
+        tower = init_params(EncoderConfig(embed_dim=dim, hash_buckets=300), seed=3, dtype=dtype).tower
         table = tower.token_table
         if small_blocks:
             # the six rows of 129 features gather in blocks of 4 and 2
@@ -541,7 +537,7 @@ class TestPooling:
     def test_serve_shaped_forward_peak_memory(self):
         # one index-build chunk of the default encoder: 512 rows of about
         # 56 buckets; each length's rows need more than one gather block
-        tower = init_params(EncoderConfig(embed_dim=128, hash_buckets=4096), seed=0).query_tower
+        tower = init_params(EncoderConfig(embed_dim=128, hash_buckets=4096), seed=0).tower
         rng = np.random.default_rng(7)
         buckets = [rng.integers(0, 4095, size=n) for n in rng.integers(54, 59, size=512)]
         (out, _), peak = traced_peak(lambda: forward_tower(tower, buckets))
@@ -553,7 +549,7 @@ class TestPooling:
             "import sys\n"
             "import numpy as np\n"
             "from mvdr.encoder import EncoderConfig, forward_tower, init_params\n"
-            "tower = init_params(EncoderConfig(embed_dim=4, hash_buckets=16), seed=0).query_tower\n"
+            "tower = init_params(EncoderConfig(embed_dim=4, hash_buckets=16), seed=0).tower\n"
             "forward_tower(tower, [np.array([1, 2]), np.array([3]), np.array([4, 5])])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
@@ -593,18 +589,34 @@ class TestCheckpointIO:
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.config == CFG
-        assert loaded.tied
-        for name, arr in params.query_tower.tensors().items():
-            np.testing.assert_array_equal(arr, loaded.query_tower.tensors()[name])
+        for name, arr in params.tower.tensors().items():
+            np.testing.assert_array_equal(arr, loaded.tower.tensors()[name])
 
-    def test_roundtrip_untied(self, tmp_path):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=False)
+    @pytest.mark.parametrize("tied, towers", [(0, 2), (2, 1)], ids=["untied", "byte-2"])
+    def test_tied_byte_other_than_one_is_rejected(self, tmp_path, tied, towers):
+        # CRC-valid files in the MVDR2 layout; byte 0 is what an older build
+        # wrote for separate query and document towers, followed by both
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, ngram_orders=(1,))
         params = init_params(cfg, seed=3)
+        tensors = [arr.astype("<f4") for arr in params.tower.tensors().values()]
+
+        def write(path, tied, towers):
+            header = [
+                struct.pack("<IQB", cfg.embed_dim, cfg.hash_buckets, 1),
+                struct.pack("<B", 1),
+                struct.pack("<BII", tied, cfg.max_query_tokens, cfg.max_doc_tokens),
+            ]
+            write_framed(path, encoder._MAGIC, header + tensors * towers)
+            return path.read_bytes()
+
+        # with byte 1 and one tower, the file built here is save_params's
+        save_params(params, tmp_path / "saved.bin")
+        assert write(tmp_path / "one.bin", 1, 1) == (tmp_path / "saved.bin").read_bytes()
         path = tmp_path / "model.bin"
-        save_params(params, path)
-        loaded = load_params(path)
-        assert not loaded.tied
-        np.testing.assert_array_equal(params.doc_tower.w_out, loaded.doc_tower.w_out)
+        write(path, tied, towers)
+        message = f"{path}: checkpoint tied byte is {tied}, expected 1"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_params(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -695,22 +707,18 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_params(path)
 
-    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-    def test_loaded_tensors_are_writable_and_train(self, tmp_path, tied):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=tied)
+    def test_loaded_tensors_are_writable_and_train(self, tmp_path):
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=32)
         path = tmp_path / "model.bin"
         save_params(init_params(cfg, seed=3), path)
         loaded = load_params(path)
-        for tower in loaded.towers().values():
-            for arr in tower.tensors().values():
-                assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        for arr in loaded.tower.tensors().values():
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
         grads = zero_grads(loaded)
-        for grad in grads.values():
-            grad.token_table.accumulate(np.array([2, 7]), np.ones((2, 4), dtype=np.float32))
-            grad.b_out[:] = 1.0
+        grads.token_table.accumulate(np.array([2, 7]), np.ones((2, 4), dtype=np.float32))
+        grads.b_out[:] = 1.0
         before = loaded.copy()
         adam_step(loaded, grads, AdamState.for_params(loaded), lr=0.1)
-        for role, tower in loaded.towers().items():
-            old = before.towers()[role]
-            assert not np.array_equal(tower.token_table[[2, 7]], old.token_table[[2, 7]])
-            assert not np.array_equal(tower.b_out, old.b_out)
+        tower, old = loaded.tower, before.tower
+        assert not np.array_equal(tower.token_table[[2, 7]], old.token_table[[2, 7]])
+        assert not np.array_equal(tower.b_out, old.b_out)

@@ -174,15 +174,6 @@ class TestGradients:
         errors = gradient_relative_errors(params, batch)
         assert max(errors.values()) <= 1e-6
 
-    def test_untied_towers_get_separate_grads(self, tiny_docs, tiny_triples):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=False)
-        params = init_params(cfg, seed=9, dtype=np.float64)
-        batch = _shaped_batch("finetune", "de", tiny_docs, tiny_triples)
-        grads = loss_and_grads(params, batch, FeatureTable(cfg)).grads
-        assert set(grads) == {"query", "doc"}
-        assert np.abs(grads["query"].w_out).sum() > 0
-        assert np.abs(grads["doc"].w_out).sum() > 0
-
 
 def _dense_token_grad_reference(tower, cache, d_out):
     """The token-table gradient as a dense float64 table, scattered with np.add.at."""
@@ -201,7 +192,7 @@ class TestTokenTableGradient:
 
     def _tied_sides(self, dtype, tiny_triples):
         params = init_params(SMALL_CFG, seed=9, dtype=dtype)
-        tower = params.query_tower
+        tower = params.tower
         batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
         table = FeatureTable(SMALL_CFG)
         q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
@@ -218,7 +209,7 @@ class TestTokenTableGradient:
         params = init_params(SMALL_CFG, seed=9, dtype=dtype)
         batch = build_batch([map_triple(t, "dce") for t in tiny_triples])
         table = FeatureTable(SMALL_CFG)
-        grad = loss_and_grads(params, batch, table).grads["query"].token_table
+        grad = loss_and_grads(params, batch, table).grads.token_table
         assert isinstance(grad, RowGrad)
         touched = np.concatenate(
             [query_feature_buckets(table, t) for t in batch.query_texts]
@@ -230,14 +221,14 @@ class TestTokenTableGradient:
 
     def test_tied_shared_bucket_sums_both_sides(self, tiny_triples):
         params, (q_cache, d_q), (c_cache, d_c) = self._tied_sides(np.float32, tiny_triples)
-        tower = params.query_tower
+        tower = params.tower
         n = SMALL_CFG.hash_buckets
         sides = []
         for cache, d_out in ((q_cache, d_q), (c_cache, d_c)):
-            alone = zero_grads(params)["query"]
+            alone = zero_grads(params)
             backprop_tower(tower, cache, d_out, alone)
             sides.append(alone.token_table)
-        merged = zero_grads(params)["query"]
+        merged = zero_grads(params)
         backprop_tower(tower, q_cache, d_q, merged)
         backprop_tower(tower, c_cache, d_c, merged)
         shared = np.intersect1d(sides[0].rows, sides[1].rows)
@@ -254,8 +245,8 @@ class TestTokenTableGradient:
 
     def test_matches_dense_float64_scatter(self, tiny_triples):
         params, (q_cache, d_q), (c_cache, d_c) = self._tied_sides(np.float32, tiny_triples)
-        tower = params.query_tower
-        merged = zero_grads(params)["query"]
+        tower = params.tower
+        merged = zero_grads(params)
         backprop_tower(tower, q_cache, d_q, merged)
         backprop_tower(tower, c_cache, d_c, merged)
         reference = _dense_token_grad_reference(tower, q_cache, d_q)
@@ -268,29 +259,33 @@ class TestTokenTableGradient:
 class TestAdam:
     def test_first_step_moves_by_sign(self):
         params = init_params(SMALL_CFG, seed=0)
-        before = params.query_tower.b_out.copy()
+        before = params.tower.b_out.copy()
         grads = zero_grads(params)
-        grads["query"].b_out[:] = np.array([3.0, -2.0, 5.0, -1.0, 4.0, -6.0], dtype=np.float32)
+        grads.b_out[:] = np.array([3.0, -2.0, 5.0, -1.0, 4.0, -6.0], dtype=np.float32)
         state = AdamState.for_params(params)
         adam_step(params, grads, state, lr=0.1)
-        delta = params.query_tower.b_out - before
-        np.testing.assert_allclose(delta, -0.1 * np.sign(grads["query"].b_out), rtol=1e-4)
+        delta = params.tower.b_out - before
+        np.testing.assert_allclose(delta, -0.1 * np.sign(grads.b_out), rtol=1e-4)
 
     def test_zero_gradient_is_noop(self):
         params = init_params(SMALL_CFG, seed=0)
-        before = params.query_tower.w_hidden.copy()
+        before = params.tower.w_hidden.copy()
         state = AdamState.for_params(params)
         adam_step(params, zero_grads(params), state, lr=0.1)
-        np.testing.assert_array_equal(params.query_tower.w_hidden, before)
+        np.testing.assert_array_equal(params.tower.w_hidden, before)
         assert state.t == 1
 
     def test_tied_params_have_single_role(self):
+        # one set of moments, shaped like the one tower's gradients
         params = init_params(SMALL_CFG, seed=0)
-        assert set(AdamState.for_params(params).m) == {"query"}
+        state = AdamState.for_params(params)
+        for moments in (state.m, state.v):
+            assert isinstance(moments.token_table, RowGrad) and moments.token_table.rows.size == 0
+            for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+                assert getattr(moments, name).shape == getattr(params.tower, name).shape
 
-    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-    def test_row_sparse_step_equals_dense_adam(self, tied):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=32, tie_params=tied)
+    def test_row_sparse_step_equals_dense_adam(self):
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=32)
         rng = np.random.default_rng(17)
         # the first step touches no row; row 3 is touched once, early, and
         # never again; rows 12 and up never; later steps touch a few of
@@ -299,37 +294,34 @@ class TestAdam:
         schedule += [rng.integers(4, 12, size=int(rng.integers(0, 6))).tolist() for _ in range(21)]
         for dtype in (np.float32, np.float64):
             params, state = _adam_against_reference(cfg, dtype, schedule, seed=17)
-            untouched = init_params(cfg, seed=5, dtype=dtype)
-            for role, tower in params.towers().items():
-                start = untouched.towers()[role].token_table
-                assert 3 in state.m[role].token_table.rows
-                assert 12 not in state.m[role].token_table.rows
-                # the idle row kept moving; the untouched ones never moved
-                assert not np.array_equal(tower.token_table[3], start[3])
-                assert np.array_equal(tower.token_table[12:], start[12:])
+            table = params.tower.token_table
+            start = init_params(cfg, seed=5, dtype=dtype).tower.token_table
+            assert 3 in state.m.token_table.rows
+            assert 12 not in state.m.token_table.rows
+            # the idle row kept moving; the untouched ones never moved
+            assert not np.array_equal(table[3], start[3])
+            assert np.array_equal(table[12:], start[12:])
 
     @given(
-        st.booleans(),
         st.sampled_from([np.float32, np.float64]),
         st.lists(st.lists(st.integers(0, 15), max_size=6), min_size=1, max_size=8),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_row_sparse_step_equals_dense_adam_on_random_rows(self, tied, dtype, schedule, seed):
-        cfg = EncoderConfig(embed_dim=3, hash_buckets=16, tie_params=tied)
+    def test_row_sparse_step_equals_dense_adam_on_random_rows(self, dtype, schedule, seed):
+        cfg = EncoderConfig(embed_dim=3, hash_buckets=16)
         _adam_against_reference(cfg, dtype, schedule, seed)
 
     def test_state_holds_no_table_sized_array(self):
-        cfg = EncoderConfig(embed_dim=4, hash_buckets=4096, tie_params=False)
+        cfg = EncoderConfig(embed_dim=4, hash_buckets=4096)
         params = init_params(cfg, seed=5)
         state = AdamState.for_params(params)
         rng = np.random.default_rng(2)
         sizes = [max(a.size for a in _arrays(state))]
         for _ in range(3):
             grads = zero_grads(params)
-            for grad in grads.values():
-                flat = rng.integers(0, cfg.hash_buckets, size=10)
-                grad.token_table.accumulate(flat, np.ones((10, cfg.embed_dim), dtype=np.float32))
+            flat = rng.integers(0, cfg.hash_buckets, size=10)
+            grads.token_table.accumulate(flat, np.ones((10, cfg.embed_dim), dtype=np.float32))
             adam_step(params, grads, state, lr=0.01)
             sizes.append(max(a.size for a in _arrays(state)))
         # at most 30 live rows of 4 values each, against a 4096-row table
@@ -337,12 +329,9 @@ class TestAdam:
 
 
 def _arrays(obj):
-    """Every numpy array reachable from ``obj`` through dicts and dataclass fields."""
+    """Every numpy array reachable from ``obj`` through dataclass fields."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            yield from _arrays(value)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, f.name))
@@ -351,8 +340,8 @@ def _arrays(obj):
 def _adam_against_reference(cfg, dtype, schedule, seed):
     """Step ``adam_step`` and the dense reference side by side on the same
     gradients. ``schedule[s]`` lists the token-table rows, with repeats,
-    that step s's gradient touches in every tower; the other tensors get a
-    dense gradient each step. Params and both full moments must match
+    that step s's gradient touches; the other tensors get a dense gradient
+    each step. Params and both full moments must match
     exactly after every step."""
     params = init_params(cfg, seed=5, dtype=dtype)
     ref = params.copy()
@@ -361,23 +350,21 @@ def _adam_against_reference(cfg, dtype, schedule, seed):
     steps = len(schedule)
     for step, rows in enumerate(schedule):
         grads = zero_grads(params)
-        for grad in grads.values():
-            flat = np.asarray(rows, dtype=np.int64)
-            contrib = rng.normal(size=(len(flat), cfg.embed_dim)).astype(dtype)
-            grad.token_table.accumulate(flat, contrib)
-            for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-                arr = getattr(grad, name)
-                arr[...] = rng.normal(size=arr.shape)
+        flat = np.asarray(rows, dtype=np.int64)
+        contrib = rng.normal(size=(len(flat), cfg.embed_dim)).astype(dtype)
+        grads.token_table.accumulate(flat, contrib)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            arr = getattr(grads, name)
+            arr[...] = rng.normal(size=arr.shape)
         lr = 0.05 * (steps - step) / steps
         adam_step(params, grads, state, lr)
         adam_step_reference(ref, grads, ref_state, lr)
         m, v = dense_moments(params, state)
-        for role, tower in params.towers().items():
-            for name, arr in tower.tensors().items():
-                assert arr.dtype == np.dtype(dtype)
-                assert np.array_equal(arr, getattr(ref.towers()[role], name)), (step, role, name)
-                assert np.array_equal(getattr(m[role], name), getattr(ref_state.m[role], name))
-                assert np.array_equal(getattr(v[role], name), getattr(ref_state.v[role], name))
+        for name, arr in params.tower.tensors().items():
+            assert arr.dtype == np.dtype(dtype)
+            assert np.array_equal(arr, getattr(ref.tower, name)), (step, name)
+            assert np.array_equal(getattr(m, name), getattr(ref_state.m, name))
+            assert np.array_equal(getattr(v, name), getattr(ref_state.v, name))
     return params, state
 
 
@@ -484,8 +471,8 @@ class TestTrainLoop:
             params = init_params(SMALL_CFG, seed=4)
             train(params, triples, self.CFG, corpus=docs, generated=generated)
             runs.append(params)
-        for name, arr in runs[0].query_tower.tensors().items():
-            np.testing.assert_array_equal(arr, runs[1].query_tower.tensors()[name])
+        for name, arr in runs[0].tower.tensors().items():
+            np.testing.assert_array_equal(arr, runs[1].tower.tensors()[name])
 
     def test_trace_covers_both_stages(self):
         docs, triples, generated = _toy_world()
@@ -546,9 +533,9 @@ class TestTrainLoop:
             seed=3,
         )
         params = init_params(SMALL_CFG, seed=4)
-        before = params.query_tower.w_out.copy()
+        before = params.tower.w_out.copy()
         train(params, triples, cfg)
-        np.testing.assert_array_equal(params.query_tower.w_out, before)
+        np.testing.assert_array_equal(params.tower.w_out, before)
 
     def test_training_reduces_loss(self):
         docs, triples, generated = _toy_world()
@@ -588,8 +575,7 @@ class TestTrainLoop:
             train(params, triples[:1], cfg)
 
 
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_training_matches_dense_adam_reference(tmp_path, monkeypatch, tied):
+def test_training_matches_dense_adam_reference(tmp_path, monkeypatch):
     """Both stages on the synthetic collection: the live-row step and
     textbook dense Adam save the same checkpoint bytes and trace."""
     coll = build_synth(n_entities=12)
@@ -597,7 +583,7 @@ def test_training_matches_dense_adam_reference(tmp_path, monkeypatch, tied):
         fit_qg(coll.docs, seed=7), coll.docs, SamplingConfig(k_views=3, top_k=8), seed=7
     )
     encoder = EncoderConfig(
-        embed_dim=8, hash_buckets=4096, ngram_orders=(1,), tie_params=tied, max_doc_tokens=16
+        embed_dim=8, hash_buckets=4096, ngram_orders=(1,), max_doc_tokens=16
     )
     cfg = TrainConfig(
         batch_size=8,
