@@ -61,7 +61,7 @@ MODES = ("de", "dce")
 
 _TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
-_MAGIC = b"MVDR2"
+_MAGIC = b"MVDR3"
 
 # Bytes of one block of token-table rows: a float64 block drawn by
 # init_params, or one gather of a batch's feature rows in forward_tower.
@@ -526,10 +526,11 @@ def encode_candidates(
 # Checkpoint I/O
 #
 # Layout (all little-endian):
-#   magic 'MVDR2'
+#   magic 'MVDR3'
 #   u32 embed_dim, u64 hash_buckets, u8 n_orders, n_orders * u8,
 #   u8 tied (always 1), u32 max_query_tokens, u32 max_doc_tokens
-#   float32 tensors of the tower in fixed order
+#   float32 tensors of the tower in fixed order, each after the zero bytes
+#   that start it at a multiple of 64
 #   u32 CRC-32 of everything before the footer
 
 
@@ -550,10 +551,12 @@ def save_params(params: EncoderParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
-    Rejects bad magic, truncation, trailing bytes, checksum mismatches and
-    a tied byte other than 1 (0 marks separate query and document towers,
-    which an older build wrote). Each tensor is read from the file straight
-    into its own aligned, writable array.
+    Rejects bad magic, checksum mismatches, truncation, trailing bytes,
+    nonzero padding, a tied byte other than 1 (0 marks separate query and
+    document towers, which an older build wrote) and a header that
+    :class:`EncoderConfig` rejects. Each tensor is an aligned, writable
+    view of the file mapped copy-on-write: a write copies the page it
+    touches, never the file.
     """
     with FramedReader(path, _MAGIC, "checkpoint") as reader:
         embed_dim, hash_buckets, n_orders = reader.unpack("<IQB", "header")
@@ -564,13 +567,16 @@ def load_params(path: str | Path) -> EncoderParams:
                 f"{path}: checkpoint tied byte is {tied}, expected 1 (a checkpoint with "
                 "separate query and document towers, byte 0, must be re-trained)"
             )
-        cfg = EncoderConfig(
-            embed_dim=embed_dim,
-            hash_buckets=hash_buckets,
-            ngram_orders=orders,
-            max_query_tokens=max_q,
-            max_doc_tokens=max_d,
-        )
+        try:
+            cfg = EncoderConfig(
+                embed_dim=embed_dim,
+                hash_buckets=hash_buckets,
+                ngram_orders=orders,
+                max_query_tokens=max_q,
+                max_doc_tokens=max_d,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         shapes = {
             "token_table": (hash_buckets, embed_dim),
             "w_hidden": (embed_dim, embed_dim),

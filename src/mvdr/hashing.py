@@ -5,13 +5,21 @@ Python versions: feature bucketing, seed derivation, and file checksums
 all feed reproducibility contracts. Checkpoint and index files share one
 frame: magic bytes, a payload, then a CRC-32 footer (:func:`zlib.crc32`),
 written by :func:`write_framed` and read back by :class:`FramedReader`.
-Every output file of the package is opened by :func:`open_output`.
+Each float32 array in the payload starts at a multiple of 64 bytes, after
+zero bytes, and is loaded as a view of the file mapped copy-on-write: one
+pass over the file checks the CRC, and no array is copied. The package
+never writes into an existing file (every output file is opened by
+:func:`open_output`, which replaces its target whole), but another program
+that truncates or rewrites a loaded file in place can change the loaded
+arrays, or stop the process with ``SIGBUS``, as with
+``np.load(mmap_mode=...)``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -24,6 +32,10 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# A framed file starts every float32 array at a multiple of ALIGN bytes, so
+# a view of the mapped file is as aligned as an array numpy allocates.
+ALIGN = 64
 
 # CRC-64/XZ (reflected ECMA-182 polynomial). No file format uses it any more;
 # it stays only because the benchmark tracer wraps ``crc64`` by name, until
@@ -76,120 +88,92 @@ def open_output(path: str | Path) -> Iterator[BinaryIO]:
 
 def write_framed(path: str | Path, magic: bytes, parts: Iterable) -> int:
     """Write ``magic``, then each bytes-like part, then a CRC-32 footer over
-    all of them; returns the file's size in bytes."""
+    all of them; returns the file's size in bytes. Zero bytes before each
+    numpy array part start it at a multiple of :data:`ALIGN`."""
     crc = 0
     with open_output(path) as handle:
         for part in (magic, *parts):
+            pad = bytes(-handle.tell() % ALIGN if isinstance(part, np.ndarray) else 0)
+            handle.write(pad)
             handle.write(part)
-            crc = zlib.crc32(part, crc)
+            crc = zlib.crc32(part, zlib.crc32(pad, crc))
         handle.write(struct.pack("<I", crc))
         return handle.tell()
 
 
 class FramedReader:
-    """A file written by :func:`write_framed`, read field by field.
+    """A file written by :func:`write_framed`, checked whole, then read
+    field by field.
 
-    Construction checks the length and the magic. Fields are then read in
-    file order from the open file, each into its own buffer, while a running
-    CRC-32 covers every byte read. Each size is checked against what the
-    file holds before anything is allocated: a field that runs past the
-    payload raises ``truncated``. :meth:`finish` rejects trailing bytes and
-    then checks the footer. ``kind`` names the file in error messages.
-
-    Use the reader as a context manager: a block that ends normally calls
-    :meth:`finish`, and the file is closed either way. When the block
-    raises, or :meth:`finish` finds trailing bytes, the rest of the file is
-    checksummed first and a file whose CRC does not match reports
-    ``checksum mismatch`` instead, so damage is named the same as by a
-    reader that checks the CRC before parsing.
+    Construction maps the file copy-on-write and checks its length, its
+    magic and the CRC-32 footer over the whole payload before any field is
+    parsed, so a damaged file reports ``checksum mismatch`` whatever its
+    fields say. Fields are then read in file order, each size checked
+    against what the payload holds: a field that runs past it raises
+    ``truncated``. :meth:`floats` returns a view of the mapping, not a
+    copy. :meth:`finish` rejects trailing bytes and nonzero padding; a
+    block that uses the reader as a context manager calls it when it ends
+    normally. ``kind`` names the file in error messages.
     """
 
     def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
-        handle = open(path, "rb")
-        try:
-            size = os.fstat(handle.fileno()).st_size
-            if size < len(magic) + 4:
+        with open(path, "rb") as handle:
+            if os.fstat(handle.fileno()).st_size < len(magic) + 4:
                 raise ValueError(f"{path}: truncated {kind}")
-            head = handle.read(len(magic))
-            if head != magic:
-                raise ValueError(f"{path}: bad magic {head!r}, expected {magic!r}")
-        except BaseException:
-            handle.close()
-            raise
-        self._handle = handle
-        self._end = size - 4  # where the footer starts
-        self._crc = zlib.crc32(head)
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+        if data[: len(magic)] != magic:
+            raise ValueError(f"{path}: bad magic {data[: len(magic)]!r}, expected {magic!r}")
+        self._end = len(data) - 4  # where the footer starts
+        (stored,) = struct.unpack_from("<I", data, self._end)
+        computed = zlib.crc32(memoryview(data)[: self._end])
+        if computed != stored:
+            raise ValueError(
+                f"{path}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )
+        self._data = data
         self.path = path
         self.kind = kind
-        self.offset = len(magic)  # bytes read and checksummed
+        self.offset = len(magic)  # bytes parsed
+        self._padding: list[tuple[int, int, str]] = []  # checked by finish
 
     def __enter__(self) -> "FramedReader":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                self.finish()
-            elif issubclass(exc_type, Exception):
-                self._check_rest()
-        finally:
-            self._handle.close()
+        if exc_type is None:
+            self.finish()
 
-    def _claim(self, n: int, what: str) -> None:
+    def _claim(self, n: int, what: str) -> int:
+        """Claim the next ``n`` bytes for ``what``; returns where they start."""
         if n > self._end - self.offset:
             raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
-
-    def _consumed(self, data, n: int, what: str) -> None:
-        if len(data) != n:  # the file shrank after it was opened
-            raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
-        self._crc = zlib.crc32(data, self._crc)
         self.offset += n
+        return self.offset - n
 
     def take(self, n: int, what: str) -> bytes:
         """The next ``n`` bytes."""
-        self._claim(n, what)
-        data = self._handle.read(n)
-        self._consumed(data, n, what)
-        return data
+        start = self._claim(n, what)
+        return self._data[start : start + n]
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        return struct.unpack_from(fmt, self._data, self._claim(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next little-endian float32 array, read straight into a new
-        aligned, writable array."""
-        n = 4 * math.prod(shape)
-        self._claim(n, what)
-        array = np.empty(shape, dtype="<f4")
-        data = memoryview(array.reshape(-1)).cast("B")
-        self._consumed(data[: self._handle.readinto(data)], n, what)
-        return array
-
-    def _check_footer(self, computed: int) -> None:
-        self._handle.seek(self._end)
-        footer = self._handle.read(4)
-        if len(footer) != 4 or self._handle.read(1):
-            raise ValueError(f"{self.path}: {self.kind} changed size while being read")
-        (stored,) = struct.unpack("<I", footer)
-        if computed != stored:
-            raise ValueError(
-                f"{self.path}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            )
-
-    def _check_rest(self) -> None:
-        """Check the footer against a checksum of the unread payload, then
-        go back to where reading stopped."""
-        crc = self._crc
-        self._handle.seek(self.offset)
-        try:
-            for start in range(self.offset, self._end, 2**20):
-                crc = zlib.crc32(self._handle.read(min(2**20, self._end - start)), crc)
-            self._check_footer(crc)
-        finally:
-            self._handle.seek(self.offset)
+        """The next little-endian float32 array, after the zero bytes that
+        start it at a multiple of :data:`ALIGN`: a writable view of the
+        mapping, whose writes copy the page they touch, never the file."""
+        pad = -self.offset % ALIGN
+        count = math.prod(shape)
+        start = self._claim(pad + 4 * count, what) + pad
+        self._padding.append((start - pad, start, what))
+        return np.frombuffer(self._data, "<f4", count, start).reshape(shape)
 
     def finish(self) -> None:
+        """Reject trailing bytes, then padding that is not zero; a header
+        that claims more rows than the file holds is thus reported as
+        ``truncated``, however the fields after it fall."""
         if self.offset != self._end:
-            self._check_rest()
             raise ValueError(f"{self.path}: trailing bytes after {self.kind} data")
-        self._check_footer(self._crc)
+        for start, end, what in self._padding:
+            if any(self._data[start:end]):
+                raise ValueError(f"{self.path}: nonzero padding before {what} in {self.kind}")

@@ -15,9 +15,10 @@ bit.
 
 The on-disk format is little-endian and checksummed:
 
-    magic 'MVIXT2'
+    magic 'MVIXT3'
     u32 n_docs, u32 k_views, u32 embed_dim
     n_docs * (u32 length, utf-8 doc_id)
+    zero bytes up to the next multiple of 64
     n_docs * k_views * embed_dim float32 (doc-major, row-major)
     u32 CRC-32 of everything before the footer
 """
@@ -40,7 +41,7 @@ from .hashing import FramedReader, write_framed
 
 log = logging.getLogger(__name__)
 
-_MAGIC = b"MVIXT2"
+_MAGIC = b"MVIXT3"
 
 # Search's work per block of queries (see _rank). A block holds
 # _BLOCK_QUERIES queries, enough that one product pays for packing its rows,
@@ -385,8 +386,8 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> FlatIndex:
     """Load an index written by :func:`save_index`, verifying the checksum.
 
-    The matrix is read from the file straight into its own aligned float32
-    array, which is then made read-only.
+    The matrix is a read-only, aligned float32 view of the file mapped
+    copy-on-write, not a copy.
     """
     with FramedReader(path, _MAGIC, "index") as reader:
         n_docs, k_views, embed_dim = reader.unpack("<III", "header")

@@ -8,7 +8,17 @@ views reproduced, bit for bit, the scalar ``Generator`` calls of commit
 the index, which encodes those views, from a payload CRC-32 of 0x4ED9FE56
 to 0xCAF9E1FE.
 
-The index and checkpoint pins are the CRC-32 of the file without its
+Both file pins changed again when framed files began to start each
+float32 array at a multiple of 64 bytes, after zero bytes (formats
+``MVIXT3`` and ``MVDR3``): the index payload CRC-32 went from 0xCAF9E1FE
+to 0x079196E8, and the untrained checkpoint from 4,196,512 bytes with a
+payload CRC-32 of 0x373C9EC3 to 4,196,548 bytes (36 bytes of padding
+before the token table) and 0x2EDBAE32. The pins of the loaded arrays'
+bytes, which do not depend on the layout, read the same before and after
+that change: 0xABB11960 for the index matrix and 0x77044592 for the
+checkpoint's tensors.
+
+The index and checkpoint file pins are the CRC-32 of the file without its
 last four bytes. An ``.mvix`` or checkpoint file ends in the
 little-endian CRC-32 of everything before it, and the CRC-32 of any data
 followed by its own CRC-32 is the constant residue 0x2144DF1C, so a
@@ -26,8 +36,8 @@ import pytest
 from synthcorpus import DOC_TOKEN_CAP, build_synth
 
 from mvdr.corpus import write_generated_queries
-from mvdr.encoder import EncoderConfig, init_params, save_params
-from mvdr.index import FlatIndex, build_index, save_index
+from mvdr.encoder import EncoderConfig, init_params, load_params, save_params
+from mvdr.index import FlatIndex, build_index, load_index, save_index
 from mvdr.querygen import SamplingConfig, fit_qg, generate_corpus
 
 # the acceptance matrix's encoder: unigram features over the first 16 tokens
@@ -35,15 +45,25 @@ UNIGRAM_ENCODER = EncoderConfig(
     embed_dim=16, hash_buckets=65536, ngram_orders=(1,), max_query_tokens=16, max_doc_tokens=DOC_TOKEN_CAP
 )
 GEN_QUERIES_CRC32 = 0xE694A857
-INDEX_PAYLOAD_CRC32 = 0xCAF9E1FE
-CHECKPOINT_BYTES = 4_196_512
-CHECKPOINT_PAYLOAD_CRC32 = 0x373C9EC3
+INDEX_PAYLOAD_CRC32 = 0x079196E8
+INDEX_MATRIX_CRC32 = 0xABB11960
+CHECKPOINT_BYTES = 4_196_548
+CHECKPOINT_PAYLOAD_CRC32 = 0x2EDBAE32
+CHECKPOINT_TENSORS_CRC32 = 0x77044592
 CRC32_RESIDUE = 0x2144DF1C
 
 
 def payload_crc32(path):
     """The CRC-32 of a framed file without its CRC-32 footer."""
     return zlib.crc32(path.read_bytes()[:-4])
+
+
+def arrays_crc32(arrays):
+    """The CRC-32 of the arrays' bytes, one after another."""
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(array.tobytes(), crc)
+    return crc
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +101,12 @@ def test_untrained_unigram_checkpoint_matches_pin(tmp_path):
     save_params(init_params(UNIGRAM_ENCODER, seed=0), path)
     assert path.stat().st_size == CHECKPOINT_BYTES
     assert payload_crc32(path) == CHECKPOINT_PAYLOAD_CRC32
+
+
+def test_loaded_arrays_match_pins_whatever_the_layout(pinned_index, tmp_path):
+    _, index = pinned_index
+    save_index(index, tmp_path / "index.mvix")
+    assert arrays_crc32([load_index(tmp_path / "index.mvix").matrix]) == INDEX_MATRIX_CRC32
+    save_params(init_params(UNIGRAM_ENCODER, seed=0), tmp_path / "model.ckpt")
+    tensors = load_params(tmp_path / "model.ckpt").tower.tensors().values()
+    assert arrays_crc32(tensors) == CHECKPOINT_TENSORS_CRC32

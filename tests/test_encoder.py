@@ -594,7 +594,7 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("tied, towers", [(0, 2), (2, 1)], ids=["untied", "byte-2"])
     def test_tied_byte_other_than_one_is_rejected(self, tmp_path, tied, towers):
-        # CRC-valid files in the MVDR2 layout; byte 0 is what an older build
+        # CRC-valid files in the MVDR3 layout; byte 0 is what an older build
         # wrote for separate query and document towers, followed by both
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32, ngram_orders=(1,))
         params = init_params(cfg, seed=3)
@@ -625,13 +625,24 @@ class TestCheckpointIO:
             load_params(path)
 
     def test_mvdr1_checkpoint_rejected_by_name(self, tmp_path):
-        # a checkpoint from before bigram buckets came from token hashes has
-        # no second reader: the current layout under the old magic, with a
-        # valid checksum, fails like any other magic
+        # a checkpoint from before bigram buckets came from token hashes, or
+        # from before tensors were padded to 64-byte offsets, has no second
+        # reader: the current layout under an old magic, with a valid
+        # checksum, fails like any other magic
         path = tmp_path / "model.bin"
-        save_params(init_params(CFG, seed=3), path)
-        self._rewrite_payload(path, lambda p: p.__setitem__(slice(0, 5), b"MVDR1"))
-        with pytest.raises(ValueError, match=r"bad magic b'MVDR1', expected b'MVDR2'"):
+        for old in (b"MVDR1", b"MVDR2"):
+            save_params(init_params(CFG, seed=3), path)
+            self._rewrite_payload(path, lambda p: p.__setitem__(slice(0, 5), old))
+            with pytest.raises(ValueError, match=rf"bad magic {old!r}, expected b'MVDR3'"):
+                load_params(path)
+
+    def test_header_rejected_by_config_names_the_file(self, tmp_path):
+        # a CRC-valid checkpoint whose header says embed_dim = 0
+        path = tmp_path / "model.bin"
+        header = [struct.pack("<IQBB", 0, 32, 1, 1), struct.pack("<BII", 1, 8, 8)]
+        write_framed(path, encoder._MAGIC, header)
+        message = f"{path}: embed_dim must lie in [1, 2**32), got 0"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             load_params(path)
 
     def test_corruption_detected(self, tmp_path):
@@ -706,6 +717,33 @@ class TestCheckpointIO:
         self._rewrite_payload(path, lambda p: p.extend(b"\x00" * 4))
         with pytest.raises(ValueError, match="trailing bytes"):
             load_params(path)
+
+    def test_writes_to_loaded_tensors_leave_the_file(self, tmp_path):
+        # the tensors are copy-on-write views of the file: a write copies
+        # the page it touches, and the file and a second load keep the
+        # saved values
+        params = init_params(CFG, seed=3)
+        path = tmp_path / "model.bin"
+        save_params(params, path)
+        saved = path.read_bytes()
+        loaded = load_params(path)
+        for arr in loaded.tower.tensors().values():
+            assert not arr.flags.owndata
+            arr += 1.0
+        assert path.read_bytes() == saved
+        for name, arr in load_params(path).tower.tensors().items():
+            np.testing.assert_array_equal(arr, params.tower.tensors()[name])
+            np.testing.assert_array_equal(loaded.tower.tensors()[name], arr + 1.0)
+
+    def test_save_over_loaded_path_keeps_loaded_tensors(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_params(init_params(CFG, seed=3), path)
+        loaded = load_params(path)
+        before = loaded.copy()
+        save_params(init_params(CFG, seed=4), path)
+        for name, arr in loaded.tower.tensors().items():
+            np.testing.assert_array_equal(arr, before.tower.tensors()[name])
+        assert not np.array_equal(load_params(path).tower.token_table, loaded.tower.token_table)
 
     def test_loaded_tensors_are_writable_and_train(self, tmp_path):
         cfg = EncoderConfig(embed_dim=4, hash_buckets=32)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvdr.hashing import FramedReader, crc64, derive_seed, stable_hash64, write_framed
+from mvdr.hashing import ALIGN, FramedReader, crc64, derive_seed, stable_hash64, write_framed
 
 
 class TestStableHash64:
@@ -88,7 +88,8 @@ class TestFramedFile:
         path = tmp_path / "framed.bin"
         floats = np.arange(6, dtype=np.float32).reshape(2, 3)
         size = write_framed(path, b"MAG", [struct.pack("<I", 7), b"id", floats])
-        payload = b"MAG" + struct.pack("<I", 7) + b"id" + floats.tobytes()
+        # the array starts at offset 64, after 55 zero bytes
+        payload = b"MAG" + struct.pack("<I", 7) + b"id" + bytes(55) + floats.tobytes()
         assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
         assert size == len(payload) + 4
         with FramedReader(path, b"MAG", "test file") as reader:
@@ -96,9 +97,46 @@ class TestFramedFile:
             assert reader.take(2, "id") == b"id"
             array = reader.floats((2, 3), "floats")
         np.testing.assert_array_equal(array, floats)
-        # its own buffer, not a view of the file's bytes: the field starts
-        # at offset 9, yet the array is aligned
-        assert array.flags.owndata and array.flags.aligned and array.flags.writeable
+        # a view of the mapped file, not a copy, starting at a multiple of 64
+        assert not array.flags.owndata and array.flags.writeable
+        assert array.flags.aligned and array.ctypes.data % ALIGN == 0
+        array[0, 0] = 9.0
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+
+    def test_aligned_part_gets_no_padding(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        floats = np.arange(3, dtype=np.float32)
+        write_framed(path, b"MAG", [bytes(61), floats, floats])
+        assert path.read_bytes()[:-4] == b"MAG" + bytes(61) + floats.tobytes() + bytes(52) + floats.tobytes()
+
+    def test_nonzero_padding_is_rejected(self, tmp_path):
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd", np.ones(2, dtype=np.float32)])
+        # a CRC-valid file with one padding byte set
+        payload = bytearray(path.read_bytes()[:-4])
+        payload[40] = 1
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ValueError, match="nonzero padding before floats in test file"):
+            with FramedReader(path, b"MAG", "test file") as reader:
+                reader.take(4, "head")
+                reader.floats((2,), "floats")
+
+    @pytest.mark.parametrize("rows", [3, 2**40])
+    def test_padding_is_claimed_with_its_field(self, tmp_path, rows):
+        # a claim past the payload is truncation of the field, whether its
+        # padding fits or not
+        path = tmp_path / "framed.bin"
+        write_framed(path, b"MAG", [b"abcd", np.ones(2, dtype=np.float32)])
+        with pytest.raises(ValueError, match="truncated test file while reading floats"):
+            with FramedReader(path, b"MAG", "test file") as reader:
+                reader.take(4, "head")
+                reader.floats((rows,), "floats")
+        # a payload that ends inside the padding
+        write_framed(path, b"MAG", [b"abcd", bytes(10)])
+        with pytest.raises(ValueError, match="truncated test file while reading floats"):
+            with FramedReader(path, b"MAG", "test file") as reader:
+                reader.take(4, "head")
+                reader.floats((rows,), "floats")
 
     def test_short_and_long_payloads(self, tmp_path):
         path = tmp_path / "framed.bin"
@@ -139,15 +177,20 @@ class TestFramedFile:
                 reader.floats((2**40, 128), "huge")
 
     def test_file_closed_after_block(self, tmp_path):
+        # the reader keeps no file open: the mapping alone holds the loaded
+        # arrays' bytes, which outlive the reader and the file's name
         path = tmp_path / "framed.bin"
-        write_framed(path, b"MAG", [b"abcd"])
+        write_framed(path, b"MAG", [b"abcd", np.arange(4, dtype=np.float32)])
         with FramedReader(path, b"MAG", "test file") as reader:
             reader.take(4, "head")
-        assert reader._handle.closed
+            array = reader.floats((4,), "floats")
+        del reader
+        path.unlink()
+        np.testing.assert_array_equal(array, np.arange(4))
+        write_framed(path, b"MAG", [b"abcd"])
         with pytest.raises(ValueError, match="trailing bytes"):
-            with FramedReader(path, b"MAG", "test file") as reader:
+            with FramedReader(path, b"MAG", "test file"):
                 pass
-        assert reader._handle.closed
 
     def test_failed_part_leaves_old_file(self, tmp_path):
         path = tmp_path / "framed.bin"

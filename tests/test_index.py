@@ -20,6 +20,7 @@ from mvdr.index import (
     search_corpus,
     search_prefixes,
 )
+from mvdr.hashing import ALIGN, write_framed
 from mvdr.selftest import exhaustive_maxpool, random_index
 
 CFG = EncoderConfig(embed_dim=8, hash_buckets=128, ngram_orders=(1,), max_query_tokens=8, max_doc_tokens=12)
@@ -583,9 +584,9 @@ class TestIndexIO:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"
         # the earlier row-table format has no second reader
-        for magic in (b"WRONG!", b"MVIXT1"):
+        for magic in (b"WRONG!", b"MVIXT1", b"MVIXT2"):
             path.write_bytes(magic + b"\x00" * 32)
-            with pytest.raises(ValueError, match=f"bad magic {magic!r}, expected b'MVIXT2'"):
+            with pytest.raises(ValueError, match=f"bad magic {magic!r}, expected b'MVIXT3'"):
                 load_index(path)
 
     def test_corruption_detected(self, tmp_path, rng):
@@ -628,13 +629,20 @@ class TestIndexIO:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_index(path)
 
+    def test_save_over_loaded_path_keeps_loaded_matrix(self, tmp_path, rng):
+        path = tmp_path / "index.bin"
+        save_index(random_index(rng, n_docs=4, k_views=2, dim=4), path)
+        loaded = load_index(path)
+        before = loaded.matrix.copy()
+        save_index(random_index(rng, n_docs=4, k_views=2, dim=4), path)
+        np.testing.assert_array_equal(loaded.matrix, before)
+        assert not np.array_equal(load_index(path).matrix, before)
+
     def test_doc_id_with_whitespace_rejected(self, tmp_path):
         # a checksum-valid file whose first doc_id is the given one
         def write(first: bytes):
             ids = b"".join(struct.pack("<I", len(raw)) + raw for raw in (first, b"c"))
-            header = b"MVIXT2" + struct.pack("<III", 2, 1, 2)
-            payload = header + ids + np.eye(2, dtype="<f4").tobytes()
-            path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+            write_framed(path, mvdr.index._MAGIC, [struct.pack("<III", 2, 1, 2), ids, np.eye(2, dtype="<f4")])
 
         path = tmp_path / "index.bin"
         write(b"ab")
@@ -657,14 +665,16 @@ class TestIndexIO:
             load_index(path)
 
     def test_loaded_matrix_is_aligned_and_read_only(self, tmp_path, rng):
-        # doc_ids of 6 bytes each put the float block at offset 18 + 6 * 10,
-        # 2 mod 4: a view of the file's bytes would be unaligned
+        # doc_ids of 6 bytes each end at offset 18 + 6 * 10, 2 mod 4: the
+        # zero bytes after them start the matrix at offset 128
         index = random_index(rng, n_docs=6, k_views=3, dim=4)
         path = tmp_path / "index.bin"
         save_index(index, path)
+        assert path.read_bytes()[78:128] == bytes(50)
         loaded = load_index(path)
         assert loaded.matrix.flags.aligned and loaded.matrix.flags.c_contiguous
-        assert loaded.matrix.flags.owndata and not loaded.matrix.flags.writeable
+        assert loaded.matrix.ctypes.data % ALIGN == 0
+        assert not loaded.matrix.flags.owndata and not loaded.matrix.flags.writeable
         with pytest.raises(ValueError):
             loaded.matrix[0, 0] = 1.0
         query = rng.normal(size=4)
