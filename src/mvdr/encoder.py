@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -58,8 +58,6 @@ _FMIX_SHIFT = np.uint64(33)
 _FMIX_MUL = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
 
 MODES = ("de", "dce")
-
-_TENSOR_NAMES = ("token_table", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _MAGIC = b"MVDR3"
 
@@ -108,8 +106,9 @@ class EncoderConfig:
 class Tower:
     """Parameters of the encoding tower.
 
-    Gradients use the same holder, with the token table's gradient kept
-    as a :class:`RowGrad` over the rows a batch touched.
+    Gradients and Adam moments use the same holder, with the token
+    table's kept as a :class:`RowGrad` over the rows a batch or a stage
+    touched. The fields, in order, are the tower's tensors.
     """
 
     token_table: np.ndarray  # (hash_buckets, embed_dim)
@@ -119,10 +118,16 @@ class Tower:
     b_out: np.ndarray  # (embed_dim,)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def copy(self) -> "Tower":
         return Tower(**{name: arr.copy() for name, arr in self.tensors().items()})
+
+    def dense(self, n_rows: int) -> "Tower":
+        """This gradient or moment tower with its :class:`RowGrad` token
+        table as the dense ``n_rows``-row table it stands for; the other
+        tensors are this tower's own arrays."""
+        return Tower(**{**self.tensors(), "token_table": self.token_table.to_dense(n_rows)})
 
 
 @dataclass
@@ -564,19 +569,16 @@ def load_params(path: str | Path) -> EncoderParams:
         tied, max_q, max_d = reader.unpack("<BII", "header")
         if tied != 1:
             raise ValueError(
-                f"{path}: checkpoint tied byte is {tied}, expected 1 (a checkpoint with "
+                f"checkpoint tied byte is {tied}, expected 1 (a checkpoint with "
                 "separate query and document towers, byte 0, must be re-trained)"
             )
-        try:
-            cfg = EncoderConfig(
-                embed_dim=embed_dim,
-                hash_buckets=hash_buckets,
-                ngram_orders=orders,
-                max_query_tokens=max_q,
-                max_doc_tokens=max_d,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        cfg = EncoderConfig(
+            embed_dim=embed_dim,
+            hash_buckets=hash_buckets,
+            ngram_orders=orders,
+            max_query_tokens=max_q,
+            max_doc_tokens=max_d,
+        )
         shapes = {
             "token_table": (hash_buckets, embed_dim),
             "w_hidden": (embed_dim, embed_dim),

@@ -217,7 +217,7 @@ def write_run(run: Run, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> Run:
-    """Parse and validate a 6-column run file."""
+    """Parse and validate a 6-column run file; every error names the file."""
     by_query: dict[str, list[RunEntry]] = {}
     tag = None
     for where, line in _read_lines(path):
@@ -234,7 +234,10 @@ def load_run(path: str | Path) -> Run:
         if not math.isfinite(score_val):
             raise ValueError(f"{where}: non-finite score")
         by_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score_val))
-    run = Run(by_query, tag=tag or DEFAULT_RUN_TAG)
+    try:
+        run = Run(by_query, tag=tag or DEFAULT_RUN_TAG)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     log.info("loaded run with %d queries from %s", len(run.query_ids()), path)
     return run
 

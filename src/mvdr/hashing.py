@@ -113,7 +113,8 @@ class FramedReader:
     ``truncated``. :meth:`floats` returns a view of the mapping, not a
     copy. :meth:`finish` rejects trailing bytes and nonzero padding; a
     block that uses the reader as a context manager calls it when it ends
-    normally. ``kind`` names the file in error messages.
+    normally, and puts the path in front of any ``ValueError`` from the block.
+    ``kind`` names the file in error messages.
     """
 
     def __init__(self, path: str | Path, magic: bytes, kind: str) -> None:
@@ -142,11 +143,13 @@ class FramedReader:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.finish()
+        elif issubclass(exc_type, ValueError):
+            raise ValueError(f"{self.path}: {exc}") from None
 
     def _claim(self, n: int, what: str) -> int:
         """Claim the next ``n`` bytes for ``what``; returns where they start."""
         if n > self._end - self.offset:
-            raise ValueError(f"{self.path}: truncated {self.kind} while reading {what}")
+            raise ValueError(f"truncated {self.kind} while reading {what}")
         self.offset += n
         return self.offset - n
 

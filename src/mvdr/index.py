@@ -396,5 +396,5 @@ def load_index(path: str | Path) -> FlatIndex:
             (length,) = reader.unpack("<I", "doc_id length")
             doc_ids.append(str(reader.take(length, "doc_id"), "utf-8"))
         matrix = reader.floats((n_docs * k_views, embed_dim), "embeddings")
-    matrix.flags.writeable = False
-    return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))
+        matrix.flags.writeable = False
+        return FlatIndex(matrix=matrix, doc_ids=doc_ids, k_views=int(k_views))

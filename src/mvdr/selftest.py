@@ -4,9 +4,16 @@ Everything in this module recomputes a result the package produces
 elsewhere, by a deliberately different route: brute-force enumeration and
 dynamic programming instead of bit-parallel LCS, exhaustive scoring
 instead of top-k partitioning, finite differences instead of
-backpropagation, dense Adam over every row instead of over the live rows.
+backpropagation, dense Adam over every row instead of over the live rows,
+one input's mean at a time instead of pooling a feature-count group.
 The test suite and the ``selftest`` CLI command both compare the fast
 paths against these references.
+
+The references keep no types of their own. A batch is embedded by
+:func:`trainer.embed_batch`, whose caches give the pooling check its
+inputs, and dense Adam runs on a :class:`trainer.AdamState` whose towers
+are dense (:func:`dense_adam_state`); :meth:`Tower.dense` densifies a row
+gradient or a live-row moment.
 """
 
 from __future__ import annotations
@@ -20,18 +27,7 @@ import numpy as np
 
 from . import analysis, evaluation, trainer
 from .corpus import GeneratedQuerySet, Qrels, Query
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    FeatureTable,
-    RowGrad,
-    Tower,
-    candidate_feature_buckets,
-    encode_queries,
-    forward_tower,
-    init_params,
-    query_feature_buckets,
-)
+from .encoder import EncoderConfig, EncoderParams, FeatureTable, Tower, encode_queries, init_params
 from .index import _BLOCK_QUERIES, FlatIndex, search, search_corpus, search_prefixes
 from .trainer import (
     ADAM_BETA1,
@@ -42,7 +38,9 @@ from .trainer import (
     adam_step,
     build_batch,
     contrastive_loss,
+    embed_batch,
     loss_and_grads,
+    zero_grads,
 )
 
 # Known-good (query-set quality, retrieval effectiveness) measurement
@@ -258,11 +256,7 @@ def mean_pool_reference(table: np.ndarray, buckets: Sequence[np.ndarray]) -> np.
 
 def batch_loss(params: EncoderParams, batch: TrainBatch) -> float:
     """Forward-only batch loss, composed from the scalar loss op."""
-    table = FeatureTable(params.config)
-    q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
-    c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
-    q_emb, _ = forward_tower(params.tower, q_buckets)
-    c_emb, _ = forward_tower(params.tower, c_buckets)
+    (q_emb, _), (c_emb, _) = embed_batch(params, batch, FeatureTable(params.config))
     scores = (q_emb @ c_emb.T).astype(np.float64)
     losses = []
     for i in range(batch.size):
@@ -303,13 +297,12 @@ def gradient_relative_errors(
     (0 when both are exactly zero). The token table's row gradient is
     compared as the dense table it stands for.
     """
-    analytic = loss_and_grads(params, batch, FeatureTable(params.config)).grads
+    grads = loss_and_grads(params, batch, FeatureTable(params.config)).grads
+    analytic = grads.dense(params.config.hash_buckets)
     numeric = finite_difference_grads(params, batch, step=step)
     errors = {}
     for name, fd in numeric.items():
         bp = getattr(analytic, name)
-        if isinstance(bp, RowGrad):
-            bp = bp.to_dense(len(fd))
         denom = max(np.linalg.norm(bp), np.linalg.norm(fd))
         diff = np.linalg.norm(bp - fd)
         errors[name] = float(diff / denom) if denom > 0 else 0.0
@@ -320,30 +313,17 @@ def gradient_relative_errors(
 # Optimizer reference
 
 
-@dataclass
-class DenseAdamState:
+def dense_adam_state(params: EncoderParams) -> AdamState:
     """Textbook Adam state: a dense m and v for every tensor of the tower,
     token table included."""
-
-    m: Tower
-    v: Tower
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: EncoderParams) -> "DenseAdamState":
-        tensors = params.tower.tensors()
-
-        def zeros() -> Tower:
-            return Tower(**{name: np.zeros_like(arr) for name, arr in tensors.items()})
-
-        return cls(m=zeros(), v=zeros())
+    n_rows = params.config.hash_buckets
+    return AdamState(m=zero_grads(params).dense(n_rows), v=zero_grads(params).dense(n_rows))
 
 
-def adam_step_reference(
-    params: EncoderParams, grads: Tower, state: DenseAdamState, lr: float
-) -> None:
-    """Kingma & Ba's Adam over dense gradients: both moments of every row
-    of every tensor decay, and every row moves, each step.
+def adam_step_reference(params: EncoderParams, grads: Tower, state: AdamState, lr: float) -> None:
+    """Kingma & Ba's Adam over dense gradients, on a :func:`dense_adam_state`:
+    both moments of every row of every tensor decay, and every row moves,
+    each step.
 
     The reference for :func:`trainer.adam_step`, which runs the same
     element-wise arithmetic over the live rows only.
@@ -351,26 +331,14 @@ def adam_step_reference(
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1**state.t
     bias2 = 1.0 - ADAM_BETA2**state.t
+    dense = grads.dense(params.config.hash_buckets)
     for name, param in params.tower.tensors().items():
-        g, m, v = (getattr(tower, name) for tower in (grads, state.m, state.v))
-        if isinstance(g, RowGrad):
-            g = g.to_dense(len(param))
+        g, m, v = (getattr(tower, name) for tower in (dense, state.m, state.v))
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g**2
         param -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-
-
-def dense_moments(params: EncoderParams, state: AdamState) -> tuple[Tower, Tower]:
-    """``state``'s m and v, the token-table moment as the dense table it
-    stands for."""
-    n_rows = params.config.hash_buckets
-
-    def dense(t: Tower) -> Tower:
-        return Tower(**{**t.tensors(), "token_table": t.token_table.to_dense(n_rows)})
-
-    return dense(state.m), dense(state.v)
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +455,9 @@ def _check_gradients() -> SelftestResult:
     params, batch = _gradcheck_batch()
     errors = gradient_relative_errors(params, batch)
     worst_name, worst = max(errors.items(), key=lambda kv: kv[1])
-    table = FeatureTable(params.config)
-    inputs = (
-        [query_feature_buckets(table, t) for t in batch.query_texts],
-        [candidate_feature_buckets(table, p) for p in batch.candidates],
-    )
     pool_mismatches = 0
-    for buckets in inputs:
-        _, cache = forward_tower(params.tower, buckets)
-        want = mean_pool_reference(params.tower.token_table, buckets)
+    for _, cache in embed_batch(params, batch, FeatureTable(params.config)):
+        want = mean_pool_reference(params.tower.token_table, cache.buckets)
         pool_mismatches += int((cache.pooled != want).any(axis=1).sum())
     ok = worst <= 1e-4 and pool_mismatches == 0
     detail = f"worst {worst_name}: {worst:.3e}; pooled rows off the reference: {pool_mismatches}"
@@ -516,13 +478,13 @@ def _check_adam() -> SelftestResult:
     cfg = EncoderConfig(embed_dim=8, hash_buckets=512, max_doc_tokens=16)
     fast = init_params(cfg, seed=13)
     ref = fast.copy()
-    state, ref_state = AdamState.for_params(fast), DenseAdamState.for_params(ref)
+    state, ref_state = AdamState.for_params(fast), dense_adam_state(ref)
     table = FeatureTable(cfg)
     for step, batch in enumerate([first, later, later, later]):
         lr = 0.05 / (step + 1)
         adam_step(fast, loss_and_grads(fast, batch, table).grads, state, lr)
         adam_step_reference(ref, loss_and_grads(ref, batch, table).grads, ref_state, lr)
-    got = (fast.tower, *dense_moments(fast, state))
+    got = (fast.tower, state.m.dense(cfg.hash_buckets), state.v.dense(cfg.hash_buckets))
     want = (ref.tower, ref_state.m, ref_state.v)
     mismatched = [
         f"{what} {name}"

@@ -36,6 +36,7 @@ from .encoder import (
     MODES,
     EncoderParams,
     FeatureTable,
+    ForwardCache,
     RowGrad,
     Tower,
     backprop_tower,
@@ -175,14 +176,23 @@ class BatchResult:
 
 def zero_grads(params: EncoderParams) -> Tower:
     """Zero gradients of the tower; the token-table gradient starts with no rows."""
-    t = params.tower
-    return Tower(
-        token_table=RowGrad.empty(t.token_table),
-        w_hidden=np.zeros_like(t.w_hidden),
-        b_hidden=np.zeros_like(t.b_hidden),
-        w_out=np.zeros_like(t.w_out),
-        b_out=np.zeros_like(t.b_out),
-    )
+    return Tower(**{
+        name: RowGrad.empty(arr) if name == "token_table" else np.zeros_like(arr)
+        for name, arr in params.tower.tensors().items()
+    })
+
+
+def embed_batch(
+    params: EncoderParams, batch: TrainBatch, table: FeatureTable
+) -> tuple[tuple[np.ndarray, ForwardCache], tuple[np.ndarray, ForwardCache]]:
+    """The batch's query and candidate embeddings, each with the cache
+    :func:`backprop_tower` needs. ``table`` is a feature table made from
+    ``params.config``; the batch's first request it lacks runs one pass
+    over that request and the table's queue (:func:`train` queues a whole
+    stage)."""
+    q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
+    c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
+    return forward_tower(params.tower, q_buckets), forward_tower(params.tower, c_buckets)
 
 
 def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable) -> BatchResult:
@@ -191,15 +201,10 @@ def loss_and_grads(params: EncoderParams, batch: TrainBatch, table: FeatureTable
     Each row of the ``(B, B * block)`` score matrix is one softmax over
     every candidate in the batch, with the target at ``i * block``.
     Arithmetic follows the parameter dtype except the softmax itself,
-    which always runs in float64 for stability. ``table`` is a feature
-    table made from ``params.config``; the batch's first request it lacks
-    runs one pass over that request and the table's queue (:func:`train`
-    queues a whole stage).
+    which always runs in float64 for stability. The batch is embedded by
+    :func:`embed_batch` through ``table``.
     """
-    q_buckets = [query_feature_buckets(table, t) for t in batch.query_texts]
-    c_buckets = [candidate_feature_buckets(table, p) for p in batch.candidates]
-    q_emb, q_cache = forward_tower(params.tower, q_buckets)
-    c_emb, c_cache = forward_tower(params.tower, c_buckets)
+    (q_emb, q_cache), (c_emb, c_cache) = embed_batch(params, batch, table)
 
     scores = q_emb @ c_emb.T  # (B, n_candidates)
     scores64 = scores.astype(np.float64)

@@ -330,6 +330,19 @@ class TestStagedCommands:
         assert "error: no generated queries to analyze" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_analyze_checkpoint_requires_corpus(self, tmp_path, capsys):
+        paths = _write_world(tmp_path)
+        missing = str(tmp_path / "missing")
+        out_dir = tmp_path / "analysis"
+        code = main([
+            "analyze", "--gen-queries", missing, "--queries", str(paths["queries"]),
+            "--qrels", str(paths["qrels"]), "--out-dir", str(out_dir), "--checkpoint", missing,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: --checkpoint requires --corpus for the view sweep" in err
+        assert not out_dir.exists()
+
     def test_missing_file_reports_error(self, tmp_path, capsys):
         code = main([
             "gen-queries", "--corpus", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g"),
@@ -406,8 +419,13 @@ class TestPipeline:
             ("search_topk = 4", "search_topk = 4\nrun_tag = a b"),
             ("views = 3", "views = 0"),
             ("learning_rate = 0.02", "learning_rate = inf"),
+            ("search_topk = 4", "search_topk = 4\nanalyze = maybe"),
+            ("search_topk = 4", "search_topk = 4\nmetrics = ,"),
         ],
-        ids=["metric", "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf"],
+        ids=[
+            "metric", "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf",
+            "analyze-not-boolean", "no-metrics",
+        ],
     )
     def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new):
         paths = _write_world(tmp_path)
@@ -417,6 +435,20 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_given_views_give_the_generating_runs_outputs(self, tmp_path, capsys):
+        # a gen_queries key loads the views instead of generating them, and
+        # writes no copy of them
+        paths = _write_world(tmp_path)
+        generating = tmp_path / "generating"
+        assert main(["pipeline", "--config", str(pipeline_config(tmp_path, paths, generating))]) == 0
+        given = tmp_path / "given"
+        extra = f"gen_queries = {generating / 'gen_queries.jsonl'}\n"
+        cfg = pipeline_config(tmp_path, paths, given, extra=extra, name="given.cfg")
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert not (given / "gen_queries.jsonl").exists()
+        for name in ("model.ckpt", "loss_trace.csv", "index.mvix", "run.trec", "metrics.csv"):
+            assert (given / name).read_bytes() == (generating / name).read_bytes(), name
 
     def test_missing_input_leaves_no_output_dir(self, tmp_path, capsys):
         paths = _write_world(tmp_path)

@@ -42,6 +42,10 @@ class TestFlatIndexValidation:
                 k_views=2,
             )
 
+    def test_k_views_must_be_positive(self):
+        with pytest.raises(ValueError, match="k_views must be >= 1"):
+            FlatIndex(matrix=np.ones((0, 4), dtype=np.float32), doc_ids=[], k_views=0)
+
     def test_duplicate_doc_ids_rejected(self, rng):
         with pytest.raises(ValueError, match="unique"):
             FlatIndex(

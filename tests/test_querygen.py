@@ -122,6 +122,13 @@ class TestGenerate:
             generate(model, Document("ghost", "some text"), self.CFG)
 
 
+    def test_document_without_word_tokens_rejected(self, tiny_docs):
+        doc = Document("marks", "!!!")
+        model = fit_qg([*tiny_docs, doc], seed=9)
+        with pytest.raises(ValueError, match="'marks' has no usable terms"):
+            generate(model, doc, self.CFG)
+
+
 class TestGenerateCorpus:
     CFG = SamplingConfig(k_views=3, top_k=5, max_query_tokens=8)
 

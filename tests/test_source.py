@@ -2,8 +2,10 @@
 
 Every output file is opened by ``hashing.open_output``, which replaces its
 target whole, and every input file by the line reader or ``FramedReader``.
-Only ``write_framed`` and ``FramedReader`` compute a CRC-32. Only
-``cli.main`` reads a config file and checks settings.
+Only ``write_framed`` and ``FramedReader`` compute a CRC-32, and the
+checkpoint and index loaders leave the file's path in their errors to
+``FramedReader``. Only ``cli.main`` reads a config file and checks
+settings.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes. A
 ``FeatureTable`` parameter never has a default: the caller owns the table.
@@ -89,6 +91,22 @@ def test_only_the_framed_file_computes_crc32():
         "hashing.FramedReader.__init__",
         "hashing.write_framed",
     ]
+
+
+def test_no_framed_file_error_formats_the_path():
+    """``FramedReader`` puts the path in front of every ``ValueError``
+    raised in its block, so no function in ``encoder.py`` or ``index.py``
+    formats a path into an error message: it would name the file twice."""
+    found = []
+    for name in ("encoder.py", "index.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                found += [
+                    f"{name}:{node.lineno}"
+                    for part in ast.walk(node)
+                    if isinstance(part, ast.FormattedValue) and "path" in ast.unparse(part.value)
+                ]
+    assert found == []
 
 
 def test_only_main_reads_the_config_and_checks_settings():

@@ -23,10 +23,9 @@ from mvdr.encoder import (
 )
 from mvdr.querygen import SamplingConfig, fit_qg, generate_corpus
 from mvdr.selftest import (
-    DenseAdamState,
     adam_step_reference,
     batch_loss,
-    dense_moments,
+    dense_adam_state,
     gradient_relative_errors,
 )
 from mvdr.trainer import (
@@ -345,7 +344,7 @@ def _adam_against_reference(cfg, dtype, schedule, seed):
     exactly after every step."""
     params = init_params(cfg, seed=5, dtype=dtype)
     ref = params.copy()
-    state, ref_state = AdamState.for_params(params), DenseAdamState.for_params(ref)
+    state, ref_state = AdamState.for_params(params), dense_adam_state(ref)
     rng = np.random.default_rng(seed)
     steps = len(schedule)
     for step, rows in enumerate(schedule):
@@ -359,7 +358,7 @@ def _adam_against_reference(cfg, dtype, schedule, seed):
         lr = 0.05 * (steps - step) / steps
         adam_step(params, grads, state, lr)
         adam_step_reference(ref, grads, ref_state, lr)
-        m, v = dense_moments(params, state)
+        m, v = (moment.dense(cfg.hash_buckets) for moment in (state.m, state.v))
         for name, arr in params.tower.tensors().items():
             assert arr.dtype == np.dtype(dtype)
             assert np.array_equal(arr, getattr(ref.tower, name)), (step, name)
@@ -559,6 +558,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="pretraining requires"):
             train(params, triples, self.CFG)
 
+    def test_pretrain_requires_two_pairs(self):
+        docs, triples, _ = _toy_world()
+        one = [GeneratedQuerySet("d1", ("about solar",))]
+        params = init_params(SMALL_CFG, seed=4)
+        with pytest.raises(ValueError, match=r"at least 2 \(query, document\) pairs"):
+            train(params, triples, self.CFG, corpus=docs, generated=one)
+
+    def test_non_finite_loss_stops_training(self):
+        _, triples, _ = _toy_world()
+        params = init_params(SMALL_CFG, seed=4)
+        params.tower.b_out[...] = np.inf
+        cfg = dataclasses.replace(self.CFG, epochs_pretrain=0)
+        # the scores are inf - inf on purpose: silence numpy's warnings,
+        # which pyproject.toml turns into errors
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite training loss"):
+            train(params, triples, cfg)
+
     def test_finetune_requires_triples(self):
         params = init_params(SMALL_CFG, seed=4)
         cfg = TrainConfig(mode="de", epochs_pretrain=0, epochs_finetune=1)
@@ -602,7 +618,7 @@ def test_training_matches_dense_adam_reference(tmp_path, monkeypatch):
         return trace, (tmp_path / name).read_bytes()
 
     fast = run("fast.ckpt")
-    monkeypatch.setattr(trainer, "AdamState", DenseAdamState)
+    monkeypatch.setattr(AdamState, "for_params", staticmethod(dense_adam_state))
     monkeypatch.setattr(trainer, "adam_step", adam_step_reference)
     reference = run("reference.ckpt")
     assert {e.stage for e in fast[0]} == {"pretrain", "finetune"}
