@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, analysis, evaluation
-from .corpus import CORPUS_FORMATS, Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
+from .corpus import Document, GeneratedQuerySet, Qrels, Query, TrainingTriple
 from .corpus import load_corpus, load_generated_queries, load_qrels, load_queries, load_triples
 from .corpus import _check_new, _read_lines, write_generated_queries
 from .encoder import MODES, EncoderConfig, EncoderParams, encode_queries
@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 
 # Flag and config-key values by setting name (a missing name is unset), and
 # the entries ``_settings`` derives from them: ``sampling_config``,
-# ``encoder_config``, ``train_config``, ``metric_specs`` and ``metric``.
+# ``encoder_config``, ``train_config`` and ``metric``.
 Settings = Mapping[str, object]
 
 
@@ -43,6 +43,13 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     except ValueError:
         message = f"bad n-gram orders {text!r}: expected e.g. '1,2'"
         raise argparse.ArgumentTypeError(message) from None  # argparse prints it for the flag
+
+
+def _parse_metrics(text: str) -> tuple[str, ...]:
+    specs = tuple(spec.strip() for spec in text.split(",") if spec.strip())
+    if not specs:
+        raise argparse.ArgumentTypeError("no metrics requested")
+    return specs
 
 
 def _parse_bool(text: str) -> bool:
@@ -58,8 +65,7 @@ def _parse_bool(text: str) -> bool:
 # same names, so one settings mapping serves both.
 _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(
-        ("corpus", "corpus_format", "queries", "qrels", "triples", "gen_queries", "out_dir",
-         "mode", "metrics", "run_tag"),
+        ("corpus", "queries", "qrels", "triples", "gen_queries", "out_dir", "mode", "run_tag"),
         str,
     ),
     **dict.fromkeys(
@@ -72,30 +78,31 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "learning_rate": float,
     "warmup_fraction": float,
     "ngram_orders": _parse_orders,
+    "metrics": _parse_metrics,
     "analyze": _parse_bool,
 }
 
 # Defaults of the settings that no config dataclass owns; EncoderConfig,
 # TrainConfig and SamplingConfig hold the defaults of their own fields.
 _DEFAULTS = {
-    "corpus_format": "tsv",
     "out_dir": "out",
     "seed": 0,
     "search_topk": 10,
-    "metrics": "mrr@10,recall@1000,ndcg@10",
+    "metrics": ("mrr@10", "recall@1000", "ndcg@10"),
     "rel_threshold": 1,
     "run_tag": evaluation.DEFAULT_RUN_TAG,
     "analyze": False,
 }
 
 
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file.
+def parse_config(path: str | Path) -> dict[str, object]:
+    """Parse a flat ``key = value`` config file, each value by its key's
+    parser in ``_CONFIG_KEYS``.
 
     Blank lines and ``#`` comments are ignored; unknown or duplicate keys
-    are errors.
+    and values their parser rejects are errors that name the line.
     """
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for where, raw in _read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -107,12 +114,16 @@ def parse_config(path: str | Path) -> dict[str, str]:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{where}: unknown config key {key!r}")
         _check_new(key, values, "config key", where)
-        values[key] = value.strip()
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{where}: config key {key!r}: {exc}") from None
     return values
 
 
-def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None) -> dict:
+def _settings(flags: argparse.Namespace, config: Settings | None = None) -> dict:
     """Flags over config-file values over the defaults; a None flag is unset.
+    Flags and ``parse_config`` parse each value by its key's parser.
 
     ``main`` calls this before any command runs, and every value is checked
     here, even one that the command does not use; a metric spec may not
@@ -120,12 +131,7 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
     ``metric`` is the ``--metric`` flag when given, otherwise the first of
     ``metrics``.
     """
-    merged: dict[str, object] = dict(_DEFAULTS)
-    for key, text in (config or {}).items():
-        try:
-            merged[key] = _CONFIG_KEYS[key](text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+    merged: dict[str, object] = {**_DEFAULTS, **(config or {})}
     merged.update((key, value) for key, value in vars(flags).items() if value is not None)
     merged["sampling_config"] = SamplingConfig(
         **_given(merged, "max_query_tokens", k_views="views", top_k="sampling_top_k")
@@ -141,13 +147,9 @@ def _settings(flags: argparse.Namespace, config: Mapping[str, str] | None = None
             "learning_rate", "warmup_fraction", "epochs_pretrain", "epochs_finetune",
         ),
     )
-    specs = [s.strip() for s in merged["metrics"].split(",") if s.strip()]
-    if not specs:
-        raise ValueError("no metrics requested")
-    merged["metric_specs"] = specs
-    merged.setdefault("metric", specs[0])
+    merged.setdefault("metric", merged["metrics"][0])
     seen: dict[tuple[str, int], str] = {}
-    for spec in specs:
+    for spec in merged["metrics"]:
         parsed = evaluation.parse_metric_spec(spec)
         if parsed in seen:
             raise ValueError(f"metric spec {spec!r} repeats {seen[parsed]!r}")
@@ -200,7 +202,7 @@ def search_stage(
 def eval_stage(
     run: evaluation.Run, qrels: Qrels, settings: Settings
 ) -> list[evaluation.MetricReport]:
-    specs, rel = settings["metric_specs"], settings["rel_threshold"]
+    specs, rel = settings["metrics"], settings["rel_threshold"]
     reports = [evaluation.compute_metric(spec, run, qrels, rel_threshold=rel) for spec in specs]
     for report in reports:
         print(f"{report.name}\t{report.aggregate:.6f}\t({report.n_queries} queries)")
@@ -281,7 +283,7 @@ def analyze_stage(
 
 
 def cmd_gen_queries(settings: Settings) -> int:
-    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    corpus = load_corpus(settings["corpus"])
     sets = gen_queries_stage(corpus, settings)
     write_generated_queries(sets, settings["out"])
     print(f"wrote {len(sets)} query sets ({len(sets[0].queries)} views each) to {settings['out']}")
@@ -289,7 +291,7 @@ def cmd_gen_queries(settings: Settings) -> int:
 
 
 def cmd_train(settings: Settings) -> int:
-    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    corpus = load_corpus(settings["corpus"])
     triples = load_triples(settings["triples"])
     gen_path = settings.get("gen_queries")
     generated = load_generated_queries(gen_path, corpus=corpus) if gen_path else None
@@ -307,7 +309,7 @@ def cmd_index(settings: Settings) -> int:
     if mode == "dce" and "gen_queries" not in settings:
         raise ValueError("--mode dce requires --gen-queries")
     params = load_params(settings["checkpoint"])
-    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    corpus = load_corpus(settings["corpus"])
     generated = None
     if mode == "dce":
         generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
@@ -340,7 +342,7 @@ def cmd_analyze(settings: Settings) -> int:
         raise ValueError("--checkpoint requires --corpus for the view sweep")
     corpus = None
     if "corpus" in settings:
-        corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+        corpus = load_corpus(settings["corpus"])
     generated = load_generated_queries(settings["gen_queries"], corpus=corpus)
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
@@ -375,7 +377,7 @@ def cmd_pipeline(settings: Settings) -> int:
         raise ValueError(f"config is missing required key {missing[0]!r}")
     train_cfg = settings["train_config"]
     mode = train_cfg.mode
-    corpus = load_corpus(settings["corpus"], fmt=settings["corpus_format"])
+    corpus = load_corpus(settings["corpus"])
     queries = load_queries(settings["queries"])
     qrels = load_qrels(settings["qrels"])
     triples = load_triples(settings["triples"])
@@ -434,12 +436,11 @@ def _add_settings(
     parser: argparse._ActionsContainer, *names: str, required: bool = False, help: str | None = None
 ) -> None:
     """Add the flag of each named setting."""
-    choices = {"mode": MODES, "corpus_format": CORPUS_FORMATS}
     for name in names:
         parse = _CONFIG_KEYS[name]
         flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
         parser.add_argument(flag, dest=name, type=None if parse is str else parse,
-                            choices=choices.get(name), required=required, help=help)
+                            choices=MODES if name == "mode" else None, required=required, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-queries", help="generate pseudo-queries for a corpus")
     _add_settings(p, "corpus", required=True)
-    _add_settings(p, "corpus_format")
     p.add_argument("--out", required=True)
     _add_settings(p, "views", help="queries per document")
     _add_settings(p, "sampling_top_k", help="sampling pool size")
@@ -462,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an encoder on triples")
     _add_settings(p, "corpus", required=True)
-    _add_settings(p, "corpus_format")
     _add_settings(p, "triples", required=True)
     _add_settings(p, "gen_queries", help="generated queries (needed for pretraining)")
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="encode a corpus into a flat index")
     p.add_argument("--checkpoint", required=True)
     _add_settings(p, "corpus", required=True)
-    _add_settings(p, "corpus_format", "mode", "gen_queries")
+    _add_settings(p, "mode", "gen_queries")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 
@@ -501,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="query-set quality/diversity reports")
     _add_settings(p, "gen_queries", required=True)
-    _add_settings(p, "queries", required=True, help="gold queries (TSV)")
+    _add_settings(p, "queries", required=True, help="gold queries")
     _add_settings(p, "qrels", required=True)
     p.add_argument("--run", help="run file for per-level retrieval averages")
     p.add_argument("--metric", help="levels.csv and sweep metric; default: the first default metric")
     _add_settings(p, "rel_threshold")
     _add_settings(p, "out_dir", required=True)
     p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")
-    _add_settings(p, "corpus", "corpus_format", "search_topk")
+    _add_settings(p, "corpus", "search_topk")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")

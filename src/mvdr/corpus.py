@@ -25,8 +25,6 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # Metrics pack grades into int64 arrays.
 _MAX_GRADE = 2**63 - 1
 
-CORPUS_FORMATS = ("tsv", "jsonl")
-
 
 def normalize_text(text: str) -> str:
     """Canonicalize text: NFC, lowercase, whitespace runs collapsed."""
@@ -193,34 +191,34 @@ def _check_new(key: Hashable, seen: Container, what: str, where: str) -> None:
         raise ValueError(f"{where}: duplicate {what} {key!r}")
 
 
-def _load_texts(path: str | Path, kind: str, fmt: str) -> dict[str, str]:
-    """ID -> canonical text in file order, from TSV (``id<TAB>text``) or
-    JSONL (objects with ``kind`` and ``"text"``)."""
+def _load_texts(path: str | Path, kind: str) -> dict[str, str]:
+    """ID -> canonical text in file order. A line whose first non-blank
+    character is ``{`` is a JSON object with ``kind`` and ``"text"``; any
+    other line is ``id<TAB>text``."""
     texts: dict[str, str] = {}
     for where, line in _read_lines(path):
-        if fmt == "tsv":
+        if line.lstrip().startswith("{"):
+            record = _json_record(line, (kind, "text"), where)
+            raw_id, text = record[kind], record["text"]
+        else:
             raw_id, tab, text = line.partition("\t")
             if not tab:
                 raise ValueError(f"{where}: expected '{kind}<TAB>text'")
-        else:
-            record = _json_record(line, (kind, "text"), where)
-            raw_id, text = record[kind], record["text"]
         item_id = _checked_id(raw_id, kind, where)
         _check_new(item_id, texts, kind, where)
         texts[item_id] = _checked_text(text, f"text for {kind} {item_id!r}", where)
     return texts
 
 
-def load_corpus(path: str | Path, fmt: str = "tsv") -> list[Document]:
-    """Read a document collection from TSV (``doc_id<TAB>text``) or JSONL.
+def load_corpus(path: str | Path) -> list[Document]:
+    """Read a document collection: each line ``doc_id<TAB>text`` or a JSON
+    object ``{"doc_id", "text"}``.
 
     Raises ValueError naming the offending line for malformed rows, empty
     or whitespace-containing ids, duplicate ids, or text that is empty
     after canonicalization.
     """
-    if fmt not in CORPUS_FORMATS:
-        raise ValueError(f"unknown corpus format {fmt!r} (expected 'tsv' or 'jsonl')")
-    docs = [Document(*item) for item in _load_texts(path, "doc_id", fmt).items()]
+    docs = [Document(*item) for item in _load_texts(path, "doc_id").items()]
     log.info("loaded %d documents from %s", len(docs), path)
     return docs
 
@@ -231,8 +229,8 @@ def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    """Read queries from TSV (``query_id<TAB>text``)."""
-    queries = [Query(*item) for item in _load_texts(path, "query_id", "tsv").items()]
+    """Read queries as :func:`load_corpus` reads documents, keyed by ``query_id``."""
+    queries = [Query(*item) for item in _load_texts(path, "query_id").items()]
     log.info("loaded %d queries from %s", len(queries), path)
     return queries
 

@@ -557,8 +557,8 @@ def load_params(path: str | Path) -> EncoderParams:
     """Load a checkpoint written by :func:`save_params`.
 
     Rejects bad magic, checksum mismatches, truncation, trailing bytes,
-    nonzero padding, a tied byte other than 1 (0 marks separate query and
-    document towers, which an older build wrote) and a header that
+    nonzero padding, a tied byte other than 1 (separate towers exist only in
+    older formats, which fail on their magic) and a header that
     :class:`EncoderConfig` rejects. Each tensor is an aligned, writable
     view of the file mapped copy-on-write: a write copies the page it
     touches, never the file.
@@ -569,8 +569,8 @@ def load_params(path: str | Path) -> EncoderParams:
         tied, max_q, max_d = reader.unpack("<BII", "header")
         if tied != 1:
             raise ValueError(
-                f"checkpoint tied byte is {tied}, expected 1 (a checkpoint with "
-                "separate query and document towers, byte 0, must be re-trained)"
+                f"checkpoint tied byte is {tied}, expected 1 (a checkpoint of this "
+                "format holds one tower for queries and documents)"
             )
         cfg = EncoderConfig(
             embed_dim=embed_dim,

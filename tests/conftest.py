@@ -3,6 +3,15 @@ import pytest
 
 from mvdr.corpus import Document, Qrels, Query, TrainingTriple
 
+# the acceptance matrix of criteria 07-09, once a test has received it
+MATRIX = pytest.StashKey()
+
+
+def pytest_runtest_call(item):
+    # keeps the matrix for tests in later modules, which would build it again
+    if "matrix" in getattr(item, "funcargs", {}):
+        item.config.stash[MATRIX] = item.funcargs["matrix"]
+
 
 @pytest.fixture
 def tiny_docs():

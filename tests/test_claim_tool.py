@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import MATRIX
 from test_acceptance import matrix  # noqa: F401  the criteria's own fixture
 
 CLAIM = Path(__file__).resolve().parents[1] / "tools" / "claim.py"
@@ -20,7 +21,16 @@ def claim():
     return module
 
 
-def test_gate_seeds_reproduce_criteria_07_and_09(claim, matrix):  # noqa: F811
+@pytest.fixture
+def gate_matrix(request):
+    """The matrix the acceptance tests received in this pytest run, or a new one."""
+    if MATRIX in request.config.stash:
+        return request.config.stash[MATRIX]
+    return request.getfixturevalue("matrix")
+
+
+def test_gate_seeds_reproduce_criteria_07_and_09(claim, gate_matrix):
+    matrix = gate_matrix
     runs = claim.gate_runs(range(5))
     for arm in claim.ARMS:
         assert tuple(row[arm] for row in runs.values()) == getattr(matrix, arm)

@@ -1,4 +1,5 @@
 import argparse
+import json
 import logging
 import os
 import re
@@ -41,7 +42,7 @@ class TestConfigFile:
             "seed=7\n"
             "mode =  de \n"
         )
-        assert parse_config(path) == {"corpus": "data/corpus.tsv", "seed": "7", "mode": "de"}
+        assert parse_config(path) == {"corpus": "data/corpus.tsv", "seed": 7, "mode": "de"}
 
     def test_unknown_key_named_with_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -411,29 +412,35 @@ class TestPipeline:
             assert a == b, f"{name} differs between thread counts"
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, where",
         [
-            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten"),
-            ("search_topk = 4", "search_topk = 0"),
-            ("ngram_orders = 1", "ngram_orders = 1,300"),
-            ("search_topk = 4", "search_topk = 4\nrun_tag = a b"),
-            ("views = 3", "views = 0"),
-            ("learning_rate = 0.02", "learning_rate = inf"),
-            ("search_topk = 4", "search_topk = 4\nanalyze = maybe"),
-            ("search_topk = 4", "search_topk = 4\nmetrics = ,"),
+            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten", None),
+            ("search_topk = 4", "search_topk = 0", None),
+            ("ngram_orders = 1", "ngram_orders = 1,300", None),
+            ("search_topk = 4", "search_topk = 4\nrun_tag = a b", None),
+            ("views = 3", "views = 0", None),
+            ("learning_rate = 0.02", "learning_rate = inf", None),
+            # a value that its key's parser rejects is named by its line
+            ("search_topk = 4", "search_topk = 4\nanalyze = maybe",
+             ":21: config key 'analyze': 'maybe' is not a boolean"),
+            ("search_topk = 4", "search_topk = 4\nmetrics = ,",
+             ":21: config key 'metrics': no metrics requested"),
         ],
         ids=[
             "metric", "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf",
             "analyze-not-boolean", "no-metrics",
         ],
     )
-    def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new):
+    def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new, where):
         paths = _write_world(tmp_path)
         out_dir = tmp_path / "out"
         cfg = pipeline_config(tmp_path, paths, out_dir)
         cfg.write_text(cfg.read_text().replace(old, new))
         assert main(["pipeline", "--config", str(cfg)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if where is not None:
+            assert err == f"error: {cfg}{where}\n"
         assert not out_dir.exists()
 
     def test_given_views_give_the_generating_runs_outputs(self, tmp_path, capsys):
@@ -469,6 +476,18 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"error: {cfg}:21: unknown config key 'tie_params'" in err
+        assert "No such file" not in err
+        assert not out_dir.exists()
+
+    def test_corpus_format_key_fails_before_any_input_is_read(self, tmp_path, capsys):
+        # the corpus reader tells JSON lines from TSV lines itself
+        paths = _write_world(tmp_path)
+        paths["corpus"].unlink()
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir, extra="corpus_format = jsonl\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:21: unknown config key 'corpus_format'" in err
         assert "No such file" not in err
         assert not out_dir.exists()
 
@@ -544,6 +563,17 @@ def test_untie_flag_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("usage: mvdr ") and "mvdr: error: unrecognized arguments: --untie" in err
 
 
+def test_corpus_format_flag_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = ["gen-queries", "--corpus", missing, "--out", missing, "--corpus-format", "jsonl"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mvdr ")
+    assert "mvdr: error: unrecognized arguments: --corpus-format jsonl" in err
+
+
 def test_every_integer_setting_but_seed_rejects_minus_one():
     # counts, sizes and thresholds are range-checked before any input is read
     flags = build_parser().parse_args(["pipeline", "--config", "run.cfg"])
@@ -551,7 +581,7 @@ def test_every_integer_setting_but_seed_rejects_minus_one():
     for key, parse in cli._CONFIG_KEYS.items():
         if parse is int and key != "seed":
             with pytest.raises(ValueError):
-                cli._settings(flags, {key: "-1"})
+                cli._settings(flags, {key: -1})
 
 
 def test_every_float_setting_rejects_inf_and_nan():
@@ -561,7 +591,7 @@ def test_every_float_setting_rejects_inf_and_nan():
         if parse is float:
             for text in ("inf", "nan"):
                 with pytest.raises(ValueError, match=key):
-                    cli._settings(flags, {key: text})
+                    cli._settings(flags, {key: parse(text)})
 
 
 @pytest.mark.parametrize(
@@ -572,14 +602,17 @@ def test_every_float_setting_rejects_inf_and_nan():
         ("learning_rate", "--lr", "x", "invalid float value: 'x'"),
     ],
 )
-def test_a_bad_flag_value_is_reported_by_its_config_key_parser(capsys, key, flag, value, message):
+def test_a_bad_flag_value_is_reported_by_its_config_key_parser(
+    tmp_path, capsys, key, flag, value, message
+):
     argv = ["train", "--corpus", "c", "--triples", "t", "--out", "o", flag, value]
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
     assert f"error: argument {flag}: {message}" in capsys.readouterr().err
-    flags = build_parser().parse_args(["pipeline", "--config", "run.cfg"])
-    with pytest.raises(ValueError, match=re.escape(f"config key {key!r}: ")):
-        cli._settings(flags, {key: value})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: config key {key!r}: ")):
+        parse_config(cfg)
 
 
 def test_serving_commands_load_neither_openssl_nor_numpy_random(tmp_path):
@@ -676,6 +709,46 @@ class TestReadmeExamples:
         cli._settings(build_parser().parse_args(["pipeline", "--config", str(path)]), config)
 
 
+STAGED_OUTPUTS = (
+    "gen_queries.jsonl", "model.ckpt", "loss_trace.csv", "index.mvix", "run.trec", "metrics.csv",
+)
+
+
+def _run_staged(paths, staged, mode):
+    """Runs every staged command into the new directory ``staged`` with the
+    settings of :func:`pipeline_config`."""
+    staged.mkdir()
+    gen = staged / "gen_queries.jsonl"
+    ckpt = staged / "model.ckpt"
+    index = staged / "index.mvix"
+    run = staged / "run.trec"
+    assert main([
+        "gen-queries", "--corpus", str(paths["corpus"]), "--out", str(gen),
+        "--views", "3", "--max-query-tokens", "8", "--seed", "11",
+    ]) == 0
+    assert main([
+        "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
+        "--gen-queries", str(gen), "--out", str(ckpt),
+        "--loss-trace", str(staged / "loss_trace.csv"),
+        "--mode", mode, "--batch-size", "4", "--pretrain-batch-size", "4",
+        "--negatives", "2", "--lr", "0.02",
+        "--pretrain-epochs", "1", "--finetune-epochs", "2", "--seed", "11",
+        *ENCODER_FLAGS,
+    ]) == 0
+    assert main([
+        "index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
+        "--mode", mode, "--gen-queries", str(gen), "--out", str(index),
+    ]) == 0
+    assert main([
+        "search", "--checkpoint", str(ckpt), "--index", str(index),
+        "--queries", str(paths["queries"]), "--out", str(run), "--topk", "4",
+    ]) == 0
+    assert main([
+        "eval", "--run", str(run), "--qrels", str(paths["qrels"]),
+        "--out", str(staged / "metrics.csv"),
+    ]) == 0
+
+
 class TestStagedMatchesPipeline:
     @pytest.mark.parametrize("mode", ["dce", "de"])
     def test_same_bytes_for_one_seed(self, tmp_path, capsys, mode):
@@ -685,41 +758,25 @@ class TestStagedMatchesPipeline:
         assert main(["pipeline", "--config", str(cfg), "--mode", mode]) == 0
 
         staged = tmp_path / "staged"
-        staged.mkdir()
-        gen = staged / "gen_queries.jsonl"
-        ckpt = staged / "model.ckpt"
-        index = staged / "index.mvix"
-        run = staged / "run.trec"
-        assert main([
-            "gen-queries", "--corpus", str(paths["corpus"]), "--out", str(gen),
-            "--views", "3", "--max-query-tokens", "8", "--seed", "11",
-        ]) == 0
-        assert main([
-            "train", "--corpus", str(paths["corpus"]), "--triples", str(paths["triples"]),
-            "--gen-queries", str(gen), "--out", str(ckpt),
-            "--loss-trace", str(staged / "loss_trace.csv"),
-            "--mode", mode, "--batch-size", "4", "--pretrain-batch-size", "4",
-            "--negatives", "2", "--lr", "0.02",
-            "--pretrain-epochs", "1", "--finetune-epochs", "2", "--seed", "11",
-            *ENCODER_FLAGS,
-        ]) == 0
-        assert main([
-            "index", "--checkpoint", str(ckpt), "--corpus", str(paths["corpus"]),
-            "--mode", mode, "--gen-queries", str(gen), "--out", str(index),
-        ]) == 0
-        assert main([
-            "search", "--checkpoint", str(ckpt), "--index", str(index),
-            "--queries", str(paths["queries"]), "--out", str(run), "--topk", "4",
-        ]) == 0
-        assert main([
-            "eval", "--run", str(run), "--qrels", str(paths["qrels"]),
-            "--out", str(staged / "metrics.csv"),
-        ]) == 0
-        for name in (
-            "gen_queries.jsonl", "model.ckpt", "loss_trace.csv", "index.mvix", "run.trec",
-            "metrics.csv",
-        ):
+        _run_staged(paths, staged, mode)
+        for name in STAGED_OUTPUTS:
             assert (staged / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+    def test_jsonl_corpus_and_queries_give_the_tsv_bytes(self, tmp_path, capsys):
+        # the readers tell JSON lines from TSV lines, so no setting names the format
+        paths = _write_world(tmp_path)
+        _run_staged(paths, tmp_path / "tsv", "dce")
+        for name, kind in (("corpus", "doc_id"), ("queries", "query_id")):
+            records = []
+            for line in paths[name].read_text().splitlines():
+                item_id, text = line.split("\t")
+                records.append(json.dumps({kind: item_id, "text": text}))
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(f"{record}\n" for record in records))
+        _run_staged(paths, tmp_path / "jsonl", "dce")
+        for name in STAGED_OUTPUTS:
+            want = (tmp_path / "tsv" / name).read_bytes()
+            assert (tmp_path / "jsonl" / name).read_bytes() == want, name
 
 
 def _sweep_rows(path):

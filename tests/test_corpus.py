@@ -64,12 +64,28 @@ class TestCorpusIO:
             {"doc_id": "b", "text": "gamma"},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        docs = load_corpus(path, fmt="jsonl")
+        docs = load_corpus(path)
         assert docs == [Document("a", "alpha beta"), Document("b", "gamma")]
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown corpus format"):
-            load_corpus(tmp_path / "x", fmt="csv")
+    def test_each_line_is_json_when_it_starts_with_a_brace(self, tmp_path):
+        # blanks before the brace are allowed, and TSV and JSON lines may mix
+        path = tmp_path / "mixed.txt"
+        path.write_text('a\tAlpha\n \t {"doc_id": "b", "text": "Beta"}\n')
+        assert load_corpus(path) == [Document("a", "alpha"), Document("b", "beta")]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("d1\tok\n{d2\ttext\n", "invalid JSON: "),
+            ('{"doc_id": "a", "text": "x"}\n\n', "expected 'doc_id<TAB>text'$"),
+        ],
+        ids=["tsv-id-starting-with-a-brace", "blank-line-among-json"],
+    )
+    def test_line_read_in_the_format_of_its_first_character(self, tmp_path, text, error):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"corpus\.txt:2: {error}"):
+            load_corpus(path)
 
     def test_missing_tab_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -115,19 +131,26 @@ class TestCorpusIO:
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "d0", "text": "ok"}\n' + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=rf"c\.jsonl:2: {re.escape(error)}$"):
-            load_corpus(path, fmt="jsonl")
+            load_corpus(path)
 
     def test_whitespace_in_jsonl_doc_id_rejected(self, tmp_path):
         path = tmp_path / "ws.jsonl"
         path.write_text('{"doc_id": "a", "text": "x"}\n{"doc_id": "b\\tc", "text": "y"}\n')
         with pytest.raises(ValueError, match=r"ws\.jsonl:2: doc_id 'b\\tc' contains whitespace"):
-            load_corpus(path, fmt="jsonl")
+            load_corpus(path)
 
 
 class TestQueryIO:
     def test_roundtrip(self, tmp_path, tiny_queries):
         path = tmp_path / "queries.tsv"
         write_queries(tiny_queries, path)
+        assert load_queries(path) == tiny_queries
+
+    def test_jsonl(self, tmp_path, tiny_queries):
+        # queries share the corpus reader, JSON lines included
+        path = tmp_path / "queries.jsonl"
+        rows = [{"query_id": q.query_id, "text": q.text.upper()} for q in tiny_queries]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert load_queries(path) == tiny_queries
 
     def test_duplicate_id(self, tmp_path):
@@ -396,8 +419,7 @@ class TestEncoding:
     READERS = {
         "corpus-tsv": (load_corpus, b"d1\tsolar\n", b"d2\tsol\xffar\n"),
         "corpus-jsonl": (
-            lambda path: load_corpus(path, fmt="jsonl"),
-            b'{"doc_id": "d1", "text": "a"}\n', b'{"doc_id": "d2", "text": "\xff"}\n',
+            load_corpus, b'{"doc_id": "d1", "text": "a"}\n', b'{"doc_id": "d2", "text": "\xff"}\n',
         ),
         "queries": (load_queries, b"q1\tsolar\n", b"q2\t\xffsolar\n"),
         "qrels": (load_qrels, b"q1 0 d1 1\n", b"q1 0 d\xff 1\n"),
@@ -421,7 +443,7 @@ class TestEncoding:
     @pytest.mark.parametrize(
         "read, record, field",
         [
-            (lambda path: load_corpus(path, fmt="jsonl"), {"doc_id": "d\ud800", "text": "x"}, "doc_id"),
+            (load_corpus, {"doc_id": "d\ud800", "text": "x"}, "doc_id"),
             (load_generated_queries, {"doc_id": "d1", "queries": ["ok", "a \udfff"]}, "query for doc 'd1'"),
             (load_triples, {**TestTripleIO.RECORD, "negatives": ["\ud800"]}, "negative text for 'd2'"),
         ],

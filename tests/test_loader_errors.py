@@ -50,9 +50,7 @@ TRIPLE = (
 # what the message says after the path
 CASES = {
     "corpus-tsv": (load_corpus, b"d1 no tab\n", ":1: expected 'doc_id<TAB>text'"),
-    "corpus-jsonl": (
-        lambda path: load_corpus(path, "jsonl"), b"not json\n", ":1: invalid JSON: "
-    ),
+    "corpus-jsonl": (load_corpus, b"{not json\n", ":1: invalid JSON: "),
     "queries": (load_queries, b"q1\t \n", ":1: empty text for query_id 'q1'"),
     "qrels": (load_qrels, b"q1 0 d1 high\n", ":1: grade 'high' is not an integer"),
     "triples-not-lists": (
