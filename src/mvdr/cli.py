@@ -32,8 +32,8 @@ from .trainer import TraceEntry, TrainConfig, train, write_loss_trace
 log = logging.getLogger(__name__)
 
 # Flag and config-key values by setting name (a missing name is unset), and
-# the entries ``_settings`` derives from them: ``sampling_config``,
-# ``encoder_config``, ``train_config`` and ``metric``.
+# the configs ``_settings`` builds from them: ``sampling_config``,
+# ``encoder_config`` and ``train_config``.
 Settings = Mapping[str, object]
 
 
@@ -46,9 +46,19 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 
 def _parse_metrics(text: str) -> tuple[str, ...]:
+    """Comma-separated metric specs; no two may share a (name, k)."""
     specs = tuple(spec.strip() for spec in text.split(",") if spec.strip())
     if not specs:
         raise argparse.ArgumentTypeError("no metrics requested")
+    seen: dict[tuple[str, int], str] = {}
+    for spec in specs:
+        try:
+            parsed = evaluation.parse_metric_spec(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if parsed in seen:
+            raise argparse.ArgumentTypeError(f"metric spec {spec!r} repeats {seen[parsed]!r}")
+        seen[parsed] = spec
     return specs
 
 
@@ -76,7 +86,6 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
         int,
     ),
     "learning_rate": float,
-    "warmup_fraction": float,
     "ngram_orders": _parse_orders,
     "metrics": _parse_metrics,
     "analyze": _parse_bool,
@@ -123,13 +132,11 @@ def parse_config(path: str | Path) -> dict[str, object]:
 
 def _settings(flags: argparse.Namespace, config: Settings | None = None) -> dict:
     """Flags over config-file values over the defaults; a None flag is unset.
-    Flags and ``parse_config`` parse each value by its key's parser.
+    Flags and ``parse_config`` parse and check each value by its key's parser.
 
-    ``main`` calls this before any command runs, and every value is checked
-    here, even one that the command does not use; a metric spec may not
-    repeat another's (name, k). The stages read the configs built here;
-    ``metric`` is the ``--metric`` flag when given, otherwise the first of
-    ``metrics``.
+    ``main`` calls this before any command runs, and every value is
+    range-checked here, even one that the command does not use. The stages
+    read the configs built here.
     """
     merged: dict[str, object] = {**_DEFAULTS, **(config or {})}
     merged.update((key, value) for key, value in vars(flags).items() if value is not None)
@@ -144,17 +151,9 @@ def _settings(flags: argparse.Namespace, config: Settings | None = None) -> dict
         seed=derive_seed(merged["seed"], "train"),
         **_given(
             merged, "mode", "batch_size", "pretrain_batch_size", "negatives_per_positive",
-            "learning_rate", "warmup_fraction", "epochs_pretrain", "epochs_finetune",
+            "learning_rate", "epochs_pretrain", "epochs_finetune",
         ),
     )
-    merged.setdefault("metric", merged["metrics"][0])
-    seen: dict[tuple[str, int], str] = {}
-    for spec in merged["metrics"]:
-        parsed = evaluation.parse_metric_spec(spec)
-        if parsed in seen:
-            raise ValueError(f"metric spec {spec!r} repeats {seen[parsed]!r}")
-        seen[parsed] = spec
-    evaluation.parse_metric_spec(merged["metric"])
     for key in ("search_topk", "rel_threshold"):
         if merged[key] < 1:
             raise ValueError(f"{key} must be >= 1, got {merged[key]}")
@@ -235,17 +234,17 @@ def analyze_stage(
 ) -> None:
     """Write quality.csv, diversity.csv, levels.csv and sweep.csv into setting ``out_dir``.
 
-    ``run``, when given, gives levels.csv its per-level value of setting
-    ``metric``: each document's mean over the judged queries it is relevant
-    to. ``index``, built from ``params`` with every view, fills the sweep's
-    retrieval column with ``metric``: one pass ranks its view prefixes
-    k = 1..k_views for ``queries``, encoded with ``params``. Each generated
-    view is scored against gold once; quality.csv is the sweep's point with
-    every view.
+    The metric is the first of setting ``metrics``. ``run``, when given,
+    gives levels.csv its per-level value: each document's mean over the
+    judged queries it is relevant to. ``index``, built from ``params`` with
+    every view, fills the sweep's retrieval column: one pass ranks its view
+    prefixes k = 1..k_views for ``queries``, encoded with ``params``. Each
+    generated view is scored against gold once; quality.csv is the sweep's
+    point with every view.
     """
     if not generated:
         raise ValueError("no generated queries to analyze")
-    metric, rel_threshold = settings["metric"], settings["rel_threshold"]
+    metric, rel_threshold = settings["metrics"][0], settings["rel_threshold"]
     relevant = {qid: qrels.relevant_docs(qid, rel_threshold) for qid in qrels.query_ids()}
     query_text = {q.query_id: q.text for q in queries}
     gold_by_doc: dict[str, list[str]] = {}
@@ -427,8 +426,8 @@ def cmd_pipeline(settings: Settings) -> int:
 # name with dashes, except for these settings.
 _FLAGS = {
     "sampling_top_k": "--top-k", "negatives_per_positive": "--negatives", "learning_rate": "--lr",
-    "warmup_fraction": "--warmup", "epochs_pretrain": "--pretrain-epochs",
-    "epochs_finetune": "--finetune-epochs", "search_topk": "--topk", "run_tag": "--tag",
+    "epochs_pretrain": "--pretrain-epochs", "epochs_finetune": "--finetune-epochs",
+    "search_topk": "--topk", "run_tag": "--tag",
 }
 
 
@@ -467,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_settings(p, "mode", "batch_size", "pretrain_batch_size")
     _add_settings(p, "negatives_per_positive", help="hard negatives per positive")
-    _add_settings(p, "learning_rate", "warmup_fraction")
-    _add_settings(p, "epochs_pretrain", "epochs_finetune", "seed")
+    _add_settings(p, "learning_rate", "epochs_pretrain", "epochs_finetune", "seed")
     p.add_argument("--loss-trace", help="write per-step loss CSV here")
     group = p.add_argument_group("encoder")
     _add_settings(group, "embed_dim", "hash_buckets")
@@ -503,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, "queries", required=True, help="gold queries")
     _add_settings(p, "qrels", required=True)
     p.add_argument("--run", help="run file for per-level retrieval averages")
-    p.add_argument("--metric", help="levels.csv and sweep metric; default: the first default metric")
+    _add_settings(p, "metrics", help="the first is the levels.csv and sweep metric")
     _add_settings(p, "rel_threshold")
     _add_settings(p, "out_dir", required=True)
     p.add_argument("--checkpoint", help="encode an index with every view for the view sweep")

@@ -112,15 +112,19 @@ class Qrels:
 
 def _read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     """Each line of a UTF-8 text file, after the ``path:line`` that names
-    it; a line that is not UTF-8 is an error that names it. A line ends at
-    LF or CRLF, which is dropped; a lone CR is whitespace inside a text
-    field, not a line break."""
+    it; a line that is not UTF-8 is an error that names it. A byte-order
+    mark that starts the file is dropped. A line ends at LF or CRLF, which
+    is dropped; a lone CR is whitespace inside a text field, not a line
+    break."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, 1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if line_no == 1:
+                # a byte-order mark; importing the utf-8-sig codec would cost 128 KiB of RSS
+                line = line.removeprefix("\ufeff")
             yield f"{path}:{line_no}", line.rstrip("\n").rstrip("\r")
 
 
@@ -223,9 +227,19 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
+def _text_line(kind: str, item_id: str, text: str) -> str:
+    """``id<TAB>text``, or the JSON object that :func:`_load_texts` reads
+    back where that line would start with ``{``."""
+    line = f"{item_id}\t{text}"
+    if line.lstrip().startswith("{"):
+        return json.dumps({kind: item_id, "text": text}, ensure_ascii=False)
+    return line
+
+
 def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Write documents as canonical TSV (UTF-8, LF line endings)."""
-    write_lines(path, (f"{doc.doc_id}\t{doc.text}" for doc in docs))
+    """Write documents as canonical TSV (UTF-8, LF line endings); a line
+    whose id starts with ``{`` is a JSON object instead."""
+    write_lines(path, (_text_line("doc_id", doc.doc_id, doc.text) for doc in docs))
 
 
 def load_queries(path: str | Path) -> list[Query]:
@@ -236,7 +250,7 @@ def load_queries(path: str | Path) -> list[Query]:
 
 
 def write_queries(queries: Iterable[Query], path: str | Path) -> None:
-    write_lines(path, (f"{query.query_id}\t{query.text}" for query in queries))
+    write_lines(path, (_text_line("query_id", q.query_id, q.text) for q in queries))
 
 
 def load_qrels(path: str | Path) -> Qrels:

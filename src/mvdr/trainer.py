@@ -13,12 +13,13 @@ each triple's m hard negatives), which is where most of the supervision
 comes from at small batch sizes.
 
 Optimization is Adam over the tower tensors with a linear
-warmup-then-decay schedule per stage. The step is exact dense Adam, but
-it runs only over the token-table rows the stage has touched so far: a
-row no gradient has reached has zero moments, and dense Adam leaves it
-where it is. Two stages are supported: an optional pretraining pass over
-(generated query, document) pairs with in-batch negatives only, then
-finetuning on the triples.
+warmup-then-decay schedule per stage: the rate rises over the first 10 %
+of the stage's steps, then falls linearly to 0. The step is exact dense
+Adam, but it runs only over the token-table rows the stage has touched so
+far: a row no gradient has reached has zero moments, and dense Adam
+leaves it where it is. Two stages are supported: an optional pretraining
+pass over (generated query, document) pairs with in-batch negatives only,
+then finetuning on the triples.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ log = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+WARMUP_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class TrainConfig:
     pretrain_batch_size: int = 256
     negatives_per_positive: int = 7
     learning_rate: float = 1e-3
-    warmup_fraction: float = 0.1
     epochs_pretrain: int = 0
     epochs_finetune: int = 10
     seed: int = 0
@@ -73,8 +74,6 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.batch_size < 2 or self.pretrain_batch_size < 2:
             raise ValueError("batch sizes must be >= 2: examples share in-batch negatives")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1]")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
@@ -316,19 +315,17 @@ def _adam_update(
     param -= m_hat
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
-    """Linear warmup for the first fraction of steps, then linear decay to 0.
+def lr_at(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup over the first ``WARMUP_FRACTION`` of a stage's
+    ``total_steps``, which :func:`train` never leaves at 0, then linear
+    decay to 0.
 
     ``step`` is 0-based. The first step after warmup runs at the full base
     rate and the schedule would hit exactly 0 one step past the end.
     """
-    if total_steps <= 0:
-        return base_lr
-    warmup = int(round(warmup_fraction * total_steps))
+    warmup = int(round(WARMUP_FRACTION * total_steps))
     if step < warmup:
         return base_lr * (step + 1) / warmup
-    if total_steps == warmup:
-        return base_lr
     return base_lr * (total_steps - step) / (total_steps - warmup)
 
 
@@ -439,7 +436,7 @@ def train(
             for start, end in spans:
                 batch = build_batch([examples[j] for j in order[start:end]])
                 result = loss_and_grads(params, batch, table)
-                lr = lr_at(len(trace) - first, total_steps, cfg.learning_rate, cfg.warmup_fraction)
+                lr = lr_at(len(trace) - first, total_steps, cfg.learning_rate)
                 adam_step(params, result.grads, state, lr)
                 trace.append(TraceEntry(step=len(trace), stage=stage, loss=result.loss))
             epoch_loss = np.mean([entry.loss for entry in trace[-len(spans) :]])

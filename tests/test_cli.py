@@ -231,13 +231,14 @@ class TestStagedCommands:
 
         monkeypatch.setattr(cli, "build_index", no_index)
         out_dir = tmp_path / "analysis"
-        code = main([
-            "analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
-            "--qrels", str(paths["qrels"]), "--checkpoint", str(ckpt),
-            "--corpus", str(paths["corpus"]), "--metric", "mrr@ten", "--out-dir", str(out_dir),
-        ])
-        assert code == 1
-        assert "error: bad metric spec 'mrr@ten'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "analyze", "--gen-queries", str(gen), "--queries", str(paths["queries"]),
+                "--qrels", str(paths["qrels"]), "--checkpoint", str(ckpt),
+                "--corpus", str(paths["corpus"]), "--metrics", "mrr@ten", "--out-dir", str(out_dir),
+            ])
+        assert exited.value.code == 2
+        assert "error: argument --metrics: bad metric spec 'mrr@ten'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_analyze_rejects_queries_for_documents_outside_the_corpus(self, tmp_path, capsys):
@@ -292,8 +293,12 @@ class TestStagedCommands:
             (["search", "--tag", "a b"], "tag 'a b' is empty or contains whitespace"),
             (["train", "--batch-size", "1"], "batch sizes must be >= 2"),
             (["gen-queries", "--views", "0"], "k_views must be >= 1, got 0"),
-            (["eval", "--metrics", "mrr@ten"], "bad metric spec 'mrr@ten'"),
-            (["eval", "--metrics", "mrr@10,ndcg@10, MRR@10"], "metric spec 'MRR@10' repeats 'mrr@10'"),
+            # the flag's parser checks metric specs, so argparse reports them
+            (["eval", "--metrics", "mrr@ten"], "argument --metrics: bad metric spec 'mrr@ten'"),
+            (
+                ["eval", "--metrics", "mrr@10,ndcg@10, MRR@10"],
+                "argument --metrics: metric spec 'MRR@10' repeats 'mrr@10'",
+            ),
             (["eval", "--rel-threshold", "0"], "rel_threshold must be >= 1, got 0"),
             # a non-UTF-8 argument byte reaches Python as a lone surrogate
             (["search", "--tag", os.fsdecode(b"t\xff")], "tag 't\\udcff' cannot be encoded as UTF-8"),
@@ -312,7 +317,11 @@ class TestStagedCommands:
             "eval": ["--run", missing, "--qrels", missing],
         }[argv[0]]
         out = tmp_path / "out"
-        assert main([*argv, *inputs, "--out", str(out)]) == 1
+        try:
+            code = main([*argv, *inputs, "--out", str(out)])
+        except SystemExit as exited:  # a usage error
+            code = exited.code
+        assert code == (2 if message.startswith("argument ") else 1)
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "No such file" not in err
@@ -414,7 +423,6 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "old, new, where",
         [
-            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten", None),
             ("search_topk = 4", "search_topk = 0", None),
             ("ngram_orders = 1", "ngram_orders = 1,300", None),
             ("search_topk = 4", "search_topk = 4\nrun_tag = a b", None),
@@ -425,10 +433,14 @@ class TestPipeline:
              ":21: config key 'analyze': 'maybe' is not a boolean"),
             ("search_topk = 4", "search_topk = 4\nmetrics = ,",
              ":21: config key 'metrics': no metrics requested"),
+            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@ten",
+             ":21: config key 'metrics': bad metric spec 'mrr@ten': 'ten' is not an integer"),
+            ("search_topk = 4", "search_topk = 4\nmetrics = mrr@10,ndcg@10,MRR@10",
+             ":21: config key 'metrics': metric spec 'MRR@10' repeats 'mrr@10'"),
         ],
         ids=[
-            "metric", "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf",
-            "analyze-not-boolean", "no-metrics",
+            "topk", "ngram-orders", "run-tag", "views", "learning-rate-inf",
+            "analyze-not-boolean", "no-metrics", "metric", "repeated-metric",
         ],
     )
     def test_bad_settings_fail_before_any_output(self, tmp_path, capsys, old, new, where):
@@ -488,6 +500,18 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"error: {cfg}:21: unknown config key 'corpus_format'" in err
+        assert "No such file" not in err
+        assert not out_dir.exists()
+
+    def test_warmup_fraction_key_fails_before_any_input_is_read(self, tmp_path, capsys):
+        # every stage warms up over a fixed 10 % of its steps
+        paths = _write_world(tmp_path)
+        paths["corpus"].unlink()
+        out_dir = tmp_path / "out"
+        cfg = pipeline_config(tmp_path, paths, out_dir, extra="warmup_fraction = 0.2\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:21: unknown config key 'warmup_fraction'" in err
         assert "No such file" not in err
         assert not out_dir.exists()
 
@@ -572,6 +596,17 @@ def test_corpus_format_flag_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: mvdr ")
     assert "mvdr: error: unrecognized arguments: --corpus-format jsonl" in err
+
+
+def test_warmup_flag_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--corpus", missing, "--triples", missing, "--out", missing, "--warmup", "0.2"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mvdr ")
+    assert "mvdr: error: unrecognized arguments: --warmup 0.2" in err
 
 
 def test_every_integer_setting_but_seed_rejects_minus_one():
@@ -805,6 +840,28 @@ class TestPipelineSweep:
             "--queries", str(paths["queries"]), "--qrels", str(paths["qrels"]),
             "--checkpoint", str(out_dir / "model.ckpt"), "--corpus", str(paths["corpus"]),
             "--run", str(out_dir / "run.trec"), "--topk", "4", "--out-dir", str(reports),
+        ]) == 0
+        for name in ("sweep.csv", "quality.csv", "diversity.csv", "levels.csv"):
+            assert (reports / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+    def test_first_of_metrics_is_the_analysis_metric(self, tmp_path, capsys):
+        # a pipeline's metrics key and analyze --metrics choose it alike
+        paths = _write_world(tmp_path)
+        out_dir = tmp_path / "out"
+        extra = "analyze = true\nmetrics = ndcg@10,mrr@10\n"
+        assert main(["pipeline", "--config", str(pipeline_config(tmp_path, paths, out_dir, extra))]) == 0
+        lines = (out_dir / "metrics.csv").read_text().splitlines()[1:]
+        metrics = dict(line.split(",") for line in lines)
+        assert metrics["ndcg@10"] != metrics["mrr@10"]  # else the test cannot tell them apart
+        assert _sweep_rows(out_dir / "sweep.csv")[-1][2] == metrics["ndcg@10"]
+
+        reports = tmp_path / "reports"
+        assert main([
+            "analyze", "--gen-queries", str(out_dir / "gen_queries.jsonl"),
+            "--queries", str(paths["queries"]), "--qrels", str(paths["qrels"]),
+            "--checkpoint", str(out_dir / "model.ckpt"), "--corpus", str(paths["corpus"]),
+            "--run", str(out_dir / "run.trec"), "--topk", "4", "--metrics", "ndcg@10",
+            "--out-dir", str(reports),
         ]) == 0
         for name in ("sweep.csv", "quality.csv", "diversity.csv", "levels.csv"):
             assert (reports / name).read_bytes() == (out_dir / name).read_bytes(), name

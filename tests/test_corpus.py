@@ -57,6 +57,23 @@ class TestCorpusIO:
         write_corpus(tiny_docs, path)
         assert load_corpus(path) == tiny_docs
 
+    def test_ordinary_ids_write_tab_separated_lines(self, tmp_path, tiny_docs, tiny_queries):
+        corpus, queries = tmp_path / "corpus.tsv", tmp_path / "queries.tsv"
+        write_corpus(tiny_docs, corpus)
+        write_queries(tiny_queries, queries)
+        assert corpus.read_text() == "".join(f"{d.doc_id}\t{d.text}\n" for d in tiny_docs)
+        assert queries.read_text() == "".join(f"{q.query_id}\t{q.text}\n" for q in tiny_queries)
+
+    def test_id_starting_with_a_brace_survives_write_then_load(self, tmp_path):
+        # a TSV line that starts with { would read as JSON, so it is written as JSON
+        docs = [Document("{x", "solar"), Document("a", "{not json} here"), Document("b", "c")]
+        path = tmp_path / "corpus.tsv"
+        write_corpus(docs, path)
+        assert load_corpus(path) == docs
+        assert path.read_bytes() == (
+            b'{"doc_id": "{x", "text": "solar"}\na\t{not json} here\nb\tc\n'
+        )
+
     def test_jsonl(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         rows = [
@@ -145,6 +162,13 @@ class TestQueryIO:
         path = tmp_path / "queries.tsv"
         write_queries(tiny_queries, path)
         assert load_queries(path) == tiny_queries
+
+    def test_id_starting_with_a_brace_survives_write_then_load(self, tmp_path):
+        queries = [Query("{q1}", "solar panels"), Query("q2", "wind")]
+        path = tmp_path / "queries.tsv"
+        write_queries(queries, path)
+        assert load_queries(path) == queries
+        assert path.read_bytes() == b'{"query_id": "{q1}", "text": "solar panels"}\nq2\twind\n'
 
     def test_jsonl(self, tmp_path, tiny_queries):
         # queries share the corpus reader, JSON lines included
@@ -456,6 +480,36 @@ class TestEncoding:
         error = f"{field} cannot be encoded as UTF-8 (surrogates not allowed)"
         with pytest.raises(ValueError, match=rf"input\.jsonl:1: {re.escape(error)}$"):
             read(path)
+
+    @staticmethod
+    def _comparable(loaded):
+        """What a reader returned, as values that ``==`` compares."""
+        if isinstance(loaded, Qrels):
+            return list(loaded.items())
+        if isinstance(loaded, Run):
+            rankings = {q: [a.tolist() for a in loaded.ranking(q)] for q in loaded.query_ids()}
+            return loaded.doc_ids, rankings, loaded.tag
+        return loaded
+
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, name):
+        # editors on Windows may start a UTF-8 file with EF BB BF
+        read, first, _ = self.READERS[name]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(first)
+        marked.write_bytes(b"\xef\xbb\xbf" + first)
+        assert self._comparable(read(marked)) == self._comparable(read(plain))
+
+    def test_byte_order_mark_keeps_a_run_matched_to_its_judgments(self, tmp_path):
+        run, qrels = tmp_path / "run.trec", tmp_path / "qrels.txt"
+        run.write_bytes(b"\xef\xbb\xbfq1 Q0 d1 1 1.0 tag\n")
+        qrels.write_bytes(b"q1 0 d1 1\n")
+        assert mrr_at_k(load_run(run), load_qrels(qrels), k=10).aggregate == 1.0
+
+    def test_byte_order_mark_after_the_start_is_text(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes("d1\tsolar\n\ufeffd2\tpanel\n".encode())
+        assert [doc.doc_id for doc in load_corpus(path)] == ["d1", "\ufeffd2"]
 
 
 class TestWriteLines:

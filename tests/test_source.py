@@ -5,7 +5,7 @@ target whole, and every input file by the line reader or ``FramedReader``.
 Only ``write_framed`` and ``FramedReader`` compute a CRC-32, and the
 checkpoint and index loaders leave the file's path in their errors to
 ``FramedReader``. Only ``cli.main`` reads a config file and checks
-settings.
+settings, and a metric spec is checked where ``metrics`` is parsed.
 The package keeps no process-global state: no memo decorator, and no
 module-level dict, list or set that a function changes. A
 ``FeatureTable`` parameter never has a default: the caller owns the table.
@@ -114,6 +114,13 @@ def test_only_main_reads_the_config_and_checks_settings():
     command runs; no command resolves them itself."""
     found = sorted(where for where, call in _calls() if _name(call) in ("_settings", "parse_config"))
     assert found == ["cli.main", "cli.main"]
+
+
+def test_metric_specs_are_checked_where_metrics_is_parsed():
+    """A flag's or config line's parser checks its specs, so an error names
+    the flag or the line; only the metric code itself parses a spec again."""
+    found = sorted(where for where, call in _calls() if _name(call) == "parse_metric_spec")
+    assert found == ["cli._parse_metrics", "evaluation.compute_metric"]
 
 
 _MEMO_DECORATORS = {"lru_cache", "cache"}

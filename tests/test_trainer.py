@@ -369,23 +369,17 @@ def _adam_against_reference(cfg, dtype, schedule, seed):
 
 class TestSchedule:
     def test_warmup_ramps_linearly(self):
-        lrs = [lr_at(s, 100, 1.0, 0.1) for s in range(10)]
+        lrs = [lr_at(s, 100, 1.0) for s in range(10)]
         assert lrs == pytest.approx([(s + 1) / 10 for s in range(10)])
 
     def test_peak_then_decay(self):
-        assert lr_at(10, 100, 1.0, 0.1) == pytest.approx(1.0)
-        assert lr_at(55, 100, 1.0, 0.1) == pytest.approx(0.5)
-        assert lr_at(99, 100, 1.0, 0.1) == pytest.approx(1 / 90)
+        assert lr_at(10, 100, 1.0) == pytest.approx(1.0)
+        assert lr_at(55, 100, 1.0) == pytest.approx(0.5)
+        assert lr_at(99, 100, 1.0) == pytest.approx(1 / 90)
 
-    def test_no_warmup(self):
-        assert lr_at(0, 10, 2.0, 0.0) == pytest.approx(2.0)
-
-    def test_all_warmup(self):
-        assert lr_at(5, 10, 1.0, 1.0) == pytest.approx(0.6)
-        assert lr_at(10, 10, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_degenerate_total(self):
-        assert lr_at(0, 0, 0.5, 0.1) == 0.5
+    def test_a_stage_under_five_steps_has_no_warmup(self):
+        # 10 % of 4 steps rounds to 0, so the first step runs at the full rate
+        assert [lr_at(s, 4, 2.0) for s in range(4)] == pytest.approx([2.0, 1.5, 1.0, 0.5])
 
 
 class TestConfigValidation:
@@ -396,7 +390,7 @@ class TestConfigValidation:
             {"negatives_per_positive": 0},
             {"batch_size": 1},
             {"pretrain_batch_size": 1},
-            {"warmup_fraction": 1.5},
+            {"epochs_pretrain": -1},
             {"learning_rate": -0.1},
             {"epochs_finetune": -1},
             {"learning_rate": float("inf")},
